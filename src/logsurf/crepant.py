@@ -84,10 +84,20 @@ class CrepantData:
         return {cid: -self.residual[cid] for cid in sorted(self.contracted)}
 
 
-def _require_contractible(config: CurveConfig, ids: list[int]) -> None:
-    if ids and not is_negative_definite(gram(config, ids)):
+def _require_contractible(config: CurveConfig, ids: frozenset[int]) -> None:
+    """Raise unless the Gram matrix of `ids` is negative definite.
+
+    The verdict is computed once per set and kept in the configuration's memo.
+    """
+    if not ids:
+        return
+    memo = config._definite_memo
+    verdict = memo.get(ids)
+    if verdict is None:
+        verdict = memo[ids] = is_negative_definite(gram(config, sorted(ids)))
+    if not verdict:
         raise InvalidStateError(
-            f"gram matrix of {ids} is not negative definite; the set is not contractible"
+            f"gram matrix of {sorted(ids)} is not negative definite; the set is not contractible"
         )
 
 
@@ -98,28 +108,38 @@ def crepant_pullback(config: CurveConfig, contracted: Iterable[int]) -> CrepantD
     the Gram system  Σ_j e_j (C_j·C_i) = −deg K|_i − Σ_k d_k (C_k·C_i)  over
     contracted j and uncontracted k.  The Gram matrix of a contractible set is
     negative definite, hence invertible, so the solution exists and is unique.
+    Each set is solved once per configuration; every call returns a fresh
+    copy of the memoised solution.
     """
-    ids = sorted(set(contracted))
+    key = frozenset(contracted)
+    memo = config._crepant_memo
+    data = memo.get(key)
+    if data is None:
+        data = memo[key] = _solve_pullback(config, key)
+    return CrepantData(dict(data.residual), key)
+
+
+def _solve_pullback(config: CurveConfig, key: frozenset[int]) -> CrepantData:
+    ids = sorted(key)
     for cid in ids:
         config.curve(cid)
-    _require_contractible(config, ids)
+    _require_contractible(config, key)
     residual = {c.id: c.boundary_coeff for c in config.curves}
     if ids:
-        matrix = gram(config, ids)
         rhs = []
         for i in ids:
             acc = Fraction(canonical_degree(config, i))
-            for c in config.curves:
-                if c.id not in ids:
-                    acc += c.boundary_coeff * pairing(config, c.id, i)
+            for k, count in config.neighbours(i).items():
+                if k not in key:
+                    acc += config.curve(k).boundary_coeff * count
             rhs.append(-acc)
         try:
-            solution = solve_symmetric(matrix, tuple(rhs))
+            solution = solve_symmetric(gram(config, ids), rhs)
         except SingularMatrixError:  # unreachable once negative definiteness holds
             raise InvalidStateError(f"gram matrix of {ids} is singular") from None
         for cid, value in zip(ids, solution):
             residual[cid] = value
-    return CrepantData(residual, frozenset(ids))
+    return CrepantData(residual, key)
 
 
 class Classification(IntEnum):
@@ -191,11 +211,11 @@ class SurfaceState:
                 f"contracted set {sorted(self.contracted)} is not contained in the "
                 f"target set {sorted(self.base.contracted_on_target)}"
             )
-        _require_contractible(self.config, sorted(self.contracted))
+        _require_contractible(self.config, self.contracted)
         if isinstance(self.base, TargetBase):
             for cid in self.base.contracted_on_target:
                 self.config.curve(cid)
-            _require_contractible(self.config, sorted(self.base.contracted_on_target))
+            _require_contractible(self.config, self.base.contracted_on_target)
         return True
 
     @cached_property
@@ -296,28 +316,21 @@ def lc_centers(state: SurfaceState) -> tuple[LcCenter, ...]:
 def pushforward_self_intersection(state: SurfaceState, cid: int) -> Fraction:
     """Self-intersection of the image of curve `cid` after the contraction.
 
-    Computed as C·C̄ where C̄ = C + Σ λ_j E_j is the pullback of the image:
-    the correction multiplicities solve gram(S)·λ = −(C·E_j)_j over the
-    contracted set S, which must not contain `cid`.
+    Computed as C·C̄ = C² + Σ λ_j (C·E_j), where C̄ = C + Σ λ_j E_j is the
+    pullback of the image and λ are the `correction_multiplicities`.
     """
-    state._checked
-    state.config.curve(cid)
-    if cid in state.contracted:
-        raise InvalidStateError(f"curve {cid} is contracted; its image is a point")
-    ids = sorted(state.contracted)
-    base = Fraction(pairing(state.config, cid, cid))
-    if not ids:
-        return base
-    matrix = gram(state.config, ids)
-    rhs = tuple(-Fraction(pairing(state.config, cid, j)) for j in ids)
-    lam = solve_symmetric(matrix, rhs)
-    return base + sum(
-        (m * pairing(state.config, cid, j) for m, j in zip(lam, ids)), Fraction(0)
+    lam = correction_multiplicities(state, cid)
+    return Fraction(pairing(state.config, cid, cid)) + sum(
+        (m * pairing(state.config, cid, j) for j, m in lam.items()), Fraction(0)
     )
 
 
 def correction_multiplicities(state: SurfaceState, cid: int) -> dict[int, Fraction]:
-    """Multiplicities λ_j of the contracted curves in the pullback of `cid`'s image."""
+    """Multiplicities λ_j of the contracted curves in the pullback of `cid`'s image.
+
+    They solve gram(S)·λ = −(C·E_j)_j over the contracted set S, which must
+    not contain `cid`.
+    """
     state._checked
     state.config.curve(cid)
     if cid in state.contracted:
@@ -325,23 +338,25 @@ def correction_multiplicities(state: SurfaceState, cid: int) -> dict[int, Fracti
     ids = sorted(state.contracted)
     if not ids:
         return {}
-    matrix = gram(state.config, ids)
-    rhs = tuple(-Fraction(pairing(state.config, cid, j)) for j in ids)
-    return dict(zip(ids, solve_symmetric(matrix, rhs)))
+    rhs = [-pairing(state.config, cid, j) for j in ids]
+    return dict(zip(ids, solve_symmetric(gram(state.config, ids), rhs)))
 
 
 def log_degree(state: SurfaceState, cid: int) -> Fraction:
     """Degree of the pulled-back log canonical class on curve `cid`.
 
     deg K|_C + Σ_k e_k (C_k·C), with the residuals running over every curve
-    including C itself.  Vanishes identically on contracted curves by
-    construction of the crepant pullback.
+    including C itself; only C and the curves meeting it contribute.
+    Vanishes identically on contracted curves by construction of the crepant
+    pullback.
     """
     state._checked
-    data = state.crepant
-    acc = Fraction(canonical_degree(state.config, cid))
-    for c in state.config.curves:
-        acc += data.residual[c.id] * pairing(state.config, c.id, cid)
+    residual = state.crepant.residual
+    config = state.config
+    acc = Fraction(canonical_degree(config, cid))
+    acc += residual[cid] * config.curve(cid).self_intersection
+    for k, count in config.neighbours(cid).items():
+        acc += residual[k] * count
     return acc
 
 

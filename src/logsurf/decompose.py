@@ -267,8 +267,11 @@ def verify_trace(
     Checks phase ordering against the split index, re-runs the full predicate
     for each step, recomputes and compares each certificate exactly, checks
     minimality at the split point, and confirms the end set.  Never raises:
-    any replay failure is reported in the result.
+    any replay failure is reported in the result.  The replay runs on a fresh
+    copy of `config`, so it neither reads nor fills the memo of the run that
+    produced the trace.
     """
+    config = CurveConfig(config.curves, config.points, config.picard_rank_of_model)
     start_set = frozenset(start)
     if start_set != trace.start:
         return VerifyResult(

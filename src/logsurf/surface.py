@@ -108,6 +108,23 @@ class CurveConfig:
         return {cid: tuple(pids) for cid, pids in by_curve.items()}
 
     @cached_property
+    def _definite_memo(self) -> dict[frozenset[int], bool]:
+        """Negative-definiteness verdicts of curve sets' Gram matrices.
+
+        Filled by `crepant`; it lives and dies with this configuration, which
+        is immutable, so an entry never goes stale.
+        """
+        return {}
+
+    @cached_property
+    def _crepant_memo(self) -> dict[frozenset[int], object]:
+        """Solved crepant pullbacks (`crepant.CrepantData`) by contracted set.
+
+        Filled by `crepant`, which hands callers copies only.
+        """
+        return {}
+
+    @cached_property
     def _violations(self) -> tuple[Violation, ...]:
         out: list[Violation] = []
         seen_curves: set[int] = set()
@@ -298,13 +315,26 @@ def connected_components(
 
 
 def gram(config: CurveConfig, ordered_ids: Sequence[int]) -> SymMatrix:
-    """Gram matrix of the listed curves under the pairing."""
+    """Integer Gram matrix of the listed curves under the pairing.
+
+    Entries are plain `int`s read straight from the configuration's curve
+    and crossing tables: self-intersections on the diagonal, shared-point
+    counts off it.  Symmetry holds by construction, so the matrix is built
+    without re-checking it.
+    """
     ids = list(ordered_ids)
     if len(set(ids)) != len(ids):
         raise ValueError("curve ids must be distinct")
-    return SymMatrix(
-        tuple(tuple(Fraction(pairing(config, i, j)) for j in ids) for i in ids)
-    )
+    selves = [config.curve(i).self_intersection for i in ids]
+    counts = config._cross_counts
+    rows = []
+    for k, i in enumerate(ids):
+        # tuple(<genexpr>) would be resized after allocation and freed into
+        # another size class, filling the tuple free lists; a list is exact.
+        row = [counts.get((i, j) if i < j else (j, i), 0) for j in ids]
+        row[k] = selves[k]
+        rows.append(tuple(row))
+    return SymMatrix._trusted(tuple(rows))
 
 
 def _pair_key(a: int, b: int) -> tuple[int, int]:
@@ -367,9 +397,6 @@ class LocalBlowdownModel:
             dict(self._mult),
         )
 
-    def genus_of(self, cid: int) -> int:
-        return self._genus[cid]
-
     def coeff(self, cid: int) -> Fraction:
         return self._coeff[cid]
 
@@ -383,9 +410,6 @@ class LocalBlowdownModel:
         return tuple(
             sorted(o for o in self.present if o != cid and self.crossings(o, cid) > 0)
         )
-
-    def valence(self, cid: int) -> int:
-        return sum(self.crossings(o, cid) for o in self.present if o != cid)
 
     def is_candidate(self, cid: int) -> bool:
         """A rational current (−1)-curve; the raw material of a contraction."""

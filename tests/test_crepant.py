@@ -52,6 +52,14 @@ class TestCrepantPullback:
             4: Fraction(0),
         }
 
+    def test_memoised_solution_is_not_shared_with_callers(self):
+        config = helpers.corner_twice()
+        first = crepant_pullback(config, {3, 4})
+        first.residual[4] = Fraction(7)
+        again = crepant_pullback(config, [4, 3])
+        assert again.residual[4] == 0
+        assert again.residual is not first.residual
+
     def test_empty_set_is_identity(self):
         data = crepant_pullback(helpers.corner_twice(), set())
         assert data.discrepancies == {}

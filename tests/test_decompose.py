@@ -22,6 +22,7 @@ from logsurf import (
     TargetBase,
     classify,
     Classification,
+    crepant_pullback,
     decompose_morphism,
     generate_crepant_pair,
     is_log_crepant,
@@ -174,6 +175,51 @@ class TestVerifyTrace:
     def test_accepts_minimization_trace(self):
         trace = minimize(SurfaceState(helpers.du_val_a1(), set()))
         assert verify_trace(helpers.du_val_a1(), set(), trace)
+
+
+class MemoTouched(Exception):
+    pass
+
+
+class _Tripwire(dict):
+    """A memo that raises on any lookup or store."""
+
+    def _trip(self, *args, **kwargs):
+        raise MemoTouched("memo touched")
+
+    get = __getitem__ = __setitem__ = __contains__ = setdefault = _trip
+
+
+class TestVerifyIndependence:
+    """`verify_trace` replays without the run's per-configuration memo."""
+
+    MEMOS = ("_definite_memo", "_crepant_memo")
+
+    def test_replay_neither_reads_nor_grows_the_run_memo(self):
+        spec = generate_crepant_pair(helpers.corner(), 8, 5)
+        config = spec.config
+        trace = decompose_morphism(spec)
+        sizes = {name: len(getattr(config, name)) for name in self.MEMOS}
+        assert all(sizes.values())
+        for name in self.MEMOS:
+            config.__dict__[name] = _Tripwire(getattr(config, name))
+
+        assert verify_trace(config, spec.source_contracted, trace)
+        step = trace.steps[0]
+        after = dict(step.discrepancies_after)
+        after[step.curve] += Fraction(1, 7)
+        tampered = dataclasses.replace(
+            trace,
+            steps=(dataclasses.replace(step, discrepancies_after=after),) + trace.steps[1:],
+        )
+        result = verify_trace(config, spec.source_contracted, tampered)
+        assert not result
+        assert "posterior" in result.failure
+        assert result.step_index == 0
+
+        assert {name: len(getattr(config, name)) for name in self.MEMOS} == sizes
+        with pytest.raises(MemoTouched):
+            crepant_pullback(config, spec.target_contracted)
 
 
 class TestMinimize:

@@ -2,15 +2,19 @@
 
 from fractions import Fraction
 import itertools
+import random
 
 import pytest
 from hypothesis import given, strategies as st
 
+import helpers
 import oracles
 from logsurf import (
     SingularMatrixError,
     SymMatrix,
     determinant,
+    generate_crepant_pair,
+    gram,
     is_negative_definite,
     solve_symmetric,
 )
@@ -69,6 +73,90 @@ class TestSolve:
         for i in range(n):
             assert sum(rows[i][j] * x[j] for j in range(n)) == rhs[i]
         assert x == oracles.solve_linear(rows, rhs)
+
+
+def _fraction(rng: random.Random) -> Fraction:
+    return Fraction(rng.randint(-9, 9), rng.randint(1, 6))
+
+
+def _symmetric_fractions(rng: random.Random, n: int) -> list[list[Fraction]]:
+    rows = [[Fraction(0)] * n for _ in range(n)]
+    for i in range(n):
+        for j in range(i, n):
+            rows[i][j] = rows[j][i] = _fraction(rng)
+    return rows
+
+
+class TestIntegerSolveDifferential:
+    """The fraction-free integer solve against the oracle's Fraction elimination."""
+
+    def test_random_fraction_systems(self):
+        swapped = 0
+        for seed in range(300):
+            rng = random.Random(seed)
+            n = rng.randint(1, 7)
+            rows = _symmetric_fractions(rng, n)
+            if seed % 3 == 0:
+                rows[0][0] = Fraction(0)  # the first pivot needs a row swap
+            rhs = [_fraction(rng) for _ in range(n)]
+            if oracles.laplace_det(rows) == 0:
+                with pytest.raises(SingularMatrixError):
+                    solve_symmetric(SymMatrix(rows), rhs)
+                continue
+            x = solve_symmetric(SymMatrix(rows), rhs)
+            assert x == oracles.solve_linear(rows, rhs), seed
+            assert all(type(v) is Fraction for v in x)
+            swapped += rows[0][0] == 0
+        assert swapped >= 50
+
+    @pytest.mark.parametrize(
+        "rows, rhs",
+        [
+            ([[0, 1], [1, 0]], (Fraction(1, 2), Fraction(-1, 3))),
+            # the second pivot vanishes after the first step: swap mid-elimination
+            ([[1, 1, 0], [1, 1, 1], [0, 1, 1]], (Fraction(2, 3), 1, Fraction(-5, 4))),
+            (
+                [[Fraction(1, 2), Fraction(1, 2), 0], [Fraction(1, 2), Fraction(1, 2), 3], [0, 3, 0]],
+                (1, Fraction(1, 7), 0),
+            ),
+        ],
+    )
+    def test_pinned_row_swaps(self, rows, rhs):
+        x = solve_symmetric(SymMatrix(rows), rhs)
+        assert x == oracles.solve_linear(rows, rhs)
+        for row, b in zip(rows, rhs):
+            assert sum(a * v for a, v in zip(row, x)) == b
+
+    def test_singular_fraction_matrices_raise(self):
+        for seed in range(60):
+            rng = random.Random(seed)
+            n = rng.randint(1, 6)
+            # c·PᵀDP with a zero on the diagonal of D: symmetric, rank below n
+            p = [[rng.randint(-3, 3) for _ in range(n)] for _ in range(n)]
+            d = [rng.randint(-3, 3) for _ in range(n)]
+            d[rng.randrange(n)] = 0
+            c = _fraction(rng) or Fraction(1, 2)
+            rows = [
+                [c * sum(p[k][i] * d[k] * p[k][j] for k in range(n)) for j in range(n)]
+                for i in range(n)
+            ]
+            assert oracles.laplace_det(rows) == 0
+            with pytest.raises(SingularMatrixError):
+                solve_symmetric(SymMatrix(rows), [_fraction(rng) for _ in range(n)])
+
+    @pytest.mark.parametrize("seed", range(6))
+    def test_gram_rows_match_raw_pairing(self, seed):
+        template = helpers.corner() if seed % 2 == 0 else helpers.boundary_chain()
+        config = generate_crepant_pair(template, 4 + seed, seed).config
+        ids = [c.id for c in config.curves]
+        random.Random(seed).shuffle(ids)
+        counts = oracles.crossing_counts(config)
+        expected = tuple(
+            tuple(oracles.raw_pairing(config, counts, i, j) for j in ids) for i in ids
+        )
+        rows = gram(config, ids).rows()
+        assert rows == expected
+        assert all(type(x) is int for row in rows for x in row)
 
 
 class TestNegativeDefinite:
