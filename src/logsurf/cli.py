@@ -11,6 +11,7 @@ from __future__ import annotations
 import argparse
 import hashlib
 import json
+import re
 import sys
 from fractions import Fraction
 from pathlib import Path
@@ -31,7 +32,6 @@ from .decompose import (
     verify_trace,
 )
 from .errors import (
-    InvalidStateError,
     LogSurfaceError,
     StuckInPhase2Error,
     TheoremViolationError,
@@ -45,6 +45,7 @@ from .surface import (
     free_point_on,
     generic_point,
     next_curve_id,
+    require_valid,
     validate_config,
 )
 
@@ -59,14 +60,17 @@ CLASS_NAMES = {
 # ---------------------------------------------------------------------------
 # parsing helpers
 
+_FRACTION = re.compile(r"[+-]?[0-9]+(/0*[1-9][0-9]*)?")
+_INTEGER_KEY = re.compile(r"-?[0-9]+")
+
+
 def parse_fraction(value: Any) -> Fraction:
-    if isinstance(value, bool):
-        raise ValueError(f"expected a fraction string, got {value!r}")
-    if isinstance(value, int):
+    """An integer, or a string "p" or "p/q"; decimals and exponents are rejected."""
+    if type(value) is int:
         return Fraction(value)
-    if isinstance(value, str):
+    if isinstance(value, str) and _FRACTION.fullmatch(value.strip()):
         return Fraction(value.strip())
-    raise ValueError(f"expected a fraction string, got {value!r}")
+    raise ValueError(f"expected an integer or a fraction string 'p/q', got {value!r}")
 
 
 def parse_ids(text: str) -> tuple[int, ...]:
@@ -101,33 +105,76 @@ def parse_target(text: str) -> BlowUpTarget:
 
 
 # ---------------------------------------------------------------------------
+# typed reading of documents: every error names the path of the bad field
+
+def _required(doc: dict, key: str, path: str) -> Any:
+    if key not in doc:
+        raise ValueError(f"{path}{key} is missing")
+    return doc[key]
+
+
+def _int(value: Any, path: str) -> int:
+    """A JSON integer; a bool, float or string is rejected, not coerced."""
+    if type(value) is not int:
+        raise ValueError(f"{path} must be an integer, got {value!r}")
+    return value
+
+
+def _ints(value: Any, path: str) -> list[int]:
+    if not isinstance(value, list):
+        raise ValueError(f"{path} must be a list of integers, got {value!r}")
+    return [_int(item, f"{path}[{i}]") for i, item in enumerate(value)]
+
+
+def _fraction(value: Any, path: str) -> Fraction:
+    try:
+        return parse_fraction(value)
+    except ValueError as exc:
+        raise ValueError(f"{path}: {exc}") from None
+
+
+def _objects(value: Any, path: str) -> list[tuple[str, dict]]:
+    """The JSON objects of a list, each with its path."""
+    if not isinstance(value, list):
+        raise ValueError(f"{path} must be a list, got {value!r}")
+    for i, item in enumerate(value):
+        if not isinstance(item, dict):
+            raise ValueError(f"{path}[{i}] must be a JSON object, got {item!r}")
+    return [(f"{path}[{i}].", item) for i, item in enumerate(value)]
+
+
+# ---------------------------------------------------------------------------
 # scenario documents
 
 def config_from_json(data: Any) -> tuple[CurveConfig, frozenset[int], Base]:
     """Parse a scenario document into (config, default contracted, default base)."""
     if not isinstance(data, dict):
         raise ValueError("scenario document must be a JSON object")
-    curves = []
-    for entry in data.get("curves", []):
-        curves.append(
-            (
-                int(entry["id"]),
-                int(entry.get("genus", 0)),
-                int(entry["self_intersection"]),
-                parse_fraction(entry.get("coeff", 0)),
-            )
+    curves = [
+        (
+            _int(_required(entry, "id", at), f"{at}id"),
+            _int(entry.get("genus", 0), f"{at}genus"),
+            _int(_required(entry, "self_intersection", at), f"{at}self_intersection"),
+            _fraction(entry.get("coeff", 0), f"{at}coeff"),
         )
+        for at, entry in _objects(data.get("curves", []), "curves")
+    ]
     points = []
-    for entry in data.get("points", []):
-        points.append((int(entry["id"]), [int(cid) for cid in entry["incident"]]))
+    for at, entry in _objects(data.get("points", []), "points"):
+        incident = _ints(_required(entry, "incident", at), f"{at}incident")
+        if len(set(incident)) != len(incident):
+            raise ValueError(f"{at}incident repeats a curve: {incident}")
+        points.append((_int(_required(entry, "id", at), f"{at}id"), incident))
     rank = data.get("picard_rank_of_model")
-    config = CurveConfig.build(curves, points, None if rank is None else int(rank))
-    contracted = frozenset(int(cid) for cid in data.get("contracted", []))
+    config = CurveConfig.build(
+        curves, points, None if rank is None else _int(rank, "picard_rank_of_model")
+    )
+    contracted = frozenset(_ints(data.get("contracted", []), "contracted"))
     raw_base = data.get("base", "point")
     if raw_base == "point":
         base: Base = PointBase()
     elif isinstance(raw_base, dict) and "target" in raw_base:
-        base = TargetBase(int(cid) for cid in raw_base["target"])
+        base = TargetBase(_ints(raw_base["target"], "base.target"))
     else:
         raise ValueError(f"expected base 'point' or {{'target': IDS}}, got {raw_base!r}")
     return config, contracted, base
@@ -183,14 +230,6 @@ def load_scenario(path: str) -> tuple[CurveConfig, frozenset[int], Base]:
     return config_from_json(json.loads(Path(path).read_text(encoding="utf-8")))
 
 
-def _require_valid(config: CurveConfig) -> None:
-    problems = validate_config(config)
-    if problems:
-        raise InvalidStateError(
-            "invalid configuration: " + "; ".join(str(v) for v in problems)
-        )
-
-
 # ---------------------------------------------------------------------------
 # trace documents
 
@@ -198,8 +237,15 @@ def _fractions_to_json(values: dict[int, Fraction]) -> dict[str, str]:
     return {str(cid): str(value) for cid, value in sorted(values.items())}
 
 
-def _fractions_from_json(data: Any) -> dict[int, Fraction]:
-    return {int(cid): parse_fraction(value) for cid, value in data.items()}
+def _fractions_from_json(data: Any, path: str) -> dict[int, Fraction]:
+    if not isinstance(data, dict):
+        raise ValueError(f"{path} must be a JSON object, got {data!r}")
+    out = {}
+    for cid, value in data.items():
+        if not _INTEGER_KEY.fullmatch(cid):
+            raise ValueError(f"{path} has a key {cid!r} that is not a curve id")
+        out[int(cid)] = _fraction(value, f"{path}.{cid}")
+    return out
 
 
 def trace_to_json(config: CurveConfig, trace: DecompositionTrace) -> dict:
@@ -220,47 +266,75 @@ def trace_to_json(config: CurveConfig, trace: DecompositionTrace) -> dict:
         else:
             doc["order"] = list(step.order)
         steps.append(doc)
-    return {
+    doc = {
         "scenario_digest": config_digest(config),
         "start": sorted(trace.start),
         "end": sorted(trace.end),
         "flop_minimal_index": trace.flop_minimal_index,
         "steps": steps,
     }
+    if isinstance(trace.base, PointBase):
+        doc["base"] = "point"
+    return doc
 
 
 def trace_from_json(data: Any) -> tuple[str, DecompositionTrace]:
+    """Parse a trace document into (scenario digest, trace).
+
+    A trace without a "base" key is a decomposition over the target base of
+    its end set; "base": "point" marks a minimization over a point base.
+    """
     if not isinstance(data, dict):
         raise ValueError("trace document must be a JSON object")
     steps = []
-    for entry in data.get("steps", []):
-        kind = MoveKind(entry["kind"])
+    for at, entry in _objects(data.get("steps", []), "steps"):
+        try:
+            kind = MoveKind(_required(entry, "kind", at))
+        except ValueError as exc:
+            raise ValueError(f"{at}kind: {exc}") from None
         epsilon = None
         order = None
         if kind is MoveKind.FLOP:
-            eps = entry["epsilon"]
+            eps = _required(entry, "epsilon", at)
+            if not isinstance(eps, dict):
+                raise ValueError(f"{at}epsilon must be a JSON object, got {eps!r}")
             supremum = eps.get("supremum")
             epsilon = EpsilonChoice(
-                None if supremum is None else parse_fraction(supremum),
-                parse_fraction(eps["chosen"]),
+                None if supremum is None else _fraction(supremum, f"{at}epsilon.supremum"),
+                _fraction(_required(eps, "chosen", f"{at}epsilon."), f"{at}epsilon.chosen"),
             )
         else:
-            order = tuple(int(cid) for cid in entry["order"])
+            order = tuple(_ints(_required(entry, "order", at), f"{at}order"))
         steps.append(
             MoveRecord(
                 kind,
-                int(entry["curve"]),
-                _fractions_from_json(entry["discrepancies_before"]),
-                _fractions_from_json(entry["discrepancies_after"]),
+                _int(_required(entry, "curve", at), f"{at}curve"),
+                _fractions_from_json(
+                    _required(entry, "discrepancies_before", at),
+                    f"{at}discrepancies_before",
+                ),
+                _fractions_from_json(
+                    _required(entry, "discrepancies_after", at),
+                    f"{at}discrepancies_after",
+                ),
                 epsilon=epsilon,
                 order=order,
             )
         )
+    end = frozenset(_ints(_required(data, "end", ""), "end"))
+    raw_base = data.get("base")
+    if raw_base is None:
+        base: Base = TargetBase(end)
+    elif raw_base == "point":
+        base = PointBase()
+    else:
+        raise ValueError(f"base: expected 'point' or no key, got {raw_base!r}")
     trace = DecompositionTrace(
         tuple(steps),
-        int(data["flop_minimal_index"]),
-        frozenset(int(cid) for cid in data["start"]),
-        frozenset(int(cid) for cid in data["end"]),
+        _int(_required(data, "flop_minimal_index", ""), "flop_minimal_index"),
+        frozenset(_ints(_required(data, "start", ""), "start")),
+        end,
+        base,
     )
     return str(data.get("scenario_digest", "")), trace
 
@@ -332,7 +406,7 @@ def _resolve_contract(args: argparse.Namespace, default: frozenset[int]) -> froz
 
 def _cmd_classify(args: argparse.Namespace) -> int:
     config, default_contracted, base = load_scenario(args.file)
-    _require_valid(config)
+    require_valid(config)
     state = SurfaceState(config, _resolve_contract(args, default_contracted), base)
     print(CLASS_NAMES[state.classification])
     return 0
@@ -340,7 +414,7 @@ def _cmd_classify(args: argparse.Namespace) -> int:
 
 def _cmd_discrepancies(args: argparse.Namespace) -> int:
     config, default_contracted, base = load_scenario(args.file)
-    _require_valid(config)
+    require_valid(config)
     state = SurfaceState(config, _resolve_contract(args, default_contracted), base)
     _print_discrepancies(state)
     return 0
@@ -348,7 +422,7 @@ def _cmd_discrepancies(args: argparse.Namespace) -> int:
 
 def _cmd_flops(args: argparse.Namespace) -> int:
     config, default_contracted, base = load_scenario(args.file)
-    _require_valid(config)
+    require_valid(config)
     if args.base is not None:
         base = parse_base(args.base)
     state = SurfaceState(config, _resolve_contract(args, default_contracted), base)
@@ -363,7 +437,7 @@ def _cmd_flops(args: argparse.Namespace) -> int:
 
 def _cmd_decompose(args: argparse.Namespace) -> int:
     config, _, _ = load_scenario(args.file)
-    _require_valid(config)
+    require_valid(config)
     spec = MorphismSpec(config, parse_ids(args.from_ids), parse_ids(args.to_ids))
     trace = decompose_morphism(spec)
     _print_trace(trace)
@@ -375,7 +449,7 @@ def _cmd_decompose(args: argparse.Namespace) -> int:
 
 def _cmd_minimize(args: argparse.Namespace) -> int:
     config, default_contracted, _ = load_scenario(args.file)
-    _require_valid(config)
+    require_valid(config)
     state = SurfaceState(config, _resolve_contract(args, default_contracted), PointBase())
     trace = minimize(state)
     _print_trace(trace)
@@ -388,7 +462,7 @@ def _cmd_minimize(args: argparse.Namespace) -> int:
 
 def _cmd_blowup(args: argparse.Namespace) -> int:
     config, contracted, base = load_scenario(args.file)
-    _require_valid(config)
+    require_valid(config)
     target = parse_target(args.at)
     coeff = parse_fraction(args.coeff)
     new_id = next_curve_id(config)
@@ -400,7 +474,7 @@ def _cmd_blowup(args: argparse.Namespace) -> int:
 
 def _cmd_verify(args: argparse.Namespace) -> int:
     config, _, _ = load_scenario(args.file)
-    _require_valid(config)
+    require_valid(config)
     digest, trace = trace_from_json(
         json.loads(Path(args.trace).read_text(encoding="utf-8"))
     )
@@ -423,7 +497,7 @@ def _cmd_verify(args: argparse.Namespace) -> int:
 
 def _cmd_dot(args: argparse.Namespace) -> int:
     config, contracted, _ = load_scenario(args.file)
-    _require_valid(config)
+    require_valid(config)
     text = dot_graph(config, contracted)
     if args.output is not None:
         Path(args.output).write_text(text, encoding="utf-8")

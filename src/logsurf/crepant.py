@@ -29,8 +29,8 @@ from .surface import (
     connected_components,
     gram,
     pairing,
+    require_valid,
     smooth_point_blowdown,
-    validate_config,
 )
 
 
@@ -199,11 +199,7 @@ class SurfaceState:
 
     @cached_property
     def _checked(self) -> bool:
-        problems = validate_config(self.config)
-        if problems:
-            raise InvalidStateError(
-                "configuration is invalid: " + "; ".join(str(v) for v in problems)
-            )
+        require_valid(self.config)
         for cid in self.contracted:
             self.config.curve(cid)
         if not self.base.contains(self.contracted):

@@ -3,9 +3,11 @@
 `decompose_morphism` factors a log crepant contraction into flop-type
 contractions followed by log blow-downs, recording a re-verifiable trace.
 `minimize` drives a state over a point base to one admitting no further
-move.  `verify_trace` independently replays a trace, re-checking every
-predicate and certificate.  `generate_crepant_pair` manufactures valid
-inputs by running the factorization backwards: iterated crepant blow-ups.
+move.  Both evaluate a move's predicate once per step and apply the passed
+check it returns.  `verify_trace` independently replays a trace, re-checking
+every predicate and certificate against the trace's base.
+`generate_crepant_pair` manufactures valid inputs by running the
+factorization backwards: iterated crepant blow-ups.
 """
 
 from __future__ import annotations
@@ -16,6 +18,7 @@ from fractions import Fraction
 from typing import Iterable
 
 from .crepant import (
+    Base,
     Classification,
     PointBase,
     SurfaceState,
@@ -35,6 +38,7 @@ from .errors import (
 )
 from .moves import (
     BlowdownCheck,
+    FlopCheck,
     MoveKind,
     MoveRecord,
     epsilon_bound,
@@ -44,6 +48,7 @@ from .moves import (
     contract_blowdown,
     contract_flop,
     is_nef_on_marked,
+    lowest_passing,
 )
 from .surface import (
     BlowUpTarget,
@@ -52,7 +57,7 @@ from .surface import (
     blow_up,
     free_point_on,
     next_curve_id,
-    validate_config,
+    require_valid,
 )
 
 
@@ -80,42 +85,41 @@ class DecompositionTrace:
     """An ordered move list splitting into a flop phase and a blow-down phase.
 
     Steps before `flop_minimal_index` are flop-type contractions; the state
-    reached there admits no further flop relative to the end set; the
-    remaining steps are log blow-downs.  Replaying from `start` contracts
-    exactly `end`.
+    reached there admits no further flop over `base`; the remaining steps are
+    log blow-downs.  Replaying from `start` contracts exactly `end`.  A
+    decomposition runs over the target base of `end`; a minimization runs
+    over a point base and ends where no move applies.
     """
 
     steps: tuple[MoveRecord, ...]
     flop_minimal_index: int
     start: frozenset[int]
     end: frozenset[int]
+    base: Base
 
 
-def _flop_record(state: SurfaceState, cid: int) -> tuple[SurfaceState, MoveRecord]:
-    eps = epsilon_bound(state, cid)
-    new_state = contract_flop(state, cid)
+def _apply(check: FlopCheck | BlowdownCheck) -> tuple[SurfaceState, MoveRecord]:
+    """Apply the move a passed check certifies and record it."""
+    if isinstance(check, FlopCheck):
+        kind, new_state = MoveKind.FLOP, contract_flop(check)
+        epsilon, order = epsilon_bound(check), None
+    else:
+        kind, new_state = MoveKind.BLOWDOWN, contract_blowdown(check)
+        epsilon, order = None, check.order
     record = MoveRecord(
-        MoveKind.FLOP,
-        cid,
-        state.crepant.discrepancies,
+        kind,
+        check.curve,
+        check.state.crepant.discrepancies,
         new_state.crepant.discrepancies,
-        epsilon=eps,
+        epsilon=epsilon,
+        order=order,
     )
     return new_state, record
 
 
-def _blowdown_record(
-    state: SurfaceState, cid: int, check: BlowdownCheck
-) -> tuple[SurfaceState, MoveRecord]:
-    new_state = contract_blowdown(state, cid)
-    record = MoveRecord(
-        MoveKind.BLOWDOWN,
-        cid,
-        state.crepant.discrepancies,
-        new_state.crepant.discrepancies,
-        order=check.order,
-    )
-    return new_state, record
+def _next_move(state: SurfaceState) -> FlopCheck | BlowdownCheck | None:
+    """The lowest-id flop if any passes, else the lowest-id blow-down, else None."""
+    return lowest_passing(state, is_log_flopping) or lowest_passing(state, is_log_blowdown)
 
 
 def decompose_morphism(spec: MorphismSpec) -> DecompositionTrace:
@@ -148,22 +152,13 @@ def decompose_morphism(spec: MorphismSpec) -> DecompositionTrace:
         )
 
     steps: list[MoveRecord] = []
-    while True:
-        candidates = sorted(
-            cid
-            for cid in s2 - state.contracted
-            if spec.config.curve(cid).boundary_coeff < 1
-        )
-        if not candidates:
-            break
-        pick = candidates[0]
-        check = is_log_flopping(state, pick)
+    while candidates := sorted(
+        cid for cid in s2 - state.contracted if spec.config.curve(cid).boundary_coeff < 1
+    ):
+        check = is_log_flopping(state, candidates[0])
         if not check:
-            raise TheoremViolationError(
-                f"phase 1: curve {pick} should be of flop type but is not: "
-                f"{check.detail or check.reason}"
-            )
-        state, record = _flop_record(state, pick)
+            raise TheoremViolationError(f"phase 1: {check.failure}")
+        state, record = _apply(check)
         steps.append(record)
     flop_minimal_index = len(steps)
     try:
@@ -177,18 +172,14 @@ def decompose_morphism(spec: MorphismSpec) -> DecompositionTrace:
             "state after phase 1 still admits a flop-type contraction"
         )
     while state.contracted != s2:
-        remaining = sorted(s2 - state.contracted)
-        for pick in remaining:
-            check = is_log_blowdown(state, pick)
-            if check:
-                state, record = _blowdown_record(state, pick, check)
-                steps.append(record)
-                break
-        else:
+        check = lowest_passing(state, is_log_blowdown)
+        if check is None:
             raise StuckInPhase2Error(
-                f"no curve in {remaining} admits a log blow-down"
+                f"no curve in {sorted(s2 - state.contracted)} admits a log blow-down"
             )
-    return DecompositionTrace(tuple(steps), flop_minimal_index, s1, s2)
+        state, record = _apply(check)
+        steps.append(record)
+    return DecompositionTrace(tuple(steps), flop_minimal_index, s1, s2, base)
 
 
 def minimize(state: SurfaceState) -> DecompositionTrace:
@@ -212,20 +203,8 @@ def minimize(state: SurfaceState) -> DecompositionTrace:
     start = state.contracted
     budget = len(state.uncontracted)
     steps: list[MoveRecord] = []
-    while True:
-        record = None
-        for cid in sorted(state.uncontracted):
-            if is_log_flopping(state, cid):
-                state, record = _flop_record(state, cid)
-                break
-        if record is None:
-            for cid in sorted(state.uncontracted):
-                check = is_log_blowdown(state, cid)
-                if check:
-                    state, record = _blowdown_record(state, cid, check)
-                    break
-        if record is None:
-            break
+    while check := _next_move(state):
+        state, record = _apply(check)
         steps.append(record)
         if len(steps) > budget:
             raise TheoremViolationError("minimization exceeded its step budget")
@@ -245,7 +224,7 @@ def minimize(state: SurfaceState) -> DecompositionTrace:
             "a flop-type contraction became available again after a log blow-down"
         )
     return DecompositionTrace(
-        tuple(steps), flop_minimal_index, start, state.contracted
+        tuple(steps), flop_minimal_index, start, state.contracted, state.base
     )
 
 
@@ -266,8 +245,10 @@ def verify_trace(
 
     Checks phase ordering against the split index, re-runs the full predicate
     for each step, recomputes and compares each certificate exactly, checks
-    minimality at the split point, and confirms the end set.  Never raises:
-    any replay failure is reported in the result.  The replay runs on a fresh
+    minimality at the split point over the trace's base, and confirms the
+    end set.  Over a target base the end must be the target; over a point
+    base the final state must admit no further move.  Never raises: any
+    replay failure is reported in the result.  The replay runs on a fresh
     copy of `config`, so it neither reads nor fills the memo of the run that
     produced the trace.
     """
@@ -282,9 +263,15 @@ def verify_trace(
         return VerifyResult(
             False, f"split index {trace.flop_minimal_index} is out of range"
         )
-    base = TargetBase(trace.end)
-    contracted = start_set
+    base = trace.base
+    if isinstance(base, TargetBase) and base.contracted_on_target != trace.end:
+        return VerifyResult(
+            False,
+            f"trace ends at {sorted(trace.end)}, not at its target "
+            f"{sorted(base.contracted_on_target)}",
+        )
     try:
+        state = split = SurfaceState(config, start_set, base)
         for index, step in enumerate(trace.steps):
             expected_kind = (
                 MoveKind.FLOP
@@ -297,62 +284,45 @@ def verify_trace(
                     f"step kind {step.kind.value} on the wrong side of the split",
                     index,
                 )
-            state = SurfaceState(config, contracted, base)
             if step.discrepancies_before != state.crepant.discrepancies:
                 return VerifyResult(
                     False, "recorded prior discrepancies do not match", index
                 )
-            if step.kind is MoveKind.FLOP:
-                check = is_log_flopping(state, step.curve)
-                if not check:
-                    return VerifyResult(
-                        False,
-                        f"curve {step.curve} is not of flop type: "
-                        f"{check.detail or check.reason}",
-                        index,
-                    )
-                if step.epsilon != epsilon_bound(state, step.curve):
-                    return VerifyResult(
-                        False, "recorded perturbation bound does not match", index
-                    )
-            else:
-                check = is_log_blowdown(state, step.curve)
-                if not check:
-                    return VerifyResult(
-                        False,
-                        f"curve {step.curve} is not a log blow-down: "
-                        f"{check.detail or check.reason}",
-                        index,
-                    )
-                if step.order is None or tuple(step.order) != check.order:
-                    return VerifyResult(
-                        False, "recorded contraction order does not match", index
-                    )
-            contracted = contracted | {step.curve}
-            after = SurfaceState(config, contracted, base)
-            if step.discrepancies_after != after.crepant.discrepancies:
+            flop = step.kind is MoveKind.FLOP
+            check = (is_log_flopping if flop else is_log_blowdown)(state, step.curve)
+            if not check:
+                return VerifyResult(False, check.failure, index)
+            if flop and step.epsilon != epsilon_bound(check):
+                return VerifyResult(
+                    False, "recorded perturbation bound does not match", index
+                )
+            if not flop and (step.order is None or tuple(step.order) != check.order):
+                return VerifyResult(
+                    False, "recorded contraction order does not match", index
+                )
+            state = SurfaceState(config, state.contracted | {step.curve}, base)
+            if step.discrepancies_after != state.crepant.discrepancies:
                 return VerifyResult(
                     False, "recorded posterior discrepancies do not match", index
                 )
-        split_state = SurfaceState(
-            config,
-            trace.start | frozenset(
-                s.curve for s in trace.steps[: trace.flop_minimal_index]
-            ),
-            base,
-        )
-        if not is_flop_minimal(split_state):
+            if index + 1 == trace.flop_minimal_index:
+                split = state
+        if not is_flop_minimal(split):
             return VerifyResult(
                 False,
                 "the state at the split still admits a flop-type contraction",
                 trace.flop_minimal_index,
             )
+        if isinstance(base, PointBase) and _next_move(state):
+            return VerifyResult(
+                False, "the final state still admits a move", len(trace.steps)
+            )
     except (LogSurfaceError, ValueError) as exc:
         return VerifyResult(False, f"replay error: {exc}")
-    if contracted != trace.end:
+    if state.contracted != trace.end:
         return VerifyResult(
             False,
-            f"replay ends at {sorted(contracted)}, trace claims {sorted(trace.end)}",
+            f"replay ends at {sorted(state.contracted)}, trace claims {sorted(trace.end)}",
         )
     return VerifyResult(True)
 
@@ -370,11 +340,7 @@ def generate_crepant_pair(
     """
     if depth < 0:
         raise ValueError("depth must be non-negative")
-    problems = validate_config(template)
-    if problems:
-        raise InvalidStateError(
-            "template is invalid: " + "; ".join(str(v) for v in problems)
-        )
+    require_valid(template)
     rng = random.Random(seed)
     config = template
     new_ids: list[int] = []

@@ -4,9 +4,15 @@ A *flop-type contraction* removes a curve of log degree zero and negative
 image self-intersection that stays clear of every non-klt centre; it is
 crepant and keeps the pair log terminal.  A *log blow-down* removes a
 coefficient-1 rational curve whose image is a (−1)-curve joining two boundary
-branches through a smooth point, undoing a corner blow-up.  Both return fresh
-states and assert their own postconditions: a failed assertion is a bug in
-the library, never a property of valid input, and raises
+branches through a smooth point, undoing a corner blow-up.
+
+A predicate returns a check: the state and curve it was made for and, on
+success, the evidence found — a flop's multiplicities λ, a blow-down's local
+contraction order.  The check is the move's certificate: `epsilon_bound`,
+`contract_flop` and `contract_blowdown` take it instead of re-running the
+predicate, and raise the move's error when it failed.  Both contractions
+return fresh states and assert their own postconditions: a failed assertion
+is a bug in the library, never a property of valid input, and raises
 ``TheoremViolationError``.
 """
 
@@ -15,20 +21,20 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from enum import Enum
 from fractions import Fraction
+from functools import partial
+from typing import Callable, ClassVar
 
 from .crepant import (
     Classification,
     ComponentImage,
     DivisorialCenter,
     NodeCenter,
-    PointBase,
     SurfaceState,
     TargetBase,
     correction_multiplicities,
     is_log_crepant,
     lc_centers,
     log_degree,
-    pushforward_self_intersection,
 )
 from .errors import (
     InvalidStateError,
@@ -80,29 +86,51 @@ class MoveRecord:
 
 
 @dataclass(frozen=True)
-class FlopCheck:
+class _Check:
+    """A predicate's verdict on contracting `curve` from `state`."""
+
+    error: ClassVar[type[LogSurfaceError]]
+    noun: ClassVar[str]
+
+    state: SurfaceState = field(repr=False)
+    curve: int
     ok: bool
-    reason: str | None = None
-    detail: str | None = None
+    reason: str | None
+    detail: str | None
 
     def __bool__(self) -> bool:
         return self.ok
+
+    @property
+    def failure(self) -> str:
+        return f"curve {self.curve} is not {self.noun}: {self.detail or self.reason}"
+
+    def require(self) -> None:
+        """Raise the move's error unless the check passed."""
+        if not self.ok:
+            raise self.error(self.failure)
 
 
 @dataclass(frozen=True)
-class BlowdownCheck:
+class FlopCheck(_Check):
+    """Verdict plus, on success, the multiplicities λ_j of the contracted
+    curves in the pullback of the curve's image."""
+
+    error = NotFloppingError
+    noun = "of flop type"
+    multiplicities: dict[int, Fraction] | None = field(repr=False)
+
+
+@dataclass(frozen=True)
+class BlowdownCheck(_Check):
     """Verdict plus, on success, the stepwise local contraction order and the
     local models just before and just after the final contraction."""
 
-    ok: bool
-    reason: str | None = None
-    detail: str | None = None
+    error = NotABlowdownError
+    noun = "a log blow-down"
     order: tuple[int, ...] = ()
     local_before: LocalBlowdownModel | None = field(default=None, repr=False)
     local_after: LocalBlowdownModel | None = field(default=None, repr=False)
-
-    def __bool__(self) -> bool:
-        return self.ok
 
 
 def _require_uncontracted(state: SurfaceState, cid: int) -> None:
@@ -119,6 +147,10 @@ def _require_log_terminal(state: SurfaceState) -> None:
         )
 
 
+def _survives_on_target(state: SurfaceState, cid: int) -> bool:
+    return isinstance(state.base, TargetBase) and cid not in state.base.contracted_on_target
+
+
 def is_log_flopping(state: SurfaceState, cid: int) -> FlopCheck:
     """Test whether contracting `cid` is a flop-type divisorial contraction.
 
@@ -128,61 +160,54 @@ def is_log_flopping(state: SurfaceState, cid: int) -> FlopCheck:
     """
     _require_uncontracted(state, cid)
     _require_log_terminal(state)
-    if isinstance(state.base, TargetBase) and cid not in state.base.contracted_on_target:
-        return FlopCheck(
-            False, "NotExceptionalOverBase", f"curve {cid} survives on the target model"
-        )
+    fail = partial(FlopCheck, state, cid, False, multiplicities=None)
+    if _survives_on_target(state, cid):
+        return fail("NotExceptionalOverBase", f"curve {cid} survives on the target model")
     degree = log_degree(state, cid)
     if degree != 0:
-        return FlopCheck(False, "NonzeroLogDegree", f"log degree is {degree}, not 0")
-    image_self = pushforward_self_intersection(state, cid)
+        return fail("NonzeroLogDegree", f"log degree is {degree}, not 0")
+    lam = correction_multiplicities(state, cid)
+    # The image pulls back to C + Σ λ_j E_j, so its square is C² + Σ λ_j (C·E_j).
+    neighbours = state.config.neighbours(cid)
+    image_self = state.config.curve(cid).self_intersection + sum(
+        (m * neighbours.get(j, 0) for j, m in lam.items()), Fraction(0)
+    )
     if image_self >= 0:
-        return FlopCheck(
-            False, "ImageNotNegative", f"image self-intersection is {image_self} ≥ 0"
-        )
+        return fail("ImageNotNegative", f"image self-intersection is {image_self} ≥ 0")
     for center in lc_centers(state):
         if isinstance(center, DivisorialCenter) and center.curve == cid:
-            return FlopCheck(
-                False, "IsDivisorialCenter", f"curve {cid} has coefficient 1"
-            )
+            return fail("IsDivisorialCenter", f"curve {cid} has coefficient 1")
         if isinstance(center, NodeCenter) and cid in center.curves:
-            return FlopCheck(
-                False,
+            return fail(
                 "MeetsNodeCenter",
                 f"curve {cid} passes through corner point {center.point}",
             )
         if isinstance(center, ComponentImage) and any(
             pairing(state.config, cid, member) > 0 for member in center.component
         ):
-            return FlopCheck(
-                False,
+            return fail(
                 "MeetsComponentImage",
                 f"curve {cid} meets contracted component {sorted(center.component)} "
                 "whose image is a non-klt point",
             )
-    return FlopCheck(True)
+    return FlopCheck(state, cid, True, None, None, lam)
 
 
-def epsilon_bound(state: SurfaceState, cid: int) -> EpsilonChoice:
-    """The admissible perturbation interval for a flopping curve.
+def epsilon_bound(check: FlopCheck) -> EpsilonChoice:
+    """The admissible perturbation interval certified by a passed flop check.
 
     Raising the curve's coefficient by any ε below the supremum keeps every
     residual at most 1 (hence the pair log terminal): the binding constraints
     are the coefficient cap 1 − d and, for each contracted curve picked up by
     the image pullback with multiplicity λ > 0, the headroom (1 − e)/λ.
     """
-    check = is_log_flopping(state, cid)
-    if not check:
-        raise NotFloppingError(
-            f"curve {cid} is not of flop type: {check.detail or check.reason}"
-        )
-    constraints = [Fraction(1) - state.config.curve(cid).boundary_coeff]
-    data = state.crepant
-    for j, lam in correction_multiplicities(state, cid).items():
+    check.require()
+    state = check.state
+    constraints = [Fraction(1) - state.config.curve(check.curve).boundary_coeff]
+    residual = state.crepant.residual
+    for j, lam in check.multiplicities.items():
         if lam > 0:
-            constraints.append((Fraction(1) - data.residual[j]) / lam)
-    if not constraints:
-        return EpsilonChoice(None, Fraction(1, 2))
+            constraints.append((Fraction(1) - residual[j]) / lam)
     supremum = min(constraints)
     return EpsilonChoice(supremum, supremum / 2)
 
@@ -234,6 +259,15 @@ class NefReport:
         return self.ok
 
 
+def _in_scope(state: SurfaceState) -> list[int]:
+    """The uncontracted curves the base makes relevant, by id: those still to
+    contract over a target base, every one over a point base."""
+    state._checked
+    if isinstance(state.base, TargetBase):
+        return sorted(state.base.contracted_on_target - state.contracted)
+    return sorted(state.uncontracted)
+
+
 def is_nef_on_marked(state: SurfaceState) -> NefReport:
     """Check log degree ≥ 0 on every curve the base makes relevant.
 
@@ -241,33 +275,42 @@ def is_nef_on_marked(state: SurfaceState) -> NefReport:
     (a complete relative test); over a point base it tests every marked
     uncontracted curve, which is only as complete as the marking.
     """
-    state._checked
-    if isinstance(state.base, TargetBase):
-        scope = sorted(state.base.contracted_on_target - state.contracted)
-        complete = True
-    else:
-        scope = sorted(state.uncontracted)
-        complete = False
     failing = tuple(
         (cid, degree)
-        for cid in scope
+        for cid in _in_scope(state)
         if (degree := log_degree(state, cid)) < 0
     )
-    return NefReport(not failing, complete, failing)
+    return NefReport(not failing, isinstance(state.base, TargetBase), failing)
+
+
+def lowest_passing(
+    state: SurfaceState, predicate: Callable[[SurfaceState, int], _Check]
+) -> _Check | None:
+    """The passed check of the lowest-id curve in the base's scope, or None.
+
+    Curves that survive on a target base are never candidates: neither move
+    may contract them.
+    """
+    for cid in _in_scope(state):
+        check = predicate(state, cid)
+        if check:
+            return check
+    return None
 
 
 def is_flop_minimal(state: SurfaceState) -> bool:
-    """True when no uncontracted curve admits a flop-type contraction."""
+    """True when no curve left to contract admits a flop-type contraction."""
     _require_log_terminal(state)
     if not is_nef_on_marked(state):
         raise NotNefError("state is not nef on the tested curves")
-    return not any(is_log_flopping(state, cid) for cid in sorted(state.uncontracted))
+    return lowest_passing(state, is_log_flopping) is None
 
 
-def _assert_crepant_step(
-    old: SurfaceState, new: SurfaceState, cid: int, move: str
-) -> None:
-    """Common postconditions of both moves; failures signal library bugs."""
+def _contract(check: FlopCheck | BlowdownCheck, move: str) -> SurfaceState:
+    """Contract a checked curve and assert the postconditions common to both
+    moves; failures signal library bugs."""
+    old, cid = check.state, check.curve
+    new = SurfaceState(old.config, old.contracted | {cid}, old.base)
     try:
         new._checked
     except LogSurfaceError as exc:
@@ -286,37 +329,34 @@ def _assert_crepant_step(
         raise TheoremViolationError(
             f"{move} of curve {cid} moved the Picard rank from {before} to {after}"
         )
+    return new
 
 
-def contract_flop(state: SurfaceState, cid: int) -> SurfaceState:
-    """Apply a flop-type divisorial contraction, returning the new state."""
-    check = is_log_flopping(state, cid)
-    if not check:
-        raise NotFloppingError(
-            f"curve {cid} is not of flop type: {check.detail or check.reason}"
-        )
-    new_state = SurfaceState(state.config, state.contracted | {cid}, state.base)
-    _assert_crepant_step(state, new_state, cid, "flop contraction")
-    return new_state
+def contract_flop(check: FlopCheck) -> SurfaceState:
+    """Apply the flop-type contraction a passed flop check certifies."""
+    check.require()
+    return _contract(check, "flop contraction")
 
 
 def is_log_blowdown(state: SurfaceState, cid: int) -> BlowdownCheck:
     """Test whether contracting `cid` is a log blow-down.
 
-    The curve must be rational with coefficient 1.  Contracting the adjacent
-    already-contracted components must leave its image a (−1)-curve meeting
-    exactly two distinct coefficient-1 boundary curves transversally, and the
-    final contraction of that image must leave those two curves crossing
-    exactly once — the normal-crossing corner the move blows down to.
+    The curve must be exceptional over the base, rational and of coefficient
+    1.  Contracting the adjacent already-contracted components must leave its
+    image a (−1)-curve meeting exactly two distinct coefficient-1 boundary
+    curves transversally, and the final contraction of that image must leave
+    those two curves crossing exactly once — the normal-crossing corner the
+    move blows down to.
     """
     _require_uncontracted(state, cid)
+    fail = partial(BlowdownCheck, state, cid, False)
+    if _survives_on_target(state, cid):
+        return fail("NotExceptionalOverBase", f"curve {cid} survives on the target model")
     curve = state.config.curve(cid)
     if curve.boundary_coeff != 1:
-        return BlowdownCheck(
-            False, "CoefficientNotOne", f"coefficient is {curve.boundary_coeff}"
-        )
+        return fail("CoefficientNotOne", f"coefficient is {curve.boundary_coeff}")
     if curve.genus != 0:
-        return BlowdownCheck(False, "PositiveGenus", f"genus is {curve.genus}")
+        return fail("PositiveGenus", f"genus is {curve.genus}")
     adjacent: set[int] = set()
     for component in state.components:
         if any(pairing(state.config, cid, member) > 0 for member in component):
@@ -324,12 +364,7 @@ def is_log_blowdown(state: SurfaceState, cid: int) -> BlowdownCheck:
     model = LocalBlowdownModel.from_config(state.config, adjacent | {cid})
     sim = run_contraction(model, restrict_to=adjacent)
     if not sim:
-        return BlowdownCheck(
-            False,
-            "AdjacentSetNotContractible",
-            f"{sim.reason}: {sim.detail}",
-            sim.order,
-        )
+        return fail("AdjacentSetNotContractible", f"{sim.reason}: {sim.detail}", sim.order)
     if adjacent:
         det = determinant(gram(state.config, sorted(adjacent)))
         if abs(det) != 1:
@@ -339,32 +374,28 @@ def is_log_blowdown(state: SurfaceState, cid: int) -> BlowdownCheck:
             )
     local_before = model.clone()
     if model.self_intersection(cid) != -1:
-        return BlowdownCheck(
-            False,
+        return fail(
             "ImageNotMinusOne",
             f"image self-intersection is {model.self_intersection(cid)}",
             sim.order,
         )
     partners = model.partners(cid)
     if len(partners) != 2:
-        return BlowdownCheck(
-            False,
+        return fail(
             "BoundaryNotTwoCurves",
             f"image meets {len(partners)} distinct curves: {list(partners)}",
             sim.order,
         )
     a, b = partners
     if model.crossings(cid, a) != 1 or model.crossings(cid, b) != 1:
-        return BlowdownCheck(
-            False,
+        return fail(
             "NonTransverseContact",
             f"image meets {a} and {b} with multiplicities "
             f"{model.crossings(cid, a)}, {model.crossings(cid, b)}",
             sim.order,
         )
     if model.coeff(a) != 1 or model.coeff(b) != 1:
-        return BlowdownCheck(
-            False,
+        return fail(
             "BoundaryCoefficientBelowOne",
             f"curves {a}, {b} have coefficients {model.coeff(a)}, {model.coeff(b)}",
             sim.order,
@@ -372,30 +403,18 @@ def is_log_blowdown(state: SurfaceState, cid: int) -> BlowdownCheck:
     after = model.clone()
     after.contract(cid)
     if after.crossings(a, b) != 1:
-        return BlowdownCheck(
-            False,
+        return fail(
             "NoCornerAtImage",
             f"after the final contraction curves {a}, {b} cross "
             f"{after.crossings(a, b)} times",
             sim.order,
         )
     return BlowdownCheck(
-        True, None, None, sim.order + (cid,), local_before, after
+        state, cid, True, None, None, sim.order + (cid,), local_before, after
     )
 
 
-def contract_blowdown(state: SurfaceState, cid: int) -> SurfaceState:
-    """Apply a log blow-down, returning the new state."""
-    check = is_log_blowdown(state, cid)
-    if not check:
-        raise NotABlowdownError(
-            f"curve {cid} is not a log blow-down: {check.detail or check.reason}"
-        )
-    if isinstance(state.base, TargetBase) and cid not in state.base.contracted_on_target:
-        raise NotABlowdownError(
-            f"curve {cid} survives on the target model; contracting it would leave "
-            "the base unreachable"
-        )
-    new_state = SurfaceState(state.config, state.contracted | {cid}, state.base)
-    _assert_crepant_step(state, new_state, cid, "log blow-down")
-    return new_state
+def contract_blowdown(check: BlowdownCheck) -> SurfaceState:
+    """Apply the log blow-down a passed blow-down check certifies."""
+    check.require()
+    return _contract(check, "log blow-down")

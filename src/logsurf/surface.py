@@ -17,6 +17,7 @@ from typing import Iterable, Sequence
 
 from .errors import (
     BadCoefficientError,
+    InvalidStateError,
     TheoremViolationError,
     UnknownIdError,
     UnknownTargetError,
@@ -186,6 +187,15 @@ class CurveConfig:
 def validate_config(config: CurveConfig) -> tuple[Violation, ...]:
     """Check every structural invariant; an empty result means the model is ok."""
     return config._violations
+
+
+def require_valid(config: CurveConfig) -> None:
+    """Raise ``InvalidStateError`` naming every violated invariant, if any."""
+    problems = validate_config(config)
+    if problems:
+        raise InvalidStateError(
+            "invalid configuration: " + "; ".join(str(v) for v in problems)
+        )
 
 
 def pairing(config: CurveConfig, i: int, j: int) -> int:

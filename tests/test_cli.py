@@ -99,6 +99,88 @@ class TestValidateCommand:
         assert cli.main(["validate", str(path)]) == 2
 
 
+DELETE = object()
+
+
+def _mutated(doc, path, value):
+    """A deep copy of `doc` with the field at `path` set to `value`, or deleted
+    when `value` is DELETE."""
+    doc = json.loads(json.dumps(doc))
+    *parents, last = path
+    target = doc
+    for key in parents:
+        target = target[key]
+    if value is DELETE:
+        del target[last]
+    else:
+        target[last] = value
+    return doc
+
+
+class TestStrictDocuments:
+    """Malformed fields are rejected with their path and exit code 2, never coerced."""
+
+    @pytest.mark.parametrize(
+        "path, value, named",
+        [
+            (("curves", 0, "id"), 1.9, "curves[0].id"),
+            (("curves", 0, "id"), True, "curves[0].id"),
+            (("curves", 0, "id"), "1", "curves[0].id"),
+            (("curves", 1, "genus"), True, "curves[1].genus"),
+            (("curves", 1, "genus"), 0.0, "curves[1].genus"),
+            (("curves", 2, "self_intersection"), -2.7, "curves[2].self_intersection"),
+            (("curves", 2, "self_intersection"), "-2", "curves[2].self_intersection"),
+            (("curves", 0, "coeff"), "1e-1", "curves[0].coeff"),
+            (("curves", 0, "coeff"), "0.5", "curves[0].coeff"),
+            (("curves", 0, "coeff"), 0.5, "curves[0].coeff"),
+            (("curves", 0, "coeff"), "1/0", "curves[0].coeff"),
+            (("points", 0, "id"), False, "points[0].id"),
+            (("points", 0, "incident"), [1, 3.0], "points[0].incident[1]"),
+            (("points", 0, "incident"), [1, 1], "points[0].incident"),
+            (("curves", 1, "self_intersection"), DELETE, "curves[1].self_intersection"),
+            (("curves", 1, "id"), DELETE, "curves[1].id"),
+            (("points", 2, "incident"), DELETE, "points[2].incident"),
+        ],
+    )
+    def test_scenario_field_rejected(self, tmp_path, capsys, path, value, named):
+        doc = _mutated(cli.config_to_json(helpers.corner_twice()), path, value)
+        scenario = tmp_path / "bad.json"
+        scenario.write_text(json.dumps(doc), encoding="utf-8")
+        assert cli.main(["validate", str(scenario)]) == 2
+        err = capsys.readouterr().err
+        assert named in err
+        assert "Traceback" not in err
+
+    @pytest.mark.parametrize(
+        "path, value, named",
+        [
+            (("start",), [0.0], "start[0]"),
+            (("end",), [3, "4"], "end[1]"),
+            (("end",), [3, True], "end[1]"),
+            (("flop_minimal_index",), 1.0, "flop_minimal_index"),
+            (("flop_minimal_index",), True, "flop_minimal_index"),
+            (("steps", 0, "curve"), "4", "steps[0].curve"),
+            (("steps", 1, "order"), [4, 3.5], "steps[1].order[1]"),
+            (("steps", 0, "epsilon", "chosen"), "0.5", "steps[0].epsilon.chosen"),
+            (("steps", 0, "discrepancies_after", "4"), "1e0", "steps[0].discrepancies_after.4"),
+            (("flop_minimal_index",), DELETE, "flop_minimal_index"),
+            (("steps", 1, "order"), DELETE, "steps[1].order"),
+            (("base",), "sphere", "base"),
+        ],
+    )
+    def test_trace_field_rejected(self, tower, tmp_path, capsys, path, value, named):
+        trace_path = tmp_path / "trace.json"
+        argv = ["decompose", tower, "--from", "", "--to", "3,4", "--trace", str(trace_path)]
+        assert cli.main(argv) == 0
+        doc = _mutated(json.loads(trace_path.read_text(encoding="utf-8")), path, value)
+        trace_path.write_text(json.dumps(doc), encoding="utf-8")
+        capsys.readouterr()
+        assert cli.main(["verify", tower, "--trace", str(trace_path)]) == 2
+        err = capsys.readouterr().err
+        assert named in err
+        assert "Traceback" not in err
+
+
 class TestClassifyAndDiscrepancies:
     def test_classify_tower(self, tower, capsys):
         assert cli.main(["classify", tower, "--contract", "3,4"]) == 0
@@ -218,6 +300,38 @@ class TestMinimizeCommand:
         trace_path = str(tmp_path / "trace.json")
         assert cli.main(["minimize", du_val, "--trace", trace_path]) == 0
         assert cli.main(["verify", du_val, "--trace", trace_path]) == 0
+
+    def test_minimize_document_records_its_point_base(self, du_val, tower, tmp_path):
+        minimized, decomposed = tmp_path / "m.json", tmp_path / "d.json"
+        assert cli.main(["minimize", du_val, "--trace", str(minimized)]) == 0
+        argv = ["decompose", tower, "--from", "", "--to", "3,4", "--trace", str(decomposed)]
+        assert cli.main(argv) == 0
+        doc = json.loads(minimized.read_text(encoding="utf-8"))
+        assert doc["base"] == "point"
+        assert "base" not in json.loads(decomposed.read_text(encoding="utf-8"))
+        config, _, _ = cli.load_scenario(du_val)
+        assert cli.trace_to_json(config, cli.trace_from_json(doc)[1]) == doc
+
+    def test_cut_minimize_trace_fails_verification(self, tmp_path, capsys):
+        from logsurf import CurveConfig
+
+        chain = CurveConfig.build(
+            [(1, 0, -2, 0), (2, 0, -2, 0), (3, 0, -2, 0)], [(1, [1, 2]), (2, [2, 3])]
+        )
+        path = write_scenario(tmp_path / "chain.json", chain)
+        trace_path = tmp_path / "trace.json"
+        assert cli.main(["minimize", path, "--trace", str(trace_path)]) == 0
+        doc = json.loads(trace_path.read_text(encoding="utf-8"))
+        assert len(doc["steps"]) == 3
+        doc["steps"] = doc["steps"][:1]
+        doc["end"] = [1]
+        doc["flop_minimal_index"] = 1
+        trace_path.write_text(json.dumps(doc), encoding="utf-8")
+        capsys.readouterr()
+        assert cli.main(["flops", path, "--contract", "1", "--base", "point"]) == 0
+        assert capsys.readouterr().out == "2: yes\n3: yes\n"
+        assert cli.main(["verify", path, "--trace", str(trace_path)]) == 2
+        assert "verification failed" in capsys.readouterr().err
 
 
 class TestBlowupCommand:

@@ -1,6 +1,8 @@
 """End-to-end drivers: two-phase factorization, minimization, trace replay, generation."""
 
 import dataclasses
+import hashlib
+import json
 from fractions import Fraction
 
 import pytest
@@ -18,8 +20,11 @@ from logsurf import (
     NotNefError,
     NotNestedError,
     CurveConfig,
+    PointBase,
     SurfaceState,
     TargetBase,
+    at_point,
+    blow_up,
     classify,
     Classification,
     crepant_pullback,
@@ -29,6 +34,9 @@ from logsurf import (
     minimize,
     verify_trace,
 )
+import logsurf.decompose
+import logsurf.moves
+from logsurf.cli import trace_to_json
 
 
 def tower_spec() -> MorphismSpec:
@@ -94,7 +102,9 @@ class TestVerifyTrace:
 
     def test_accepts_empty_identity_trace(self):
         config = helpers.corner_twice()
-        trace = DecompositionTrace((), 0, frozenset({4}), frozenset({4}))
+        trace = DecompositionTrace(
+            (), 0, frozenset({4}), frozenset({4}), TargetBase({4})
+        )
         assert verify_trace(config, {4}, trace)
 
     def test_rejects_swapped_phases(self, tower_trace):
@@ -104,6 +114,7 @@ class TestVerifyTrace:
             trace.flop_minimal_index,
             trace.start,
             trace.end,
+            trace.base,
         )
         result = verify_trace(config, set(), swapped)
         assert not result
@@ -167,7 +178,9 @@ class TestVerifyTrace:
         step = dataclasses.replace(
             decompose_morphism(tower_spec()).steps[0], curve=9
         )
-        bad = DecompositionTrace((step,), 1, frozenset(), frozenset({9}))
+        bad = DecompositionTrace(
+            (step,), 1, frozenset(), frozenset({9}), TargetBase({9})
+        )
         result = verify_trace(config, set(), bad)
         assert not result
         assert "replay error" in result.failure
@@ -175,6 +188,41 @@ class TestVerifyTrace:
     def test_accepts_minimization_trace(self):
         trace = minimize(SurfaceState(helpers.du_val_a1(), set()))
         assert verify_trace(helpers.du_val_a1(), set(), trace)
+
+    def test_rejects_cut_minimization_trace(self):
+        config = chain_config((2, 2, 2))
+        trace = minimize(SurfaceState(config, set()))
+        assert len(trace.steps) == 3
+        cut = dataclasses.replace(
+            trace, steps=trace.steps[:1], flop_minimal_index=1, end=frozenset({1})
+        )
+        result = verify_trace(config, set(), cut)
+        assert not result
+        assert "split" in result.failure
+
+    def test_rejects_minimization_trace_cut_among_its_blow_downs(self):
+        square = CurveConfig.build(
+            [(i, 0, 0, 1) for i in range(1, 5)],
+            [(1, [1, 2]), (2, [2, 3]), (3, [3, 4]), (4, [4, 1])],
+        )
+        config = blow_up(square, at_point(1), 1)
+        trace = minimize(SurfaceState(config, set()))
+        assert [(s.kind, s.curve) for s in trace.steps] == [
+            (MoveKind.BLOWDOWN, 1),
+            (MoveKind.BLOWDOWN, 2),
+        ]
+        assert verify_trace(config, set(), trace)
+        cut = dataclasses.replace(trace, steps=trace.steps[:1], end=frozenset({1}))
+        result = verify_trace(config, set(), cut)
+        assert not result
+        assert "still admits a move" in result.failure
+
+    def test_rejects_target_base_other_than_the_end(self, tower_trace):
+        config, trace = tower_trace
+        bad = dataclasses.replace(trace, base=TargetBase({1, 3, 4}))
+        result = verify_trace(config, set(), bad)
+        assert not result
+        assert "target" in result.failure
 
 
 class MemoTouched(Exception):
@@ -310,3 +358,58 @@ class TestGenerateCrepantPair:
         bad = CurveConfig.build([(1, 0, -1, 0), (1, 0, -1, 0)])
         with pytest.raises(InvalidStateError):
             generate_crepant_pair(bad, 1, 0)
+
+
+def chain_config(bs) -> CurveConfig:
+    """Coefficient-0 rational curves 1..r of self-intersection −b_i in a chain."""
+    return CurveConfig.build(
+        [(i + 1, 0, -b, 0) for i, b in enumerate(bs)],
+        [(i, [i, i + 1]) for i in range(1, len(bs))],
+    )
+
+
+def _dump(doc) -> bytes:
+    return (json.dumps(doc, indent=2, sort_keys=True) + "\n").encode("utf-8")
+
+
+class TestGoldenTraces:
+    """Trace documents of seeded inputs, pinned by digest."""
+
+    def test_decomposition_documents(self):
+        digest = hashlib.sha256()
+        for seed in range(24):
+            template = helpers.corner() if seed % 2 == 0 else helpers.boundary_chain()
+            spec = generate_crepant_pair(template, 1 + seed % 12, seed)
+            digest.update(_dump(trace_to_json(spec.config, decompose_morphism(spec))))
+        assert digest.hexdigest() == (
+            "1388bf83856f77bad4186859a396491f0d4c7cfbdf2fd4ce6b4f3546228e0884"
+        )
+
+    def test_minimization_steps(self):
+        digest = hashlib.sha256()
+        for bs in [(2, 2, 2), (2, 3, 2, 2, 4, 2), (2,) * 10]:
+            config = chain_config(bs)
+            trace = minimize(SurfaceState(config, set(), PointBase()))
+            digest.update(_dump(trace_to_json(config, trace)["steps"]))
+        assert digest.hexdigest() == (
+            "19d622e7ec727fe2484a480df88a56af0f5da8d2fdb83f19845c3eabd1208bac"
+        )
+
+
+class TestCheckOnce:
+    def test_flop_predicate_runs_once_per_flop_step(self, monkeypatch):
+        calls = []
+        real = logsurf.moves.is_log_flopping
+
+        def counting(state, cid):
+            calls.append(cid)
+            return real(state, cid)
+
+        for module in (logsurf.moves, logsurf.decompose):
+            monkeypatch.setattr(module, "is_log_flopping", counting)
+        spec = generate_crepant_pair(helpers.corner(), 10, 3)
+        trace = decompose_morphism(spec)
+        flops = trace.flop_minimal_index
+        assert flops > 0
+        left_at_split = len(spec.target_contracted) - len(spec.source_contracted) - flops
+        assert flops <= len(calls) <= flops + left_at_split

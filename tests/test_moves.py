@@ -20,6 +20,7 @@ from logsurf import (
     classify,
     contract_blowdown,
     contract_flop,
+    correction_multiplicities,
     epsilon_bound,
     free_point_on,
     is_flop_minimal,
@@ -77,24 +78,32 @@ class TestIsLogFlopping:
         with pytest.raises(InvalidStateError):
             is_log_flopping(tower_state({4}), 4)
 
+    def test_passed_check_carries_its_multiplicities(self):
+        state = SurfaceState(helpers.chain(), {1}, TargetBase({1, 2}))
+        check = is_log_flopping(state, 2)
+        assert check
+        assert (check.state, check.curve) == (state, 2)
+        assert check.multiplicities == correction_multiplicities(state, 2)
+        assert check.multiplicities == {1: Fraction(1, 2)}
+
 
 class TestEpsilonBound:
     def test_plain_du_val(self):
-        eps = epsilon_bound(SurfaceState(helpers.du_val_a1(), set()), 1)
+        eps = epsilon_bound(is_log_flopping(SurfaceState(helpers.du_val_a1(), set()), 1))
         assert (eps.supremum, eps.chosen) == (1, Fraction(1, 2))
 
     def test_tower_top(self):
-        eps = epsilon_bound(tower_state(), 4)
+        eps = epsilon_bound(is_log_flopping(tower_state(), 4))
         assert (eps.supremum, eps.chosen) == (1, Fraction(1, 2))
 
     def test_contracted_curve_constraint(self):
         state = SurfaceState(helpers.chain(), {1}, TargetBase({1, 2}))
-        eps = epsilon_bound(state, 2)
+        eps = epsilon_bound(is_log_flopping(state, 2))
         assert (eps.supremum, eps.chosen) == (1, Fraction(1, 2))
 
     def test_rejects_non_flop(self):
         with pytest.raises(NotFloppingError):
-            epsilon_bound(SurfaceState(helpers.elliptic(), set()), 1)
+            epsilon_bound(is_log_flopping(SurfaceState(helpers.elliptic(), set()), 1))
 
     @pytest.mark.parametrize(
         "config, contracted, cid",
@@ -106,7 +115,7 @@ class TestEpsilonBound:
     )
     def test_perturbation_identity(self, config, contracted, cid):
         state = SurfaceState(config, contracted, TargetBase(contracted | {cid}))
-        eps = epsilon_bound(state, cid)
+        eps = epsilon_bound(is_log_flopping(state, cid))
         assert eps.supremum is None or eps.supremum > 0
         image_square = pushforward_self_intersection(state, cid)
         old = config.curve(cid)
@@ -128,27 +137,27 @@ class TestEpsilonBound:
 
 class TestContractFlop:
     def test_tower_top(self):
-        new = contract_flop(tower_state(), 4)
+        new = contract_flop(is_log_flopping(tower_state(), 4))
         assert new.contracted == frozenset({4})
         assert new.crepant.discrepancies == {4: 0}
 
     def test_du_val(self):
-        new = contract_flop(SurfaceState(helpers.du_val_a1(), set()), 1)
+        new = contract_flop(is_log_flopping(SurfaceState(helpers.du_val_a1(), set()), 1))
         assert new.contracted == frozenset({1})
         assert classify(new) is Classification.KLT
 
     def test_chain_second_step(self):
         state = SurfaceState(helpers.chain(), {1}, TargetBase({1, 2}))
-        new = contract_flop(state, 2)
+        new = contract_flop(is_log_flopping(state, 2))
         assert new.crepant.discrepancies == {1: 0, 2: 0}
 
     def test_rejects_divisorial_center(self):
         with pytest.raises(NotFloppingError):
-            contract_flop(tower_state(), 3)
+            contract_flop(is_log_flopping(tower_state(), 3))
 
     def test_keeps_residuals(self):
         state = tower_state()
-        new = contract_flop(state, 4)
+        new = contract_flop(is_log_flopping(state, 4))
         assert new.crepant.residual == state.crepant.residual
 
 
@@ -273,6 +282,12 @@ class TestIsLogBlowdown:
         assert not check
         assert check.reason == "NoCornerAtImage"
 
+    def test_curve_surviving_on_target_is_not_exceptional(self):
+        state = SurfaceState(helpers.corner_once(), set(), TargetBase(set()))
+        check = is_log_blowdown(state, 3)
+        assert not check
+        assert check.reason == "NotExceptionalOverBase"
+
     def test_uncontractible_neighbour_component(self):
         config = CurveConfig.build(
             [(1, 0, -2, 0), (2, 0, -1, 1)], [(1, [1, 2])]
@@ -302,20 +317,20 @@ class TestIsLogBlowdown:
 
 class TestContractBlowdown:
     def test_finishes_the_tower(self):
-        new = contract_blowdown(tower_state({4}), 3)
+        new = contract_blowdown(is_log_blowdown(tower_state({4}), 3))
         assert new.contracted == frozenset({3, 4})
         assert classify(new) is Classification.LOG_TERMINAL
 
     def test_recovers_the_corner(self):
-        new = contract_blowdown(SurfaceState(helpers.corner_once(), set()), 3)
+        new = contract_blowdown(is_log_blowdown(SurfaceState(helpers.corner_once(), set()), 3))
         assert new.contracted == frozenset({3})
 
     def test_rejects_non_blowdown(self):
         with pytest.raises(NotABlowdownError):
-            contract_blowdown(SurfaceState(helpers.du_val_a1(), set()), 1)
+            contract_blowdown(is_log_blowdown(SurfaceState(helpers.du_val_a1(), set()), 1))
 
     def test_rejects_curve_surviving_on_target(self):
         config = helpers.corner_once()
         state = SurfaceState(config, set(), TargetBase(set()))
         with pytest.raises(NotABlowdownError):
-            contract_blowdown(state, 3)
+            contract_blowdown(is_log_blowdown(state, 3))
