@@ -73,14 +73,26 @@ def parse_fraction(value: Any) -> Fraction:
     raise ValueError(f"expected an integer or a fraction string 'p/q', got {value!r}")
 
 
+_ID = re.compile(r"-?[0-9]+")
+
+
 def parse_ids(text: str) -> tuple[int, ...]:
+    """Comma-separated curve ids, each an optional '-' and ASCII digits.
+
+    `int()` alone would also read '0_4' as 4 and ' 1' as 1; such items are
+    rejected, and the error names the first one.
+    """
     text = text.strip()
     if not text:
         return ()
-    try:
-        return tuple(int(part) for part in text.split(","))
-    except ValueError:
-        raise ValueError(f"expected comma-separated curve ids, got {text!r}") from None
+    ids = []
+    for part in text.split(","):
+        if not _ID.fullmatch(part):
+            raise ValueError(
+                f"bad curve id {part!r} in {text!r}: expected comma-separated integers"
+            )
+        ids.append(int(part))
+    return tuple(ids)
 
 
 def parse_base(text: str) -> Base:

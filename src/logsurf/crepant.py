@@ -19,10 +19,9 @@ from typing import Iterable
 from .errors import (
     InvalidStateError,
     NotNestedError,
-    SingularMatrixError,
     UnknownIdError,
 )
-from .ratlin import is_negative_definite, solve_symmetric
+from .ratlin import DefiniteFactor, is_negative_definite, solve_symmetric
 from .surface import (
     CurveConfig,
     canonical_degree,
@@ -84,21 +83,61 @@ class CrepantData:
         return {cid: -self.residual[cid] for cid in sorted(self.contracted)}
 
 
-def _require_contractible(config: CurveConfig, ids: frozenset[int]) -> None:
+Factored = tuple[tuple[int, ...], DefiniteFactor]
+
+
+def _factor(config: CurveConfig, ids: frozenset[int]) -> Factored | None:
+    """The factor of the Gram matrix of a nonempty set, with its row order.
+
+    None when the matrix is not negative definite.  Each set is factored
+    once per configuration.  A set whose parent S∖{c} is memoised borders
+    the parent's factor by c in O(n²), building no Gram matrix, and inherits
+    a parent's None, since every principal block of a negative-definite
+    matrix is negative definite.  Any other set, every singleton included,
+    builds its Gram matrix once and eliminates it once.
+    """
+    memo = config._factor_memo
+    try:
+        return memo[ids]
+    except KeyError:
+        pass
+    if len(ids) > 1:
+        # Drivers contract the lowest passing id, so the newest curve is
+        # usually the largest: try it first.
+        for cid in sorted(ids, reverse=True):
+            rest = ids - {cid}
+            if rest not in memo:
+                continue
+            parent = memo[rest]
+            entry = None
+            if parent is not None:
+                order, factor = parent
+                self_sq = config.curve(cid).self_intersection
+                row = config._adjacency[cid]
+                bordered = factor.border([row.get(j, 0) for j in order], self_sq)
+                if bordered is not None:
+                    entry = (order + (cid,), bordered)
+            memo[ids] = entry
+            return entry
+    order = tuple(sorted(ids))
+    matrix = gram(config, order)
+    entry = memo[ids] = (order, matrix.factor) if is_negative_definite(matrix) else None
+    return entry
+
+
+def _require_contractible(config: CurveConfig, ids: frozenset[int]) -> Factored | None:
     """Raise unless the Gram matrix of `ids` is negative definite.
 
-    The verdict is computed once per set and kept in the configuration's memo.
+    Returns the set's memoised (order, factor), or None for the empty set.
     """
     if not ids:
-        return
-    memo = config._definite_memo
-    verdict = memo.get(ids)
-    if verdict is None:
-        verdict = memo[ids] = is_negative_definite(gram(config, sorted(ids)))
-    if not verdict:
+        return None
+    entry = _factor(config, ids)
+    if entry is None:
         raise InvalidStateError(
             f"gram matrix of {sorted(ids)} is not negative definite; the set is not contractible"
         )
+    return entry
 
 
 def crepant_pullback(config: CurveConfig, contracted: Iterable[int]) -> CrepantData:
@@ -108,8 +147,8 @@ def crepant_pullback(config: CurveConfig, contracted: Iterable[int]) -> CrepantD
     the Gram system  Σ_j e_j (C_j·C_i) = −deg K|_i − Σ_k d_k (C_k·C_i)  over
     contracted j and uncontracted k.  The Gram matrix of a contractible set is
     negative definite, hence invertible, so the solution exists and is unique.
-    Each set is solved once per configuration; every call returns a fresh
-    copy of the memoised solution.
+    Each set is solved once per configuration, from its memoised factor;
+    every call returns a fresh copy of the memoised solution.
     """
     key = frozenset(contracted)
     memo = config._crepant_memo
@@ -120,24 +159,21 @@ def crepant_pullback(config: CurveConfig, contracted: Iterable[int]) -> CrepantD
 
 
 def _solve_pullback(config: CurveConfig, key: frozenset[int]) -> CrepantData:
-    ids = sorted(key)
-    for cid in ids:
+    for cid in sorted(key):
         config.curve(cid)
-    _require_contractible(config, key)
+    entry = _require_contractible(config, key)
     residual = {c.id: c.boundary_coeff for c in config.curves}
-    if ids:
+    if entry is not None:
+        order, factor = entry
+        adjacency = config._adjacency
         rhs = []
-        for i in ids:
+        for i in order:
             acc = Fraction(canonical_degree(config, i))
-            for k, count in config.neighbours(i).items():
+            for k, count in adjacency[i].items():
                 if k not in key:
                     acc += config.curve(k).boundary_coeff * count
             rhs.append(-acc)
-        try:
-            solution = solve_symmetric(gram(config, ids), rhs)
-        except SingularMatrixError:  # unreachable once negative definiteness holds
-            raise InvalidStateError(f"gram matrix of {ids} is singular") from None
-        for cid, value in zip(ids, solution):
+        for cid, value in zip(order, solve_symmetric(factor, rhs)):
             residual[cid] = value
     return CrepantData(residual, key)
 
@@ -325,17 +361,19 @@ def correction_multiplicities(state: SurfaceState, cid: int) -> dict[int, Fracti
     """Multiplicities λ_j of the contracted curves in the pullback of `cid`'s image.
 
     They solve gram(S)·λ = −(C·E_j)_j over the contracted set S, which must
-    not contain `cid`.
+    not contain `cid`, from the set's memoised factor in O(|S|²).
     """
     state._checked
     state.config.curve(cid)
     if cid in state.contracted:
         raise InvalidStateError(f"curve {cid} is contracted; its image is a point")
-    ids = sorted(state.contracted)
-    if not ids:
+    entry = _require_contractible(state.config, state.contracted)
+    if entry is None:
         return {}
-    rhs = [-pairing(state.config, cid, j) for j in ids]
-    return dict(zip(ids, solve_symmetric(gram(state.config, ids), rhs)))
+    order, factor = entry
+    row = state.config._adjacency[cid]
+    lam = solve_symmetric(factor, [-row.get(j, 0) for j in order])
+    return dict(sorted(zip(order, lam)))
 
 
 def log_degree(state: SurfaceState, cid: int) -> Fraction:
@@ -351,7 +389,7 @@ def log_degree(state: SurfaceState, cid: int) -> Fraction:
     config = state.config
     acc = Fraction(canonical_degree(config, cid))
     acc += residual[cid] * config.curve(cid).self_intersection
-    for k, count in config.neighbours(cid).items():
+    for k, count in config._adjacency[cid].items():
         acc += residual[k] * count
     return acc
 

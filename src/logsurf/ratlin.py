@@ -6,6 +6,11 @@ are integer Gram matrices of curve sets, so symmetry is enforced structurally
 and sizes stay small (a few dozen rows at most).  Elimination runs
 fraction-free on integers (Bareiss, *Math. Comp.* 22, 1968); `Fraction`
 objects are built only for results.
+
+A matrix found negative definite keeps its elimination as a
+`DefiniteFactor`: later solves read the factor in O(n²) and its
+determinant in O(1), and `DefiniteFactor.border` extends it by one row and
+column in O(n²) instead of eliminating the larger matrix again.
 """
 
 from __future__ import annotations
@@ -28,9 +33,13 @@ def _exact(value: Rat | int) -> Fraction | int:
 
 
 class SymMatrix:
-    """Immutable symmetric matrix with exact rational entries."""
+    """Immutable symmetric matrix with exact rational entries.
 
-    __slots__ = ("_rows",)
+    `is_negative_definite` attaches the matrix's `DefiniteFactor` when the
+    answer is yes; `solve_symmetric` and `determinant` then read it.
+    """
+
+    __slots__ = ("_rows", "_factor")
 
     def __init__(self, rows: Iterable[Iterable[Rat | int]]):
         mat = tuple(tuple(_exact(x) for x in row) for row in rows)
@@ -42,17 +51,24 @@ class SymMatrix:
                 if mat[i][j] != mat[j][i]:
                     raise ValueError(f"entries ({i},{j}) and ({j},{i}) differ")
         self._rows = mat
+        self._factor: DefiniteFactor | None = None
 
     @classmethod
     def _trusted(cls, rows: tuple[tuple[int, ...], ...]) -> "SymMatrix":
         """Wrap rows already known to be square, symmetric and exact, unchecked."""
         matrix = cls.__new__(cls)
         matrix._rows = rows
+        matrix._factor = None
         return matrix
 
     @property
     def n(self) -> int:
         return len(self._rows)
+
+    @property
+    def factor(self) -> "DefiniteFactor | None":
+        """The elimination `is_negative_definite` kept, or None before a yes."""
+        return self._factor
 
     def entry(self, i: int, j: int) -> Fraction | int:
         return self._rows[i][j]
@@ -115,18 +131,129 @@ def _eliminate_below(a: list[list[int]], k: int, prev: int) -> None:
             row_i[j] = (pivot * row_i[j] - lead * row_k[j]) // prev
 
 
-def solve_symmetric(matrix: SymMatrix, rhs: Sequence[Rat | int]) -> tuple[Fraction, ...]:
-    """Solve M·x = b exactly by fraction-free elimination over the integers.
+class DefiniteFactor:
+    """The fraction-free elimination of a negative-definite matrix, kept for reuse.
 
-    M is scaled to the integer matrix A = d·M and b to the integer vector
-    c = e·b, d and e > 0 being least common denominators.  Bareiss
-    elimination with row swaps runs on the augmented rows [A | c], each
-    division exact, and leaves D = ±det A as its last pivot.  Integer
+    It factors A = d·M, d > 0 being the least common denominator of M (1 for
+    a Gram matrix).  Row i holds the leads of row i, its entries in columns
+    0..i−1 at the moments those columns were cleared, and then pivot i, the
+    (i+1)-th leading minor of A.  Symmetric elimination keeps every trailing
+    block symmetric, so the upper triangle is this one transposed and is not
+    stored.  `is_negative_definite` builds one and `border` grows one; rows
+    are tuples that a bordered factor shares with its parent.
+    """
+
+    __slots__ = ("rows", "scale")
+
+    def __init__(self, rows: tuple[tuple[int, ...], ...], scale: int = 1):
+        self.rows = rows
+        self.scale = scale
+
+    @property
+    def n(self) -> int:
+        return len(self.rows)
+
+    def determinant(self) -> Fraction:
+        """det M: the last pivot, det A, over d**n."""
+        n = len(self.rows)
+        if n == 0:
+            return Fraction(1)
+        return Fraction(self.rows[-1][-1], self.scale**n)
+
+    def _replay(self, column: list[int]) -> None:
+        """Run an extra integer column through the stored elimination, in place.
+
+        Afterwards entry i is what elimination of [A | column] would leave in
+        row i: the column's value once columns 0..i−1 are cleared.
+        """
+        rows = self.rows
+        prev = 1
+        for k, row_k in enumerate(rows):
+            pivot = row_k[k]
+            lead = column[k]
+            for i in range(k + 1, len(rows)):
+                column[i] = (pivot * column[i] - rows[i][k] * lead) // prev
+            prev = pivot
+
+    def solve(self, rhs: Sequence[Rat | int]) -> tuple[Fraction, ...]:
+        """Solve M·x = b in O(n²): replay c = e·b, then back-substitute.
+
+        Back-substitution over the stored leads, read as the upper triangle,
+        gives z = D·A⁻¹c, integral by Cramer's rule with D = det A the last
+        pivot, and x = d·z / (e·D).
+        """
+        rows = self.rows
+        n = len(rows)
+        if len(rhs) != n:
+            raise ValueError(f"rhs has length {len(rhs)}, matrix has {n} rows")
+        if n == 0:
+            return ()
+        b = [_exact(v) for v in rhs]
+        e = 1
+        for v in b:
+            e = math.lcm(e, v.denominator)
+        c = [v.numerator * (e // v.denominator) for v in b]
+        self._replay(c)
+        det = rows[-1][-1]
+        z = [0] * n
+        for i in range(n - 1, -1, -1):
+            acc = det * c[i]
+            for j in range(i + 1, n):
+                acc -= rows[j][i] * z[j]
+            z[i] = acc // rows[i][i]
+        scale = e * det
+        d = self.scale
+        return tuple([Fraction(d * zi, scale) for zi in z])
+
+    def border(self, column: Sequence[int], diagonal: int) -> "DefiniteFactor | None":
+        """The factor of M bordered by one integer row and column, in O(n²).
+
+        `column` holds the new row's entries against the factored rows, in
+        their order, and `diagonal` its diagonal entry.  Replaying d·column
+        gives the new row's leads; the new pivot follows from
+        δ ← (p_k·δ − lead_k²) / p_{k−1}, each division exact.  Returns None
+        when that pivot has the wrong sign (or is zero), that is when the
+        bordered matrix is not negative definite.
+        """
+        rows = self.rows
+        n = len(rows)
+        if len(column) != n:
+            raise ValueError(f"column has length {len(column)}, matrix has {n} rows")
+        d = self.scale
+        leads = [d * v for v in column]
+        self._replay(leads)
+        delta = d * diagonal
+        prev = 1
+        for k, lead in enumerate(leads):
+            pivot = rows[k][k]
+            delta = (pivot * delta - lead * lead) // prev
+            prev = pivot
+        if delta == 0 or (delta < 0) != (n % 2 == 0):
+            return None
+        leads.append(delta)
+        return DefiniteFactor(rows + (tuple(leads),), d)
+
+
+def solve_symmetric(
+    matrix: SymMatrix | DefiniteFactor, rhs: Sequence[Rat | int]
+) -> tuple[Fraction, ...]:
+    """Solve M·x = b exactly, for a matrix or the `DefiniteFactor` of one.
+
+    A factor, or a matrix that `is_negative_definite` has factored, is
+    solved from the stored elimination in O(n²) (`DefiniteFactor.solve`).
+    Any other matrix is scaled to the integer matrix A = d·M and b to the
+    integer vector c = e·b, d and e > 0 being least common denominators.
+    Bareiss elimination with row swaps runs on the augmented rows [A | c],
+    each division exact, and leaves D = ±det A as its last pivot.  Integer
     back-substitution then gives z = D·A⁻¹c, which Cramer's rule makes
     integral, and x = d·z / (e·D) is the only step that builds `Fraction`
     objects.  The returned vector satisfies M·x − b = 0 identically.  Raises
     SingularMatrixError when M has determinant zero.
     """
+    if isinstance(matrix, DefiniteFactor):
+        return matrix.solve(rhs)
+    if matrix._factor is not None:
+        return matrix._factor.solve(rhs)
     n = matrix.n
     if len(rhs) != n:
         raise ValueError(f"rhs has length {len(rhs)}, matrix has {n} rows")
@@ -160,26 +287,30 @@ def solve_symmetric(matrix: SymMatrix, rhs: Sequence[Rat | int]) -> tuple[Fracti
 def is_negative_definite(matrix: SymMatrix) -> bool:
     """Sylvester test: the k-th leading principal minor must carry sign (−1)^k.
 
-    Implemented as fraction-free elimination, whose pivots are exactly the
-    leading minors; a pivot of the wrong sign (or zero) settles the answer
-    immediately.  The empty matrix is vacuously negative definite.
+    Implemented as fraction-free elimination without row swaps, grown one
+    row at a time by `DefiniteFactor.border`: its pivots are exactly the
+    leading minors, so a pivot of the wrong sign (or zero) settles the
+    answer as soon as its row joins.  On a yes the elimination is kept on
+    the matrix as its `DefiniteFactor` (`SymMatrix.factor`).  The empty
+    matrix is vacuously negative definite.
     """
-    n = matrix.n
-    a, _ = _integer_rows(matrix)
-    prev = 1
-    for k in range(n):
-        pivot = a[k][k]
-        if pivot == 0:
+    if matrix._factor is not None:
+        return True
+    a, d = _integer_rows(matrix)
+    factor = DefiniteFactor(())
+    for k, row in enumerate(a):
+        factor = factor.border(row[:k], row[k])
+        if factor is None:
             return False
-        if (pivot < 0) != (k % 2 == 0):
-            return False
-        _eliminate_below(a, k, prev)
-        prev = pivot
+    matrix._factor = DefiniteFactor(factor.rows, d)
     return True
 
 
 def determinant(matrix: SymMatrix) -> Fraction:
-    """Exact determinant by fraction-free elimination with row pivoting."""
+    """Exact determinant: the stored factor's last pivot when the matrix has
+    one, else fraction-free elimination with row pivoting."""
+    if matrix._factor is not None:
+        return matrix._factor.determinant()
     n = matrix.n
     if n == 0:
         return Fraction(1)

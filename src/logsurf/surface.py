@@ -22,7 +22,7 @@ from .errors import (
     UnknownIdError,
     UnknownTargetError,
 )
-from .ratlin import SymMatrix, determinant, is_negative_definite
+from .ratlin import DefiniteFactor, SymMatrix, determinant, is_negative_definite
 
 
 def as_coeff(value: Fraction | int) -> Fraction:
@@ -75,10 +75,22 @@ class CurveConfig:
         points: Iterable[tuple[int, Iterable[int]]] = (),
         picard_rank_of_model: int | None = None,
     ) -> "CurveConfig":
-        """Convenience constructor from (id, genus, self², coeff) and (id, incident) rows."""
+        """Convenience constructor from (id, genus, self², coeff) and (id, incident) rows.
+
+        Raises ``ValueError`` for a point row that lists a curve twice: a
+        point incident set cannot repeat a curve, and collapsing the row
+        would change its meaning.
+        """
+        built_points = []
+        for pid, incident in points:
+            row = tuple(incident)
+            members = frozenset(row)
+            if len(members) != len(row):
+                raise ValueError(f"point {pid} lists a curve twice: {list(row)}")
+            built_points.append(CrossingPoint(pid, members))
         return cls(
             tuple(Curve(i, g, s, as_coeff(d)) for i, g, s, d in curves),
-            tuple(CrossingPoint(i, frozenset(inc)) for i, inc in points),
+            tuple(built_points),
             picard_rank_of_model,
         )
 
@@ -100,6 +112,18 @@ class CurveConfig:
         return counts
 
     @cached_property
+    def _adjacency(self) -> dict[int, dict[int, int]]:
+        """Each curve's neighbours mapped to their crossing counts.
+
+        Every curve has an entry, empty when it meets nothing.
+        """
+        adjacency: dict[int, dict[int, int]] = {c.id: {} for c in self.curves}
+        for (a, b), count in self._cross_counts.items():
+            adjacency.setdefault(a, {})[b] = count
+            adjacency.setdefault(b, {})[a] = count
+        return adjacency
+
+    @cached_property
     def _points_by_curve(self) -> dict[int, tuple[int, ...]]:
         by_curve: dict[int, list[int]] = {c.id: [] for c in self.curves}
         for p in self.points:
@@ -109,11 +133,14 @@ class CurveConfig:
         return {cid: tuple(pids) for cid, pids in by_curve.items()}
 
     @cached_property
-    def _definite_memo(self) -> dict[frozenset[int], bool]:
-        """Negative-definiteness verdicts of curve sets' Gram matrices.
+    def _factor_memo(self) -> dict[frozenset[int], tuple[tuple[int, ...], DefiniteFactor] | None]:
+        """Curve sets mapped to the factor of their Gram matrix, or None.
 
-        Filled by `crepant`; it lives and dies with this configuration, which
-        is immutable, so an entry never goes stale.
+        An entry is (order, factor): the `ratlin.DefiniteFactor` of the Gram
+        matrix of the set's curves taken in `order`, the order in which
+        bordering added them.  None records that the Gram matrix is not
+        negative definite.  Filled by `crepant`; it lives and dies with this
+        configuration, which is immutable, so an entry never goes stale.
         """
         return {}
 
@@ -133,11 +160,21 @@ class CurveConfig:
             if c.id in seen_curves:
                 out.append(Violation("DuplicateId", f"curve id {c.id} appears twice"))
             seen_curves.add(c.id)
+            for name in ("id", "genus", "self_intersection"):
+                value = getattr(c, name)
+                if type(value) is not int:
+                    out.append(
+                        Violation(
+                            "BadType",
+                            f"curve {c.id!r} has {name} {value!r} of type "
+                            f"{type(value).__name__}, not int",
+                        )
+                    )
             if not (0 <= c.boundary_coeff <= 1):
                 out.append(
                     Violation("BadCoefficient", f"curve {c.id} has coefficient {c.boundary_coeff}")
                 )
-            if c.genus < 0:
+            if type(c.genus) is int and c.genus < 0:
                 out.append(Violation("BadGenus", f"curve {c.id} has genus {c.genus}"))
         seen_points: set[int] = set()
         for p in self.points:
@@ -175,13 +212,7 @@ class CurveConfig:
     def neighbours(self, cid: int) -> dict[int, int]:
         """Curves sharing a point with `cid`, mapped to the crossing count."""
         self.curve(cid)
-        out: dict[int, int] = {}
-        for (a, b), count in self._cross_counts.items():
-            if a == cid:
-                out[b] = count
-            elif b == cid:
-                out[a] = count
-        return out
+        return dict(self._adjacency[cid])
 
 
 def validate_config(config: CurveConfig) -> tuple[Violation, ...]:
@@ -307,6 +338,7 @@ def connected_components(
     members = set(subset)
     for cid in members:
         config.curve(cid)
+    adjacency = config._adjacency
     out: list[frozenset[int]] = []
     todo = set(members)
     while todo:
@@ -315,8 +347,8 @@ def connected_components(
         frontier = [seed]
         while frontier:
             cur = frontier.pop()
-            for other, count in config.neighbours(cur).items():
-                if other in members and other not in comp and count > 0:
+            for other in adjacency[cur]:
+                if other in members and other not in comp:
                     comp.add(other)
                     frontier.append(other)
         out.append(frozenset(comp))
@@ -380,13 +412,15 @@ class LocalBlowdownModel:
         core_set = set(core)
         for cid in core_set:
             config.curve(cid)
+        adjacency = config._adjacency
         present = set(core_set)
         for cid in core_set:
-            present.update(config.neighbours(cid))
+            present.update(adjacency[cid])
         mult = {
             (a, b): count
-            for (a, b), count in config._cross_counts.items()
-            if a in present and b in present
+            for a in present
+            for b, count in adjacency[a].items()
+            if a < b and b in present
         }
         return cls(
             core_set,

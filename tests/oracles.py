@@ -316,3 +316,37 @@ def random_symmetric_matrix(rng, n: int, low: int = -5, high: int = 5):
             rows[i][j] = value
             rows[j][i] = value
     return rows
+
+
+# ---------------------------------------------------------------------------
+# Hirzebruch–Jung chains in closed form
+
+def continuant(bs) -> int:
+    """The continuant [b_1, …, b_r]: the determinant of the tridiagonal
+    matrix with b_i on the diagonal and −1 beside it.
+
+    [] = 1, [b_1] = b_1 and [b_1, …, b_k] = b_k·[b_1, …, b_{k−1}] − [b_1, …, b_{k−2}].
+    """
+    before, current = 0, 1
+    for b in bs:
+        before, current = current, b * current - before
+    return current
+
+
+def chain_discrepancies(bs, left=Fraction(0), right=Fraction(0)) -> list[Fraction]:
+    """Discrepancies of a chain of rational (−b_i)-curves contracted whole.
+
+    `left` and `right` are the coefficients of uncontracted curves meeting
+    the first and the last curve once (0 for a bare chain).  Minus the
+    inverse Gram matrix has entries [b_1..b_{min−1}]·[b_{max+1}..b_r] / n,
+    n = [b_1..b_r] (Kollár–Mori §4.1), and K·C_i = b_i − 2, which sums to
+    a_i = −1 + ((1 − left)·[b_{i+1}..b_r] + (1 − right)·[b_1..b_{i−1}]) / n.
+    """
+    r = len(bs)
+    prefix = [continuant(bs[:i]) for i in range(r)]
+    suffix = [continuant(bs[i + 1:]) for i in range(r)]
+    n = continuant(bs)
+    return [
+        Fraction((1 - left) * suffix[i] + (1 - right) * prefix[i], n) - 1
+        for i in range(r)
+    ]

@@ -14,6 +14,8 @@ import helpers
 from logsurf import StuckInPhase2Error, TheoremViolationError
 import logsurf.cli as cli
 
+SCENARIOS = Path(__file__).resolve().parent.parent / "scenarios"
+
 
 def write_scenario(path, config, contracted=(), base=None) -> str:
     doc = cli.config_to_json(config, contracted, base)
@@ -237,6 +239,31 @@ class TestDecomposeAndVerify:
 
         assert cli.main(["verify", tower, "--trace", trace_path]) == 0
         assert "verified: 2 steps" in capsys.readouterr().out
+
+    @pytest.mark.parametrize(
+        "to_ids, bad",
+        [
+            ("3,0_4", "0_4"),
+            ("3, 4", " 4"),
+            ("3,+4", "+4"),
+            ("3,,4", ""),
+            ("3,4,", ""),
+            ("3,\u0664", "\u0664"),
+        ],
+    )
+    def test_malformed_id_list_exits_2(self, to_ids, bad, capsys):
+        # int() alone reads '0_4' as 4, ' 4' as 4 and an Arabic-Indic digit as 4.
+        tower = str(SCENARIOS / "tower.json")
+        assert cli.main(["decompose", tower, "--from", "", "--to", to_ids]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert f"bad curve id {bad!r}" in captured.err
+
+    def test_well_formed_id_lists_parse(self):
+        assert cli.parse_ids("") == ()
+        assert cli.parse_ids("  ") == ()
+        assert cli.parse_ids(" 3,4 ") == (3, 4)
+        assert cli.parse_ids("-1,0,012") == (-1, 0, 12)
 
     def test_non_crepant_exits_2(self, tmp_path, capsys):
         path = write_scenario(tmp_path / "h.json", helpers.du_val_a1_half())

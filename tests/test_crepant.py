@@ -1,8 +1,10 @@
 """Pullback coefficients, classification, non-klt centres, image intersections."""
 
 from fractions import Fraction
+import random
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import helpers
 import oracles
@@ -21,9 +23,15 @@ from logsurf import (
     classify,
     correction_multiplicities,
     crepant_pullback,
+    decompose_morphism,
+    determinant,
+    generate_crepant_pair,
+    gram,
     is_log_crepant,
+    is_negative_definite,
     lc_centers,
     log_degree,
+    minimize,
     pushforward_self_intersection,
 )
 
@@ -294,3 +302,171 @@ class TestIsLogCrepant:
         small = crepant_pullback(config, {4})
         large = crepant_pullback(config, {3, 4})
         assert small.residual == large.residual
+
+
+def hj_chain(bs, left=None, right=None) -> CurveConfig:
+    """Rational curves 1..r of self-intersection −b_i and coefficient 0 in a
+    chain; with `left`/`right`, (−1)-curves r+1 and r+2 of those coefficients
+    meet curve 1 and curve r once."""
+    r = len(bs)
+    curves = [(i, 0, -b, 0) for i, b in enumerate(bs, start=1)]
+    points = [(i, [i, i + 1]) for i in range(1, r)]
+    if left is not None:
+        curves += [(r + 1, 0, -1, left), (r + 2, 0, -1, right)]
+        points += [(r, [r + 1, 1]), (r + 1, [r + 2, r])]
+    return CurveConfig.build(curves, points)
+
+
+class TestFactorMemo:
+    """Every memoised Gram factor against the oracles, bordered against cold."""
+
+    def _decomposed_tower(self) -> CurveConfig:
+        spec = generate_crepant_pair(helpers.corner(), 12, 3)
+        decompose_morphism(spec)
+        return spec.config
+
+    def _minimized_chain(self) -> CurveConfig:
+        config = hj_chain([2, 2, 3, 2, 2, 2, 4, 2, 2, 5, 2, 2, 2, 3, 2, 2, 2, 2, 3, 2])
+        assert minimize(SurfaceState(config, set())).steps
+        return config
+
+    def _grow(self, config: CurveConfig) -> None:
+        """Border every memoised definite set by each curve it leaves out."""
+        memo = config._factor_memo
+        for ids, entry in list(memo.items()):
+            if entry is None:
+                continue
+            for c in config.curves:
+                if c.id not in ids:
+                    try:
+                        SurfaceState(config, ids | {c.id})._checked
+                    except InvalidStateError:
+                        pass
+
+    def _rhs(self, config, ids):
+        """Minus the log canonical degree each curve of `ids` gets from K and
+        the coefficients of the curves outside `ids`, recounted raw."""
+        counts = oracles.crossing_counts(config)
+        curves = {c.id: c for c in config.curves}
+        out = []
+        for i in ids:
+            total = Fraction(2 * curves[i].genus - 2 - curves[i].self_intersection)
+            for c in config.curves:
+                if c.id not in ids:
+                    total += c.boundary_coeff * oracles.raw_pairing(config, counts, c.id, i)
+            out.append(-total)
+        return out
+
+    @pytest.mark.parametrize("build", ["_decomposed_tower", "_minimized_chain"])
+    def test_every_entry_agrees_with_the_oracles(self, build):
+        config = getattr(self, build)()
+        self._grow(config)
+        memo = config._factor_memo
+        counts = oracles.crossing_counts(config)
+        bordered = 0
+        for ids, entry in memo.items():
+            ordered = sorted(ids)
+            rows = gram(config, ordered).rows()
+            if len(ids) <= 8:
+                assert (entry is not None) == oracles.brute_negative_definite(rows), ordered
+            else:
+                assert (entry is not None) == is_negative_definite(gram(config, ordered))
+            if entry is None:
+                continue
+            order, factor = entry
+            assert sorted(order) == ordered
+            parent = memo.get(ids - {order[-1]})
+            if len(order) > 1 and parent is not None and parent[0] == order[:-1]:
+                bordered += 1
+                # A bordered factor shares its parent's rows by reference.
+                assert all(a is b for a, b in zip(factor.rows, parent[1].rows))
+            residual = crepant_pullback(config, ids).residual
+            expected = oracles.solve_linear(rows, self._rhs(config, ordered))
+            assert tuple(residual[i] for i in ordered) == expected
+            state = SurfaceState(config, ids)
+            for c in config.curves:
+                if c.id in ids:
+                    continue
+                column = [-oracles.raw_pairing(config, counts, c.id, j) for j in ordered]
+                if not any(column) and c.id % 4:
+                    continue  # λ = 0 trivially; sample a quarter of these
+                lam = correction_multiplicities(state, c.id)
+                assert tuple(lam[j] for j in ordered) == oracles.solve_linear(rows, column)
+        assert bordered > len(memo) // 4
+        # Every set of (−b)-curves, b ≥ 2, in a chain is definite; the tower's
+        # coefficient-1 curves make some grown sets indefinite.
+        indefinite = sum(entry is None for entry in memo.values())
+        assert (indefinite > 0) == (build == "_decomposed_tower")
+
+    @pytest.mark.parametrize("build", ["_decomposed_tower", "_minimized_chain"])
+    def test_bordered_and_cold_factors_agree(self, build):
+        config = getattr(self, build)()
+        self._grow(config)
+        for ids, entry in config._factor_memo.items():
+            if entry is None:
+                continue
+            order, factor = entry
+            cold = gram(config, sorted(ids))
+            assert is_negative_definite(cold)
+            rhs = self._rhs(config, order)
+            position = {cid: k for k, cid in enumerate(sorted(ids))}
+            cold_rhs = [None] * len(order)
+            for cid, value in zip(order, rhs):
+                cold_rhs[position[cid]] = value
+            mine = dict(zip(order, factor.solve(rhs)))
+            theirs = dict(zip(sorted(ids), cold.factor.solve(cold_rhs)))
+            assert mine == theirs
+            assert factor.determinant() == determinant(cold)
+            if len(ids) <= 8:
+                assert factor.determinant() == oracles.laplace_det(cold.rows())
+
+
+coefficients = st.fractions(min_value=0, max_value=1, max_denominator=7).filter(lambda x: x < 1)
+
+
+class TestChainClosedForm:
+    """Hirzebruch–Jung chains against their continuant closed forms."""
+
+    def _check(self, bs, left, right, order):
+        r = len(bs)
+        ids = frozenset(range(1, r + 1))
+        n = oracles.continuant(bs)
+        expected = dict(
+            zip(range(1, r + 1), oracles.chain_discrepancies(bs, left or 0, right or 0))
+        )
+        # Cold: one elimination of the whole chain.
+        config = hj_chain(bs, left, right)
+        cold = SurfaceState(config, ids)
+        assert cold.crepant.discrepancies == expected
+        assert cold.classification is Classification.KLT
+        assert config._factor_memo[ids][1].determinant() == (-1) ** r * n
+        assert determinant(gram(config, sorted(ids))) == (-1) ** r * n
+        # Bordered: the same set grown one curve at a time in `order`.
+        grown = hj_chain(bs, left, right)
+        for k in range(1, r + 1):
+            SurfaceState(grown, order[:k])._checked
+        state = SurfaceState(grown, ids)
+        assert state.crepant.discrepancies == expected
+        assert state.classification is Classification.KLT
+        factor_order, factor = grown._factor_memo[ids]
+        assert list(factor_order) == list(order)
+        assert factor.determinant() == (-1) ** r * n
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        st.lists(st.integers(min_value=2, max_value=6), min_size=1, max_size=50),
+        st.one_of(st.none(), st.tuples(coefficients, coefficients)),
+        st.data(),
+    )
+    def test_random_chains(self, bs, ends, data):
+        left, right = ends if ends is not None else (None, None)
+        order = data.draw(st.permutations(range(1, len(bs) + 1)), label="order")
+        self._check(bs, left, right, order)
+
+    @pytest.mark.parametrize("ends", [None, (Fraction(1, 3), Fraction(6, 7))])
+    def test_fifty_curves(self, ends):
+        rng = random.Random(50)
+        bs = [rng.choice((2, 2, 3, 4, 5, 6)) for _ in range(50)]
+        order = list(range(1, 51))
+        rng.shuffle(order)
+        self._check(bs, *(ends or (None, None)), order)

@@ -201,6 +201,79 @@ class TestNegativeDefinite:
         )
 
 
+@st.composite
+def definite_rows(draw, max_n=6):
+    """−(BᵀB) − I for a random integer B: negative definite."""
+    n = draw(st.integers(min_value=1, max_value=max_n))
+    b = [[draw(st.integers(min_value=-3, max_value=3)) for _ in range(n)] for _ in range(n)]
+    return [
+        [-sum(b[k][i] * b[k][j] for k in range(n)) - (i == j) for j in range(n)]
+        for i in range(n)
+    ]
+
+
+def _leading(rows, k):
+    return [row[:k] for row in rows[:k]]
+
+
+class TestDefiniteFactor:
+    def test_kept_only_on_a_yes(self):
+        yes = SymMatrix([[-2, 1], [1, -2]])
+        no = SymMatrix([[-1, 1], [1, -1]])
+        assert yes.factor is None and no.factor is None
+        assert is_negative_definite(yes) and not is_negative_definite(no)
+        assert yes.factor.rows == ((-2,), (1, 3))
+        assert no.factor is None
+        empty = SymMatrix([])
+        assert is_negative_definite(empty) and empty.factor.rows == ()
+
+    @given(definite_rows(max_n=5), st.data())
+    def test_solve_and_determinant_read_the_factor(self, rows, data):
+        m = SymMatrix(rows)
+        assert is_negative_definite(m)
+        n = len(rows)
+        rhs = [
+            data.draw(st.fractions(min_value=-5, max_value=5, max_denominator=4))
+            for _ in range(n)
+        ]
+        assert solve_symmetric(m, rhs) == oracles.solve_linear(rows, rhs)
+        assert solve_symmetric(m.factor, rhs) == oracles.solve_linear(rows, rhs)
+        assert determinant(m) == m.factor.determinant() == oracles.laplace_det(rows)
+
+    @given(definite_rows())
+    def test_factor_entries_are_minors(self, rows):
+        # Lead (i, j) is the minor on rows 0..j−1, i and columns 0..j; pivot i
+        # is the (i+1)-th leading minor.
+        m = SymMatrix(rows)
+        assert is_negative_definite(m)
+        for i, row in enumerate(m.factor.rows):
+            assert len(row) == i + 1
+            for j, entry in enumerate(row):
+                picked = list(range(j)) + [i]
+                minor = [[rows[r][c] for c in range(j + 1)] for r in picked]
+                assert entry == oracles.laplace_det(minor)
+
+    @given(symmetric_rows(min_n=2, max_n=5))
+    def test_bordering_refuses_exactly_the_indefinite(self, rows):
+        n = len(rows)
+        head = SymMatrix(_leading(rows, n - 1))
+        if not is_negative_definite(head):
+            return
+        bordered = head.factor.border(rows[n - 1][: n - 1], rows[n - 1][n - 1])
+        assert (bordered is not None) == oracles.brute_negative_definite(rows)
+
+    def test_scaled_rational_matrix(self):
+        half, third = Fraction(1, 2), Fraction(1, 3)
+        m = SymMatrix([[-half, third], [third, -half]])
+        assert is_negative_definite(m)
+        assert m.factor.scale == 6
+        assert determinant(m) == half * half - third * third
+        bordered = m.factor.border([1, 0], -5)
+        rows = [[-half, third, 1], [third, -half, 0], [1, 0, -5]]
+        assert bordered.determinant() == oracles.laplace_det(rows)
+        assert bordered.solve([1, 2, 3]) == oracles.solve_linear(rows, [1, 2, 3])
+
+
 class TestDeterminant:
     def test_empty(self):
         assert determinant(SymMatrix([])) == 1

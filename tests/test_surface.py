@@ -17,6 +17,7 @@ from logsurf import (
     canonical_degree,
     connected_components,
     free_point_on,
+    generate_crepant_pair,
     generic_point,
     gram,
     next_curve_id,
@@ -79,6 +80,31 @@ class TestValidation:
     def test_dangling_curve_reference(self):
         config = CurveConfig.build([(1, 0, -2, 0)], [(1, [1, 9])])
         assert "DanglingId" in self._kinds(config)
+
+    def test_float_self_intersection_is_a_bad_type(self):
+        config = CurveConfig.build([(1, 0, -2.5, 0)], [])
+        violations = validate_config(config)
+        assert [v.kind for v in violations] == ["BadType"]
+        assert "self_intersection -2.5" in violations[0].detail
+
+    @pytest.mark.parametrize(
+        "row, field",
+        [
+            ((1.0, 0, -2, 0), "id"),
+            ((True, 0, -2, 0), "id"),
+            ((1, 0.0, -2, 0), "genus"),
+            ((1, False, -2, 0), "genus"),
+            ((1, "0", -2, 0), "genus"),
+            ((1, 0, True, 0), "self_intersection"),
+        ],
+    )
+    def test_non_int_fields_are_bad_types(self, row, field):
+        violations = validate_config(CurveConfig.build([row]))
+        assert [(v.kind, field in v.detail) for v in violations] == [("BadType", True)]
+
+    def test_point_repeating_a_curve_is_refused(self):
+        with pytest.raises(ValueError, match="point 1 lists a curve twice"):
+            CurveConfig.build([(1, 0, -2, 0), (2, 0, -2, 0)], [(1, [1, 1])])
 
     def test_lookup_errors(self):
         config = helpers.chain()
@@ -220,6 +246,22 @@ class TestComponentsAndGram:
     def test_unknown_member_raises(self):
         with pytest.raises(UnknownIdError):
             connected_components(helpers.chain(), [9])
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_neighbours_match_raw_counts(self, seed):
+        template = (helpers.corner, helpers.boundary_chain)[seed % 2]
+        config = generate_crepant_pair(template(), 6 + seed, seed).config
+        counts = oracles.crossing_counts(config)
+        for c in config.curves:
+            expected = {
+                o.id: n
+                for o in config.curves
+                if o.id != c.id and (n := oracles.raw_pairing(config, counts, c.id, o.id))
+            }
+            assert config.neighbours(c.id) == expected
+        # Callers get a copy: changing it leaves the configuration alone.
+        config.neighbours(1).clear()
+        assert config.neighbours(1)
 
     def test_gram_matches_pairings(self):
         config = helpers.corner_twice()
