@@ -61,7 +61,9 @@ CLASS_NAMES = {
 # parsing helpers
 
 _FRACTION = re.compile(r"[+-]?[0-9]+(/0*[1-9][0-9]*)?")
-_INTEGER_KEY = re.compile(r"-?[0-9]+")
+# An id: an optional '-' and ASCII digits.  `int()` alone would also read
+# '0_4' as 4, ' 1' as 1 and '+1' as 1.
+_INTEGER = re.compile(r"-?[0-9]+")
 
 
 def parse_fraction(value: Any) -> Fraction:
@@ -73,21 +75,14 @@ def parse_fraction(value: Any) -> Fraction:
     raise ValueError(f"expected an integer or a fraction string 'p/q', got {value!r}")
 
 
-_ID = re.compile(r"-?[0-9]+")
-
-
 def parse_ids(text: str) -> tuple[int, ...]:
-    """Comma-separated curve ids, each an optional '-' and ASCII digits.
-
-    `int()` alone would also read '0_4' as 4 and ' 1' as 1; such items are
-    rejected, and the error names the first one.
-    """
+    """Comma-separated curve ids; the error names the first malformed item."""
     text = text.strip()
     if not text:
         return ()
     ids = []
     for part in text.split(","):
-        if not _ID.fullmatch(part):
+        if not _INTEGER.fullmatch(part):
             raise ValueError(
                 f"bad curve id {part!r} in {text!r}: expected comma-separated integers"
             )
@@ -107,13 +102,12 @@ def parse_target(text: str) -> BlowUpTarget:
     if text == "generic":
         return generic_point()
     kind, _, ref = text.partition(":")
-    if kind == "point" and ref:
-        return at_point(int(ref))
-    if kind == "free" and ref:
-        return free_point_on(int(ref))
-    raise ValueError(
-        f"expected 'point:ID', 'free:CURVE' or 'generic', got {text!r}"
-    )
+    make = {"point": at_point, "free": free_point_on}.get(kind)
+    if make is None:
+        raise ValueError(f"expected 'point:ID', 'free:CURVE' or 'generic', got {text!r}")
+    if not _INTEGER.fullmatch(ref):
+        raise ValueError(f"bad id {ref!r} in {text!r}: expected an integer")
+    return make(int(ref))
 
 
 # ---------------------------------------------------------------------------
@@ -192,25 +186,28 @@ def config_from_json(data: Any) -> tuple[CurveConfig, frozenset[int], Base]:
     return config, contracted, base
 
 
+def _canonical(config: CurveConfig) -> tuple[list[list], list[list]]:
+    """The configuration's rows by id: [id, genus, self², coeff] per curve and
+    [id, incident] per point, every rational a fraction string."""
+    curves = [
+        [c.id, c.genus, c.self_intersection, str(c.boundary_coeff)]
+        for c in sorted(config.curves, key=lambda c: c.id)
+    ]
+    points = [[p.id, sorted(p.incident)] for p in sorted(config.points, key=lambda p: p.id)]
+    return curves, points
+
+
 def config_to_json(
     config: CurveConfig,
     contracted: Iterable[int] = (),
     base: Base | None = None,
 ) -> dict:
+    curves, points = _canonical(config)
     doc: dict[str, Any] = {
         "curves": [
-            {
-                "id": c.id,
-                "genus": c.genus,
-                "self_intersection": c.self_intersection,
-                "coeff": str(c.boundary_coeff),
-            }
-            for c in sorted(config.curves, key=lambda c: c.id)
+            dict(zip(("id", "genus", "self_intersection", "coeff"), row)) for row in curves
         ],
-        "points": [
-            {"id": p.id, "incident": sorted(p.incident)}
-            for p in sorted(config.points, key=lambda p: p.id)
-        ],
+        "points": [dict(zip(("id", "incident"), row)) for row in points],
     }
     if config.picard_rank_of_model is not None:
         doc["picard_rank_of_model"] = config.picard_rank_of_model
@@ -223,15 +220,11 @@ def config_to_json(
 
 
 def config_digest(config: CurveConfig) -> str:
+    """SHA-256 of the canonical rows and the model's Picard rank, as compact JSON."""
+    curves, points = _canonical(config)
     canonical = {
-        "curves": [
-            [c.id, c.genus, c.self_intersection, str(c.boundary_coeff)]
-            for c in sorted(config.curves, key=lambda c: c.id)
-        ],
-        "points": [
-            [p.id, sorted(p.incident)]
-            for p in sorted(config.points, key=lambda p: p.id)
-        ],
+        "curves": curves,
+        "points": points,
         "picard_rank_of_model": config.picard_rank_of_model,
     }
     text = json.dumps(canonical, sort_keys=True, separators=(",", ":"))
@@ -254,7 +247,7 @@ def _fractions_from_json(data: Any, path: str) -> dict[int, Fraction]:
         raise ValueError(f"{path} must be a JSON object, got {data!r}")
     out = {}
     for cid, value in data.items():
-        if not _INTEGER_KEY.fullmatch(cid):
+        if not _INTEGER.fullmatch(cid):
             raise ValueError(f"{path} has a key {cid!r} that is not a curve id")
         out[int(cid)] = _fraction(value, f"{path}.{cid}")
     return out

@@ -26,8 +26,8 @@ from .surface import (
     CurveConfig,
     canonical_degree,
     connected_components,
+    corner_failure,
     gram,
-    pairing,
     require_valid,
     smooth_point_blowdown,
 )
@@ -191,26 +191,6 @@ class Classification(IntEnum):
     KLT = 3
 
 
-def _corner_shape_ok(state: "SurfaceState", component: frozenset[int]) -> bool:
-    """Check that a residual-1 component contracts onto a boundary corner.
-
-    The whole component must contract stepwise to a smooth point, and what
-    survives there must be exactly two curves of coefficient 1 crossing
-    exactly once — a normal-crossing corner of the boundary.
-    """
-    sim = smooth_point_blowdown(state.config, component)
-    if not sim:
-        return False
-    final = sim.final
-    survivors = sorted(final.present)
-    if len(survivors) != 2:
-        return False
-    a, b = survivors
-    if final.coeff(a) != 1 or final.coeff(b) != 1:
-        return False
-    return final.crossings(a, b) == 1
-
-
 @dataclass(frozen=True, eq=False)
 class SurfaceState:
     """A configuration plus the set of curves currently contracted and the base.
@@ -274,8 +254,9 @@ class SurfaceState:
 
         A residual above 1 on a contracted curve rules out log canonical.
         With residuals at most 1, each component carrying a residual-1 curve
-        must contract onto a normal-crossing corner of the boundary — failing
-        that leaves the state merely log canonical.  KLT further requires
+        must contract stepwise to a smooth point that is a normal-crossing
+        corner of the boundary (`surface.corner_failure`) — failing that
+        leaves the state merely log canonical.  KLT further requires
         every residual and every surviving coefficient strictly below 1.
         """
         self._checked
@@ -285,7 +266,8 @@ class SurfaceState:
             return Classification.NOT_LC
         for component in self.components:
             if any(data.residual[cid] == 1 for cid in component):
-                if not _corner_shape_ok(self, component):
+                sim = smooth_point_blowdown(self.config, component)
+                if not sim or corner_failure(sim.final) is not None:
                     return Classification.LOG_CANONICAL
         if all(v < 1 for v in on_s) and all(
             self.config.curve(cid).boundary_coeff < 1 for cid in self.uncontracted
@@ -351,9 +333,16 @@ def pushforward_self_intersection(state: SurfaceState, cid: int) -> Fraction:
     Computed as C·C̄ = C² + Σ λ_j (C·E_j), where C̄ = C + Σ λ_j E_j is the
     pullback of the image and λ are the `correction_multiplicities`.
     """
-    lam = correction_multiplicities(state, cid)
-    return Fraction(pairing(state.config, cid, cid)) + sum(
-        (m * pairing(state.config, cid, j) for j, m in lam.items()), Fraction(0)
+    return image_self_intersection(state.config, cid, correction_multiplicities(state, cid))
+
+
+def image_self_intersection(
+    config: CurveConfig, cid: int, lam: dict[int, Fraction]
+) -> Fraction:
+    """C² + Σ λ_j (C·E_j): the image of `cid` pulls back to C + Σ λ_j E_j."""
+    near = config._adjacency[cid]
+    return config.curve(cid).self_intersection + sum(
+        (m * near.get(j, 0) for j, m in lam.items()), Fraction(0)
     )
 
 

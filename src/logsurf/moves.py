@@ -32,6 +32,7 @@ from .crepant import (
     SurfaceState,
     TargetBase,
     correction_multiplicities,
+    image_self_intersection,
     is_log_crepant,
     lc_centers,
     log_degree,
@@ -45,11 +46,11 @@ from .errors import (
     NotNefError,
     TheoremViolationError,
 )
-from .ratlin import determinant
 from .surface import (
     LocalBlowdownModel,
+    corner_failure,
     gram,
-    pairing,
+    require_unimodular,
     run_contraction,
 )
 
@@ -167,11 +168,7 @@ def is_log_flopping(state: SurfaceState, cid: int) -> FlopCheck:
     if degree != 0:
         return fail("NonzeroLogDegree", f"log degree is {degree}, not 0")
     lam = correction_multiplicities(state, cid)
-    # The image pulls back to C + Σ λ_j E_j, so its square is C² + Σ λ_j (C·E_j).
-    neighbours = state.config.neighbours(cid)
-    image_self = state.config.curve(cid).self_intersection + sum(
-        (m * neighbours.get(j, 0) for j, m in lam.items()), Fraction(0)
-    )
+    image_self = image_self_intersection(state.config, cid, lam)
     if image_self >= 0:
         return fail("ImageNotNegative", f"image self-intersection is {image_self} ≥ 0")
     for center in lc_centers(state):
@@ -182,8 +179,8 @@ def is_log_flopping(state: SurfaceState, cid: int) -> FlopCheck:
                 "MeetsNodeCenter",
                 f"curve {cid} passes through corner point {center.point}",
             )
-        if isinstance(center, ComponentImage) and any(
-            pairing(state.config, cid, member) > 0 for member in center.component
+        if isinstance(center, ComponentImage) and not center.component.isdisjoint(
+            state.config._adjacency[cid]
         ):
             return fail(
                 "MeetsComponentImage",
@@ -357,22 +354,17 @@ def is_log_blowdown(state: SurfaceState, cid: int) -> BlowdownCheck:
         return fail("CoefficientNotOne", f"coefficient is {curve.boundary_coeff}")
     if curve.genus != 0:
         return fail("PositiveGenus", f"genus is {curve.genus}")
+    near = state.config._adjacency[cid]
     adjacent: set[int] = set()
     for component in state.components:
-        if any(pairing(state.config, cid, member) > 0 for member in component):
+        if not component.isdisjoint(near):
             adjacent |= component
     model = LocalBlowdownModel.from_config(state.config, adjacent | {cid})
     sim = run_contraction(model, restrict_to=adjacent)
     if not sim:
         return fail("AdjacentSetNotContractible", f"{sim.reason}: {sim.detail}", sim.order)
     if adjacent:
-        det = determinant(gram(state.config, sorted(adjacent)))
-        if abs(det) != 1:
-            raise TheoremViolationError(
-                f"set {sorted(adjacent)} contracted to smooth points but its Gram "
-                f"determinant is {det}"
-            )
-    local_before = model.clone()
+        require_unimodular(adjacent, gram(state.config, sorted(adjacent)))
     if model.self_intersection(cid) != -1:
         return fail(
             "ImageNotMinusOne",
@@ -394,23 +386,15 @@ def is_log_blowdown(state: SurfaceState, cid: int) -> BlowdownCheck:
             f"{model.crossings(cid, a)}, {model.crossings(cid, b)}",
             sim.order,
         )
-    if model.coeff(a) != 1 or model.coeff(b) != 1:
-        return fail(
-            "BoundaryCoefficientBelowOne",
-            f"curves {a}, {b} have coefficients {model.coeff(a)}, {model.coeff(b)}",
-            sim.order,
-        )
-    after = model.clone()
-    after.contract(cid)
-    if after.crossings(a, b) != 1:
-        return fail(
-            "NoCornerAtImage",
-            f"after the final contraction curves {a}, {b} cross "
-            f"{after.crossings(a, b)} times",
-            sim.order,
-        )
+    # Every other curve of the model met a contracted component, so it now
+    # meets the image: contracting the image leaves exactly a and b.
+    local_before = model.clone()
+    model.contract(cid)
+    failure = corner_failure(model)
+    if failure is not None:
+        return fail(*failure, sim.order)
     return BlowdownCheck(
-        state, cid, True, None, None, sim.order + (cid,), local_before, after
+        state, cid, True, None, None, sim.order + (cid,), local_before, model
     )
 
 

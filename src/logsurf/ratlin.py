@@ -24,7 +24,8 @@ from .errors import SingularMatrixError
 Rat = Fraction
 
 
-def _exact(value: Rat | int) -> Fraction | int:
+def exact(value: Rat | int) -> Fraction | int:
+    """`value` as a `Fraction` or plain `int`; a float raises ``TypeError``."""
     if isinstance(value, Fraction):
         return value
     if isinstance(value, int):
@@ -42,7 +43,7 @@ class SymMatrix:
     __slots__ = ("_rows", "_factor")
 
     def __init__(self, rows: Iterable[Iterable[Rat | int]]):
-        mat = tuple(tuple(_exact(x) for x in row) for row in rows)
+        mat = tuple(tuple(exact(x) for x in row) for row in rows)
         for row in mat:
             if len(row) != len(mat):
                 raise ValueError("matrix must be square")
@@ -188,7 +189,7 @@ class DefiniteFactor:
             raise ValueError(f"rhs has length {len(rhs)}, matrix has {n} rows")
         if n == 0:
             return ()
-        b = [_exact(v) for v in rhs]
+        b = [exact(v) for v in rhs]
         e = 1
         for v in b:
             e = math.lcm(e, v.denominator)
@@ -257,7 +258,7 @@ def solve_symmetric(
     n = matrix.n
     if len(rhs) != n:
         raise ValueError(f"rhs has length {len(rhs)}, matrix has {n} rows")
-    b = [_exact(v) for v in rhs]
+    b = [exact(v) for v in rhs]
     a, d = _integer_rows(matrix)
     e = 1
     for v in b:

@@ -13,7 +13,7 @@ import itertools
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property
-from typing import Iterable, Sequence
+from typing import Iterable, KeysView, Sequence
 
 from .errors import (
     BadCoefficientError,
@@ -22,15 +22,7 @@ from .errors import (
     UnknownIdError,
     UnknownTargetError,
 )
-from .ratlin import DefiniteFactor, SymMatrix, determinant, is_negative_definite
-
-
-def as_coeff(value: Fraction | int) -> Fraction:
-    if isinstance(value, Fraction):
-        return value
-    if isinstance(value, int):
-        return Fraction(value)
-    raise TypeError(f"expected an exact rational coefficient, got {type(value).__name__}")
+from .ratlin import DefiniteFactor, SymMatrix, determinant, exact, is_negative_definite
 
 
 @dataclass(frozen=True)
@@ -89,7 +81,7 @@ class CurveConfig:
                 raise ValueError(f"point {pid} lists a curve twice: {list(row)}")
             built_points.append(CrossingPoint(pid, members))
         return cls(
-            tuple(Curve(i, g, s, as_coeff(d)) for i, g, s, d in curves),
+            tuple(Curve(i, g, s, Fraction(exact(d))) for i, g, s, d in curves),
             tuple(built_points),
             picard_rank_of_model,
         )
@@ -103,34 +95,19 @@ class CurveConfig:
         return {p.id: p for p in self.points}
 
     @cached_property
-    def _cross_counts(self) -> dict[tuple[int, int], int]:
-        counts: dict[tuple[int, int], int] = {}
-        for p in self.points:
-            if len(p.incident) == 2:
-                a, b = sorted(p.incident)
-                counts[(a, b)] = counts.get((a, b), 0) + 1
-        return counts
-
-    @cached_property
     def _adjacency(self) -> dict[int, dict[int, int]]:
         """Each curve's neighbours mapped to their crossing counts.
 
-        Every curve has an entry, empty when it meets nothing.
+        Every curve has an entry, empty when it meets nothing.  This is the
+        configuration's only crossing table.
         """
         adjacency: dict[int, dict[int, int]] = {c.id: {} for c in self.curves}
-        for (a, b), count in self._cross_counts.items():
-            adjacency.setdefault(a, {})[b] = count
-            adjacency.setdefault(b, {})[a] = count
-        return adjacency
-
-    @cached_property
-    def _points_by_curve(self) -> dict[int, tuple[int, ...]]:
-        by_curve: dict[int, list[int]] = {c.id: [] for c in self.curves}
         for p in self.points:
-            for cid in p.incident:
-                if cid in by_curve:
-                    by_curve[cid].append(p.id)
-        return {cid: tuple(pids) for cid, pids in by_curve.items()}
+            if len(p.incident) == 2:
+                a, b = p.incident
+                row = adjacency.setdefault(a, {})
+                row[b] = adjacency.setdefault(b, {})[a] = row.get(b, 0) + 1
+        return adjacency
 
     @cached_property
     def _factor_memo(self) -> dict[frozenset[int], tuple[tuple[int, ...], DefiniteFactor] | None]:
@@ -236,8 +213,7 @@ def pairing(config: CurveConfig, i: int, j: int) -> int:
     if i == j:
         return ci.self_intersection
     config.curve(j)
-    a, b = sorted((i, j))
-    return config._cross_counts.get((a, b), 0)
+    return config._adjacency[i].get(j, 0)
 
 
 def canonical_degree(config: CurveConfig, i: int) -> int:
@@ -282,7 +258,7 @@ def blow_up(
     coefficient; curves through the centre lose 1 from their self-intersection
     and meet the new curve transversally.  A blown-up marked point disappears.
     """
-    coeff = as_coeff(new_coeff)
+    coeff = Fraction(exact(new_coeff))
     if not (0 <= coeff <= 1):
         raise BadCoefficientError(f"coefficient {coeff} outside [0, 1]")
     new_cid = next_curve_id(config)
@@ -368,44 +344,41 @@ def gram(config: CurveConfig, ordered_ids: Sequence[int]) -> SymMatrix:
     if len(set(ids)) != len(ids):
         raise ValueError("curve ids must be distinct")
     selves = [config.curve(i).self_intersection for i in ids]
-    counts = config._cross_counts
+    adjacency = config._adjacency
     rows = []
     for k, i in enumerate(ids):
+        near = adjacency[i]
         # tuple(<genexpr>) would be resized after allocation and freed into
         # another size class, filling the tuple free lists; a list is exact.
-        row = [counts.get((i, j) if i < j else (j, i), 0) for j in ids]
+        row = [near.get(j, 0) for j in ids]
         row[k] = selves[k]
         rows.append(tuple(row))
     return SymMatrix._trusted(tuple(rows))
 
 
-def _pair_key(a: int, b: int) -> tuple[int, int]:
-    return (a, b) if a < b else (b, a)
-
-
 class LocalBlowdownModel:
     """Mutable scratch model of a curve subset plus its adjacent curves.
 
-    Tracks live self-intersections and pairwise crossing counts while core
-    curves get contracted one at a time.  Crossing counts are keyed on
-    unordered pairs, so the pairing stays symmetric by construction.
+    Tracks live self-intersections and crossing counts while core curves get
+    contracted one at a time.  Crossings are per-curve partner maps, curve →
+    {partner: count}, holding both ends of every crossing, so the pairing
+    stays symmetric; the present curves are the map's keys.  Genus and
+    coefficient never change under contraction, so clones share them.
     """
 
     def __init__(
         self,
         core: set[int],
-        present: set[int],
+        links: dict[int, dict[int, int]],
         genus: dict[int, int],
         coeff: dict[int, Fraction],
         selves: dict[int, int],
-        mult: dict[tuple[int, int], int],
     ):
         self.core = core
-        self.present = present
+        self._links = links
         self._genus = genus
         self._coeff = coeff
         self._selves = selves
-        self._mult = mult
 
     @classmethod
     def from_config(cls, config: CurveConfig, core: Iterable[int]) -> "LocalBlowdownModel":
@@ -416,30 +389,27 @@ class LocalBlowdownModel:
         present = set(core_set)
         for cid in core_set:
             present.update(adjacency[cid])
-        mult = {
-            (a, b): count
-            for a in present
-            for b, count in adjacency[a].items()
-            if a < b and b in present
-        }
+        curves = [config.curve(cid) for cid in present]
         return cls(
             core_set,
-            present,
-            {cid: config.curve(cid).genus for cid in present},
-            {cid: config.curve(cid).boundary_coeff for cid in present},
-            {cid: config.curve(cid).self_intersection for cid in present},
-            mult,
+            {c.id: {b: n for b, n in adjacency[c.id].items() if b in present} for c in curves},
+            {c.id: c.genus for c in curves},
+            {c.id: c.boundary_coeff for c in curves},
+            {c.id: c.self_intersection for c in curves},
         )
 
     def clone(self) -> "LocalBlowdownModel":
         return LocalBlowdownModel(
             set(self.core),
-            set(self.present),
-            dict(self._genus),
-            dict(self._coeff),
+            {cid: dict(near) for cid, near in self._links.items()},
+            self._genus,
+            self._coeff,
             dict(self._selves),
-            dict(self._mult),
         )
+
+    @property
+    def present(self) -> KeysView[int]:
+        return self._links.keys()
 
     def coeff(self, cid: int) -> Fraction:
         return self._coeff[cid]
@@ -448,12 +418,10 @@ class LocalBlowdownModel:
         return self._selves[cid]
 
     def crossings(self, a: int, b: int) -> int:
-        return self._mult.get(_pair_key(a, b), 0)
+        return self._links.get(a, {}).get(b, 0)
 
     def partners(self, cid: int) -> tuple[int, ...]:
-        return tuple(
-            sorted(o for o in self.present if o != cid and self.crossings(o, cid) > 0)
-        )
+        return tuple(sorted(self._links.get(cid, ())))
 
     def is_candidate(self, cid: int) -> bool:
         """A rational current (−1)-curve; the raw material of a contraction."""
@@ -464,30 +432,48 @@ class LocalBlowdownModel:
         two partners, each met exactly once."""
         if not self.is_candidate(cid):
             return False
-        partners = self.partners(cid)
-        if len(partners) > 2:
-            return False
-        return all(self.crossings(p, cid) == 1 for p in partners)
+        near = self._links[cid]
+        return len(near) <= 2 and all(count == 1 for count in near.values())
 
     def contract(self, cid: int) -> None:
         """Contract `cid`: A·B += (A·e)(B·e) for surviving pairs, A² += (A·e)²."""
-        if cid not in self.present:
+        links = self._links
+        if cid not in links:
             raise UnknownIdError(f"curve {cid} not present in local model")
-        partners = self.partners(cid)
-        for a, b in itertools.combinations(partners, 2):
-            key = _pair_key(a, b)
-            self._mult[key] = self._mult.get(key, 0) + self.crossings(a, cid) * self.crossings(
-                b, cid
-            )
-        for a in partners:
-            self._selves[a] += self.crossings(a, cid) ** 2
-        self.present.discard(cid)
+        near = links.pop(cid)
+        for a, b in itertools.combinations(near, 2):
+            row = links[a]
+            row[b] = links[b][a] = row.get(b, 0) + near[a] * near[b]
+        for a, count in near.items():
+            del links[a][cid]
+            self._selves[a] += count * count
         self.core.discard(cid)
-        for key in [k for k in self._mult if cid in k]:
-            del self._mult[key]
         del self._selves[cid]
-        del self._genus[cid]
-        del self._coeff[cid]
+
+
+def corner_failure(final: LocalBlowdownModel) -> tuple[str, str] | None:
+    """Why the curves left by a finished contraction form no boundary corner.
+
+    A corner, what a log blow-down undoes, is exactly two surviving curves,
+    both of coefficient 1, crossing exactly once.  Returns (reason, detail)
+    for the first condition that fails, or None at a corner.
+    """
+    survivors = sorted(final.present)
+    if len(survivors) != 2:
+        return "BoundaryNotTwoCurves", f"{len(survivors)} curves survive: {survivors}"
+    a, b = survivors
+    if final.coeff(a) != 1 or final.coeff(b) != 1:
+        return (
+            "BoundaryCoefficientBelowOne",
+            f"curves {a}, {b} have coefficients {final.coeff(a)}, {final.coeff(b)}",
+        )
+    if final.crossings(a, b) != 1:
+        return (
+            "NoCornerAtImage",
+            f"after the final contraction curves {a}, {b} cross "
+            f"{final.crossings(a, b)} times",
+        )
+    return None
 
 
 NO_MINUS_ONE = "NoMinusOne"
@@ -555,9 +541,17 @@ def smooth_point_blowdown(config: CurveConfig, gamma: Iterable[int]) -> Blowdown
     if not is_negative_definite(matrix):
         raise ValueError("gram matrix of gamma must be negative definite")
     result = run_contraction(LocalBlowdownModel.from_config(config, gamma_set))
-    if result.ok and abs(determinant(matrix)) != 1:
-        raise TheoremViolationError(
-            f"set {sorted(gamma_set)} contracted to a smooth point but its Gram "
-            f"determinant is {determinant(matrix)}"
-        )
+    if result.ok:
+        require_unimodular(gamma_set, matrix)
     return result
+
+
+def require_unimodular(ids: Iterable[int], matrix: SymMatrix) -> None:
+    """Raise ``TheoremViolationError`` unless `matrix`, the Gram matrix of a
+    set `ids` that contracted to smooth points, has determinant ±1."""
+    det = determinant(matrix)
+    if abs(det) != 1:
+        raise TheoremViolationError(
+            f"set {sorted(ids)} contracted to smooth points but its Gram "
+            f"determinant is {det}"
+        )

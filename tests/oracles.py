@@ -9,6 +9,7 @@ by explicit bounded blow-up towers.
 
 from __future__ import annotations
 
+import copy
 import itertools
 from fractions import Fraction
 
@@ -282,29 +283,82 @@ def explore_decomposition_orders(config: CurveConfig, s1, s2):
     return explore(s1)
 
 
+# ---------------------------------------------------------------------------
+# stepwise contraction over a dense pair table
+
+class DenseContraction:
+    """A curve set plus every curve meeting it, contracted one curve at a time.
+
+    Self-intersections and a dense table of every ordered pair's crossing
+    count are recounted from the raw point lists; contracting e adds
+    (A·e)(B·e) to every surviving pair A, B and (A·e)² to every A².
+    """
+
+    def __init__(self, config: CurveConfig, core) -> None:
+        counts = crossing_counts(config)
+        ids = [c.id for c in config.curves]
+        core = set(core)
+        near = {
+            o for o in ids for m in core
+            if o != m and raw_pairing(config, counts, o, m) > 0
+        }
+        self.genus = {c.id: c.genus for c in config.curves}
+        self.core = core
+        self.selves = {c: raw_pairing(config, counts, c, c) for c in core | near}
+        self.table = {
+            (a, b): raw_pairing(config, counts, a, b)
+            for a in self.selves for b in self.selves if a != b
+        }
+
+    def eligible(self, e: int) -> bool:
+        """A rational (−1)-curve meeting at most two curves, each once."""
+        met = [self.table[(e, o)] for o in self.selves if o != e and self.table[(e, o)]]
+        return (
+            self.genus[e] == 0 and self.selves[e] == -1
+            and len(met) <= 2 and all(m == 1 for m in met)
+        )
+
+    def contract(self, e: int) -> None:
+        rest = [a for a in self.selves if a != e]
+        for a in rest:
+            self.selves[a] += self.table[(a, e)] ** 2
+            for b in rest:
+                if b != a:
+                    self.table[(a, b)] += self.table[(a, e)] * self.table[(b, e)]
+        for a in rest:
+            del self.table[(a, e)], self.table[(e, a)]
+        del self.selves[e]
+        self.core.discard(e)
+
+    def lowest_id_order(self, pool) -> tuple[int, ...]:
+        """Contract the lowest eligible curve of `pool` until none is left."""
+        pool = set(pool)
+        order = []
+        while (pick := next((c for c in sorted(pool) if self.eligible(c)), None)) is not None:
+            self.contract(pick)
+            pool.discard(pick)
+            order.append(pick)
+        return tuple(order)
+
+
 def all_contraction_orders(config: CurveConfig, gamma) -> set[str]:
     """Outcomes ("ok"/"fail") of every eligible-choice contraction order."""
-    from logsurf import LocalBlowdownModel
-
     results: set[str] = set()
 
-    def rec(model) -> None:
+    def rec(model: DenseContraction) -> None:
         if not model.core:
             results.add("ok")
             return
-        eligible = [
-            c for c in sorted(model.core)
-            if model.is_candidate(c) and model.is_eligible(c)
-        ]
+        eligible = [c for c in sorted(model.core) if model.eligible(c)]
         if not eligible:
             results.add("fail")
             return
         for pick in eligible:
-            branch = model.clone()
+            branch = copy.deepcopy(model)
             branch.contract(pick)
             rec(branch)
 
-    rec(LocalBlowdownModel.from_config(config, gamma))
+    rec(DenseContraction(config, gamma))
     return results
 
 

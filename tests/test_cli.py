@@ -1,6 +1,8 @@
 """Command-line behaviour: documents, exit codes, determinism, DOT output."""
 
+import contextlib
 import importlib
+import io
 import json
 import shutil
 import subprocess
@@ -9,6 +11,7 @@ import sysconfig
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import helpers
 from logsurf import StuckInPhase2Error, TheoremViolationError
@@ -181,6 +184,58 @@ class TestStrictDocuments:
         err = capsys.readouterr().err
         assert named in err
         assert "Traceback" not in err
+
+
+_LEAF = (
+    st.none() | st.booleans() | st.integers(-3, 3) | st.floats(-3, 3)
+    | st.sampled_from(["", "0", "1", "1/2", "-1", "2/0", "1e-1", "0.5", " 1", "x"])
+)
+_JUNK = st.recursive(
+    _LEAF,
+    lambda kids: st.lists(kids, max_size=3)
+    | st.dictionaries(st.sampled_from(["id", "incident", "target", "coeff", "x"]), kids, max_size=3),
+    max_leaves=8,
+)
+
+
+def _mostly(good):
+    """Usually a well-formed value, sometimes anything JSON can hold."""
+    return st.one_of(good, good, good, _JUNK)
+
+
+_ID = st.integers(0, 4)
+_CURVE = st.fixed_dictionaries({}, optional={
+    "id": _mostly(_ID),
+    "genus": _mostly(st.integers(0, 1)),
+    "self_intersection": _mostly(st.integers(-4, 1)),
+    "coeff": _mostly(st.sampled_from([0, 1, "0", "1", "1/2", "2/3"])),
+})
+_POINT = st.fixed_dictionaries({}, optional={
+    "id": _mostly(_ID),
+    "incident": _mostly(st.lists(_ID, max_size=3)),
+})
+_SCENARIO = st.fixed_dictionaries({}, optional={
+    "curves": _mostly(st.lists(_mostly(_CURVE), max_size=4)),
+    "points": _mostly(st.lists(_mostly(_POINT), max_size=4)),
+    "contracted": _mostly(st.lists(_ID, max_size=3)),
+    "base": _mostly(st.just("point") | st.fixed_dictionaries({"target": st.lists(_ID, max_size=4)})),
+    "picard_rank_of_model": _mostly(st.integers(0, 5)),
+})
+
+
+class TestReaderFuzz:
+    """Every scenario document, however malformed, exits 0 or 2 and never raises."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(st.one_of(_SCENARIO.map(json.dumps), _JUNK.map(json.dumps), st.text(max_size=12)))
+    def test_commands_exit_0_or_2(self, tmp_path_factory, text):
+        path = tmp_path_factory.mktemp("fuzz") / "scenario.json"
+        path.write_text(text, encoding="utf-8")
+        for command in ("validate", "classify", "flops", "minimize", "dot"):
+            out = io.StringIO()
+            with contextlib.redirect_stdout(out), contextlib.redirect_stderr(out):
+                code = cli.main([command, str(path)])
+            assert code in (0, 2), (command, text, out.getvalue())
 
 
 class TestClassifyAndDiscrepancies:
@@ -385,6 +440,18 @@ class TestBlowupCommand:
     def test_bad_target_exits_2(self, du_val, tmp_path, capsys):
         out = str(tmp_path / "out.json")
         assert cli.main(["blowup", du_val, "--at", "nowhere", "--coeff", "0", "-o", out]) == 2
+
+    @pytest.mark.parametrize(
+        "at, bad",
+        [("point:0_1", "0_1"), ("point: 1", " 1"), ("free:0_2", "0_2"), ("free:+1", "+1")],
+    )
+    def test_malformed_target_id_exits_2(self, tmp_path, capsys, at, bad):
+        # int() alone reads each of these as the id 1 or 2.
+        out = tmp_path / "out.json"
+        corner = str(SCENARIOS / "boundary-corner.json")
+        assert cli.main(["blowup", corner, "--at", at, "--coeff", "1", "-o", str(out)]) == 2
+        assert f"bad id {bad!r}" in capsys.readouterr().err
+        assert not out.exists()
 
 
 class TestDotCommand:

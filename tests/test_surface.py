@@ -10,22 +10,30 @@ import oracles
 from logsurf import (
     BadCoefficientError,
     CurveConfig,
+    LocalBlowdownModel,
+    SurfaceState,
+    SymMatrix,
+    TargetBase,
+    TheoremViolationError,
     UnknownIdError,
     UnknownTargetError,
     at_point,
     blow_up,
     canonical_degree,
     connected_components,
+    decompose_morphism,
     free_point_on,
     generate_crepant_pair,
     generic_point,
     gram,
+    is_log_blowdown,
     next_curve_id,
     next_point_id,
     pairing,
     smooth_point_blowdown,
     validate_config,
 )
+from logsurf.surface import corner_failure, require_unimodular
 
 
 class TestValidation:
@@ -333,6 +341,26 @@ class TestSmoothPointBlowdown:
             if smooth_point_blowdown(config, gamma):
                 assert abs(determinant(gram(config, sorted(gamma)))) == 1
 
+    def test_clone_contracts_independently(self):
+        model = LocalBlowdownModel.from_config(helpers.corner_twice(), [3, 4])
+        branch = model.clone()
+        branch.contract(4)
+        assert sorted(model.present) == [1, 2, 3, 4]
+        assert model.partners(3) == (1, 2, 4) and model.self_intersection(3) == -2
+        assert sorted(branch.present) == [1, 2, 3]
+        assert branch.partners(3) == (1, 2) and branch.self_intersection(3) == -1
+        assert branch.core == {3} and model.core == {3, 4}
+
+    def test_corner_failure_names_the_first_broken_condition(self):
+        assert corner_failure(smooth_point_blowdown(helpers.corner_twice(), [3, 4]).final) is None
+        lone = smooth_point_blowdown(CurveConfig.build([(1, 0, -1, 0)]), [1]).final
+        assert corner_failure(lone) == ("BoundaryNotTwoCurves", "0 curves survive: []")
+
+    def test_unimodularity_postcondition(self):
+        require_unimodular([1], SymMatrix([[-1]]))
+        with pytest.raises(TheoremViolationError, match="determinant is -2"):
+            require_unimodular([1], SymMatrix([[-2]]))
+
     def test_order_robustness_on_small_sets(self):
         # every eligible-choice order reaches the same verdict as the
         # deterministic lowest-id driver
@@ -349,3 +377,92 @@ class TestSmoothPointBlowdown:
             assert len(outcomes) == 1
             library_ok = bool(smooth_point_blowdown(cfg, gamma))
             assert outcomes == ({"ok"} if library_ok else {"fail"})
+
+
+class TestSimulatorAgainstDenseOracle:
+    """The contraction simulator against `oracles.DenseContraction`.
+
+    On the blow-down checks of decomposed depth-12 towers and on the
+    residual-1 components of their sub-states, the library's contraction
+    order is the oracle's lowest-id order, and the self-intersections and
+    crossing counts left after it are the ones the oracle's dense table
+    reaches along that order.
+    """
+
+    SEEDS = range(8)
+    EARLY = {"NotExceptionalOverBase", "CoefficientNotOne", "PositiveGenus"}
+
+    @staticmethod
+    def assert_same_model(model, oracle):
+        assert set(model.present) == set(oracle.selves)
+        for a in oracle.selves:
+            assert model.self_intersection(a) == oracle.selves[a]
+            for b in oracle.selves:
+                if b != a:
+                    assert model.crossings(a, b) == oracle.table[(a, b)]
+
+    @staticmethod
+    def tower(seed):
+        template = helpers.corner() if seed % 2 == 0 else helpers.boundary_chain()
+        return generate_crepant_pair(template, 12, seed)
+
+    def test_blowdown_checks(self):
+        compared = passed = 0
+        for seed in self.SEEDS:
+            spec = self.tower(seed)
+            config = spec.config
+            trace = decompose_morphism(spec)
+            contracted = set(trace.start)
+            for step in trace.steps + (None,):
+                state = SurfaceState(config, contracted, TargetBase(trace.end))
+                counts = oracles.crossing_counts(config)
+                for cid in sorted(trace.end - contracted):
+                    check = is_log_blowdown(state, cid)
+                    if check.reason in self.EARLY:
+                        continue
+                    adjacent = set().union(*(
+                        comp
+                        for comp in oracles.raw_components(config, contracted)
+                        if any(oracles.raw_pairing(config, counts, cid, m) for m in comp)
+                    ))
+                    oracle = oracles.DenseContraction(config, adjacent | {cid})
+                    order = oracle.lowest_id_order(adjacent)
+                    compared += 1
+                    if check.reason == "AdjacentSetNotContractible":
+                        assert check.order == order and oracle.core & adjacent
+                        continue
+                    assert not oracle.core & adjacent
+                    if not check:
+                        assert check.order == order
+                        continue
+                    passed += 1
+                    assert check.order == order + (cid,)
+                    self.assert_same_model(check.local_before, oracle)
+                    oracle.contract(cid)
+                    self.assert_same_model(check.local_after, oracle)
+                if step is not None:
+                    contracted.add(step.curve)
+        assert passed >= len(self.SEEDS) and compared > passed
+
+    def test_residual_one_components_of_sub_states(self):
+        import random
+
+        compared = 0
+        for seed in self.SEEDS:
+            spec = self.tower(seed)
+            config = spec.config
+            ids = sorted(spec.target_contracted)
+            rng = random.Random(f"sub-states:{seed}")
+            for size in range(1, len(ids) + 1, 2):
+                picked = rng.sample(ids, size)
+                residual = SurfaceState(config, picked).crepant.residual
+                for comp in oracles.raw_components(config, picked):
+                    if not any(residual[cid] == 1 for cid in comp):
+                        continue
+                    sim = smooth_point_blowdown(config, comp)
+                    oracle = oracles.DenseContraction(config, comp)
+                    assert sim.order == oracle.lowest_id_order(comp)
+                    assert sim.ok == (not oracle.core)
+                    self.assert_same_model(sim.final, oracle)
+                    compared += 1
+        assert compared >= 2 * len(self.SEEDS)
