@@ -21,16 +21,18 @@ from .errors import (
     NotNestedError,
     UnknownIdError,
 )
-from .ratlin import DefiniteFactor, is_negative_definite, solve_symmetric
+from .ratlin import solve_symmetric
 from .surface import (
+    Block,
     CurveConfig,
     canonical_degree,
-    connected_components,
     corner_failure,
-    gram,
+    factor_blocks,
     require_valid,
     smooth_point_blowdown,
 )
+
+_ZERO = Fraction(0)
 
 
 @dataclass(frozen=True)
@@ -83,61 +85,18 @@ class CrepantData:
         return {cid: -self.residual[cid] for cid in sorted(self.contracted)}
 
 
-Factored = tuple[tuple[int, ...], DefiniteFactor]
-
-
-def _factor(config: CurveConfig, ids: frozenset[int]) -> Factored | None:
-    """The factor of the Gram matrix of a nonempty set, with its row order.
-
-    None when the matrix is not negative definite.  Each set is factored
-    once per configuration.  A set whose parent S∖{c} is memoised borders
-    the parent's factor by c in O(n²), building no Gram matrix, and inherits
-    a parent's None, since every principal block of a negative-definite
-    matrix is negative definite.  Any other set, every singleton included,
-    builds its Gram matrix once and eliminates it once.
-    """
-    memo = config._factor_memo
-    try:
-        return memo[ids]
-    except KeyError:
-        pass
-    if len(ids) > 1:
-        # Drivers contract the lowest passing id, so the newest curve is
-        # usually the largest: try it first.
-        for cid in sorted(ids, reverse=True):
-            rest = ids - {cid}
-            if rest not in memo:
-                continue
-            parent = memo[rest]
-            entry = None
-            if parent is not None:
-                order, factor = parent
-                self_sq = config.curve(cid).self_intersection
-                row = config._adjacency[cid]
-                bordered = factor.border([row.get(j, 0) for j in order], self_sq)
-                if bordered is not None:
-                    entry = (order + (cid,), bordered)
-            memo[ids] = entry
-            return entry
-    order = tuple(sorted(ids))
-    matrix = gram(config, order)
-    entry = memo[ids] = (order, matrix.factor) if is_negative_definite(matrix) else None
-    return entry
-
-
-def _require_contractible(config: CurveConfig, ids: frozenset[int]) -> Factored | None:
+def _require_contractible(config: CurveConfig, ids: frozenset[int]) -> tuple[Block, ...]:
     """Raise unless the Gram matrix of `ids` is negative definite.
 
-    Returns the set's memoised (order, factor), or None for the empty set.
+    Returns the set's memoised blocks, one per connected component; the
+    empty set has none.
     """
-    if not ids:
-        return None
-    entry = _factor(config, ids)
-    if entry is None:
+    blocks = factor_blocks(config, ids)
+    if blocks is None:
         raise InvalidStateError(
             f"gram matrix of {sorted(ids)} is not negative definite; the set is not contractible"
         )
-    return entry
+    return blocks
 
 
 def crepant_pullback(config: CurveConfig, contracted: Iterable[int]) -> CrepantData:
@@ -147,8 +106,9 @@ def crepant_pullback(config: CurveConfig, contracted: Iterable[int]) -> CrepantD
     the Gram system  Σ_j e_j (C_j·C_i) = −deg K|_i − Σ_k d_k (C_k·C_i)  over
     contracted j and uncontracted k.  The Gram matrix of a contractible set is
     negative definite, hence invertible, so the solution exists and is unique.
-    Each set is solved once per configuration, from its memoised factor;
-    every call returns a fresh copy of the memoised solution.
+    Each set is solved once per configuration, block by block from its
+    memoised factors; every call returns a fresh copy of the memoised
+    solution.
     """
     key = frozenset(contracted)
     memo = config._crepant_memo
@@ -161,11 +121,12 @@ def crepant_pullback(config: CurveConfig, contracted: Iterable[int]) -> CrepantD
 def _solve_pullback(config: CurveConfig, key: frozenset[int]) -> CrepantData:
     for cid in sorted(key):
         config.curve(cid)
-    entry = _require_contractible(config, key)
+    blocks = _require_contractible(config, key)
     residual = {c.id: c.boundary_coeff for c in config.curves}
-    if entry is not None:
-        order, factor = entry
-        adjacency = config._adjacency
+    adjacency = config._adjacency
+    # A block's right-hand side reads only its own curves and the curves
+    # outside the set, so each block is solved on its own.
+    for order, factor in blocks:
         rhs = []
         for i in order:
             acc = Fraction(canonical_degree(config, i))
@@ -245,8 +206,11 @@ class SurfaceState:
 
     @cached_property
     def components(self) -> tuple[frozenset[int], ...]:
+        """The connected components of the contracted set, by least id: the
+        curve sets of its memoised blocks."""
         self._checked
-        return connected_components(self.config, self.contracted)
+        blocks = _require_contractible(self.config, self.contracted)
+        return tuple(sorted((frozenset(order) for order, _ in blocks), key=min))
 
     @cached_property
     def classification(self) -> Classification:
@@ -350,19 +314,20 @@ def correction_multiplicities(state: SurfaceState, cid: int) -> dict[int, Fracti
     """Multiplicities λ_j of the contracted curves in the pullback of `cid`'s image.
 
     They solve gram(S)·λ = −(C·E_j)_j over the contracted set S, which must
-    not contain `cid`, from the set's memoised factor in O(|S|²).
+    not contain `cid`, from the set's memoised blocks: only the components
+    that `cid` meets have a nonzero right-hand side, so only their blocks
+    are solved, each in O(n²); elsewhere λ is exactly 0.
     """
     state._checked
     state.config.curve(cid)
     if cid in state.contracted:
         raise InvalidStateError(f"curve {cid} is contracted; its image is a point")
-    entry = _require_contractible(state.config, state.contracted)
-    if entry is None:
-        return {}
-    order, factor = entry
-    row = state.config._adjacency[cid]
-    lam = solve_symmetric(factor, [-row.get(j, 0) for j in order])
-    return dict(sorted(zip(order, lam)))
+    near = state.config._adjacency[cid]
+    lam = dict.fromkeys(state.contracted, _ZERO)
+    for order, factor in _require_contractible(state.config, state.contracted):
+        if not near.keys().isdisjoint(order):
+            lam.update(zip(order, solve_symmetric(factor, [-near.get(j, 0) for j in order])))
+    return dict(sorted(lam.items()))
 
 
 def log_degree(state: SurfaceState, cid: int) -> Fraction:

@@ -52,6 +52,7 @@ from .moves import (
 )
 from .surface import (
     BlowUpTarget,
+    CrossingPoint,
     CurveConfig,
     at_point,
     blow_up,
@@ -343,25 +344,42 @@ def generate_crepant_pair(
     require_valid(template)
     rng = random.Random(seed)
     config = template
+    coeff = {c.id: c.boundary_coeff for c in config.curves}
+    # The admissible centres, kept in the order a full rescan would list
+    # them: crossing points by id, then coefficient-1 curves in curve order.
+    # A blow-up removes at most its centre and appends its new points and
+    # curve with the largest ids (`blow_up`), so each step only appends.
+    at_points: dict[int, tuple[BlowUpTarget, Fraction]] = {}
+
+    def admit(point: CrossingPoint) -> None:
+        if len(point.incident) == 2:
+            a, b = point.incident
+            total = coeff[a] + coeff[b]
+            if total >= 1:
+                at_points[point.id] = (at_point(point.id), total - 1)
+
+    for p in sorted(config.points, key=lambda p: p.id):
+        admit(p)
+    on_curves: list[tuple[BlowUpTarget, Fraction | int]] = [
+        (free_point_on(cid), 0) for cid, d in coeff.items() if d == 1
+    ]
     new_ids: list[int] = []
     for _ in range(depth):
-        choices: list[tuple[BlowUpTarget, Fraction | int]] = []
-        for p in sorted(config.points, key=lambda p: p.id):
-            if len(p.incident) == 2:
-                total = sum(
-                    (config.curve(cid).boundary_coeff for cid in p.incident),
-                    start=0,
-                )
-                if total >= 1:
-                    choices.append((at_point(p.id), total - 1))
-        for c in config.curves:
-            if c.boundary_coeff == 1:
-                choices.append((free_point_on(c.id), 0))
-        if not choices:
+        if not at_points and not on_curves:
             raise NoAdmissibleTargetError(
                 "the configuration offers no crepant blow-up centre"
             )
-        target, coeff = rng.choice(choices)
-        new_ids.append(next_curve_id(config))
-        config = blow_up(config, target, coeff)
+        target, new_coeff = rng.choice([*at_points.values(), *on_curves])
+        new_cid = next_curve_id(config)
+        new_ids.append(new_cid)
+        before = len(config.points)
+        if target.kind == "point":
+            del at_points[target.ref]
+            before -= 1
+        config = blow_up(config, target, new_coeff)
+        coeff[new_cid] = config.curve(new_cid).boundary_coeff
+        for p in config.points[before:]:
+            admit(p)
+        if coeff[new_cid] == 1:
+            on_curves.append((free_point_on(new_cid), 0))
     return MorphismSpec(config, frozenset(), frozenset(new_ids))

@@ -49,7 +49,7 @@ from .errors import (
 from .surface import (
     LocalBlowdownModel,
     corner_failure,
-    gram,
+    factor_blocks,
     require_unimodular,
     run_contraction,
 )
@@ -354,17 +354,19 @@ def is_log_blowdown(state: SurfaceState, cid: int) -> BlowdownCheck:
         return fail("CoefficientNotOne", f"coefficient is {curve.boundary_coeff}")
     if curve.genus != 0:
         return fail("PositiveGenus", f"genus is {curve.genus}")
-    near = state.config._adjacency[cid]
-    adjacent: set[int] = set()
-    for component in state.components:
-        if not component.isdisjoint(near):
-            adjacent |= component
+    near = state.config._adjacency[cid].keys()
+    # The contracted components meeting the curve: the blocks it meets.
+    met = [
+        block
+        for block in factor_blocks(state.config, state.contracted)
+        if not near.isdisjoint(block[0])
+    ]
+    adjacent = {j for order, _ in met for j in order}
     model = LocalBlowdownModel.from_config(state.config, adjacent | {cid})
     sim = run_contraction(model, restrict_to=adjacent)
     if not sim:
         return fail("AdjacentSetNotContractible", f"{sim.reason}: {sim.detail}", sim.order)
-    if adjacent:
-        require_unimodular(adjacent, gram(state.config, sorted(adjacent)))
+    require_unimodular(adjacent, met)
     if model.self_intersection(cid) != -1:
         return fail(
             "ImageNotMinusOne",

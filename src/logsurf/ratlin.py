@@ -9,8 +9,10 @@ objects are built only for results.
 
 A matrix found negative definite keeps its elimination as a
 `DefiniteFactor`: later solves read the factor in O(n²) and its
-determinant in O(1), and `DefiniteFactor.border` extends it by one row and
-column in O(n²) instead of eliminating the larger matrix again.
+determinant in O(1), `DefiniteFactor.border` extends it by one row and
+column in O(n²) instead of eliminating the larger matrix again, and
+`DefiniteFactor.join` puts two factors side by side as the factor of their
+block-diagonal sum.
 """
 
 from __future__ import annotations
@@ -233,6 +235,25 @@ class DefiniteFactor:
             return None
         leads.append(delta)
         return DefiniteFactor(rows + (tuple(leads),), d)
+
+    def join(self, other: "DefiniteFactor") -> "DefiniteFactor":
+        """The factor of the block-diagonal matrix diag(M, N), in O(|N|·(|M| + |N|)).
+
+        Every minor that the factor stores for diag(M, N) splits: a lead or
+        pivot of a row of N is det A_M times N's own, and its leads in M's
+        columns vanish.  So M's rows are shared and N's rows follow, each
+        entry multiplied by M's last pivot, after one zero per row of M.
+        Both factors must share their scale d (1 for Gram matrices).
+        """
+        if other.scale != self.scale:
+            raise ValueError(f"scales differ: {self.scale} and {other.scale}")
+        m = len(self.rows)
+        det = self.rows[-1][-1] if m else 1
+        zeros = (0,) * m
+        return DefiniteFactor(
+            self.rows + tuple([zeros + tuple([det * x for x in row]) for row in other.rows]),
+            self.scale,
+        )
 
 
 def solve_symmetric(

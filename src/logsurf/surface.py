@@ -22,7 +22,11 @@ from .errors import (
     UnknownIdError,
     UnknownTargetError,
 )
-from .ratlin import DefiniteFactor, SymMatrix, determinant, exact, is_negative_definite
+from .ratlin import DefiniteFactor, SymMatrix, exact, is_negative_definite
+
+# A connected component's factored Gram matrix: its curves in row order and
+# the `ratlin.DefiniteFactor` of their Gram matrix in that order.
+Block = tuple[tuple[int, ...], DefiniteFactor]
 
 
 @dataclass(frozen=True)
@@ -110,14 +114,19 @@ class CurveConfig:
         return adjacency
 
     @cached_property
-    def _factor_memo(self) -> dict[frozenset[int], tuple[tuple[int, ...], DefiniteFactor] | None]:
-        """Curve sets mapped to the factor of their Gram matrix, or None.
+    def _factor_memo(self) -> dict[frozenset[int], tuple[Block, ...] | None]:
+        """Curve sets mapped to the factors of their Gram matrix, or None.
 
-        An entry is (order, factor): the `ratlin.DefiniteFactor` of the Gram
-        matrix of the set's curves taken in `order`, the order in which
-        bordering added them.  None records that the Gram matrix is not
-        negative definite.  Filled by `crepant`; it lives and dies with this
-        configuration, which is immutable, so an entry never goes stale.
+        Curves in different connected components never meet, so the Gram
+        matrix of a set is block-diagonal by component.  An entry is the
+        tuple of the set's blocks, one per connected component: (order,
+        factor), the `ratlin.DefiniteFactor` of the component's Gram matrix
+        with its curves taken in `order`.  Every block is also the entry of
+        its own component, and a block is shared by reference by every set
+        containing that component.  None records that the Gram matrix is not
+        negative definite.  Filled by `factor_blocks`; it lives and dies
+        with this configuration, which is immutable, so an entry never goes
+        stale.
         """
         return {}
 
@@ -134,37 +143,44 @@ class CurveConfig:
         out: list[Violation] = []
         seen_curves: set[int] = set()
         for c in self.curves:
-            if c.id in seen_curves:
-                out.append(Violation("DuplicateId", f"curve id {c.id} appears twice"))
-            seen_curves.add(c.id)
-            for name in ("id", "genus", "self_intersection"):
-                value = getattr(c, name)
-                if type(value) is not int:
-                    out.append(
-                        Violation(
-                            "BadType",
-                            f"curve {c.id!r} has {name} {value!r} of type "
-                            f"{type(value).__name__}, not int",
+            cid, genus, coeff = c.id, c.genus, c.boundary_coeff
+            if cid in seen_curves:
+                out.append(Violation("DuplicateId", f"curve id {cid} appears twice"))
+            seen_curves.add(cid)
+            if not (type(cid) is int and type(genus) is int and type(c.self_intersection) is int):
+                for name in ("id", "genus", "self_intersection"):
+                    value = getattr(c, name)
+                    if type(value) is not int:
+                        out.append(
+                            Violation(
+                                "BadType",
+                                f"curve {cid!r} has {name} {value!r} of type "
+                                f"{type(value).__name__}, not int",
+                            )
                         )
-                    )
-            if not (0 <= c.boundary_coeff <= 1):
-                out.append(
-                    Violation("BadCoefficient", f"curve {c.id} has coefficient {c.boundary_coeff}")
-                )
-            if type(c.genus) is int and c.genus < 0:
-                out.append(Violation("BadGenus", f"curve {c.id} has genus {c.genus}"))
+            # A Fraction's denominator is positive, so its range test needs
+            # no division.
+            if not (
+                0 <= coeff.numerator <= coeff.denominator
+                if type(coeff) is Fraction
+                else 0 <= coeff <= 1
+            ):
+                out.append(Violation("BadCoefficient", f"curve {cid} has coefficient {coeff}"))
+            if type(genus) is int and genus < 0:
+                out.append(Violation("BadGenus", f"curve {cid} has genus {genus}"))
         seen_points: set[int] = set()
         for p in self.points:
             if p.id in seen_points:
                 out.append(Violation("DuplicateId", f"point id {p.id} appears twice"))
             seen_points.add(p.id)
-            if len(p.incident) > 2:
+            incident = p.incident
+            if len(incident) > 2:
                 out.append(
-                    Violation("TriplePoint", f"point {p.id} meets curves {sorted(p.incident)}")
+                    Violation("TriplePoint", f"point {p.id} meets curves {sorted(incident)}")
                 )
-            if not p.incident:
+            if not incident:
                 out.append(Violation("EmptyPoint", f"point {p.id} touches no curve"))
-            for cid in p.incident:
+            for cid in incident:
                 if cid not in seen_curves:
                     out.append(
                         Violation("DanglingId", f"point {p.id} references missing curve {cid}")
@@ -257,6 +273,10 @@ def blow_up(
     The new exceptional curve gets genus 0, self-intersection −1 and the given
     coefficient; curves through the centre lose 1 from their self-intersection
     and meet the new curve transversally.  A blown-up marked point disappears.
+
+    The result keeps the surviving curves and points in their order and
+    appends the new ones: the new curve last, with id `next_curve_id`, and
+    the new points after the survivors, with ids from `next_point_id` up.
     """
     coeff = Fraction(exact(new_coeff))
     if not (0 <= coeff <= 1):
@@ -354,6 +374,78 @@ def gram(config: CurveConfig, ordered_ids: Sequence[int]) -> SymMatrix:
         row[k] = selves[k]
         rows.append(tuple(row))
     return SymMatrix._trusted(tuple(rows))
+
+
+def factor_blocks(config: CurveConfig, ids: frozenset[int]) -> tuple[Block, ...] | None:
+    """The factored blocks of the Gram matrix of `ids`, one per connected
+    component, or None when that matrix is not negative definite.
+
+    Each set is factored at most once per configuration, in its
+    `_factor_memo`.  A set whose parent S∖{c} is memoised inherits a
+    parent's None, since every principal block of a negative-definite
+    matrix is negative definite; otherwise it reuses every parent block
+    that c does not meet, and joins the blocks c meets, largest first,
+    into one block bordered by c (`DefiniteFactor.join`,
+    `DefiniteFactor.border`).  Any other set, every singleton included,
+    takes each component's block from the memo or builds that component's
+    Gram matrix and eliminates it once.  The empty set has no blocks.
+    """
+    if not ids:
+        return ()
+    memo = config._factor_memo
+    try:
+        return memo[ids]
+    except KeyError:
+        pass
+    if len(ids) > 1:
+        # Drivers contract the lowest passing id, so the newest curve is
+        # usually the largest: try it first.
+        for cid in sorted(ids, reverse=True):
+            rest = ids - {cid}
+            if rest in memo:
+                parent = memo[rest]
+                entry = memo[ids] = None if parent is None else _add_curve(config, parent, cid)
+                return entry
+    blocks: list[Block] = []
+    for component in connected_components(config, ids):
+        if component not in memo:
+            order = tuple(sorted(component))
+            matrix = gram(config, order)
+            memo[component] = ((order, matrix.factor),) if is_negative_definite(matrix) else None
+        entry = memo[component]
+        if entry is None:
+            break
+        blocks += entry
+    else:
+        entry = tuple(blocks)
+    memo[ids] = entry
+    return entry
+
+
+def _add_curve(
+    config: CurveConfig, parent: tuple[Block, ...], cid: int
+) -> tuple[Block, ...] | None:
+    """The blocks of S ∪ {cid} from the blocks of S: the blocks cid meets
+    become one component, memoised on its own, and the rest are kept."""
+    self_sq = config.curve(cid).self_intersection
+    near = config._adjacency[cid]
+    kept: list[Block] = []
+    met: list[Block] = []
+    for block in parent:
+        (kept if near.keys().isdisjoint(block[0]) else met).append(block)
+    component = frozenset([cid, *(j for order, _ in met for j in order)])
+    memo = config._factor_memo
+    if component not in memo:
+        # Largest first: its rows are shared, the others' are rebuilt.
+        met.sort(key=lambda block: -len(block[0]))
+        order, factor = met[0] if met else ((), DefiniteFactor(()))
+        for block_order, block_factor in met[1:]:
+            order += block_order
+            factor = factor.join(block_factor)
+        bordered = factor.border([near.get(j, 0) for j in order], self_sq)
+        memo[component] = None if bordered is None else ((order + (cid,), bordered),)
+    blocks = memo[component]
+    return None if blocks is None else (*kept, *blocks)
 
 
 class LocalBlowdownModel:
@@ -533,23 +625,27 @@ def smooth_point_blowdown(config: CurveConfig, gamma: Iterable[int]) -> Blowdown
     Succeeds exactly when repeated (−1)-curve contractions empty the set while
     preserving normal crossings; the final local model then reports the
     surviving adjacent curves, their mutual crossing counts and coefficients.
+    The Gram factors come from the configuration's memo (`factor_blocks`).
     """
     gamma_set = frozenset(gamma)
     if not gamma_set:
         raise ValueError("gamma must be nonempty")
-    matrix = gram(config, sorted(gamma_set))
-    if not is_negative_definite(matrix):
+    blocks = factor_blocks(config, gamma_set)
+    if blocks is None:
         raise ValueError("gram matrix of gamma must be negative definite")
     result = run_contraction(LocalBlowdownModel.from_config(config, gamma_set))
     if result.ok:
-        require_unimodular(gamma_set, matrix)
+        require_unimodular(gamma_set, blocks)
     return result
 
 
-def require_unimodular(ids: Iterable[int], matrix: SymMatrix) -> None:
-    """Raise ``TheoremViolationError`` unless `matrix`, the Gram matrix of a
-    set `ids` that contracted to smooth points, has determinant ±1."""
-    det = determinant(matrix)
+def require_unimodular(ids: Iterable[int], blocks: Iterable[Block]) -> None:
+    """Raise ``TheoremViolationError`` unless the Gram matrix of a set `ids`
+    that contracted to smooth points, factored as `blocks`, has determinant
+    ±1: the product of its blocks' determinants."""
+    det = Fraction(1)
+    for _, factor in blocks:
+        det *= factor.determinant()
     if abs(det) != 1:
         raise TheoremViolationError(
             f"set {sorted(ids)} contracted to smooth points but its Gram "

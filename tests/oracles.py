@@ -11,14 +11,20 @@ from __future__ import annotations
 
 import copy
 import itertools
+import random
 from fractions import Fraction
 
 from logsurf import (
     CurveConfig,
     SurfaceState,
     TargetBase,
+    Violation,
+    at_point,
+    blow_up,
+    free_point_on,
     is_log_blowdown,
     is_log_flopping,
+    next_curve_id,
 )
 
 
@@ -404,3 +410,79 @@ def chain_discrepancies(bs, left=Fraction(0), right=Fraction(0)) -> list[Fractio
         Fraction((1 - left) * suffix[i] + (1 - right) * prefix[i], n) - 1
         for i in range(r)
     ]
+
+
+# ---------------------------------------------------------------------------
+# the seeded generator and the validator, by full rescans
+
+def rescan_crepant_towers(template: CurveConfig, depth: int, seed: int):
+    """Yield (configuration, new curve ids) after each of 0..`depth` seeded
+    crepant blow-ups, listing every admissible centre afresh at each step:
+    crossing points by id whose two coefficients sum to at least 1, then
+    coefficient-1 curves in curve order."""
+    rng = random.Random(seed)
+    config = template
+    new_ids = []
+    yield config, frozenset()
+    for _ in range(depth):
+        choices = []
+        for p in sorted(config.points, key=lambda p: p.id):
+            if len(p.incident) == 2:
+                total = sum(
+                    (config.curve(cid).boundary_coeff for cid in p.incident), start=0
+                )
+                if total >= 1:
+                    choices.append((at_point(p.id), total - 1))
+        for c in config.curves:
+            if c.boundary_coeff == 1:
+                choices.append((free_point_on(c.id), 0))
+        if not choices:
+            raise ValueError("no crepant blow-up centre")
+        target, coeff = rng.choice(choices)
+        new_ids.append(next_curve_id(config))
+        config = blow_up(config, target, coeff)
+        yield config, frozenset(new_ids)
+
+
+def rescan_violations(curves, points) -> tuple[Violation, ...]:
+    """Every structural violation of raw curve and point rows, in the order
+    the validator reports them: curve by curve, then point by point."""
+    out = []
+    seen_curves = set()
+    for c in curves:
+        if c.id in seen_curves:
+            out.append(Violation("DuplicateId", f"curve id {c.id} appears twice"))
+        seen_curves.add(c.id)
+        for name in ("id", "genus", "self_intersection"):
+            value = getattr(c, name)
+            if type(value) is not int:
+                out.append(
+                    Violation(
+                        "BadType",
+                        f"curve {c.id!r} has {name} {value!r} of type "
+                        f"{type(value).__name__}, not int",
+                    )
+                )
+        if not (0 <= c.boundary_coeff <= 1):
+            out.append(
+                Violation("BadCoefficient", f"curve {c.id} has coefficient {c.boundary_coeff}")
+            )
+        if type(c.genus) is int and c.genus < 0:
+            out.append(Violation("BadGenus", f"curve {c.id} has genus {c.genus}"))
+    seen_points = set()
+    for p in points:
+        if p.id in seen_points:
+            out.append(Violation("DuplicateId", f"point id {p.id} appears twice"))
+        seen_points.add(p.id)
+        if len(p.incident) > 2:
+            out.append(
+                Violation("TriplePoint", f"point {p.id} meets curves {sorted(p.incident)}")
+            )
+        if not p.incident:
+            out.append(Violation("EmptyPoint", f"point {p.id} touches no curve"))
+        for cid in p.incident:
+            if cid not in seen_curves:
+                out.append(
+                    Violation("DanglingId", f"point {p.id} references missing curve {cid}")
+                )
+    return tuple(out)

@@ -373,13 +373,19 @@ class TestFactorMemo:
                 assert (entry is not None) == is_negative_definite(gram(config, ordered))
             if entry is None:
                 continue
-            order, factor = entry
-            assert sorted(order) == ordered
-            parent = memo.get(ids - {order[-1]})
-            if len(order) > 1 and parent is not None and parent[0] == order[:-1]:
-                bordered += 1
-                # A bordered factor shares its parent's rows by reference.
-                assert all(a is b for a, b in zip(factor.rows, parent[1].rows))
+            assert sorted(j for order, _ in entry for j in order) == ordered
+            for order, factor in entry:
+                parent = memo.get(frozenset(order[:-1]))
+                if len(order) < 2 or parent is None:
+                    continue
+                # The join rule: the parent's blocks, largest first, then
+                # the new curve; the largest block's rows are shared.
+                joined = sorted(parent, key=lambda block: -len(block[0]))
+                if tuple(j for o, _ in joined for j in o) == order[:-1]:
+                    bordered += 1
+                    # A bordered factor shares its parent's rows by reference.
+                    head = joined[0][1]
+                    assert all(a is b for a, b in zip(factor.rows, head.rows))
             residual = crepant_pullback(config, ids).residual
             expected = oracles.solve_linear(rows, self._rhs(config, ordered))
             assert tuple(residual[i] for i in ordered) == expected
@@ -399,26 +405,48 @@ class TestFactorMemo:
         assert (indefinite > 0) == (build == "_decomposed_tower")
 
     @pytest.mark.parametrize("build", ["_decomposed_tower", "_minimized_chain"])
+    def test_blocks_are_the_connected_components(self, build):
+        config = getattr(self, build)()
+        self._grow(config)
+        memo = config._factor_memo
+        for ids, entry in memo.items():
+            if entry is None:
+                continue
+            blocks = sorted((frozenset(order) for order, _ in entry), key=min)
+            assert blocks == sorted(oracles.raw_components(config, ids), key=min)
+            # A state's components are its set's blocks, by least id.
+            assert SurfaceState(config, ids).components == tuple(
+                oracles.raw_components(config, ids)
+            )
+            for block in entry:
+                # One factor per component, shared by every set containing it.
+                assert memo[frozenset(block[0])][0] is block
+
+    @pytest.mark.parametrize("build", ["_decomposed_tower", "_minimized_chain"])
     def test_bordered_and_cold_factors_agree(self, build):
         config = getattr(self, build)()
         self._grow(config)
         for ids, entry in config._factor_memo.items():
             if entry is None:
                 continue
-            order, factor = entry
-            cold = gram(config, sorted(ids))
-            assert is_negative_definite(cold)
-            rhs = self._rhs(config, order)
-            position = {cid: k for k, cid in enumerate(sorted(ids))}
-            cold_rhs = [None] * len(order)
-            for cid, value in zip(order, rhs):
-                cold_rhs[position[cid]] = value
-            mine = dict(zip(order, factor.solve(rhs)))
-            theirs = dict(zip(sorted(ids), cold.factor.solve(cold_rhs)))
-            assert mine == theirs
-            assert factor.determinant() == determinant(cold)
+            det = 1
+            for order, factor in entry:
+                cold = gram(config, sorted(order))
+                assert is_negative_definite(cold)
+                rhs = self._rhs(config, order)
+                position = {cid: k for k, cid in enumerate(sorted(order))}
+                cold_rhs = [None] * len(order)
+                for cid, value in zip(order, rhs):
+                    cold_rhs[position[cid]] = value
+                mine = dict(zip(order, factor.solve(rhs)))
+                theirs = dict(zip(sorted(order), cold.factor.solve(cold_rhs)))
+                assert mine == theirs
+                assert factor.determinant() == determinant(cold)
+                det *= factor.determinant()
+            whole = gram(config, sorted(ids))
+            assert det == determinant(whole)
             if len(ids) <= 8:
-                assert factor.determinant() == oracles.laplace_det(cold.rows())
+                assert det == oracles.laplace_det(whole.rows())
 
 
 coefficients = st.fractions(min_value=0, max_value=1, max_denominator=7).filter(lambda x: x < 1)
@@ -439,17 +467,29 @@ class TestChainClosedForm:
         cold = SurfaceState(config, ids)
         assert cold.crepant.discrepancies == expected
         assert cold.classification is Classification.KLT
-        assert config._factor_memo[ids][1].determinant() == (-1) ** r * n
+        ((_, cold_factor),) = config._factor_memo[ids]
+        assert cold_factor.determinant() == (-1) ** r * n
         assert determinant(gram(config, sorted(ids))) == (-1) ** r * n
-        # Bordered: the same set grown one curve at a time in `order`.
+        # Bordered: the same set grown one curve at a time in `order`.  The
+        # join rule predicts each block's row order: the new curve's blocks,
+        # largest first (ties in the set's block order), then the new curve,
+        # after the blocks it does not meet.
         grown = hj_chain(bs, left, right)
+        predicted: list[tuple[int, ...]] = []
         for k in range(1, r + 1):
+            c = order[k - 1]
             SurfaceState(grown, order[:k])._checked
+            met = [b for b in predicted if any(abs(j - c) == 1 for j in b)]
+            met.sort(key=lambda b: -len(b))
+            predicted = [b for b in predicted if b not in met]
+            predicted.append(tuple(j for b in met for j in b) + (c,))
+            blocks = grown._factor_memo[frozenset(order[:k])]
+            assert [block_order for block_order, _ in blocks] == predicted
         state = SurfaceState(grown, ids)
         assert state.crepant.discrepancies == expected
         assert state.classification is Classification.KLT
-        factor_order, factor = grown._factor_memo[ids]
-        assert list(factor_order) == list(order)
+        ((factor_order, factor),) = grown._factor_memo[ids]
+        assert [factor_order] == predicted
         assert factor.determinant() == (-1) ** r * n
 
     @settings(max_examples=40, deadline=None)

@@ -36,7 +36,7 @@ from logsurf import (
 )
 import logsurf.decompose
 import logsurf.moves
-from logsurf.cli import trace_to_json
+from logsurf.cli import config_digest, trace_to_json
 
 
 def tower_spec() -> MorphismSpec:
@@ -358,6 +358,15 @@ class TestGenerateCrepantPair:
         bad = CurveConfig.build([(1, 0, -1, 0), (1, 0, -1, 0)])
         with pytest.raises(InvalidStateError):
             generate_crepant_pair(bad, 1, 0)
+
+    @pytest.mark.parametrize("template", [helpers.corner, helpers.boundary_chain])
+    def test_matches_a_full_rescan(self, template):
+        for seed in range(30):
+            towers = oracles.rescan_crepant_towers(template(), 36, seed)
+            for depth, (config, targets) in enumerate(towers):
+                spec = generate_crepant_pair(template(), depth, seed)
+                assert config_digest(spec.config) == config_digest(config), (depth, seed)
+                assert spec.target_contracted == targets
 
 
 def chain_config(bs) -> CurveConfig:

@@ -274,6 +274,69 @@ class TestDefiniteFactor:
         assert bordered.solve([1, 2, 3]) == oracles.solve_linear(rows, [1, 2, 3])
 
 
+def _block_diagonal(m, n):
+    size = len(m) + len(n)
+    rows = [[0] * size for _ in range(size)]
+    for i, row in enumerate(m):
+        rows[i][: len(m)] = row
+    for i, row in enumerate(n):
+        rows[len(m) + i][len(m):] = row
+    return rows
+
+
+class TestJoin:
+    def _factor(self, rows):
+        matrix = SymMatrix(rows)
+        assert is_negative_definite(matrix)
+        return matrix.factor
+
+    @given(definite_rows(max_n=4), definite_rows(max_n=4))
+    def test_entries_are_minors_of_the_block_diagonal(self, m, n):
+        rows = _block_diagonal(m, n)
+        joined = self._factor(m).join(self._factor(n))
+        for i, row in enumerate(joined.rows):
+            assert len(row) == i + 1
+            for j, entry in enumerate(row):
+                picked = list(range(j)) + [i]
+                minor = [[rows[r][c] for c in range(j + 1)] for r in picked]
+                assert entry == oracles.laplace_det(minor)
+
+    @given(definite_rows(max_n=4), definite_rows(max_n=4), st.data())
+    def test_determinant_and_solves(self, m, n, data):
+        rows = _block_diagonal(m, n)
+        left, right = self._factor(m), self._factor(n)
+        joined = left.join(right)
+        assert joined.determinant() == left.determinant() * right.determinant()
+        assert joined.determinant() == oracles.laplace_det(rows)
+        rhs = [
+            data.draw(st.fractions(min_value=-5, max_value=5, max_denominator=4))
+            for _ in rows
+        ]
+        assert joined.solve(rhs) == oracles.solve_linear(rows, rhs)
+        # M's rows are shared, not copied.
+        assert all(a is b for a, b in zip(joined.rows, left.rows))
+
+    @given(definite_rows(max_n=3), definite_rows(max_n=3), symmetric_rows(max_n=1))
+    def test_joined_factor_borders_like_a_cold_one(self, m, n, extra):
+        rows = _block_diagonal(m, n)
+        column = [1] * len(rows)
+        bordered = self._factor(m).join(self._factor(n)).border(column, extra[0][0])
+        full = [row + [1] for row in rows] + [column + [extra[0][0]]]
+        assert (bordered is not None) == oracles.brute_negative_definite(full)
+        if bordered is not None:
+            assert bordered.determinant() == oracles.laplace_det(full)
+
+    def test_empty_sides_and_mismatched_scales(self):
+        single = self._factor([[-2]])
+        empty = SymMatrix([])
+        assert is_negative_definite(empty)
+        assert empty.factor.join(single).rows == single.rows
+        assert single.join(empty.factor).rows == single.rows
+        half = self._factor([[Fraction(-1, 2)]])
+        with pytest.raises(ValueError, match="scales differ"):
+            single.join(half)
+
+
 class TestDeterminant:
     def test_empty(self):
         assert determinant(SymMatrix([])) == 1

@@ -1,6 +1,7 @@
 """Configurations, validation, blow-up rewriting, and the contraction simulator."""
 
 from fractions import Fraction
+import random
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -9,10 +10,11 @@ import helpers
 import oracles
 from logsurf import (
     BadCoefficientError,
+    CrossingPoint,
+    Curve,
     CurveConfig,
     LocalBlowdownModel,
     SurfaceState,
-    SymMatrix,
     TargetBase,
     TheoremViolationError,
     UnknownIdError,
@@ -33,7 +35,7 @@ from logsurf import (
     smooth_point_blowdown,
     validate_config,
 )
-from logsurf.surface import corner_failure, require_unimodular
+from logsurf.surface import corner_failure, factor_blocks, require_unimodular
 
 
 class TestValidation:
@@ -109,6 +111,45 @@ class TestValidation:
     def test_non_int_fields_are_bad_types(self, row, field):
         violations = validate_config(CurveConfig.build([row]))
         assert [(v.kind, field in v.detail) for v in violations] == [("BadType", True)]
+
+    def test_agrees_with_a_full_rescan_on_random_rows(self):
+        rng = random.Random(9)
+        ids = (1, 2, 3, 4, 1.0, 2.5, True, False, -1)
+        genera = (0, 0, 1, -1, 0.0, True, "0")
+        selves = (-1, -2, 0, 3, -1.0, False)
+        coeffs = (
+            Fraction(0), Fraction(1), Fraction(1, 2), Fraction(3, 2), Fraction(-1, 3),
+            0, 1, 0.5, 2, True,
+        )
+        plain = 0
+        for case in range(600):
+            # Half the cases start from well-formed rows and break at most one.
+            clean = case % 2 == 0
+            n = rng.randint(0, 5)
+            curves = [
+                Curve(
+                    k + 1 if clean else rng.choice(ids),
+                    0 if clean else rng.choice(genera),
+                    -2 if clean else rng.choice(selves),
+                    Fraction(rng.randint(0, 2), 2) if clean else rng.choice(coeffs),
+                )
+                for k in range(n)
+            ]
+            points = []
+            for k in range(rng.randint(0, 4)):
+                size = rng.choice((1, 2, 2, 2, 0, 3)) if not clean else rng.choice((1, 2))
+                incident = rng.sample(range(1, n + 2), min(size, n + 1))
+                if clean:
+                    incident = [c for c in incident if c <= n][:2] or [1]
+                points.append(CrossingPoint(k + 1 if clean else rng.choice(ids), frozenset(incident)))
+            if clean and rng.random() < 0.5 and curves:
+                k = rng.randrange(len(curves))
+                c = curves[k]
+                curves[k] = Curve(c.id, rng.choice(genera), rng.choice(selves), rng.choice(coeffs))
+            expected = oracles.rescan_violations(curves, points)
+            assert validate_config(CurveConfig(tuple(curves), tuple(points))) == expected
+            plain += not expected
+        assert 100 < plain < 500
 
     def test_point_repeating_a_curve_is_refused(self):
         with pytest.raises(ValueError, match="point 1 lists a curve twice"):
@@ -357,9 +398,17 @@ class TestSmoothPointBlowdown:
         assert corner_failure(lone) == ("BoundaryNotTwoCurves", "0 curves survive: []")
 
     def test_unimodularity_postcondition(self):
-        require_unimodular([1], SymMatrix([[-1]]))
+        def blocks(*selves):
+            config = CurveConfig.build([(i, 0, s, 0) for i, s in enumerate(selves, start=1)])
+            return factor_blocks(config, frozenset(range(1, len(selves) + 1)))
+
+        require_unimodular([1], blocks(-1))
         with pytest.raises(TheoremViolationError, match="determinant is -2"):
-            require_unimodular([1], SymMatrix([[-2]]))
+            require_unimodular([1], blocks(-2))
+        # The determinant is the product over the blocks.
+        require_unimodular([1, 2], blocks(-1, -1))
+        with pytest.raises(TheoremViolationError, match="determinant is 2"):
+            require_unimodular([1, 2], blocks(-1, -2))
 
     def test_order_robustness_on_small_sets(self):
         # every eligible-choice order reaches the same verdict as the
