@@ -106,9 +106,10 @@ def crepant_pullback(config: CurveConfig, contracted: Iterable[int]) -> CrepantD
     the Gram system  Σ_j e_j (C_j·C_i) = −deg K|_i − Σ_k d_k (C_k·C_i)  over
     contracted j and uncontracted k.  The Gram matrix of a contractible set is
     negative definite, hence invertible, so the solution exists and is unique.
-    Each set is solved once per configuration, block by block from its
-    memoised factors; every call returns a fresh copy of the memoised
-    solution.
+    Each set is solved at most once per configuration, block by block from
+    its memoised factors, unless a state reached by a move has already
+    stored the solution it inherits (`SurfaceState.successor`); every call
+    returns a fresh copy of the memoised solution.
     """
     key = frozenset(contracted)
     memo = config._crepant_memo
@@ -158,6 +159,9 @@ class SurfaceState:
 
     This is the working object of every driver: immutable, with validation,
     the solved crepant data and the classification all cached on first use.
+    A state built by `successor` holds a link to its parent until its
+    crepant data is first computed, which then usually inherits the
+    parent's solution instead of solving.
     """
 
     config: CurveConfig
@@ -191,9 +195,35 @@ class SurfaceState:
             _require_contractible(self.config, self.base.contracted_on_target)
         return True
 
+    def successor(self, cid: int) -> SurfaceState:
+        """The state that also contracts `cid`, over the same base, linked to
+        this one so that its crepant data can be inherited."""
+        new = SurfaceState(self.config, self.contracted | {cid}, self.base)
+        object.__setattr__(new, "_parent", (self, cid))
+        return new
+
     @cached_property
     def crepant(self) -> CrepantData:
+        """The crepant data of the contracted set (`crepant_pullback`).
+
+        A successor of S by C first checks its own set, which makes
+        gram(S ∪ {C}) negative definite.  Each row of its system but C's is
+        a row of S's, with C's term moved across at e_C = d_C, and C's row
+        says that S's log degree on C is 0.  When that one exact equation
+        holds, S's residuals solve the system, uniquely, and are stored as
+        its solution without a solve; otherwise the set is solved cold.
+        The parent link is dropped either way, so no chain of states stays
+        alive.
+        """
         self._checked
+        link = self.__dict__.pop("_parent", None)
+        if link is not None:
+            parent, cid = link
+            memo = self.config._crepant_memo
+            if self.contracted not in memo and log_degree(parent, cid) == 0:
+                memo[self.contracted] = CrepantData(
+                    dict(parent.crepant.residual), self.contracted
+                )
         return crepant_pullback(self.config, self.contracted)
 
     def residual(self, cid: int) -> Fraction:
@@ -228,10 +258,15 @@ class SurfaceState:
         on_s = [data.residual[cid] for cid in self.contracted]
         if any(v > 1 for v in on_s):
             return Classification.NOT_LC
+        # A component's residuals and its contraction depend only on the
+        # configuration and the component, so its verdict is memoised.
+        corners = self.config._corner_memo
         for component in self.components:
             if any(data.residual[cid] == 1 for cid in component):
-                sim = smooth_point_blowdown(self.config, component)
-                if not sim or corner_failure(sim.final) is not None:
+                if component not in corners:
+                    sim = smooth_point_blowdown(self.config, component)
+                    corners[component] = bool(sim) and corner_failure(sim.final) is None
+                if not corners[component]:
                     return Classification.LOG_CANONICAL
         if all(v < 1 for v in on_s) and all(
             self.config.curve(cid).boundary_coeff < 1 for cid in self.uncontracted
@@ -306,7 +341,7 @@ def image_self_intersection(
     """C² + Σ λ_j (C·E_j): the image of `cid` pulls back to C + Σ λ_j E_j."""
     near = config._adjacency[cid]
     return config.curve(cid).self_intersection + sum(
-        (m * near.get(j, 0) for j, m in lam.items()), Fraction(0)
+        (lam[j] * count for j, count in near.items() if j in lam), Fraction(0)
     )
 
 

@@ -301,7 +301,7 @@ def verify_trace(
                 return VerifyResult(
                     False, "recorded contraction order does not match", index
                 )
-            state = SurfaceState(config, state.contracted | {step.curve}, base)
+            state = state.successor(step.curve)
             if step.discrepancies_after != state.crepant.discrepancies:
                 return VerifyResult(
                     False, "recorded posterior discrepancies do not match", index

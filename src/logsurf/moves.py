@@ -307,7 +307,7 @@ def _contract(check: FlopCheck | BlowdownCheck, move: str) -> SurfaceState:
     """Contract a checked curve and assert the postconditions common to both
     moves; failures signal library bugs."""
     old, cid = check.state, check.curve
-    new = SurfaceState(old.config, old.contracted | {cid}, old.base)
+    new = old.successor(cid)
     try:
         new._checked
     except LogSurfaceError as exc:

@@ -9,6 +9,7 @@ normal-crossing discipline every rewrite below must preserve.
 
 from __future__ import annotations
 
+import heapq
 import itertools
 from dataclasses import dataclass, field
 from fractions import Fraction
@@ -134,7 +135,20 @@ class CurveConfig:
     def _crepant_memo(self) -> dict[frozenset[int], object]:
         """Solved crepant pullbacks (`crepant.CrepantData`) by contracted set.
 
-        Filled by `crepant`, which hands callers copies only.
+        Filled by `crepant`, which hands callers copies only: by a solve
+        from the set's factors, or, for a state reached by a move, by the
+        parent's residuals once the new curve's row holds exactly
+        (`crepant.SurfaceState.crepant`).
+        """
+        return {}
+
+    @cached_property
+    def _corner_memo(self) -> dict[frozenset[int], bool]:
+        """Connected curve sets mapped to whether they contract stepwise to
+        a smooth point that is a normal-crossing corner of the boundary.
+
+        Filled by `crepant.SurfaceState.classification`, which asks it of
+        each component carrying a residual-1 curve.
         """
         return {}
 
@@ -590,23 +604,25 @@ def run_contraction(model: LocalBlowdownModel, restrict_to: set[int] | None = No
     """Drive the model until the chosen core curves are gone, lowest id first.
 
     `restrict_to` limits which core curves may be picked; others stay put.
+    Contracting a curve changes only its partners, so only they are
+    re-tested: `eligible` is a heap holding every eligible pool curve, plus
+    stale entries dropped when they surface.
     """
+    pool = set(model.core) if restrict_to is None else model.core & restrict_to
+    eligible = [c for c in pool if model.is_eligible(c)]
+    heapq.heapify(eligible)
     order: list[int] = []
-    while True:
-        pool = model.core if restrict_to is None else (model.core & restrict_to)
-        if not pool:
-            return BlowdownSim(True, None, None, tuple(order), model)
-        candidates = sorted(c for c in pool if model.is_candidate(c))
-        if not candidates:
-            return BlowdownSim(
-                False,
-                NO_MINUS_ONE,
-                f"no contractible (-1)-curve among {sorted(pool)}",
-                tuple(order),
-                model,
-            )
-        eligible = [c for c in candidates if model.is_eligible(c)]
+    while pool:
         if not eligible:
+            candidates = sorted(c for c in pool if model.is_candidate(c))
+            if not candidates:
+                return BlowdownSim(
+                    False,
+                    NO_MINUS_ONE,
+                    f"no contractible (-1)-curve among {sorted(pool)}",
+                    tuple(order),
+                    model,
+                )
             return BlowdownSim(
                 False,
                 NON_SNC_CONTRACTION,
@@ -614,9 +630,17 @@ def run_contraction(model: LocalBlowdownModel, restrict_to: set[int] | None = No
                 tuple(order),
                 model,
             )
-        pick = eligible[0]
+        pick = heapq.heappop(eligible)
+        if pick not in pool or not model.is_eligible(pick):
+            continue
+        partners = model.partners(pick)
         model.contract(pick)
+        pool.discard(pick)
         order.append(pick)
+        for a in partners:
+            if a in pool and model.is_eligible(a):
+                heapq.heappush(eligible, a)
+    return BlowdownSim(True, None, None, tuple(order), model)
 
 
 def smooth_point_blowdown(config: CurveConfig, gamma: Iterable[int]) -> BlowdownSim:

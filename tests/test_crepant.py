@@ -7,7 +7,9 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import helpers
+import logsurf.crepant
 import oracles
+from logsurf.surface import corner_failure
 from logsurf import (
     Classification,
     ComponentImage,
@@ -33,6 +35,7 @@ from logsurf import (
     log_degree,
     minimize,
     pushforward_self_intersection,
+    verify_trace,
 )
 
 
@@ -244,6 +247,17 @@ class TestPushforward:
         state = SurfaceState(helpers.chain(), {1})
         assert correction_multiplicities(state, 2) == {1: Fraction(1, 2)}
 
+    def test_double_crossing_counts_twice(self):
+        # Curve 2 meets the contracted (−3)-curve 1 twice and the contracted
+        # (−2)-curve 3 once: λ = (2/3, 1/2), image square −4 + 4/3 + 1/2.
+        config = CurveConfig.build(
+            [(1, 0, -3, 0), (2, 0, -4, 0), (3, 0, -2, 0)],
+            [(1, [1, 2]), (2, [1, 2]), (3, [2, 3])],
+        )
+        state = SurfaceState(config, {1, 3})
+        assert correction_multiplicities(state, 2) == {1: Fraction(2, 3), 3: Fraction(1, 2)}
+        assert pushforward_self_intersection(state, 2) == Fraction(-13, 6)
+
     def test_unknown_or_contracted_curve_rejected(self):
         state = SurfaceState(helpers.corner_twice(), {4}, TargetBase({3, 4}))
         with pytest.raises(UnknownIdError):
@@ -317,6 +331,21 @@ def hj_chain(bs, left=None, right=None) -> CurveConfig:
     return CurveConfig.build(curves, points)
 
 
+def raw_rhs(config, ids):
+    """Minus the log canonical degree each curve of `ids` gets from K and the
+    coefficients of the curves outside `ids`, recounted raw."""
+    counts = oracles.crossing_counts(config)
+    curves = {c.id: c for c in config.curves}
+    out = []
+    for i in ids:
+        total = Fraction(2 * curves[i].genus - 2 - curves[i].self_intersection)
+        for c in config.curves:
+            if c.id not in ids:
+                total += c.boundary_coeff * oracles.raw_pairing(config, counts, c.id, i)
+        out.append(-total)
+    return out
+
+
 class TestFactorMemo:
     """Every memoised Gram factor against the oracles, bordered against cold."""
 
@@ -342,20 +371,6 @@ class TestFactorMemo:
                         SurfaceState(config, ids | {c.id})._checked
                     except InvalidStateError:
                         pass
-
-    def _rhs(self, config, ids):
-        """Minus the log canonical degree each curve of `ids` gets from K and
-        the coefficients of the curves outside `ids`, recounted raw."""
-        counts = oracles.crossing_counts(config)
-        curves = {c.id: c for c in config.curves}
-        out = []
-        for i in ids:
-            total = Fraction(2 * curves[i].genus - 2 - curves[i].self_intersection)
-            for c in config.curves:
-                if c.id not in ids:
-                    total += c.boundary_coeff * oracles.raw_pairing(config, counts, c.id, i)
-            out.append(-total)
-        return out
 
     @pytest.mark.parametrize("build", ["_decomposed_tower", "_minimized_chain"])
     def test_every_entry_agrees_with_the_oracles(self, build):
@@ -387,7 +402,7 @@ class TestFactorMemo:
                     head = joined[0][1]
                     assert all(a is b for a, b in zip(factor.rows, head.rows))
             residual = crepant_pullback(config, ids).residual
-            expected = oracles.solve_linear(rows, self._rhs(config, ordered))
+            expected = oracles.solve_linear(rows, raw_rhs(config, ordered))
             assert tuple(residual[i] for i in ordered) == expected
             state = SurfaceState(config, ids)
             for c in config.curves:
@@ -433,7 +448,7 @@ class TestFactorMemo:
             for order, factor in entry:
                 cold = gram(config, sorted(order))
                 assert is_negative_definite(cold)
-                rhs = self._rhs(config, order)
+                rhs = raw_rhs(config, order)
                 position = {cid: k for k, cid in enumerate(sorted(order))}
                 cold_rhs = [None] * len(order)
                 for cid, value in zip(order, rhs):
@@ -447,6 +462,128 @@ class TestFactorMemo:
             assert det == determinant(whole)
             if len(ids) <= 8:
                 assert det == oracles.laplace_det(whole.rows())
+
+
+class TestInheritedSolutions:
+    """A state reached by a move inherits its parent's residuals after one
+    exact row check, instead of solving its own system."""
+
+    @pytest.fixture
+    def cold(self, monkeypatch):
+        """Every (configuration, contracted set) that is solved cold."""
+        solved = []
+        real = logsurf.crepant._solve_pullback
+
+        def recording(config, key):
+            solved.append((config, key))
+            return real(config, key)
+
+        monkeypatch.setattr(logsurf.crepant, "_solve_pullback", recording)
+        return solved
+
+    def _runs(self, build):
+        """(config, trace) of decomposed depth-12 towers or minimised chains."""
+        if build == "towers":
+            for seed in range(4):
+                spec = generate_crepant_pair(helpers.corner(), 12, seed)
+                yield spec.config, decompose_morphism(spec)
+        else:
+            for bs in [
+                [2, 2, 3, 2, 2, 2, 4, 2, 2, 5, 2, 2, 2, 3, 2, 2, 2, 2, 3, 2],
+                [3, 2, 2, 4, 2, 2, 2, 2, 5, 2, 2, 2, 6],
+            ]:
+                config = hj_chain(bs)
+                yield config, minimize(SurfaceState(config, set()))
+
+    @staticmethod
+    def _reached(trace):
+        """The contracted sets the trace's moves reach, in order."""
+        contracted = set(trace.start)
+        for step in trace.steps:
+            contracted.add(step.curve)
+            yield frozenset(contracted)
+
+    @pytest.mark.parametrize("build", ["towers", "chains"])
+    def test_every_inherited_entry_agrees_with_the_oracle(self, build, cold):
+        for config, trace in self._runs(build):
+            solved = {key for cfg, key in cold if cfg is config}
+            memo = config._crepant_memo
+            # Every set a move reaches is inherited, but a decomposition's
+            # end set, which was solved to check the input.
+            reached = set(self._reached(trace))
+            assert set(memo) == solved | reached
+            assert len(reached - solved) >= len(trace.steps) - 1 > 0
+            for ids in reached - solved:
+                data = memo[ids]
+                ordered = sorted(ids)
+                rows = gram(config, ordered).rows()
+                expected = oracles.solve_linear(rows, raw_rhs(config, ordered))
+                assert tuple(data.residual[i] for i in ordered) == expected
+                assert all(
+                    data.residual[c.id] == c.boundary_coeff
+                    for c in config.curves
+                    if c.id not in ids
+                )
+
+    @pytest.mark.parametrize("build", ["towers", "chains"])
+    def test_no_cold_solve_for_a_state_reached_by_a_move(self, build, cold):
+        for config, trace in self._runs(build):
+            # A decomposition solves its two end sets to check its input; a
+            # minimisation solves its start.  Nothing else is solved.
+            ends = [trace.start, trace.end] if build == "towers" else [trace.start]
+            assert [key for cfg, key in cold if cfg is config] == ends
+            assert trace.steps
+            cold.clear()
+            assert verify_trace(config, trace.start, trace)
+            ((replayed, key),) = cold
+            assert replayed is not config and key == trace.start
+            cold.clear()
+
+    def test_successor_drops_its_parent_link(self):
+        config = helpers.corner_twice()
+        state = SurfaceState(config, (), TargetBase({3, 4}))
+        new = state.successor(4)
+        assert new.contracted == frozenset({4}) and new.base == state.base
+        assert new.crepant.residual == state.crepant.residual
+        assert "_parent" not in vars(new)
+        # The inherited entry is a copy: the parent's callers cannot reach it.
+        state.crepant.residual[4] = Fraction(5)
+        assert crepant_pullback(config, {4}).residual == new.crepant.residual
+
+    def test_a_nonzero_row_is_solved_cold(self, cold):
+        # Curve 2 is a (−3)-curve: its log degree is 1, not 0, over {1}.
+        config = hj_chain([2, 3])
+        state = SurfaceState(config, {1})
+        assert log_degree(state, 2) == 1
+        new = state.successor(2)
+        assert new.crepant.discrepancies == {1: Fraction(-1, 5), 2: Fraction(-2, 5)}
+        assert [key for _, key in cold] == [frozenset({1}), frozenset({1, 2})]
+
+
+class TestCornerMemo:
+    """Each residual-1 component is simulated once per configuration."""
+
+    def test_one_simulation_per_component(self, monkeypatch):
+        simulated = []
+        real = logsurf.crepant.smooth_point_blowdown
+
+        def counting(config, gamma):
+            simulated.append((config, frozenset(gamma)))
+            return real(config, gamma)
+
+        monkeypatch.setattr(logsurf.crepant, "smooth_point_blowdown", counting)
+        spec = generate_crepant_pair(helpers.corner(), 12, 2)
+        config = spec.config
+        trace = decompose_morphism(spec)
+        assert verify_trace(config, trace.start, trace)
+        assert len(simulated) == len(set(simulated))
+        memo = config._corner_memo
+        assert memo and set(memo) == {gamma for cfg, gamma in simulated if cfg is config}
+        # Each verdict is what a fresh simulation on a fresh copy decides.
+        fresh = CurveConfig(config.curves, config.points)
+        for component, verdict in memo.items():
+            sim = real(fresh, component)
+            assert verdict == (bool(sim) and corner_failure(sim.final) is None)
 
 
 coefficients = st.fractions(min_value=0, max_value=1, max_denominator=7).filter(lambda x: x < 1)

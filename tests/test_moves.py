@@ -8,6 +8,7 @@ import helpers
 from logsurf import (
     Classification,
     CurveConfig,
+    FlopCheck,
     InvalidStateError,
     NotABlowdownError,
     NotFloppingError,
@@ -15,6 +16,7 @@ from logsurf import (
     NotNefError,
     SurfaceState,
     TargetBase,
+    TheoremViolationError,
     at_point,
     blow_up,
     classify,
@@ -159,6 +161,23 @@ class TestContractFlop:
         state = tower_state()
         new = contract_flop(is_log_flopping(state, 4))
         assert new.crepant.residual == state.crepant.residual
+
+    @pytest.mark.parametrize(
+        "config, contracted, cid, degree",
+        [
+            (helpers.one_curve(0, -1, 0), (), 1, -1),
+            # A (−2)-curve and a (−3)-curve crossing once.
+            (CurveConfig.build([(1, 0, -2, 0), (2, 0, -3, 0)], [(1, [1, 2])]), (1,), 2, 1),
+        ],
+    )
+    def test_forged_check_of_nonzero_log_degree_is_not_crepant(
+        self, config, contracted, cid, degree
+    ):
+        state = SurfaceState(config, contracted)
+        assert log_degree(state, cid) == degree
+        forged = FlopCheck(state, cid, True, None, None, {})
+        with pytest.raises(TheoremViolationError, match="not log crepant"):
+            contract_flop(forged)
 
 
 class TestPicardRank:

@@ -35,7 +35,14 @@ from logsurf import (
     smooth_point_blowdown,
     validate_config,
 )
-from logsurf.surface import corner_failure, factor_blocks, require_unimodular
+from logsurf.surface import (
+    NO_MINUS_ONE,
+    NON_SNC_CONTRACTION,
+    corner_failure,
+    factor_blocks,
+    require_unimodular,
+    run_contraction,
+)
 
 
 class TestValidation:
@@ -515,3 +522,46 @@ class TestSimulatorAgainstDenseOracle:
                     self.assert_same_model(sim.final, oracle)
                     compared += 1
         assert compared >= 2 * len(self.SEEDS)
+
+    def test_random_cores_and_restrictions(self):
+        """Any core, any restriction: the same order, model and failure."""
+        rng = random.Random("cores")
+        outcomes = set()
+        # A (−1)-curve meeting three curves, and a (−1)-curve meeting a
+        # curve twice.
+        star = CurveConfig.build(
+            [(1, 0, -1, 0), (2, 0, -2, 0), (3, 0, -2, 0), (4, 0, -1, 0)],
+            [(1, [1, 2]), (2, [1, 3]), (3, [1, 4])],
+        )
+        double = CurveConfig.build(
+            [(1, 0, -1, 0), (2, 0, -3, 0), (3, 0, -1, 0)],
+            [(1, [1, 2]), (2, [1, 2]), (3, [2, 3])],
+        )
+        configs = [self.tower(seed).config for seed in self.SEEDS] + [star, double] * 4
+        for config in configs:
+            ids = [c.id for c in config.curves]
+            for _ in range(25):
+                core = set(rng.sample(ids, rng.randint(1, len(ids))))
+                restrict = set(rng.sample(sorted(core), rng.randint(0, len(core))))
+                if rng.random() < 0.5:
+                    restrict = None
+                model = LocalBlowdownModel.from_config(config, core)
+                sim = run_contraction(model, restrict)
+                pool = core if restrict is None else restrict
+                oracle = oracles.DenseContraction(config, core)
+                assert sim.order == oracle.lowest_id_order(pool)
+                self.assert_same_model(sim.final, oracle)
+                left = sorted(oracle.core & pool)
+                minus_ones = [
+                    c for c in left if oracle.genus[c] == 0 and oracle.selves[c] == -1
+                ]
+                if not left:
+                    assert (sim.ok, sim.reason, sim.detail) == (True, None, None)
+                elif not minus_ones:
+                    assert (sim.ok, sim.reason) == (False, NO_MINUS_ONE)
+                    assert sim.detail == f"no contractible (-1)-curve among {left}"
+                else:
+                    assert (sim.ok, sim.reason) == (False, NON_SNC_CONTRACTION)
+                    assert sim.detail.startswith(f"every (-1)-curve in {minus_ones} ")
+                outcomes.add(sim.reason)
+        assert outcomes == {None, NO_MINUS_ONE, NON_SNC_CONTRACTION}
