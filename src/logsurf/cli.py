@@ -242,14 +242,31 @@ def _fractions_to_json(values: dict[int, Fraction]) -> dict[str, str]:
     return {str(cid): str(value) for cid, value in sorted(values.items())}
 
 
-def _fractions_from_json(data: Any, path: str) -> dict[int, Fraction]:
+def _interned_fraction(value: Any, path: str, parsed: dict[str, Fraction]) -> Fraction:
+    """`_fraction`, parsing each distinct string of a document once.
+
+    `parsed` maps the strings read so far to their values.  Only strings are
+    keys: a JSON true or 1.0 equals 1 and hashes like it, so a table keyed
+    on values would accept it as a cached "1".
+    """
+    if type(value) is not str:
+        return _fraction(value, path)
+    fraction = parsed.get(value)
+    if fraction is None:
+        fraction = parsed[value] = _fraction(value, path)
+    return fraction
+
+
+def _fractions_from_json(
+    data: Any, path: str, parsed: dict[str, Fraction]
+) -> dict[int, Fraction]:
     if not isinstance(data, dict):
         raise ValueError(f"{path} must be a JSON object, got {data!r}")
     out = {}
     for cid, value in data.items():
         if not _INTEGER.fullmatch(cid):
             raise ValueError(f"{path} has a key {cid!r} that is not a curve id")
-        out[int(cid)] = _fraction(value, f"{path}.{cid}")
+        out[int(cid)] = _interned_fraction(value, f"{path}.{cid}", parsed)
     return out
 
 
@@ -288,9 +305,13 @@ def trace_from_json(data: Any) -> tuple[str, DecompositionTrace]:
 
     A trace without a "base" key is a decomposition over the target base of
     its end set; "base": "point" marks a minimization over a point base.
+    Each distinct fraction string is parsed once per document, in a table
+    local to this call, so equal values read from equal strings are one
+    `Fraction` object; an error still names the first bad field's path.
     """
     if not isinstance(data, dict):
         raise ValueError("trace document must be a JSON object")
+    parsed: dict[str, Fraction] = {}
     steps = []
     for at, entry in _objects(data.get("steps", []), "steps"):
         try:
@@ -305,8 +326,12 @@ def trace_from_json(data: Any) -> tuple[str, DecompositionTrace]:
                 raise ValueError(f"{at}epsilon must be a JSON object, got {eps!r}")
             supremum = eps.get("supremum")
             epsilon = EpsilonChoice(
-                None if supremum is None else _fraction(supremum, f"{at}epsilon.supremum"),
-                _fraction(_required(eps, "chosen", f"{at}epsilon."), f"{at}epsilon.chosen"),
+                None
+                if supremum is None
+                else _interned_fraction(supremum, f"{at}epsilon.supremum", parsed),
+                _interned_fraction(
+                    _required(eps, "chosen", f"{at}epsilon."), f"{at}epsilon.chosen", parsed
+                ),
             )
         else:
             order = tuple(_ints(_required(entry, "order", at), f"{at}order"))
@@ -317,10 +342,12 @@ def trace_from_json(data: Any) -> tuple[str, DecompositionTrace]:
                 _fractions_from_json(
                     _required(entry, "discrepancies_before", at),
                     f"{at}discrepancies_before",
+                    parsed,
                 ),
                 _fractions_from_json(
                     _required(entry, "discrepancies_after", at),
                     f"{at}discrepancies_after",
+                    parsed,
                 ),
                 epsilon=epsilon,
                 order=order,

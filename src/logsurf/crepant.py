@@ -14,7 +14,8 @@ from dataclasses import dataclass
 from enum import IntEnum
 from fractions import Fraction
 from functools import cached_property
-from typing import Iterable
+from types import MappingProxyType
+from typing import Iterable, Mapping
 
 from .errors import (
     InvalidStateError,
@@ -68,21 +69,32 @@ class CrepantData:
     """Solved residual coefficients.
 
     `residual` covers every curve: the solved value on contracted curves, the
-    stated boundary coefficient elsewhere.  Discrepancies are their negatives
-    on the contracted set.
+    stated boundary coefficient elsewhere.  It is read-only and shared by
+    reference: by the configuration's memo, by every caller of
+    `crepant_pullback` and by the states a run reaches by moves, which all
+    have the same solution.  Discrepancies are its negatives on the
+    contracted set; they and the residual-1 curves are found on first read
+    and kept.
     """
 
-    residual: dict[int, Fraction]
+    residual: Mapping[int, Fraction]
     contracted: frozenset[int]
 
     def discrepancy(self, cid: int) -> Fraction:
         if cid not in self.contracted:
             raise UnknownIdError(f"curve {cid} is not contracted; it has no discrepancy")
-        return -self.residual[cid]
+        return self.discrepancies[cid]
 
-    @property
-    def discrepancies(self) -> dict[int, Fraction]:
-        return {cid: -self.residual[cid] for cid in sorted(self.contracted)}
+    @cached_property
+    def discrepancies(self) -> Mapping[int, Fraction]:
+        """The discrepancies by contracted curve, in id order; read-only."""
+        residual = self.residual
+        return MappingProxyType({cid: -residual[cid] for cid in sorted(self.contracted)})
+
+    @cached_property
+    def ones(self) -> frozenset[int]:
+        """The curves, contracted or not, whose residual is exactly 1."""
+        return frozenset(cid for cid, value in self.residual.items() if value == 1)
 
 
 def _require_contractible(config: CurveConfig, ids: frozenset[int]) -> tuple[Block, ...]:
@@ -109,14 +121,14 @@ def crepant_pullback(config: CurveConfig, contracted: Iterable[int]) -> CrepantD
     Each set is solved at most once per configuration, block by block from
     its memoised factors, unless a state reached by a move has already
     stored the solution it inherits (`SurfaceState.successor`); every call
-    returns a fresh copy of the memoised solution.
+    returns the memoised solution itself, which is read-only.
     """
     key = frozenset(contracted)
     memo = config._crepant_memo
     data = memo.get(key)
     if data is None:
         data = memo[key] = _solve_pullback(config, key)
-    return CrepantData(dict(data.residual), key)
+    return data
 
 
 def _solve_pullback(config: CurveConfig, key: frozenset[int]) -> CrepantData:
@@ -137,7 +149,7 @@ def _solve_pullback(config: CurveConfig, key: frozenset[int]) -> CrepantData:
             rhs.append(-acc)
         for cid, value in zip(order, solve_symmetric(factor, rhs)):
             residual[cid] = value
-    return CrepantData(residual, key)
+    return CrepantData(MappingProxyType(residual), key)
 
 
 class Classification(IntEnum):
@@ -210,10 +222,10 @@ class SurfaceState:
         gram(S ∪ {C}) negative definite.  Each row of its system but C's is
         a row of S's, with C's term moved across at e_C = d_C, and C's row
         says that S's log degree on C is 0.  When that one exact equation
-        holds, S's residuals solve the system, uniquely, and are stored as
-        its solution without a solve; otherwise the set is solved cold.
-        The parent link is dropped either way, so no chain of states stays
-        alive.
+        holds, S's residuals solve the system, uniquely, so S's read-only
+        mapping itself is stored as its solution, with no solve and no
+        copy; otherwise the set is solved cold.  The parent link is
+        dropped either way, so no chain of states stays alive.
         """
         self._checked
         link = self.__dict__.pop("_parent", None)
@@ -222,7 +234,7 @@ class SurfaceState:
             memo = self.config._crepant_memo
             if self.contracted not in memo and log_degree(parent, cid) == 0:
                 memo[self.contracted] = CrepantData(
-                    dict(parent.crepant.residual), self.contracted
+                    parent.crepant.residual, self.contracted
                 )
         return crepant_pullback(self.config, self.contracted)
 
@@ -246,29 +258,30 @@ class SurfaceState:
     def classification(self) -> Classification:
         """Classify the contraction by its residual coefficients.
 
-        A residual above 1 on a contracted curve rules out log canonical.
-        With residuals at most 1, each component carrying a residual-1 curve
-        must contract stepwise to a smooth point that is a normal-crossing
-        corner of the boundary (`surface.corner_failure`) — failing that
-        leaves the state merely log canonical.  KLT further requires
-        every residual and every surviving coefficient strictly below 1.
+        A residual above 1 (a discrepancy below −1) on a contracted curve
+        rules out log canonical.  With residuals at most 1, each component
+        carrying a residual-1 curve must contract stepwise to a smooth point
+        that is a normal-crossing corner of the boundary
+        (`surface.corner_failure`) — failing that leaves the state merely
+        log canonical.  KLT further requires every residual and every
+        surviving coefficient strictly below 1.  The contracted residuals
+        are read as the solution's cached discrepancies.
         """
         self._checked
-        data = self.crepant
-        on_s = [data.residual[cid] for cid in self.contracted]
-        if any(v > 1 for v in on_s):
+        discrepancies = self.crepant.discrepancies
+        if any(a < -1 for a in discrepancies.values()):
             return Classification.NOT_LC
         # A component's residuals and its contraction depend only on the
         # configuration and the component, so its verdict is memoised.
         corners = self.config._corner_memo
         for component in self.components:
-            if any(data.residual[cid] == 1 for cid in component):
+            if any(discrepancies[cid] == -1 for cid in component):
                 if component not in corners:
                     sim = smooth_point_blowdown(self.config, component)
                     corners[component] = bool(sim) and corner_failure(sim.final) is None
                 if not corners[component]:
                     return Classification.LOG_CANONICAL
-        if all(v < 1 for v in on_s) and all(
+        if all(a > -1 for a in discrepancies.values()) and all(
             self.config.curve(cid).boundary_coeff < 1 for cid in self.uncontracted
         ):
             return Classification.KLT
@@ -312,8 +325,7 @@ def lc_centers(state: SurfaceState) -> tuple[LcCenter, ...]:
     containing a residual-1 curve are collapsed to their image points.
     """
     state._checked
-    data = state.crepant
-    ones = {c.id for c in state.config.curves if data.residual[c.id] == 1}
+    ones = state.crepant.ones
     out: list[LcCenter] = [
         DivisorialCenter(cid) for cid in sorted(ones - state.contracted)
     ]
@@ -321,7 +333,7 @@ def lc_centers(state: SurfaceState) -> tuple[LcCenter, ...]:
         if len(p.incident) == 2 and p.incident <= ones:
             out.append(NodeCenter(p.id, p.incident))
     for component in state.components:
-        if any(data.residual[cid] == 1 for cid in component):
+        if not component.isdisjoint(ones):
             out.append(ComponentImage(component))
     return tuple(out)
 

@@ -6,6 +6,13 @@ crepant and keeps the pair log terminal.  A *log blow-down* removes a
 coefficient-1 rational curve whose image is a (−1)-curve joining two boundary
 branches through a smooth point, undoing a corner blow-up.
 
+The flop predicate reports the first requirement that fails, cheapest
+first: the curve must be exceptional over the base, of log degree 0 and of
+coefficient below 1 (a coefficient-1 curve is itself a non-klt centre,
+`IsDivisorialCenter`); only then are the multiplicities λ solved for the
+image self-intersection, and last the curve is tested against the other
+non-klt centres.
+
 A predicate returns a check: the state and curve it was made for and, on
 success, the evidence found — a flop's multiplicities λ, a blow-down's local
 contraction order.  The check is the move's certificate: `epsilon_bound`,
@@ -22,12 +29,11 @@ from dataclasses import dataclass, field
 from enum import Enum
 from fractions import Fraction
 from functools import partial
-from typing import Callable, ClassVar
+from typing import Callable, ClassVar, Mapping
 
 from .crepant import (
     Classification,
     ComponentImage,
-    DivisorialCenter,
     NodeCenter,
     SurfaceState,
     TargetBase,
@@ -76,12 +82,16 @@ class MoveKind(Enum):
 
 @dataclass(frozen=True)
 class MoveRecord:
-    """One applied move plus the certificate needed to re-verify it."""
+    """One applied move plus the certificate needed to re-verify it.
+
+    A run records its states' read-only discrepancy mappings themselves,
+    shared with the states' crepant data; a parsed trace holds dicts.
+    """
 
     kind: MoveKind
     curve: int
-    discrepancies_before: dict[int, Fraction]
-    discrepancies_after: dict[int, Fraction]
+    discrepancies_before: Mapping[int, Fraction]
+    discrepancies_after: Mapping[int, Fraction]
     epsilon: EpsilonChoice | None = None
     order: tuple[int, ...] | None = None
 
@@ -156,8 +166,10 @@ def is_log_flopping(state: SurfaceState, cid: int) -> FlopCheck:
     """Test whether contracting `cid` is a flop-type divisorial contraction.
 
     Requires: the curve is exceptional over the base, its log degree
-    vanishes, its image self-intersection is negative, and it avoids every
-    non-klt centre (in particular its own coefficient is below 1).
+    vanishes, its own coefficient is below 1 (a coefficient-1 curve is a
+    divisorial non-klt centre), its image self-intersection is negative,
+    and it avoids every other non-klt centre.  The first requirement that
+    fails, in this order, is the reason reported.
     """
     _require_uncontracted(state, cid)
     _require_log_terminal(state)
@@ -167,13 +179,13 @@ def is_log_flopping(state: SurfaceState, cid: int) -> FlopCheck:
     degree = log_degree(state, cid)
     if degree != 0:
         return fail("NonzeroLogDegree", f"log degree is {degree}, not 0")
+    if state.config.curve(cid).boundary_coeff == 1:
+        return fail("IsDivisorialCenter", f"curve {cid} has coefficient 1")
     lam = correction_multiplicities(state, cid)
     image_self = image_self_intersection(state.config, cid, lam)
     if image_self >= 0:
         return fail("ImageNotNegative", f"image self-intersection is {image_self} ≥ 0")
     for center in lc_centers(state):
-        if isinstance(center, DivisorialCenter) and center.curve == cid:
-            return fail("IsDivisorialCenter", f"curve {cid} has coefficient 1")
         if isinstance(center, NodeCenter) and cid in center.curves:
             return fail(
                 "MeetsNodeCenter",
@@ -196,15 +208,16 @@ def epsilon_bound(check: FlopCheck) -> EpsilonChoice:
     Raising the curve's coefficient by any ε below the supremum keeps every
     residual at most 1 (hence the pair log terminal): the binding constraints
     are the coefficient cap 1 − d and, for each contracted curve picked up by
-    the image pullback with multiplicity λ > 0, the headroom (1 − e)/λ.
+    the image pullback with multiplicity λ > 0, the headroom (1 − e)/λ, read
+    as (1 + a)/λ from the cached discrepancy a = −e.
     """
     check.require()
     state = check.state
     constraints = [Fraction(1) - state.config.curve(check.curve).boundary_coeff]
-    residual = state.crepant.residual
+    discrepancies = state.crepant.discrepancies
     for j, lam in check.multiplicities.items():
         if lam > 0:
-            constraints.append((Fraction(1) - residual[j]) / lam)
+            constraints.append((1 + discrepancies[j]) / lam)
     supremum = min(constraints)
     return EpsilonChoice(supremum, supremum / 2)
 

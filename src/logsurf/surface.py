@@ -135,10 +135,12 @@ class CurveConfig:
     def _crepant_memo(self) -> dict[frozenset[int], object]:
         """Solved crepant pullbacks (`crepant.CrepantData`) by contracted set.
 
-        Filled by `crepant`, which hands callers copies only: by a solve
-        from the set's factors, or, for a state reached by a move, by the
-        parent's residuals once the new curve's row holds exactly
-        (`crepant.SurfaceState.crepant`).
+        Filled by `crepant`: by a solve from the set's factors, or, for a
+        state reached by a move, with the parent's residual mapping itself
+        once the new curve's row holds exactly
+        (`crepant.SurfaceState.crepant`).  Entries are read-only, so every
+        caller gets the entry itself and states along a run share one
+        mapping.
         """
         return {}
 

@@ -1,9 +1,11 @@
 """Command-line behaviour: documents, exit codes, determinism, DOT output."""
 
 import contextlib
+from fractions import Fraction
 import importlib
 import io
 import json
+import re
 import shutil
 import subprocess
 import sys
@@ -14,7 +16,15 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import helpers
-from logsurf import StuckInPhase2Error, TheoremViolationError
+from logsurf import (
+    EpsilonChoice,
+    MorphismSpec,
+    MoveKind,
+    MoveRecord,
+    StuckInPhase2Error,
+    TheoremViolationError,
+    decompose_morphism,
+)
 import logsurf.cli as cli
 
 SCENARIOS = Path(__file__).resolve().parent.parent / "scenarios"
@@ -360,6 +370,142 @@ class TestDecomposeAndVerify:
             )
         a, b = (open(p, "rb").read() for p in paths)
         assert a == b
+
+
+# Fraction strings a trace document may hold, well formed but written in
+# several ways, drawn from a small pool so that documents repeat them.
+_TRACE_VALUE = st.integers(-3, 3) | st.sampled_from(
+    ["0", "1", "-1", "1/2", "-2/3", "04/06", "+1", " 1/2", "1/2 ", " -1 ", "3"]
+)
+_TRACE_FRACTIONS = st.dictionaries(st.sampled_from(["1", "2", "3", "4"]), _TRACE_VALUE, max_size=4)
+_TRACE_STEP = st.one_of(
+    st.fixed_dictionaries({
+        "kind": st.just("flop"),
+        "curve": st.integers(1, 4),
+        "discrepancies_before": _TRACE_FRACTIONS,
+        "discrepancies_after": _TRACE_FRACTIONS,
+        "epsilon": st.fixed_dictionaries(
+            {"supremum": st.none() | _TRACE_VALUE, "chosen": _TRACE_VALUE}
+        ),
+    }),
+    st.fixed_dictionaries({
+        "kind": st.just("blowdown"),
+        "curve": st.integers(1, 4),
+        "discrepancies_before": _TRACE_FRACTIONS,
+        "discrepancies_after": _TRACE_FRACTIONS,
+        "order": st.lists(st.integers(1, 4), max_size=3),
+    }),
+)
+_TRACE_DOC = st.fixed_dictionaries(
+    {
+        "scenario_digest": st.just("digest"),
+        "start": st.lists(st.integers(1, 4), max_size=2),
+        "end": st.lists(st.integers(1, 4), max_size=4),
+        "flop_minimal_index": st.integers(0, 4),
+        "steps": st.lists(_TRACE_STEP, max_size=5),
+    },
+    optional={"base": st.just("point")},
+)
+
+
+def _reference_steps(doc) -> tuple[MoveRecord, ...]:
+    """The document's steps with every fraction value read by `parse_fraction`."""
+
+    def fractions(values):
+        return {int(cid): cli.parse_fraction(value) for cid, value in values.items()}
+
+    steps = []
+    for step in doc["steps"]:
+        epsilon = order = None
+        if step["kind"] == "flop":
+            supremum = step["epsilon"]["supremum"]
+            epsilon = EpsilonChoice(
+                None if supremum is None else cli.parse_fraction(supremum),
+                cli.parse_fraction(step["epsilon"]["chosen"]),
+            )
+        else:
+            order = tuple(step["order"])
+        steps.append(MoveRecord(
+            MoveKind(step["kind"]),
+            step["curve"],
+            fractions(step["discrepancies_before"]),
+            fractions(step["discrepancies_after"]),
+            epsilon=epsilon,
+            order=order,
+        ))
+    return tuple(steps)
+
+
+def _parsed_fractions(steps) -> list[Fraction]:
+    out = []
+    for step in steps:
+        out += step.discrepancies_before.values()
+        out += step.discrepancies_after.values()
+        if step.epsilon is not None:
+            out += [v for v in (step.epsilon.supremum, step.epsilon.chosen) if v is not None]
+    return out
+
+
+def _tower_trace_doc() -> dict:
+    """The worked decomposition's trace: step 0 flops curve 4 with epsilon
+    supremum "1", step 1 blows down curve 3."""
+    spec = MorphismSpec(helpers.corner_twice(), set(), {3, 4})
+    return json.loads(json.dumps(cli.trace_to_json(spec.config, decompose_morphism(spec))))
+
+
+class TestTraceInterning:
+    """`trace_from_json` parses each distinct fraction string once per
+    document, with exactly the meaning `parse_fraction` gives each value."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(_TRACE_DOC)
+    def test_interned_parse_equals_the_reference(self, doc):
+        _, trace = cli.trace_from_json(doc)
+        assert trace.steps == _reference_steps(doc)
+        assert all(type(v) is Fraction for v in _parsed_fractions(trace.steps))
+
+    def test_each_distinct_string_is_parsed_once(self, monkeypatch):
+        doc = _tower_trace_doc()
+        doc["steps"][1]["discrepancies_after"]["4"] = 0
+        calls = []
+        real = cli.parse_fraction
+
+        def counting(value):
+            calls.append(value)
+            return real(value)
+
+        monkeypatch.setattr(cli, "parse_fraction", counting)
+        _, trace = cli.trace_from_json(doc)
+        # "0" is read twice but parsed once; the JSON int 0 is not interned.
+        assert calls == ["1", "1/2", "0", "-1", 0]
+        flop, blowdown = trace.steps
+        assert flop.discrepancies_after[4] is blowdown.discrepancies_before[4]
+
+    def test_two_parses_share_no_fraction(self):
+        doc = _tower_trace_doc()
+        first = _parsed_fractions(cli.trace_from_json(doc)[1].steps)
+        second = _parsed_fractions(cli.trace_from_json(doc)[1].steps)
+        assert first == second
+        assert {id(v) for v in first}.isdisjoint(id(v) for v in second)
+
+    @pytest.mark.parametrize("value", [True, 1.0])
+    def test_a_non_string_equal_to_a_seen_one_is_rejected(self, value):
+        # True == 1.0 == 1 with equal hashes: a table keyed on values would
+        # take either for the "1" or the JSON 1 read before it.
+        doc = _tower_trace_doc()
+        assert doc["steps"][0]["epsilon"]["supremum"] == "1"
+        doc["steps"][1]["discrepancies_before"]["4"] = 1
+        doc["steps"][1]["discrepancies_after"]["3"] = value
+        with pytest.raises(ValueError, match=re.escape("steps[1].discrepancies_after.3: ")):
+            cli.trace_from_json(doc)
+
+    def test_a_repeated_malformed_string_is_reported_at_its_first_path(self):
+        doc = _tower_trace_doc()
+        doc["steps"][0]["discrepancies_after"]["4"] = "1e0"
+        doc["steps"][1]["discrepancies_before"]["4"] = "1e0"
+        with pytest.raises(ValueError) as raised:
+            cli.trace_from_json(doc)
+        assert str(raised.value).startswith("steps[0].discrepancies_after.4: ")
 
 
 class TestMinimizeCommand:

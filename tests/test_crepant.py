@@ -63,13 +63,21 @@ class TestCrepantPullback:
             4: Fraction(0),
         }
 
-    def test_memoised_solution_is_not_shared_with_callers(self):
+    def test_memoised_solution_is_read_only_and_shared_with_callers(self):
         config = helpers.corner_twice()
         first = crepant_pullback(config, {3, 4})
-        first.residual[4] = Fraction(7)
+        with pytest.raises(TypeError):
+            first.residual[4] = Fraction(7)
+        with pytest.raises(TypeError):
+            del first.residual[4]
+        with pytest.raises(TypeError):
+            first.discrepancies[4] = Fraction(7)
         again = crepant_pullback(config, [4, 3])
-        assert again.residual[4] == 0
-        assert again.residual is not first.residual
+        assert again is first and again.residual is first.residual
+        assert again.discrepancies is first.discrepancies
+        expected = oracles.solve_linear(gram(config, [3, 4]).rows(), raw_rhs(config, [3, 4]))
+        assert (again.residual[3], again.residual[4]) == expected == (1, 0)
+        assert again.discrepancies == {3: Fraction(-1), 4: Fraction(0)}
 
     def test_empty_set_is_identity(self):
         data = crepant_pullback(helpers.corner_twice(), set())
@@ -544,11 +552,19 @@ class TestInheritedSolutions:
         state = SurfaceState(config, (), TargetBase({3, 4}))
         new = state.successor(4)
         assert new.contracted == frozenset({4}) and new.base == state.base
-        assert new.crepant.residual == state.crepant.residual
+        # The inherited entry is the parent's mapping itself, and no caller
+        # of either state can write to it.
+        assert new.crepant.residual is state.crepant.residual
         assert "_parent" not in vars(new)
-        # The inherited entry is a copy: the parent's callers cannot reach it.
-        state.crepant.residual[4] = Fraction(5)
-        assert crepant_pullback(config, {4}).residual == new.crepant.residual
+        assert crepant_pullback(config, {4}) is new.crepant
+        for data in (state.crepant, new.crepant):
+            with pytest.raises(TypeError):
+                data.residual[4] = Fraction(5)
+            with pytest.raises(TypeError):
+                data.discrepancies[4] = Fraction(5)
+        expected = oracles.solve_linear(gram(config, [4]).rows(), raw_rhs(config, [4]))
+        assert (new.crepant.residual[4],) == (state.crepant.residual[4],) == expected
+        assert new.crepant.residual == state.crepant.residual == {1: 1, 2: 1, 3: 1, 4: 0}
 
     def test_a_nonzero_row_is_solved_cold(self, cold):
         # Curve 2 is a (−3)-curve: its log degree is 1, not 0, over {1}.

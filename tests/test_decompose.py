@@ -34,6 +34,7 @@ from logsurf import (
     minimize,
     verify_trace,
 )
+import logsurf.crepant
 import logsurf.decompose
 import logsurf.moves
 from logsurf.cli import config_digest, trace_to_json
@@ -268,6 +269,38 @@ class TestVerifyIndependence:
         assert {name: len(getattr(config, name)) for name in self.MEMOS} == sizes
         with pytest.raises(MemoTouched):
             crepant_pullback(config, spec.target_contracted)
+
+    def test_replay_shares_no_solution_with_the_run(self, monkeypatch):
+        spec = generate_crepant_pair(helpers.corner(), 8, 5)
+        config = spec.config
+        trace = decompose_morphism(spec)
+        run_memo = config._crepant_memo
+        run_residuals = {id(data.residual) for data in run_memo.values()}
+        # The states a run reaches share one residual mapping.
+        assert len(run_residuals) < len(run_memo)
+        run_mappings = run_residuals | {
+            id(mapping)
+            for step in trace.steps
+            for mapping in (step.discrepancies_before, step.discrepancies_after)
+        }
+
+        replays = []
+        real = logsurf.crepant._solve_pullback
+
+        def recording(replay_config, key):
+            replays.append(replay_config)
+            return real(replay_config, key)
+
+        monkeypatch.setattr(logsurf.crepant, "_solve_pullback", recording)
+        assert verify_trace(config, spec.source_contracted, trace)
+        (replay,) = {id(c): c for c in replays}.values()
+        assert replay is not config
+        replay_memo = replay._crepant_memo
+        assert len(replay_memo) > len(trace.steps)
+        for data in replay_memo.values():
+            assert id(data.residual) not in run_mappings
+            if "discrepancies" in vars(data):
+                assert id(data.discrepancies) not in run_mappings
 
 
 class TestMinimize:

@@ -5,6 +5,7 @@ from fractions import Fraction
 import pytest
 
 import helpers
+import logsurf.moves
 from logsurf import (
     Classification,
     CurveConfig,
@@ -70,6 +71,31 @@ class TestIsLogFlopping:
         check = is_log_flopping(SurfaceState(config, set()), 3)
         assert not check
         assert check.reason == "ImageNotNegative"
+
+    def test_coefficient_one_is_tested_before_the_image(self, monkeypatch):
+        # Curve 3 has coefficient 1, log degree −2 + 1 + 1 = 0 and image
+        # square 0: its own coefficient fails it before λ is solved.
+        config = CurveConfig.build(
+            [(1, 0, -2, 1), (2, 0, -2, 1), (3, 0, 0, 1)],
+            [(1, [1, 3]), (2, [2, 3])],
+        )
+        state = SurfaceState(config, set())
+        assert log_degree(state, 3) == 0
+        assert pushforward_self_intersection(state, 3) == 0
+        solved = []
+        real = logsurf.moves.correction_multiplicities
+
+        def counting(state, cid):
+            solved.append(cid)
+            return real(state, cid)
+
+        monkeypatch.setattr(logsurf.moves, "correction_multiplicities", counting)
+        check = is_log_flopping(state, 3)
+        assert not check
+        assert check.reason == "IsDivisorialCenter"
+        assert solved == []
+        assert is_log_flopping(SurfaceState(helpers.du_val_a1(), set()), 1)
+        assert solved == [1]
 
     def test_requires_log_terminal_state(self):
         config = CurveConfig.build([(1, 1, -1, 0), (2, 0, -2, 0)])
