@@ -10,7 +10,7 @@ each rewriting move.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from enum import IntEnum
 from fractions import Fraction
 from functools import cached_property
@@ -64,6 +64,43 @@ class TargetBase:
 Base = PointBase | TargetBase
 
 
+class SolutionFacts:
+    """The facts of one crepant solution, each found once, when first asked.
+
+    They depend only on the residual mapping and the configuration, so the
+    table follows the mapping: every `CrepantData` sharing a mapping shares
+    its table, and a fresh solution gets a fresh one.
+
+    - `degrees`: the log degree of each curve asked of `log_degree`;
+    - `negated`: the negated residual of each curve `discrepancies` has read;
+    - `ones` and `above_one`: the curves of residual exactly 1 and above 1,
+      found together in one pass;
+    - `nodes`: the node centres, crossing points whose two branches are both
+      in `ones`, found by `lc_centers`.
+    """
+
+    __slots__ = ("degrees", "negated", "ones", "above_one", "nodes")
+
+    def __init__(self) -> None:
+        self.degrees: dict[int, Fraction] = {}
+        self.negated: dict[int, Fraction] | None = None
+        self.ones: frozenset[int] | None = None
+        self.above_one: frozenset[int] | None = None
+        self.nodes: tuple[NodeCenter, ...] | None = None
+
+    def scan(self, residual: Mapping[int, Fraction]) -> None:
+        """Fill `ones` and `above_one`; a residual is a `Fraction`, whose
+        denominator is positive, so both tests are integer comparisons."""
+        ones: list[int] = []
+        above: list[int] = []
+        for cid, value in residual.items():
+            n, d = value.numerator, value.denominator
+            if n >= d:
+                (ones if n == d else above).append(cid)
+        self.ones = frozenset(ones)
+        self.above_one = frozenset(above)
+
+
 @dataclass(frozen=True)
 class CrepantData:
     """Solved residual coefficients.
@@ -72,13 +109,16 @@ class CrepantData:
     stated boundary coefficient elsewhere.  It is read-only and shared by
     reference: by the configuration's memo, by every caller of
     `crepant_pullback` and by the states a run reaches by moves, which all
-    have the same solution.  Discrepancies are its negatives on the
-    contracted set; they and the residual-1 curves are found on first read
-    and kept.
+    have the same solution.  `facts` is the mapping's `SolutionFacts`,
+    passed along with it: log degrees, negated residuals, the residual-1
+    and residual-above-1 curves and the node centres are each found once
+    per mapping, not once per state.  Discrepancies are the negated
+    residuals on the contracted set.
     """
 
     residual: Mapping[int, Fraction]
     contracted: frozenset[int]
+    facts: SolutionFacts = field(default_factory=SolutionFacts, repr=False, compare=False)
 
     def discrepancy(self, cid: int) -> Fraction:
         if cid not in self.contracted:
@@ -87,14 +127,41 @@ class CrepantData:
 
     @cached_property
     def discrepancies(self) -> Mapping[int, Fraction]:
-        """The discrepancies by contracted curve, in id order; read-only."""
-        residual = self.residual
-        return MappingProxyType({cid: -residual[cid] for cid in sorted(self.contracted)})
+        """The discrepancies by contracted curve, in id order; read-only.
 
-    @cached_property
+        Each curve's residual is negated once per mapping: a state reached
+        by a move negates only the curve it added."""
+        residual = self.residual
+        facts = self.facts
+        negated = facts.negated
+        if negated is None:
+            out = {cid: -residual[cid] for cid in sorted(self.contracted)}
+            facts.negated = dict(out)
+        else:
+            out = {}
+            for cid in sorted(self.contracted):
+                value = negated.get(cid)
+                if value is None:
+                    value = negated[cid] = -residual[cid]
+                out[cid] = value
+        return MappingProxyType(out)
+
+    @property
     def ones(self) -> frozenset[int]:
         """The curves, contracted or not, whose residual is exactly 1."""
-        return frozenset(cid for cid, value in self.residual.items() if value == 1)
+        facts = self.facts
+        if facts.ones is None:
+            facts.scan(self.residual)
+        return facts.ones
+
+    @property
+    def above_one(self) -> frozenset[int]:
+        """The curves whose residual is above 1; all are contracted, since
+        validation keeps every coefficient at most 1."""
+        facts = self.facts
+        if facts.above_one is None:
+            facts.scan(self.residual)
+        return facts.above_one
 
 
 def _require_contractible(config: CurveConfig, ids: frozenset[int]) -> tuple[Block, ...]:
@@ -224,8 +291,11 @@ class SurfaceState:
         says that S's log degree on C is 0.  When that one exact equation
         holds, S's residuals solve the system, uniquely, so S's read-only
         mapping itself is stored as its solution, with no solve and no
-        copy; otherwise the set is solved cold.  The parent link is
-        dropped either way, so no chain of states stays alive.
+        copy, together with the mapping's table of facts (`SolutionFacts`),
+        so nothing S has found about its solution is found again.
+        Otherwise the set is solved cold and gets a fresh table.  The
+        parent link is dropped either way, so no chain of states stays
+        alive.
         """
         self._checked
         link = self.__dict__.pop("_parent", None)
@@ -233,13 +303,11 @@ class SurfaceState:
             parent, cid = link
             memo = self.config._crepant_memo
             if self.contracted not in memo and log_degree(parent, cid) == 0:
+                inherited = parent.crepant
                 memo[self.contracted] = CrepantData(
-                    parent.crepant.residual, self.contracted
+                    inherited.residual, self.contracted, inherited.facts
                 )
         return crepant_pullback(self.config, self.contracted)
-
-    def residual(self, cid: int) -> Fraction:
-        return self.crepant.residual[cid]
 
     @cached_property
     def uncontracted(self) -> tuple[int, ...]:
@@ -264,27 +332,29 @@ class SurfaceState:
         that is a normal-crossing corner of the boundary
         (`surface.corner_failure`) — failing that leaves the state merely
         log canonical.  KLT further requires every residual and every
-        surviving coefficient strictly below 1.  The contracted residuals
-        are read as the solution's cached discrepancies.
+        surviving coefficient strictly below 1.  Every test is a set test on
+        the solution's shared residual-1 and residual-above-1 curves
+        (`CrepantData.ones`, `CrepantData.above_one`): uncontracted
+        residuals are the coefficients, which validation keeps at most 1,
+        so KLT means that no curve has residual 1.
         """
         self._checked
-        discrepancies = self.crepant.discrepancies
-        if any(a < -1 for a in discrepancies.values()):
+        data = self.crepant
+        if not data.above_one.isdisjoint(self.contracted):
             return Classification.NOT_LC
+        ones = data.ones
+        if not ones:
+            return Classification.KLT
         # A component's residuals and its contraction depend only on the
         # configuration and the component, so its verdict is memoised.
         corners = self.config._corner_memo
         for component in self.components:
-            if any(discrepancies[cid] == -1 for cid in component):
+            if not component.isdisjoint(ones):
                 if component not in corners:
                     sim = smooth_point_blowdown(self.config, component)
                     corners[component] = bool(sim) and corner_failure(sim.final) is None
                 if not corners[component]:
                     return Classification.LOG_CANONICAL
-        if all(a > -1 for a in discrepancies.values()) and all(
-            self.config.curve(cid).boundary_coeff < 1 for cid in self.uncontracted
-        ):
-            return Classification.KLT
         return Classification.LOG_TERMINAL
 
 
@@ -322,16 +392,24 @@ def lc_centers(state: SurfaceState) -> tuple[LcCenter, ...]:
 
     Surviving coefficient-1 curves give divisorial centres; points whose two
     branches both have residual 1 give node centres; contracted components
-    containing a residual-1 curve are collapsed to their image points.
+    containing a residual-1 curve are collapsed to their image points.  The
+    residual-1 curves and the node centres depend only on the solution, so
+    they are read from its shared table (`SolutionFacts`), found once.
     """
     state._checked
-    ones = state.crepant.ones
+    data = state.crepant
+    ones = data.ones
     out: list[LcCenter] = [
         DivisorialCenter(cid) for cid in sorted(ones - state.contracted)
     ]
-    for p in state.config.points:
-        if len(p.incident) == 2 and p.incident <= ones:
-            out.append(NodeCenter(p.id, p.incident))
+    facts = data.facts
+    if facts.nodes is None:
+        facts.nodes = tuple(
+            NodeCenter(p.id, p.incident)
+            for p in state.config.points
+            if len(p.incident) == 2 and p.incident <= ones
+        )
+    out.extend(facts.nodes)
     for component in state.components:
         if not component.isdisjoint(ones):
             out.append(ComponentImage(component))
@@ -383,15 +461,22 @@ def log_degree(state: SurfaceState, cid: int) -> Fraction:
     deg K|_C + Σ_k e_k (C_k·C), with the residuals running over every curve
     including C itself; only C and the curves meeting it contribute.
     Vanishes identically on contracted curves by construction of the crepant
-    pullback.
+    pullback.  It depends only on the solution, so each curve's degree is
+    computed once per residual mapping and kept in its shared table
+    (`SolutionFacts`).
     """
     state._checked
-    residual = state.crepant.residual
-    config = state.config
-    acc = Fraction(canonical_degree(config, cid))
-    acc += residual[cid] * config.curve(cid).self_intersection
-    for k, count in config._adjacency[cid].items():
-        acc += residual[k] * count
+    data = state.crepant
+    degrees = data.facts.degrees
+    acc = degrees.get(cid)
+    if acc is None:
+        residual = data.residual
+        config = state.config
+        acc = Fraction(canonical_degree(config, cid))
+        acc += residual[cid] * config.curve(cid).self_intersection
+        for k, count in config._adjacency[cid].items():
+            acc += residual[k] * count
+        degrees[cid] = acc
     return acc
 
 

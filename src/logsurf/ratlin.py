@@ -73,9 +73,6 @@ class SymMatrix:
         """The elimination `is_negative_definite` kept, or None before a yes."""
         return self._factor
 
-    def entry(self, i: int, j: int) -> Fraction | int:
-        return self._rows[i][j]
-
     def rows(self) -> tuple[tuple[Fraction | int, ...], ...]:
         return self._rows
 

@@ -9,7 +9,7 @@ from hypothesis import given, settings, strategies as st
 import helpers
 import logsurf.crepant
 import oracles
-from logsurf.surface import corner_failure
+from logsurf.surface import corner_failure, smooth_point_blowdown
 from logsurf import (
     Classification,
     ComponentImage,
@@ -472,36 +472,38 @@ class TestFactorMemo:
                 assert det == oracles.laplace_det(whole.rows())
 
 
+def runs(build):
+    """(config, trace) of decomposed depth-12 towers or minimised chains."""
+    if build == "towers":
+        for seed in range(4):
+            spec = generate_crepant_pair(helpers.corner(), 12, seed)
+            yield spec.config, decompose_morphism(spec)
+    else:
+        for bs in [
+            [2, 2, 3, 2, 2, 2, 4, 2, 2, 5, 2, 2, 2, 3, 2, 2, 2, 2, 3, 2],
+            [3, 2, 2, 4, 2, 2, 2, 2, 5, 2, 2, 2, 6],
+        ]:
+            config = hj_chain(bs)
+            yield config, minimize(SurfaceState(config, set()))
+
+
+@pytest.fixture
+def cold(monkeypatch):
+    """Every (configuration, contracted set) that is solved cold."""
+    solved = []
+    real = logsurf.crepant._solve_pullback
+
+    def recording(config, key):
+        solved.append((config, key))
+        return real(config, key)
+
+    monkeypatch.setattr(logsurf.crepant, "_solve_pullback", recording)
+    return solved
+
+
 class TestInheritedSolutions:
     """A state reached by a move inherits its parent's residuals after one
     exact row check, instead of solving its own system."""
-
-    @pytest.fixture
-    def cold(self, monkeypatch):
-        """Every (configuration, contracted set) that is solved cold."""
-        solved = []
-        real = logsurf.crepant._solve_pullback
-
-        def recording(config, key):
-            solved.append((config, key))
-            return real(config, key)
-
-        monkeypatch.setattr(logsurf.crepant, "_solve_pullback", recording)
-        return solved
-
-    def _runs(self, build):
-        """(config, trace) of decomposed depth-12 towers or minimised chains."""
-        if build == "towers":
-            for seed in range(4):
-                spec = generate_crepant_pair(helpers.corner(), 12, seed)
-                yield spec.config, decompose_morphism(spec)
-        else:
-            for bs in [
-                [2, 2, 3, 2, 2, 2, 4, 2, 2, 5, 2, 2, 2, 3, 2, 2, 2, 2, 3, 2],
-                [3, 2, 2, 4, 2, 2, 2, 2, 5, 2, 2, 2, 6],
-            ]:
-                config = hj_chain(bs)
-                yield config, minimize(SurfaceState(config, set()))
 
     @staticmethod
     def _reached(trace):
@@ -513,7 +515,7 @@ class TestInheritedSolutions:
 
     @pytest.mark.parametrize("build", ["towers", "chains"])
     def test_every_inherited_entry_agrees_with_the_oracle(self, build, cold):
-        for config, trace in self._runs(build):
+        for config, trace in runs(build):
             solved = {key for cfg, key in cold if cfg is config}
             memo = config._crepant_memo
             # Every set a move reaches is inherited, but a decomposition's
@@ -535,7 +537,7 @@ class TestInheritedSolutions:
 
     @pytest.mark.parametrize("build", ["towers", "chains"])
     def test_no_cold_solve_for_a_state_reached_by_a_move(self, build, cold):
-        for config, trace in self._runs(build):
+        for config, trace in runs(build):
             # A decomposition solves its two end sets to check its input; a
             # minimisation solves its start.  Nothing else is solved.
             ends = [trace.start, trace.end] if build == "towers" else [trace.start]
@@ -555,6 +557,8 @@ class TestInheritedSolutions:
         # The inherited entry is the parent's mapping itself, and no caller
         # of either state can write to it.
         assert new.crepant.residual is state.crepant.residual
+        # The table of facts follows the mapping.
+        assert new.crepant.facts is state.crepant.facts
         assert "_parent" not in vars(new)
         assert crepant_pullback(config, {4}) is new.crepant
         for data in (state.crepant, new.crepant):
@@ -571,9 +575,144 @@ class TestInheritedSolutions:
         config = hj_chain([2, 3])
         state = SurfaceState(config, {1})
         assert log_degree(state, 2) == 1
+        assert state.crepant.facts.degrees[2] == 1
         new = state.successor(2)
         assert new.crepant.discrepancies == {1: Fraction(-1, 5), 2: Fraction(-2, 5)}
         assert [key for _, key in cold] == [frozenset({1}), frozenset({1, 2})]
+        # The cold solution has a table of its own: the parent's stored
+        # degree on curve 2 belongs to another mapping.
+        assert new.crepant.facts is not state.crepant.facts
+        assert log_degree(new, 2) == 0
+        assert log_degree(state, 2) == 1
+
+
+def raw_log_degree(config, counts, residual, cid):
+    """deg K|_C + Σ_k e_k (C_k·C) over every curve k, recounted raw."""
+    curve = next(c for c in config.curves if c.id == cid)
+    total = Fraction(2 * curve.genus - 2 - curve.self_intersection)
+    for other in config.curves:
+        total += residual[other.id] * oracles.raw_pairing(config, counts, other.id, cid)
+    return total
+
+
+def comparison_classification(state):
+    """The classification rule written as comparisons of the discrepancies
+    and the coefficients, with a fresh simulation for every corner test."""
+    config = state.config
+    discrepancies = state.crepant.discrepancies
+    if any(a < -1 for a in discrepancies.values()):
+        return Classification.NOT_LC
+    fresh = CurveConfig(config.curves, config.points)
+    for component in oracles.raw_components(config, state.contracted):
+        if any(discrepancies[cid] == -1 for cid in component):
+            sim = smooth_point_blowdown(fresh, component)
+            if not (sim and corner_failure(sim.final) is None):
+                return Classification.LOG_CANONICAL
+    if all(a > -1 for a in discrepancies.values()) and all(
+        c.boundary_coeff < 1 for c in config.curves if c.id not in state.contracted
+    ):
+        return Classification.KLT
+    return Classification.LOG_TERMINAL
+
+
+class TestSharedFacts:
+    """Each solution's table of facts (`SolutionFacts`) against raw
+    recomputations, along runs, their replays and cold sub-states."""
+
+    @staticmethod
+    def _check(config, data, base):
+        """Every fact `data`'s table holds, and every fact a state of its set
+        reads through it, equals a fresh computation."""
+        counts = oracles.crossing_counts(config)
+        residual = data.residual
+        facts = data.facts
+        for cid, degree in list(facts.degrees.items()):
+            assert degree == raw_log_degree(config, counts, residual, cid), cid
+        if facts.negated is not None:
+            assert all(value == -residual[cid] for cid, value in facts.negated.items())
+        state = SurfaceState(config, data.contracted, base)
+        assert state.crepant is data
+        for c in config.curves:
+            assert log_degree(state, c.id) == raw_log_degree(config, counts, residual, c.id)
+        assert data.ones == frozenset(cid for cid, value in residual.items() if value == 1)
+        assert data.above_one == frozenset(
+            cid for cid, value in residual.items() if value > 1
+        )
+        assert state.classification is comparison_classification(state)
+        # Discrepancies are the shared negations themselves.
+        discrepancies = data.discrepancies
+        assert discrepancies == {cid: -residual[cid] for cid in sorted(data.contracted)}
+        assert all(facts.negated[cid] is value for cid, value in discrepancies.items())
+        centers = lc_centers(state)
+        assert facts.nodes == tuple(
+            NodeCenter(p.id, p.incident)
+            for p in config.points
+            if len(p.incident) == 2 and all(residual[cid] == 1 for cid in p.incident)
+        )
+        assert [c for c in centers if isinstance(c, NodeCenter)] == list(facts.nodes)
+
+    @pytest.mark.parametrize("build", ["towers", "chains"])
+    def test_runs_and_replays_against_raw_scans(self, build, cold):
+        for config, trace in runs(build):
+            cold.clear()
+            assert verify_trace(config, trace.start, trace)
+            (replay,) = {id(cfg): cfg for cfg, _ in cold}.values()
+            assert replay is not config
+            for cfg in (config, replay):
+                memo = cfg._crepant_memo
+                assert len(memo) > len(trace.steps)
+                # The table follows the mapping: one table per mapping.
+                tables = {id(data.residual): data.facts for data in memo.values()}
+                assert len(set(map(id, tables.values()))) == len(tables) < len(memo)
+                # The run has stored the degrees its predicates read.
+                assert any(facts.degrees for facts in tables.values())
+                for data in memo.values():
+                    assert data.facts is tables[id(data.residual)]
+                    self._check(cfg, data, trace.base)
+
+    def test_cold_sub_states_against_raw_scans(self):
+        rng = random.Random(12)
+        configs = [star(2), star(3), helpers.corner_twice(), helpers.elliptic()]
+        configs += [generate_crepant_pair(helpers.corner(), 8, seed).config for seed in range(3)]
+        seen = set()
+        for config in configs:
+            ids = [c.id for c in config.curves]
+            for _ in range(40):
+                subset = frozenset(rng.sample(ids, rng.randint(0, len(ids))))
+                try:
+                    data = crepant_pullback(config, subset)
+                except InvalidStateError:
+                    continue
+                self._check(config, data, PointBase())
+                seen.add(SurfaceState(config, subset).classification)
+        assert seen == set(Classification)
+
+    def test_a_minimisation_computes_each_log_degree_once(self, monkeypatch):
+        computed = []
+        solving = []
+        real_degree = logsurf.crepant.canonical_degree
+        real_solve = logsurf.crepant._solve_pullback
+
+        def counting(config, cid):
+            if not solving:
+                computed.append((config, cid))
+            return real_degree(config, cid)
+
+        def solve(config, key):
+            # A cold solve's right-hand side reads deg K of its own curves.
+            solving.append(key)
+            try:
+                return real_solve(config, key)
+            finally:
+                solving.pop()
+
+        monkeypatch.setattr(logsurf.crepant, "canonical_degree", counting)
+        monkeypatch.setattr(logsurf.crepant, "_solve_pullback", solve)
+        config = hj_chain([2, 2, 3, 2, 2, 2, 4, 2, 2, 5, 2, 2, 2, 3, 2, 2, 2, 2, 3, 2])
+        trace = minimize(SurfaceState(config, set()))
+        assert len(trace.steps) > 1
+        assert computed and all(cfg is config for cfg, _ in computed)
+        assert len(computed) == len(set(computed)) <= len(config.curves)
 
 
 class TestCornerMemo:

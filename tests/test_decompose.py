@@ -276,8 +276,9 @@ class TestVerifyIndependence:
         trace = decompose_morphism(spec)
         run_memo = config._crepant_memo
         run_residuals = {id(data.residual) for data in run_memo.values()}
-        # The states a run reaches share one residual mapping.
-        assert len(run_residuals) < len(run_memo)
+        run_tables = {id(data.facts) for data in run_memo.values()}
+        # The states a run reaches share one residual mapping and its table.
+        assert len(run_tables) == len(run_residuals) < len(run_memo)
         run_mappings = run_residuals | {
             id(mapping)
             for step in trace.steps
@@ -299,6 +300,7 @@ class TestVerifyIndependence:
         assert len(replay_memo) > len(trace.steps)
         for data in replay_memo.values():
             assert id(data.residual) not in run_mappings
+            assert id(data.facts) not in run_tables
             if "discrepancies" in vars(data):
                 assert id(data.discrepancies) not in run_mappings
 
