@@ -74,19 +74,16 @@ class SolutionFacts:
     - `degrees`: the log degree of each curve asked of `log_degree`;
     - `negated`: the negated residual of each curve `discrepancies` has read;
     - `ones` and `above_one`: the curves of residual exactly 1 and above 1,
-      found together in one pass;
-    - `nodes`: the node centres, crossing points whose two branches are both
-      in `ones`, found by `lc_centers`.
+      found together in one pass.
     """
 
-    __slots__ = ("degrees", "negated", "ones", "above_one", "nodes")
+    __slots__ = ("degrees", "negated", "ones", "above_one")
 
     def __init__(self) -> None:
         self.degrees: dict[int, Fraction] = {}
         self.negated: dict[int, Fraction] | None = None
         self.ones: frozenset[int] | None = None
         self.above_one: frozenset[int] | None = None
-        self.nodes: tuple[NodeCenter, ...] | None = None
 
     def scan(self, residual: Mapping[int, Fraction]) -> None:
         """Fill `ones` and `above_one`; a residual is a `Fraction`, whose
@@ -110,10 +107,10 @@ class CrepantData:
     reference: by the configuration's memo, by every caller of
     `crepant_pullback` and by the states a run reaches by moves, which all
     have the same solution.  `facts` is the mapping's `SolutionFacts`,
-    passed along with it: log degrees, negated residuals, the residual-1
-    and residual-above-1 curves and the node centres are each found once
-    per mapping, not once per state.  Discrepancies are the negated
-    residuals on the contracted set.
+    passed along with it: log degrees, negated residuals and the residual-1
+    and residual-above-1 curves are each found once per mapping, not once
+    per state.  Discrepancies are the negated residuals on the contracted
+    set.
     """
 
     residual: Mapping[int, Fraction]
@@ -135,15 +132,13 @@ class CrepantData:
         facts = self.facts
         negated = facts.negated
         if negated is None:
-            out = {cid: -residual[cid] for cid in sorted(self.contracted)}
-            facts.negated = dict(out)
-        else:
-            out = {}
-            for cid in sorted(self.contracted):
-                value = negated.get(cid)
-                if value is None:
-                    value = negated[cid] = -residual[cid]
-                out[cid] = value
+            negated = facts.negated = {}
+        out = {}
+        for cid in sorted(self.contracted):
+            value = negated.get(cid)
+            if value is None:
+                value = negated[cid] = -residual[cid]
+            out[cid] = value
         return MappingProxyType(out)
 
     @property
@@ -393,23 +388,17 @@ def lc_centers(state: SurfaceState) -> tuple[LcCenter, ...]:
     Surviving coefficient-1 curves give divisorial centres; points whose two
     branches both have residual 1 give node centres; contracted components
     containing a residual-1 curve are collapsed to their image points.  The
-    residual-1 curves and the node centres depend only on the solution, so
-    they are read from its shared table (`SolutionFacts`), found once.
+    residual-1 curves are read from the solution's shared table
+    (`SolutionFacts`), found once per mapping.
     """
     state._checked
-    data = state.crepant
-    ones = data.ones
+    ones = state.crepant.ones
     out: list[LcCenter] = [
         DivisorialCenter(cid) for cid in sorted(ones - state.contracted)
     ]
-    facts = data.facts
-    if facts.nodes is None:
-        facts.nodes = tuple(
-            NodeCenter(p.id, p.incident)
-            for p in state.config.points
-            if len(p.incident) == 2 and p.incident <= ones
-        )
-    out.extend(facts.nodes)
+    for p in state.config.points:
+        if len(p.incident) == 2 and p.incident <= ones:
+            out.append(NodeCenter(p.id, p.incident))
     for component in state.components:
         if not component.isdisjoint(ones):
             out.append(ComponentImage(component))
