@@ -194,23 +194,32 @@ def crepant_pullback(config: CurveConfig, contracted: Iterable[int]) -> CrepantD
 
 
 def _solve_pullback(config: CurveConfig, key: frozenset[int]) -> CrepantData:
+    """Solve the set's system cold, block by block from its factors.
+
+    A block's right-hand side reads only its own curves and the curves
+    outside the set, so each block is solved on its own.  It is summed in
+    integers, scaled by the configuration's least common coefficient
+    denominator e, and solved at that scale
+    (`ratlin.DefiniteFactor.solve_scaled`), so the only `Fraction` objects
+    built are the residuals themselves.
+    """
     for cid in sorted(key):
         config.curve(cid)
     blocks = _require_contractible(config, key)
     residual = {c.id: c.boundary_coeff for c in config.curves}
     adjacency = config._adjacency
-    # A block's right-hand side reads only its own curves and the curves
-    # outside the set, so each block is solved on its own.
+    curves = config._curve_map
+    e = config._coeff_denominator
     for order, factor in blocks:
         rhs = []
         for i in order:
-            acc = Fraction(canonical_degree(config, i))
+            acc = e * canonical_degree(config, i)
             for k, count in adjacency[i].items():
                 if k not in key:
-                    acc += config.curve(k).boundary_coeff * count
+                    d = curves[k].boundary_coeff
+                    acc += d.numerator * (e // d.denominator) * count
             rhs.append(-acc)
-        for cid, value in zip(order, solve_symmetric(factor, rhs)):
-            residual[cid] = value
+        residual.update(zip(order, factor.solve_scaled(rhs, e)))
     return CrepantData(MappingProxyType(residual), key)
 
 

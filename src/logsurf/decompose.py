@@ -48,6 +48,7 @@ from .moves import (
     contract_blowdown,
     contract_flop,
     is_nef_on_marked,
+    lowest_flop,
     lowest_passing,
 )
 from .surface import (
@@ -120,7 +121,7 @@ def _apply(check: FlopCheck | BlowdownCheck) -> tuple[SurfaceState, MoveRecord]:
 
 def _next_move(state: SurfaceState) -> FlopCheck | BlowdownCheck | None:
     """The lowest-id flop if any passes, else the lowest-id blow-down, else None."""
-    return lowest_passing(state, is_log_flopping) or lowest_passing(state, is_log_blowdown)
+    return lowest_flop(state) or lowest_passing(state, is_log_blowdown)
 
 
 def decompose_morphism(spec: MorphismSpec) -> DecompositionTrace:

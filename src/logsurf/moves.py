@@ -308,12 +308,35 @@ def lowest_passing(
     return None
 
 
+def lowest_flop(state: SurfaceState) -> FlopCheck | None:
+    """`lowest_passing(state, is_log_flopping)`, skipping every curve whose
+    log degree is already known to be non-zero.
+
+    The degrees live in the table of the state's residual mapping, which a
+    run shares from state to state, so a curve rejected for its log degree
+    (`NonzeroLogDegree`) at one state is skipped at every later one without
+    building a check.  `is_log_flopping` first requires log terminality;
+    that is required here before any curve is skipped, so the same
+    exceptions are raised as by testing every curve.
+    """
+    scope = _in_scope(state)
+    if scope:
+        _require_log_terminal(state)
+        degrees = state.crepant.facts.degrees
+        for cid in scope:
+            if degrees.get(cid, 0) == 0:
+                check = is_log_flopping(state, cid)
+                if check:
+                    return check
+    return None
+
+
 def is_flop_minimal(state: SurfaceState) -> bool:
     """True when no curve left to contract admits a flop-type contraction."""
     _require_log_terminal(state)
     if not is_nef_on_marked(state):
         raise NotNefError("state is not nef on the tested curves")
-    return lowest_passing(state, is_log_flopping) is None
+    return lowest_flop(state) is None
 
 
 def _contract(check: FlopCheck | BlowdownCheck, move: str) -> SurfaceState:

@@ -13,17 +13,28 @@ determinant in O(1), `DefiniteFactor.border` extends it by one row and
 column in O(n²) instead of eliminating the larger matrix again, and
 `DefiniteFactor.join` puts two factors side by side as the factor of their
 block-diagonal sum.
+
+A matrix whose off-diagonal pattern is a forest, as the Gram matrix of
+every tree of curves is, needs no elimination.  Taken in post-order, each
+vertex after its descendants, it eliminates with zero fill-in (Parter,
+*SIAM Review* 3, 1961), and every minor the elimination stores is a product
+of subtree determinants (Neumann, *Trans. AMS* 268, 1981), which follow
+from the leaves up by a division-free recurrence.  `tree_factor` writes the
+`DefiniteFactor` from that recurrence, and `determinant` uses the same
+recurrence for every forest-patterned matrix, both with O(n) big-integer
+work instead of O(n³).
 """
 
 from __future__ import annotations
 
 import math
 from fractions import Fraction
-from typing import Iterable, Sequence
+from typing import Callable, Hashable, Iterable, Iterator, Sequence, TypeVar
 
 from .errors import SingularMatrixError
 
 Rat = Fraction
+Node = TypeVar("Node", bound=Hashable)
 
 
 def exact(value: Rat | int) -> Fraction | int:
@@ -176,23 +187,29 @@ class DefiniteFactor:
             prev = pivot
 
     def solve(self, rhs: Sequence[Rat | int]) -> tuple[Fraction, ...]:
-        """Solve M·x = b in O(n²): replay c = e·b, then back-substitute.
-
-        Back-substitution over the stored leads, read as the upper triangle,
-        gives z = D·A⁻¹c, integral by Cramer's rule with D = det A the last
-        pivot, and x = d·z / (e·D).
-        """
-        rows = self.rows
-        n = len(rows)
-        if len(rhs) != n:
-            raise ValueError(f"rhs has length {len(rhs)}, matrix has {n} rows")
-        if n == 0:
-            return ()
+        """Solve M·x = b in O(n²): scale b to the integer column c = e·b,
+        e > 0 its least common denominator, and solve that (`solve_scaled`)."""
         b = [exact(v) for v in rhs]
         e = 1
         for v in b:
             e = math.lcm(e, v.denominator)
-        c = [v.numerator * (e // v.denominator) for v in b]
+        return self.solve_scaled([v.numerator * (e // v.denominator) for v in b], e)
+
+    def solve_scaled(self, c: list[int], e: int) -> tuple[Fraction, ...]:
+        """Solve M·x = c/e for an integer column c and an integer e > 0.
+
+        Replays c through the stored elimination (consuming the list), then
+        back-substitutes over the stored leads, read as the upper triangle:
+        that gives z = D·A⁻¹c, integral by Cramer's rule with D = det A the
+        last pivot, and x = d·z / (e·D) is the only step that builds
+        `Fraction` objects, one per entry.
+        """
+        rows = self.rows
+        n = len(rows)
+        if len(c) != n:
+            raise ValueError(f"rhs has length {len(c)}, matrix has {n} rows")
+        if n == 0:
+            return ()
         self._replay(c)
         det = rows[-1][-1]
         z = [0] * n
@@ -251,6 +268,125 @@ class DefiniteFactor:
             self.rows + tuple([zeros + tuple([det * x for x in row]) for row in other.rows]),
             self.scale,
         )
+
+
+def forest_post_order(
+    roots: Iterable[Node],
+    neighbours: Callable[[Node], Iterable[Node]],
+    weight: Callable[[Node, Node], int],
+) -> tuple[list[Node], list[list[tuple[int, int]]]] | None:
+    """The vertices reachable from `roots` in post-order, each after all its
+    descendants, with each vertex's children, or None on a cycle.
+
+    `neighbours` must be symmetric.  The search starts a tree at each root
+    not yet reached; the reverse of its pre-order is a post-order.  A
+    neighbour reached a second time, other than the parent, closes a cycle.
+    Entry k of the children lists (j, weight(child, vertex)) for each child
+    at position j < k: the form `tree_factor` takes.
+    """
+    parent: dict[Node, Node | None] = {}
+    order: list[Node] = []
+    for root in roots:
+        if root in parent:
+            continue
+        parent[root] = None
+        stack = [root]
+        while stack:
+            v = stack.pop()
+            order.append(v)
+            up = parent[v]
+            for u in neighbours(v):
+                if u == up:
+                    continue
+                if u in parent:
+                    return None
+                parent[u] = v
+                stack.append(u)
+    order.reverse()
+    position = {v: k for k, v in enumerate(order)}
+    children: list[list[tuple[int, int]]] = [[] for _ in order]
+    for k, v in enumerate(order):
+        up = parent[v]
+        if up is not None:
+            children[position[up]].append((k, weight(v, up)))
+    return order, children
+
+
+def _subtree_determinants(
+    diagonal: Sequence[int], children: Sequence[Sequence[tuple[int, int]]]
+) -> Iterator[tuple[int, int]]:
+    """Yield (D_k, P_k) for each vertex k of a forest-patterned matrix in
+    post-order: D_k the determinant of the subtree rooted at k, P_k the
+    product of its children's.
+
+    `diagonal[k]` is the entry a_k and `children[k]` lists (j, w), j < k,
+    for each child j of k joined by the off-diagonal entry w.  Expanding
+    along k's row, D_k = a_k·P − S, where S sums w_j²·P_j times the other
+    children's D; both are accumulated child by child with no division, so
+    zero subtree determinants, hence singular and indefinite forests, stay
+    exact.
+    """
+    dets: list[int] = []
+    below: list[int] = []
+    for a, kids in zip(diagonal, children):
+        p, s = 1, 0
+        for j, w in kids:
+            d = dets[j]
+            s = s * d + p * w * w * below[j]
+            p *= d
+        dets.append(a * p - s)
+        below.append(p)
+        yield dets[-1], p
+
+
+def tree_factor(
+    diagonal: Sequence[int], children: Sequence[Sequence[tuple[int, int]]]
+) -> DefiniteFactor | None:
+    """The `DefiniteFactor` of a forest-patterned integer matrix in
+    post-order, or None when the matrix is not negative definite.
+
+    The arguments are those of `_subtree_determinants`.  The leading block
+    of rows 0..k is a union of whole subtrees, so pivot k is the product of
+    the determinants D_r of its roots r: pivot k−1 with k's children's D
+    replaced by D_k.  In row k the only non-zero lead is w·pivot_{j−1} at
+    each child j, because the rest of the bordered minor pairs different
+    subtrees.  These are exactly the rows `is_negative_definite` stores for
+    the same matrix, found with O(n) big-integer work and no fill-in.  The
+    first pivot of the wrong sign (or zero) settles a no; before it every
+    pivot, and with it every current root's D, is non-zero, so the division
+    by the children's product is exact.
+    """
+    rows: list[tuple[int, ...]] = []
+    pivot = 1
+    for k, (det, p) in enumerate(_subtree_determinants(diagonal, children)):
+        pivot = pivot // p * det
+        if pivot == 0 or (pivot < 0) != (k % 2 == 0):
+            return None
+        row = [0] * (k + 1)
+        for j, w in children[k]:
+            row[j] = w * rows[j - 1][j - 1] if j else w
+        row[k] = pivot
+        rows.append(tuple(row))
+    return DefiniteFactor(tuple(rows))
+
+
+def _forest_determinant(a: list[list[int]]) -> int | None:
+    """det of integer rows whose off-diagonal pattern is a forest: the
+    product of its trees' determinants; None for any other pattern."""
+    found = forest_post_order(
+        range(len(a)),
+        lambda i: [j for j, x in enumerate(a[i]) if x and j != i],
+        lambda i, j: a[i][j],
+    )
+    if found is None:
+        return None
+    order, children = found
+    below = {j for kids in children for j, _ in kids}
+    det = 1
+    for k, (d, _) in enumerate(_subtree_determinants([a[v][v] for v in order], children)):
+        if k not in below:
+            det *= d
+    return det
 
 
 def solve_symmetric(
@@ -327,13 +463,17 @@ def is_negative_definite(matrix: SymMatrix) -> bool:
 
 def determinant(matrix: SymMatrix) -> Fraction:
     """Exact determinant: the stored factor's last pivot when the matrix has
-    one, else fraction-free elimination with row pivoting."""
+    one, the subtree recurrence when its off-diagonal pattern is a forest,
+    else fraction-free elimination with row pivoting."""
     if matrix._factor is not None:
         return matrix._factor.determinant()
     n = matrix.n
     if n == 0:
         return Fraction(1)
     a, d = _integer_rows(matrix)
+    det = _forest_determinant(a)
+    if det is not None:
+        return Fraction(det, d**n)
     sign = 1
     prev = 1
     for k in range(n - 1):

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import heapq
 import itertools
+import math
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property
@@ -23,7 +24,14 @@ from .errors import (
     UnknownIdError,
     UnknownTargetError,
 )
-from .ratlin import DefiniteFactor, SymMatrix, exact, is_negative_definite
+from .ratlin import (
+    DefiniteFactor,
+    SymMatrix,
+    exact,
+    forest_post_order,
+    is_negative_definite,
+    tree_factor,
+)
 
 # A connected component's factored Gram matrix: its curves in row order and
 # the `ratlin.DefiniteFactor` of their Gram matrix in that order.
@@ -94,6 +102,12 @@ class CurveConfig:
     @cached_property
     def _curve_map(self) -> dict[int, Curve]:
         return {c.id: c for c in self.curves}
+
+    @cached_property
+    def _coeff_denominator(self) -> int:
+        """The least common denominator of the boundary coefficients: times
+        it, every coefficient is an integer."""
+        return math.lcm(*(c.boundary_coeff.denominator for c in self.curves))
 
     @cached_property
     def _point_map(self) -> dict[int, CrossingPoint]:
@@ -175,12 +189,21 @@ class CurveConfig:
                             )
                         )
             # A Fraction's denominator is positive, so its range test needs
-            # no division.
-            if not (
-                0 <= coeff.numerator <= coeff.denominator
-                if type(coeff) is Fraction
-                else 0 <= coeff <= 1
-            ):
+            # no division.  A float or bool is not read as a nearby rational.
+            if type(coeff) is Fraction:
+                in_range = 0 <= coeff.numerator <= coeff.denominator
+            elif type(coeff) is int:
+                in_range = 0 <= coeff <= 1
+            else:
+                out.append(
+                    Violation(
+                        "BadType",
+                        f"curve {cid!r} has boundary_coeff {coeff!r} of type "
+                        f"{type(coeff).__name__}, not Fraction or int",
+                    )
+                )
+                in_range = True
+            if not in_range:
                 out.append(Violation("BadCoefficient", f"curve {cid} has coefficient {coeff}"))
             if type(genus) is int and genus < 0:
                 out.append(Violation("BadGenus", f"curve {cid} has genus {genus}"))
@@ -403,8 +426,11 @@ def factor_blocks(config: CurveConfig, ids: frozenset[int]) -> tuple[Block, ...]
     that c does not meet, and joins the blocks c meets, largest first,
     into one block bordered by c (`DefiniteFactor.join`,
     `DefiniteFactor.border`).  Any other set, every singleton included,
-    takes each component's block from the memo or builds that component's
-    Gram matrix and eliminates it once.  The empty set has no blocks.
+    takes each component's block from the memo or factors that component
+    cold, once: a tree of curves, taken in post-order, by the subtree
+    recurrence of `ratlin.tree_factor`, with no Gram matrix and O(n)
+    big-integer work; a component with a cycle by building its Gram matrix
+    and eliminating it.  The empty set has no blocks.
     """
     if not ids:
         return ()
@@ -425,9 +451,7 @@ def factor_blocks(config: CurveConfig, ids: frozenset[int]) -> tuple[Block, ...]
     blocks: list[Block] = []
     for component in connected_components(config, ids):
         if component not in memo:
-            order = tuple(sorted(component))
-            matrix = gram(config, order)
-            memo[component] = ((order, matrix.factor),) if is_negative_definite(matrix) else None
+            memo[component] = _cold_block(config, component)
         entry = memo[component]
         if entry is None:
             break
@@ -436,6 +460,28 @@ def factor_blocks(config: CurveConfig, ids: frozenset[int]) -> tuple[Block, ...]
         entry = tuple(blocks)
     memo[ids] = entry
     return entry
+
+
+def _cold_block(config: CurveConfig, component: frozenset[int]) -> tuple[Block] | None:
+    """The one block of a connected set factored from scratch, or None
+    when its Gram matrix is not negative definite.
+
+    A double contact is a tree edge of weight 2: only a cycle through three
+    or more curves sends the set to dense elimination.
+    """
+    adjacency = config._adjacency
+    found = forest_post_order(
+        (min(component),),
+        lambda v: [u for u in adjacency[v] if u in component],
+        lambda v, u: adjacency[v][u],
+    )
+    if found is None:
+        order = tuple(sorted(component))
+        matrix = gram(config, order)
+        return ((order, matrix.factor),) if is_negative_definite(matrix) else None
+    order, children = found
+    factor = tree_factor([config.curve(cid).self_intersection for cid in order], children)
+    return None if factor is None else ((tuple(order), factor),)
 
 
 def _add_curve(

@@ -463,7 +463,15 @@ def rescan_violations(curves, points) -> tuple[Violation, ...]:
                         f"{type(value).__name__}, not int",
                     )
                 )
-        if not (0 <= c.boundary_coeff <= 1):
+        if type(c.boundary_coeff) not in (Fraction, int):
+            out.append(
+                Violation(
+                    "BadType",
+                    f"curve {c.id!r} has boundary_coeff {c.boundary_coeff!r} of type "
+                    f"{type(c.boundary_coeff).__name__}, not Fraction or int",
+                )
+            )
+        elif not (0 <= c.boundary_coeff <= 1):
             out.append(
                 Violation("BadCoefficient", f"curve {c.id} has coefficient {c.boundary_coeff}")
             )

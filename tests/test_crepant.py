@@ -9,7 +9,8 @@ from hypothesis import given, settings, strategies as st
 import helpers
 import logsurf.crepant
 import oracles
-from logsurf.surface import corner_failure, smooth_point_blowdown
+import logsurf.surface
+from logsurf.surface import corner_failure, factor_blocks, smooth_point_blowdown
 from logsurf import (
     Classification,
     ComponentImage,
@@ -470,6 +471,179 @@ class TestFactorMemo:
             assert det == determinant(whole)
             if len(ids) <= 8:
                 assert det == oracles.laplace_det(whole.rows())
+
+
+def random_tree_config(rng, n: int) -> CurveConfig:
+    """n rational curves in a random tree, some neighbours meeting twice,
+    self-intersections from −4 to 0 and assorted coefficients below 1."""
+    curves = [
+        (i, 0, rng.choice((-4, -3, -2, -2, -1, 0)), Fraction(rng.randint(0, 5), 6))
+        for i in range(1, n + 1)
+    ]
+    points = []
+    for i in range(2, n + 1):
+        up = rng.randint(1, i - 1)
+        for _ in range(rng.choice((1, 1, 1, 2))):
+            points.append((len(points) + 1, [up, i]))
+    return CurveConfig.build(curves, points)
+
+
+def fresh(config: CurveConfig) -> CurveConfig:
+    """An equal configuration with nothing cached on it."""
+    return CurveConfig(config.curves, config.points, config.picard_rank_of_model)
+
+
+def tree_configs():
+    """Generated towers, chains, a star and random trees with double contacts."""
+    for template in (helpers.corner, helpers.boundary_chain):
+        for seed in range(3):
+            yield generate_crepant_pair(template(), 12, seed).config
+    yield hj_chain([2, 3, 2, 2, 5, 2, 4], Fraction(1, 3), Fraction(1, 2))
+    yield star(4)
+    rng = random.Random(13)
+    for n in (3, 5, 6, 8, 8, 10, 14):
+        yield random_tree_config(rng, n)
+
+
+class TestColdTreeBlocks:
+    """Components factored cold by `ratlin.tree_factor` against dense
+    elimination and the oracles."""
+
+    def test_blocks_are_the_dense_factors_in_post_order(self):
+        rng = random.Random(5)
+        checked = definite = 0
+        for config in tree_configs():
+            ids = [c.id for c in config.curves]
+            counts = oracles.crossing_counts(config)
+            for _ in range(25):
+                subset = rng.sample(ids, rng.randint(1, len(ids)))
+                for component in oracles.raw_components(config, subset):
+                    # A fresh copy, so the component is factored cold.
+                    copy = fresh(config)
+                    entry = factor_blocks(copy, frozenset(component))
+                    dense = gram(copy, sorted(component))
+                    if len(component) <= 8:
+                        assert (entry is not None) == oracles.brute_negative_definite(dense.rows())
+                    assert (entry is not None) == is_negative_definite(dense)
+                    checked += 1
+                    if entry is None:
+                        continue
+                    definite += 1
+                    ((order, factor),) = entry
+                    # Post-order: every curve but the last meets exactly one
+                    # later curve of the component, its parent.
+                    for k, cid in enumerate(order):
+                        later = [j for j in order[k + 1:] if (min(cid, j), max(cid, j)) in counts]
+                        assert len(later) == (k < len(order) - 1)
+                    in_order = gram(copy, order)
+                    assert is_negative_definite(in_order)
+                    assert factor.rows == in_order.factor.rows
+                    rhs = raw_rhs(copy, order)
+                    assert factor.solve(rhs) == oracles.solve_linear(in_order.rows(), rhs)
+                    residual = crepant_pullback(copy, component).residual
+                    assert tuple(residual[i] for i in order) == oracles.solve_linear(
+                        in_order.rows(), rhs
+                    )
+        assert checked > 400 and 0 < definite < checked
+
+    def test_double_contacts_are_tree_edges(self):
+        config = CurveConfig.build(
+            [(1, 0, -3, 0), (2, 0, -3, Fraction(1, 2)), (3, 0, -4, 0), (4, 0, -1, Fraction(2, 3))],
+            [(1, [1, 2]), (2, [1, 2]), (3, [2, 3]), (4, [3, 4])],
+        )
+        ids = frozenset({1, 2, 3})
+        ((order, factor),) = factor_blocks(config, ids)
+        dense = gram(config, order)
+        assert 2 in dense.rows()[order.index(1)]
+        assert is_negative_definite(dense) and factor.rows == dense.factor.rows
+        residual = crepant_pullback(config, ids).residual
+        expected = oracles.solve_linear(gram(config, [1, 2, 3]).rows(), raw_rhs(config, [1, 2, 3]))
+        assert tuple(residual[i] for i in (1, 2, 3)) == expected
+
+
+class TestColdPathGuard:
+    """Which cold components reach the dense Gram path."""
+
+    @pytest.fixture
+    def dense(self, monkeypatch):
+        calls = []
+        real_gram = logsurf.surface.gram
+        real_definite = logsurf.surface.is_negative_definite
+
+        def counting_gram(config, ids):
+            calls.append("gram")
+            return real_gram(config, ids)
+
+        def counting_definite(matrix):
+            calls.append("is_negative_definite")
+            return real_definite(matrix)
+
+        monkeypatch.setattr(logsurf.surface, "gram", counting_gram)
+        monkeypatch.setattr(logsurf.surface, "is_negative_definite", counting_definite)
+        return calls
+
+    def test_tower_sub_states_build_no_gram_matrix(self, dense):
+        rng = random.Random(3)
+        seen = set()
+        for template in (helpers.corner, helpers.boundary_chain):
+            for seed in range(4):
+                config = generate_crepant_pair(template(), 12, seed).config
+                ids = [c.id for c in config.curves]
+                for _ in range(10):
+                    state = SurfaceState(fresh(config), rng.sample(ids, rng.randint(1, len(ids))))
+                    try:
+                        seen.add(state.classification)
+                        state.crepant.discrepancies
+                    except InvalidStateError:
+                        seen.add(None)
+        assert dense == []
+        assert None in seen and Classification.KLT in seen
+
+    def test_a_definite_cycle_takes_the_dense_path(self, dense):
+        # Three (−3)-curves meeting pairwise contract to a cusp, whose
+        # discrepancies are all −1; a curve of coefficient 1/2 meeting one of
+        # them pushes them below −1.
+        config = CurveConfig.build(
+            [(1, 0, -3, 0), (2, 0, -3, 0), (3, 0, -3, 0), (4, 0, -1, Fraction(1, 2))],
+            [(1, [1, 2]), (2, [2, 3]), (3, [3, 1]), (4, [4, 1])],
+        )
+        ids = [1, 2, 3]
+        state = SurfaceState(config, ids)
+        assert state.classification is Classification.NOT_LC
+        assert dense == ["gram", "is_negative_definite"]
+        expected = oracles.solve_linear(gram(config, ids).rows(), raw_rhs(config, ids))
+        assert tuple(state.crepant.residual[i] for i in ids) == expected
+
+
+class TestIntegerColdSolve:
+    """A cold solve sums its right-hand sides in integers."""
+
+    def test_no_fraction_arithmetic_and_one_fraction_per_residual(self, monkeypatch):
+        for seed in range(3):
+            config = generate_crepant_pair(helpers.corner(), 12, seed).config
+            ids = frozenset(c.id for c in config.curves if c.boundary_coeff < 1)
+            copy = fresh(config)
+            built = []
+            real_new = Fraction.__new__
+
+            def counting_new(cls, *args, **kwargs):
+                built.append(args)
+                return real_new(cls, *args, **kwargs)
+
+            def forbidden(*args):
+                raise AssertionError("Fraction arithmetic in a cold solve")
+
+            with monkeypatch.context() as patch:
+                patch.setattr(Fraction, "__new__", counting_new)
+                for name in ("__add__", "__radd__", "__sub__", "__rsub__", "__mul__",
+                             "__rmul__", "__truediv__", "__rtruediv__", "__neg__"):
+                    patch.setattr(Fraction, name, forbidden)
+                data = crepant_pullback(copy, ids)
+            assert len(built) == len(ids)
+            order = sorted(ids)
+            assert tuple(data.residual[i] for i in order) == oracles.solve_linear(
+                gram(config, order).rows(), raw_rhs(config, order)
+            )
 
 
 def runs(build):

@@ -32,8 +32,10 @@ from logsurf import (
     is_nef_on_marked,
     log_degree,
     pushforward_self_intersection,
+    minimize,
     relative_picard_rank,
 )
+from logsurf.moves import lowest_flop, lowest_passing
 
 
 def tower_state(contracted=(), target=(3, 4)):
@@ -379,3 +381,80 @@ class TestContractBlowdown:
         state = SurfaceState(config, set(), TargetBase(set()))
         with pytest.raises(NotABlowdownError):
             contract_blowdown(is_log_blowdown(state, 3))
+
+
+def bare_chain(bs) -> CurveConfig:
+    """Rational curves 1..r of self-intersection −b_i and coefficient 0 in a chain."""
+    curves = [(i, 0, -b, 0) for i, b in enumerate(bs, start=1)]
+    return CurveConfig.build(curves, [(i, [i, i + 1]) for i in range(1, len(bs))])
+
+
+def _verdict(check):
+    if check is None:
+        return None
+    return check.curve, check.ok, check.reason, check.detail, check.multiplicities
+
+
+class TestLowestFlop:
+    """`lowest_flop` skips curves of known non-zero log degree and otherwise
+    answers as testing every curve does."""
+
+    CHAINS = [
+        [2, 3, 2, 2, 4, 2, 5],
+        [3, 2, 2, 2, 2, 6, 2, 3, 2, 2, 4, 2],
+        [2] * 12,
+    ]
+
+    def test_same_checks_as_testing_every_curve(self, monkeypatch):
+        tested, rejected = [], []
+        real = logsurf.moves.is_log_flopping
+
+        def recording(state, cid):
+            check = real(state, cid)
+            tested.append(check.reason)
+            return check
+
+        def every_curve(state, cid):
+            check = real(state, cid)
+            rejected.append(check.reason)
+            return check
+
+        monkeypatch.setattr(logsurf.moves, "is_log_flopping", recording)
+        for bs in self.CHAINS:
+            config = bare_chain(bs)
+            trace = minimize(SurfaceState(config, set()))
+            assert trace.steps
+            # Along the run, on the run's shared solutions, against every
+            # curve tested on a fresh copy.
+            state = SurfaceState(config, set())
+            reference = SurfaceState(
+                CurveConfig(config.curves, config.points, config.picard_rank_of_model), set()
+            )
+            for step in trace.steps:
+                expected = _verdict(lowest_passing(reference, every_curve))
+                assert _verdict(lowest_flop(state)) == expected
+                state, reference = state.successor(step.curve), reference.successor(step.curve)
+            assert lowest_flop(state) is None is lowest_passing(reference, every_curve)
+        # The nef check after each step has found every log degree, so no
+        # curve is tested only to be rejected for it.
+        assert tested and "NonzeroLogDegree" not in tested
+        assert rejected.count("NonzeroLogDegree") > 20
+
+    def test_not_log_terminal_is_raised_with_every_degree_known(self):
+        # A contracted (−1)-curve of genus 1 has residual 1 and no corner.
+        config = CurveConfig.build([(1, 1, -1, 0), (2, 0, -2, 0)], [(1, [1, 2])])
+        state = SurfaceState(config, {1})
+        assert state.classification is Classification.LOG_CANONICAL
+        assert log_degree(state, 2) == 1
+        with pytest.raises(NotLogTerminalError):
+            lowest_flop(state)
+        with pytest.raises(NotLogTerminalError):
+            lowest_passing(state, is_log_flopping)
+
+    def test_empty_scope_and_invalid_states(self):
+        state = SurfaceState(helpers.elliptic(), {1})
+        assert state.classification is Classification.LOG_CANONICAL
+        assert lowest_flop(state) is None is lowest_passing(state, is_log_flopping)
+        for find in (lowest_flop, lambda s: lowest_passing(s, is_log_flopping)):
+            with pytest.raises(InvalidStateError):
+                find(SurfaceState(helpers.corner(), {1}))

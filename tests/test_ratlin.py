@@ -5,7 +5,7 @@ import itertools
 import random
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 import helpers
 import oracles
@@ -18,6 +18,7 @@ from logsurf import (
     is_negative_definite,
     solve_symmetric,
 )
+from logsurf.ratlin import _subtree_determinants, forest_post_order, tree_factor
 
 
 @st.composite
@@ -374,3 +375,128 @@ class TestSymMatrix:
         b = SymMatrix([[Fraction(1), 0], [0, 1]])
         assert a == b
         assert hash(a) == hash(b)
+
+
+@st.composite
+def forest_rows(draw, max_n=8, diagonal=(-4, -3, -2, -2, -1, 0, 0, 1, 2)):
+    """A symmetric integer matrix whose off-diagonal pattern is a random
+    forest on shuffled vertices: edges of weight 1, 2 (a double contact) or
+    −1, diagonal entries drawn from `diagonal`, so zero subtree
+    determinants (a leaf of entry 0, say) come up often."""
+    n = draw(st.integers(min_value=1, max_value=max_n))
+    labels = draw(st.permutations(range(n)), label="labels")
+    rows = [[0] * n for _ in range(n)]
+    for k in range(n):
+        rows[labels[k]][labels[k]] = draw(st.sampled_from(diagonal))
+        if k:
+            up = draw(st.one_of(st.none(), st.integers(min_value=0, max_value=k - 1)))
+            if up is not None:
+                w = draw(st.sampled_from((1, 1, 2, -1)))
+                rows[labels[k]][labels[up]] = rows[labels[up]][labels[k]] = w
+    return rows
+
+
+def _post_order(rows):
+    """(order, children) of a forest-patterned matrix, through the kernel's own search."""
+    return forest_post_order(
+        range(len(rows)),
+        lambda i: [j for j, x in enumerate(rows[i]) if x and j != i],
+        lambda i, j: rows[i][j],
+    )
+
+
+def _permuted(rows, order):
+    return [[rows[i][j] for j in order] for i in order]
+
+
+class TestTreeFactor:
+    """`tree_factor` against dense elimination and the oracles."""
+
+    @settings(max_examples=300)
+    @given(forest_rows())
+    def test_rows_and_verdict_are_the_dense_ones(self, rows):
+        order, children = _post_order(rows)
+        # Post-order: every child precedes its parent.
+        assert all(j < k for k, kids in enumerate(children) for j, _ in kids)
+        factor = tree_factor([rows[v][v] for v in order], children)
+        dense = SymMatrix(_permuted(rows, order))
+        assert (factor is not None) == is_negative_definite(dense)
+        assert (factor is not None) == oracles.brute_negative_definite(rows)
+        if factor is not None:
+            assert factor.rows == dense.factor.rows
+            assert factor.scale == 1
+
+    @settings(max_examples=100)
+    @given(forest_rows(diagonal=(-5, -4, -3, -2)), st.data())
+    def test_solves_and_determinants_match_the_oracles(self, rows, data):
+        order, children = _post_order(rows)
+        factor = tree_factor([rows[v][v] for v in order], children)
+        if factor is None:
+            return
+        ordered = _permuted(rows, order)
+        rhs = [
+            data.draw(st.fractions(min_value=-5, max_value=5, max_denominator=6))
+            for _ in order
+        ]
+        assert factor.solve(rhs) == oracles.solve_linear(ordered, rhs)
+        assert factor.determinant() == oracles.laplace_det(rows)
+
+    def test_double_contacts(self):
+        # Two (−3)-curves meeting twice, and a third meeting one of them twice.
+        rows = [[-3, 2, 0], [2, -3, 2], [0, 2, -3]]
+        order, children = _post_order(rows)
+        assert sorted(w for kids in children for _, w in kids) == [2, 2]
+        factor = tree_factor([rows[v][v] for v in order], children)
+        dense = SymMatrix(_permuted(rows, order))
+        assert is_negative_definite(dense) and factor.rows == dense.factor.rows
+        assert factor.determinant() == oracles.laplace_det(rows) == -3
+        # Two (−2)-curves meeting twice span a semi-definite lattice.
+        assert tree_factor([-2, -2], [[], [(0, 2)]]) is None
+
+    @pytest.mark.parametrize("bs", [[2], [2, 2], [3, 2, 5], [2, 3, 2, 2, 4, 2, 2, 6, 2]])
+    def test_chain_determinants_are_continuants(self, bs):
+        r = len(bs)
+        diagonal = [-b for b in bs]
+        children = [[]] + [[(k - 1, 1)] for k in range(1, r)]
+        factor = tree_factor(diagonal, children)
+        assert factor.determinant() == (-1) ** r * oracles.continuant(bs)
+        rows = [[-bs[i] if i == j else int(abs(i - j) == 1) for j in range(r)] for i in range(r)]
+        assert determinant(SymMatrix(rows)) == (-1) ** r * oracles.continuant(bs)
+
+    def test_cycles_are_not_forests(self):
+        triangle = [[-3, 1, 1], [1, -3, 1], [1, 1, -3]]
+        assert _post_order(triangle) is None
+        assert determinant(SymMatrix(triangle)) == oracles.laplace_det(triangle)
+
+
+class TestForestDeterminant:
+    """The division-free subtree recurrence of `determinant`."""
+
+    @settings(max_examples=300)
+    @example(rows=[[0, 1], [1, -2]])  # a leaf of entry 0
+    @example(rows=[[-2, 1, 0], [1, 0, 1], [0, 1, -2]])  # a zero subtree in the middle
+    @example(rows=[[0, 0], [0, 0]])
+    @given(forest_rows())
+    def test_agrees_with_laplace_expansion(self, rows):
+        assert determinant(SymMatrix(rows)) == oracles.laplace_det(rows)
+
+    def test_zero_subtree_determinants_are_drawn(self):
+        # The strategy reaches forests with a zero subtree determinant, where
+        # a recurrence dividing by it would fail.
+        seen = 0
+
+        @settings(max_examples=200, database=None)
+        @given(forest_rows())
+        def probe(rows):
+            nonlocal seen
+            order, children = _post_order(rows)
+            dets = [d for d, _ in _subtree_determinants([rows[v][v] for v in order], children)]
+            seen += 0 in dets[:-1]
+
+        probe()
+        assert seen > 20
+
+    def test_rational_forest(self):
+        half = Fraction(1, 2)
+        rows = [[-half, Fraction(1, 3), 0], [Fraction(1, 3), 0, 1], [0, 1, Fraction(-5, 4)]]
+        assert determinant(SymMatrix(rows)) == oracles.laplace_det(rows)

@@ -113,10 +113,13 @@ class TestValidation:
             ((1, False, -2, 0), "genus"),
             ((1, "0", -2, 0), "genus"),
             ((1, 0, True, 0), "self_intersection"),
+            ((1, 0, -2, 0.5), "boundary_coeff"),
+            ((1, 0, -2, True), "boundary_coeff"),
         ],
     )
     def test_non_int_fields_are_bad_types(self, row, field):
-        violations = validate_config(CurveConfig.build([row]))
+        # Built directly: `CurveConfig.build` would convert the coefficient.
+        violations = validate_config(CurveConfig((Curve(*row),), ()))
         assert [(v.kind, field in v.detail) for v in violations] == [("BadType", True)]
 
     def test_agrees_with_a_full_rescan_on_random_rows(self):
