@@ -427,10 +427,11 @@ def factor_blocks(config: CurveConfig, ids: frozenset[int]) -> tuple[Block, ...]
     into one block bordered by c (`DefiniteFactor.join`,
     `DefiniteFactor.border`).  Any other set, every singleton included,
     takes each component's block from the memo or factors that component
-    cold, once: a tree of curves, taken in post-order, by the subtree
-    recurrence of `ratlin.tree_factor`, with no Gram matrix and O(n)
-    big-integer work; a component with a cycle by building its Gram matrix
-    and eliminating it.  The empty set has no blocks.
+    cold, once: a negative-definite tree of curves, taken in post-order, by
+    the subtree recurrence of `ratlin.tree_factor`, with no Gram matrix and
+    O(n) big-integer work; a component with a cycle, or a tree that
+    recurrence rejects, by building its Gram matrix and eliminating it.
+    The empty set has no blocks.
     """
     if not ids:
         return ()
@@ -466,8 +467,13 @@ def _cold_block(config: CurveConfig, component: frozenset[int]) -> tuple[Block] 
     """The one block of a connected set factored from scratch, or None
     when its Gram matrix is not negative definite.
 
-    A double contact is a tree edge of weight 2: only a cycle through three
-    or more curves sends the set to dense elimination.
+    A tree is factored by `ratlin.tree_factor`, a double contact being an
+    edge of weight 2.  Dense elimination decides the rest: a set with a
+    cycle through three or more curves, and a tree the subtree recurrence
+    rejects, so that every cold "not negative definite" comes from the same
+    `is_negative_definite` test as before the recurrence.  A rejection is
+    the error path, so the repeated test adds nothing to a contractible
+    component's cost.
     """
     adjacency = config._adjacency
     found = forest_post_order(
@@ -475,13 +481,14 @@ def _cold_block(config: CurveConfig, component: frozenset[int]) -> tuple[Block] 
         lambda v: [u for u in adjacency[v] if u in component],
         lambda v, u: adjacency[v][u],
     )
-    if found is None:
-        order = tuple(sorted(component))
-        matrix = gram(config, order)
-        return ((order, matrix.factor),) if is_negative_definite(matrix) else None
-    order, children = found
-    factor = tree_factor([config.curve(cid).self_intersection for cid in order], children)
-    return None if factor is None else ((tuple(order), factor),)
+    if found is not None:
+        order, children = found
+        factor = tree_factor([config.curve(cid).self_intersection for cid in order], children)
+        if factor is not None:
+            return ((tuple(order), factor),)
+    order = tuple(sorted(component))
+    matrix = gram(config, order)
+    return ((order, matrix.factor),) if is_negative_definite(matrix) else None
 
 
 def _add_curve(

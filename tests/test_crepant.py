@@ -583,6 +583,8 @@ class TestColdPathGuard:
         return calls
 
     def test_tower_sub_states_build_no_gram_matrix(self, dense):
+        # A contractible sub-state builds no Gram matrix; an invalid one is
+        # decided by dense elimination.
         rng = random.Random(3)
         seen = set()
         for template in (helpers.corner, helpers.boundary_chain):
@@ -591,13 +593,24 @@ class TestColdPathGuard:
                 ids = [c.id for c in config.curves]
                 for _ in range(10):
                     state = SurfaceState(fresh(config), rng.sample(ids, rng.randint(1, len(ids))))
+                    dense.clear()
                     try:
                         seen.add(state.classification)
                         state.crepant.discrepancies
                     except InvalidStateError:
                         seen.add(None)
-        assert dense == []
+                        assert dense[-2:] == ["gram", "is_negative_definite"]
+                    else:
+                        assert dense == []
         assert None in seen and Classification.KLT in seen
+
+    def test_a_rejected_tree_is_decided_densely(self, dense):
+        # A curve of self-intersection 0 is a tree of one curve that the
+        # subtree recurrence rejects; the dense test confirms it.
+        config = CurveConfig.build([(1, 0, 0, 1), (2, 0, 0, 1)], [(1, [1, 2])])
+        with pytest.raises(InvalidStateError):
+            SurfaceState(config, [1]).classification
+        assert dense == ["gram", "is_negative_definite"]
 
     def test_a_definite_cycle_takes_the_dense_path(self, dense):
         # Three (−3)-curves meeting pairwise contract to a cusp, whose
