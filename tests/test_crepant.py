@@ -604,14 +604,6 @@ class TestColdPathGuard:
                         assert dense == []
         assert None in seen and Classification.KLT in seen
 
-    def test_a_rejected_tree_is_decided_densely(self, dense):
-        # A curve of self-intersection 0 is a tree of one curve that the
-        # subtree recurrence rejects; the dense test confirms it.
-        config = CurveConfig.build([(1, 0, 0, 1), (2, 0, 0, 1)], [(1, [1, 2])])
-        with pytest.raises(InvalidStateError):
-            SurfaceState(config, [1]).classification
-        assert dense == ["gram", "is_negative_definite"]
-
     def test_a_definite_cycle_takes_the_dense_path(self, dense):
         # Three (−3)-curves meeting pairwise contract to a cusp, whose
         # discrepancies are all −1; a curve of coefficient 1/2 meeting one of
