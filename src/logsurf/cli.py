@@ -271,13 +271,25 @@ def _fractions_from_json(
 
 
 def trace_to_json(config: CurveConfig, trace: DecompositionTrace) -> dict:
+    """The trace document of `trace` over `config`.
+
+    A step's "discrepancies_after" is usually the very mapping the next
+    step records as "discrepancies_before", the state between them being
+    one; such a mapping is written once, and both fields hold the same JSON
+    object.
+    """
     steps = []
+    after = after_doc = None
     for step in trace.steps:
+        before = step.discrepancies_before
+        before_doc = after_doc if before is after else _fractions_to_json(before)
+        after = step.discrepancies_after
+        after_doc = _fractions_to_json(after)
         doc: dict[str, Any] = {
             "kind": step.kind.value,
             "curve": step.curve,
-            "discrepancies_before": _fractions_to_json(step.discrepancies_before),
-            "discrepancies_after": _fractions_to_json(step.discrepancies_after),
+            "discrepancies_before": before_doc,
+            "discrepancies_after": after_doc,
         }
         if step.kind is MoveKind.FLOP:
             eps = step.epsilon
@@ -307,12 +319,18 @@ def trace_from_json(data: Any) -> tuple[str, DecompositionTrace]:
     its end set; "base": "point" marks a minimization over a point base.
     Each distinct fraction string is parsed once per document, in a table
     local to this call, so equal values read from equal strings are one
-    `Fraction` object; an error still names the first bad field's path.
+    `Fraction` object; an error still names the first bad field's path.  A
+    step's "discrepancies_before" equal to the previous step's
+    "discrepancies_after", as a trace written by `trace_to_json` has it,
+    is that step's parsed dict itself, when every value of the latter is a
+    string: a string equals only the same string, so a bool or float that
+    equals a parsed JSON integer is still read, and rejected, on its own.
     """
     if not isinstance(data, dict):
         raise ValueError("trace document must be a JSON object")
     parsed: dict[str, Fraction] = {}
     steps = []
+    raw_after = after = None
     for at, entry in _objects(data.get("steps", []), "steps"):
         try:
             kind = MoveKind(_required(entry, "kind", at))
@@ -335,24 +353,19 @@ def trace_from_json(data: Any) -> tuple[str, DecompositionTrace]:
             )
         else:
             order = tuple(_ints(_required(entry, "order", at), f"{at}order"))
-        steps.append(
-            MoveRecord(
-                kind,
-                _int(_required(entry, "curve", at), f"{at}curve"),
-                _fractions_from_json(
-                    _required(entry, "discrepancies_before", at),
-                    f"{at}discrepancies_before",
-                    parsed,
-                ),
-                _fractions_from_json(
-                    _required(entry, "discrepancies_after", at),
-                    f"{at}discrepancies_after",
-                    parsed,
-                ),
-                epsilon=epsilon,
-                order=order,
-            )
-        )
+        curve = _int(_required(entry, "curve", at), f"{at}curve")
+        raw_before = _required(entry, "discrepancies_before", at)
+        if (
+            raw_after is not None
+            and raw_before == raw_after
+            and all(type(v) is str for v in raw_after.values())
+        ):
+            before = after
+        else:
+            before = _fractions_from_json(raw_before, f"{at}discrepancies_before", parsed)
+        raw_after = _required(entry, "discrepancies_after", at)
+        after = _fractions_from_json(raw_after, f"{at}discrepancies_after", parsed)
+        steps.append(MoveRecord(kind, curve, before, after, epsilon=epsilon, order=order))
     end = frozenset(_ints(_required(data, "end", ""), "end"))
     raw_base = data.get("base")
     if raw_base is None:

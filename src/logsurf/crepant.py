@@ -439,7 +439,7 @@ def correction_multiplicities(state: SurfaceState, cid: int) -> dict[int, Fracti
     They solve gram(S)·λ = −(C·E_j)_j over the contracted set S, which must
     not contain `cid`, from the set's memoised blocks: only the components
     that `cid` meets have a nonzero right-hand side, so only their blocks
-    are solved, each in O(n²); elsewhere λ is exactly 0.
+    are solved, each from its factor; elsewhere λ is exactly 0.
     """
     state._checked
     state.config.curve(cid)

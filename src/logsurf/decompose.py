@@ -132,7 +132,8 @@ def decompose_morphism(spec: MorphismSpec) -> DecompositionTrace:
     bug, not an input property.  The intermediate state is checked to admit
     no further flop.  Phase 2 contracts the remaining coefficient-1 curves,
     each time the lowest id passing the blow-down predicate; running out of
-    candidates early raises ``StuckInPhase2Error``.
+    candidates early raises ``StuckInPhase2Error``, naming each remaining
+    curve's failed blow-down test.
     """
     s1 = spec.source_contracted
     s2 = spec.target_contracted
@@ -154,10 +155,11 @@ def decompose_morphism(spec: MorphismSpec) -> DecompositionTrace:
         )
 
     steps: list[MoveRecord] = []
-    while candidates := sorted(
-        cid for cid in s2 - state.contracted if spec.config.curve(cid).boundary_coeff < 1
+    # Each flop contracts the head of this list, so one sort serves phase 1.
+    for cid in sorted(
+        cid for cid in s2 - s1 if spec.config.curve(cid).boundary_coeff < 1
     ):
-        check = is_log_flopping(state, candidates[0])
+        check = is_log_flopping(state, cid)
         if not check:
             raise TheoremViolationError(f"phase 1: {check.failure}")
         state, record = _apply(check)
@@ -176,8 +178,13 @@ def decompose_morphism(spec: MorphismSpec) -> DecompositionTrace:
     while state.contracted != s2:
         check = lowest_passing(state, is_log_blowdown)
         if check is None:
+            reasons = "; ".join(
+                f"curve {cid}: {is_log_blowdown(state, cid).reason}"
+                for cid in sorted(s2 - state.contracted)
+            )
             raise StuckInPhase2Error(
-                f"no curve in {sorted(s2 - state.contracted)} admits a log blow-down"
+                f"at contracted set {sorted(state.contracted)}, no curve in "
+                f"{sorted(s2 - state.contracted)} admits a log blow-down ({reasons})"
             )
         state, record = _apply(check)
         steps.append(record)
@@ -274,6 +281,9 @@ def verify_trace(
         )
     try:
         state = split = SurfaceState(config, start_set, base)
+        # The record last found equal to `state`'s discrepancies: a trace
+        # usually holds one object as a step's "after" and the next "before".
+        matched = None
         for index, step in enumerate(trace.steps):
             expected_kind = (
                 MoveKind.FLOP
@@ -286,7 +296,8 @@ def verify_trace(
                     f"step kind {step.kind.value} on the wrong side of the split",
                     index,
                 )
-            if step.discrepancies_before != state.crepant.discrepancies:
+            before = step.discrepancies_before
+            if before is not matched and before != state.crepant.discrepancies:
                 return VerifyResult(
                     False, "recorded prior discrepancies do not match", index
                 )
@@ -303,7 +314,8 @@ def verify_trace(
                     False, "recorded contraction order does not match", index
                 )
             state = state.successor(step.curve)
-            if step.discrepancies_after != state.crepant.discrepancies:
+            matched = step.discrepancies_after
+            if matched != state.crepant.discrepancies:
                 return VerifyResult(
                     False, "recorded posterior discrepancies do not match", index
                 )

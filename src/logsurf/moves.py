@@ -53,6 +53,7 @@ from .errors import (
     TheoremViolationError,
 )
 from .surface import (
+    Block,
     LocalBlowdownModel,
     corner_failure,
     factor_blocks,
@@ -379,25 +380,46 @@ def is_log_blowdown(state: SurfaceState, cid: int) -> BlowdownCheck:
     image a (−1)-curve meeting exactly two distinct coefficient-1 boundary
     curves transversally, and the final contraction of that image must leave
     those two curves crossing exactly once — the normal-crossing corner the
-    move blows down to.
+    move blows down to.  Those last tests read only the configuration near
+    the curve and the adjacent contracted curves, so a failure among them
+    is kept in the configuration's `_blowdown_memo` and read back at every
+    later state where the curve meets the same contracted curves.
     """
     _require_uncontracted(state, cid)
     fail = partial(BlowdownCheck, state, cid, False)
     if _survives_on_target(state, cid):
         return fail("NotExceptionalOverBase", f"curve {cid} survives on the target model")
-    curve = state.config.curve(cid)
+    config = state.config
+    curve = config.curve(cid)
     if curve.boundary_coeff != 1:
         return fail("CoefficientNotOne", f"coefficient is {curve.boundary_coeff}")
     if curve.genus != 0:
         return fail("PositiveGenus", f"genus is {curve.genus}")
-    near = state.config._adjacency[cid].keys()
+    near = config._adjacency[cid].keys()
     # The contracted components meeting the curve: the blocks it meets.
     met = [
         block
-        for block in factor_blocks(state.config, state.contracted)
+        for block in factor_blocks(config, state.contracted)
         if not near.isdisjoint(block[0])
     ]
-    adjacent = {j for order, _ in met for j in order}
+    adjacent = frozenset([j for order, _ in met for j in order])
+    key = (cid, adjacent)
+    memo = config._blowdown_memo
+    failed = memo.get(key)
+    if failed is not None:
+        return fail(*failed)
+    check = _local_blowdown(state, cid, adjacent, met)
+    if not check:
+        memo[key] = (check.reason, check.detail, check.order)
+    return check
+
+
+def _local_blowdown(
+    state: SurfaceState, cid: int, adjacent: frozenset[int], met: list[Block]
+) -> BlowdownCheck:
+    """The tests of `is_log_blowdown` on the local model of `cid` and the
+    contracted components `met` it meets, whose curves are `adjacent`."""
+    fail = partial(BlowdownCheck, state, cid, False)
     model = LocalBlowdownModel.from_config(state.config, adjacent | {cid})
     sim = run_contraction(model, restrict_to=adjacent)
     if not sim:

@@ -19,10 +19,12 @@ every tree of curves is, needs no elimination.  Taken in post-order, each
 vertex after its descendants, it eliminates with zero fill-in (Parter,
 *SIAM Review* 3, 1961), and every minor the elimination stores is a product
 of subtree determinants (Neumann, *Trans. AMS* 268, 1981), which follow
-from the leaves up by a division-free recurrence.  `tree_factor` writes the
-`DefiniteFactor` from that recurrence, and `determinant` uses the same
-recurrence for every forest-patterned matrix, both with O(n) big-integer
-work instead of O(n³).
+from the leaves up by a division-free recurrence.  `tree_factor` keeps that
+recurrence as a `TreeFactor`, which stays sparse: a solve is one pass up
+the tree and one down, and the determinant is its last pivot, all with O(n)
+big-integer work; the dense rows of a `DefiniteFactor` are written only for
+a caller that reads them, such as `border`.  `determinant` uses the same
+recurrence for every forest-patterned matrix instead of O(n³) elimination.
 """
 
 from __future__ import annotations
@@ -151,7 +153,8 @@ class DefiniteFactor:
     (i+1)-th leading minor of A.  Symmetric elimination keeps every trailing
     block symmetric, so the upper triangle is this one transposed and is not
     stored.  `is_negative_definite` builds one and `border` grows one; rows
-    are tuples that a bordered factor shares with its parent.
+    are tuples that a bordered factor shares with its parent.  `tree_factor`
+    builds the sparse subclass `TreeFactor`.
     """
 
     __slots__ = ("rows", "scale")
@@ -187,8 +190,9 @@ class DefiniteFactor:
             prev = pivot
 
     def solve(self, rhs: Sequence[Rat | int]) -> tuple[Fraction, ...]:
-        """Solve M·x = b in O(n²): scale b to the integer column c = e·b,
-        e > 0 its least common denominator, and solve that (`solve_scaled`)."""
+        """Solve M·x = b: scale b to the integer column c = e·b, e > 0 its
+        least common denominator, and solve that (`solve_scaled`), in O(n²)
+        or, for a `TreeFactor`, in O(n)."""
         b = [exact(v) for v in rhs]
         e = 1
         for v in b:
@@ -339,35 +343,123 @@ def _subtree_determinants(
         yield dets[-1], p
 
 
+class TreeFactor(DefiniteFactor):
+    """The `DefiniteFactor` of a forest-patterned integer matrix in
+    post-order, kept sparse.
+
+    For each vertex k it holds `children[k]`, the pairs (j, w) of a child j
+    and its edge weight w, the subtree determinant `dets[k]` = D_k, the
+    children's product `below[k]` = P_k and `pivots[k]`, pivot k of the
+    elimination.  Solves and the determinant read these in O(n); the dense
+    `rows` are written on first read and are exactly those
+    `is_negative_definite` stores for the same matrix.  The scale is 1.
+    """
+
+    __slots__ = ("children", "dets", "below", "pivots", "_dense")
+
+    def __init__(
+        self,
+        children: Sequence[Sequence[tuple[int, int]]],
+        dets: list[int],
+        below: list[int],
+        pivots: list[int],
+    ):
+        self.children = children
+        self.dets = dets
+        self.below = below
+        self.pivots = pivots
+        self.scale = 1
+        self._dense: tuple[tuple[int, ...], ...] | None = None
+
+    @property
+    def rows(self) -> tuple[tuple[int, ...], ...]:
+        """The dense rows: in row k, w·pivot_{j−1} at each child j (w itself
+        at j = 0), pivot k on the diagonal and 0 elsewhere.  Every other
+        lead pairs different subtrees, so it vanishes."""
+        if self._dense is None:
+            pivots = self.pivots
+            rows = []
+            for k, kids in enumerate(self.children):
+                row = [0] * (k + 1)
+                for j, w in kids:
+                    row[j] = w * pivots[j - 1] if j else w
+                row[k] = pivots[k]
+                rows.append(tuple(row))
+            self._dense = tuple(rows)
+        return self._dense
+
+    @property
+    def n(self) -> int:
+        return len(self.pivots)
+
+    def determinant(self) -> Fraction:
+        """det M: the last pivot, the product of the roots' D."""
+        return Fraction(self.pivots[-1] if self.pivots else 1)
+
+    def solve_scaled(self, c: list[int], e: int) -> tuple[Fraction, ...]:
+        """Solve M·x = c/e for an integer column c and an integer e > 0 in
+        two O(n) integer passes.
+
+        Up the tree, eliminating k's children leaves P_k·(row k) as
+        D_k·x_k + P_k·w·x_parent = β_k with
+        β_k = c_k·P_k − Σ_j w_j·β_j·∏_{j′≠j} D_{j′}, accumulated child by
+        child with no division.  Down the tree, with Δ the last pivot,
+        N = Δ·x is integral by Cramer's rule: N_r = β_r·(Δ/D_r) at a root
+        and N_j = (β_j·Δ − w·P_j·N_k)/D_j at a child j of k, each division
+        exact.  Then x = N / (e·Δ), one `Fraction` per entry.
+        """
+        pivots = self.pivots
+        n = len(pivots)
+        if len(c) != n:
+            raise ValueError(f"rhs has length {len(c)}, matrix has {n} rows")
+        if n == 0:
+            return ()
+        dets, below, children = self.dets, self.below, self.children
+        beta: list[int] = []
+        for ck, kids in zip(c, children):
+            p, s = 1, 0
+            for j, w in kids:
+                d = dets[j]
+                s = s * d + p * w * beta[j]
+                p *= d
+            beta.append(ck * p - s)
+        delta = pivots[-1]
+        z: list[int | None] = [None] * n
+        for k in range(n - 1, -1, -1):
+            zk = z[k]
+            if zk is None:
+                zk = z[k] = beta[k] * (delta // dets[k])
+            for j, w in children[k]:
+                z[j] = (beta[j] * delta - w * below[j] * zk) // dets[j]
+        scale = e * delta
+        return tuple([Fraction(zi, scale) for zi in z])
+
+
 def tree_factor(
     diagonal: Sequence[int], children: Sequence[Sequence[tuple[int, int]]]
-) -> DefiniteFactor | None:
-    """The `DefiniteFactor` of a forest-patterned integer matrix in
-    post-order, or None when the matrix is not negative definite.
+) -> TreeFactor | None:
+    """The `TreeFactor` of a forest-patterned integer matrix in post-order,
+    or None when the matrix is not negative definite.
 
     The arguments are those of `_subtree_determinants`.  The leading block
     of rows 0..k is a union of whole subtrees, so pivot k is the product of
     the determinants D_r of its roots r: pivot k−1 with k's children's D
-    replaced by D_k.  In row k the only non-zero lead is w·pivot_{j−1} at
-    each child j, because the rest of the bordered minor pairs different
-    subtrees.  These are exactly the rows `is_negative_definite` stores for
-    the same matrix, found with O(n) big-integer work and no fill-in.  The
-    first pivot of the wrong sign (or zero) settles a no; before it every
-    pivot, and with it every current root's D, is non-zero, so the division
-    by the children's product is exact.
+    replaced by D_k.  The first pivot of the wrong sign (or zero) settles a
+    no; before it every pivot, and with it every current root's D, is
+    non-zero, so the division by the children's product is exact.
     """
-    rows: list[tuple[int, ...]] = []
+    dets: list[int] = []
+    below: list[int] = []
+    pivots: list[int] = []
     pivot = 1
     for k, (det, p) in enumerate(_subtree_determinants(diagonal, children)):
         pivot = pivot // p * det
         if pivot == 0 or (pivot < 0) != (k % 2 == 0):
             return None
-        row = [0] * (k + 1)
-        for j, w in children[k]:
-            row[j] = w * rows[j - 1][j - 1] if j else w
-        row[k] = pivot
-        rows.append(tuple(row))
-    return DefiniteFactor(tuple(rows))
+        dets.append(det)
+        below.append(p)
+        pivots.append(pivot)
+    return TreeFactor(children, dets, below, pivots)
 
 
 def _forest_determinant(a: list[list[int]]) -> int | None:
@@ -395,7 +487,8 @@ def solve_symmetric(
     """Solve M·x = b exactly, for a matrix or the `DefiniteFactor` of one.
 
     A factor, or a matrix that `is_negative_definite` has factored, is
-    solved from the stored elimination in O(n²) (`DefiniteFactor.solve`).
+    solved from the stored elimination in O(n²), or O(n) for a `TreeFactor`
+    (`DefiniteFactor.solve`).
     Any other matrix is scaled to the integer matrix A = d·M and b to the
     integer vector c = e·b, d and e > 0 being least common denominators.
     Bareiss elimination with row swaps runs on the augmented rows [A | c],

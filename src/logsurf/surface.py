@@ -169,6 +169,20 @@ class CurveConfig:
         return {}
 
     @cached_property
+    def _blowdown_memo(self) -> dict[tuple[int, frozenset[int]], tuple[str, str, tuple[int, ...]]]:
+        """Failed log blow-down tests: (curve, the union of the contracted
+        components it meets) mapped to the failure's (reason, detail, local
+        contraction order).
+
+        Past its base, coefficient and genus tests, `moves.is_log_blowdown`
+        reads only the configuration near that curve and that union, so a
+        failure recurs at every state where the union is the same.  Filled
+        by `moves.is_log_blowdown`; passes are not kept, since their local
+        models are mutable.
+        """
+        return {}
+
+    @cached_property
     def _violations(self) -> tuple[Violation, ...]:
         out: list[Violation] = []
         seen_curves: set[int] = set()
@@ -373,22 +387,29 @@ def connected_components(
     members = set(subset)
     for cid in members:
         config.curve(cid)
-    adjacency = config._adjacency
     out: list[frozenset[int]] = []
     todo = set(members)
     while todo:
-        seed = min(todo)
-        comp = {seed}
-        frontier = [seed]
-        while frontier:
-            cur = frontier.pop()
-            for other in adjacency[cur]:
-                if other in members and other not in comp:
-                    comp.add(other)
-                    frontier.append(other)
-        out.append(frozenset(comp))
+        comp = _component(config, members, min(todo))
+        out.append(comp)
         todo -= comp
     return tuple(sorted(out, key=min))
+
+
+def _component(
+    config: CurveConfig, members: set[int] | frozenset[int], seed: int
+) -> frozenset[int]:
+    """The curves of `members` joined to `seed` by a path within `members`."""
+    adjacency = config._adjacency
+    comp = {seed}
+    frontier = [seed]
+    while frontier:
+        cur = frontier.pop()
+        for other in adjacency[cur]:
+            if other in members and other not in comp:
+                comp.add(other)
+                frontier.append(other)
+    return frozenset(comp)
 
 
 def gram(config: CurveConfig, ordered_ids: Sequence[int]) -> SymMatrix:
@@ -425,13 +446,13 @@ def factor_blocks(config: CurveConfig, ids: frozenset[int]) -> tuple[Block, ...]
     matrix is negative definite; otherwise it reuses every parent block
     that c does not meet, and joins the blocks c meets, largest first,
     into one block bordered by c (`DefiniteFactor.join`,
-    `DefiniteFactor.border`).  Any other set, every singleton included,
-    takes each component's block from the memo or factors that component
-    cold, once: a negative-definite tree of curves, taken in post-order, by
-    the subtree recurrence of `ratlin.tree_factor`, with no Gram matrix and
-    O(n) big-integer work; a component with a cycle, or a tree that
-    recurrence rejects, by building its Gram matrix and eliminating it.
-    The empty set has no blocks.
+    `DefiniteFactor.border`).  Any other set, every singleton included, is
+    searched once per component, from its least id not yet reached: the
+    search of `ratlin.forest_post_order`, kept within the set, yields a
+    tree component together with its post-order; a component with a
+    cycle, where that search stops, is found by a plain search
+    (`_component`).  Each component's block is then taken from the memo or
+    factored cold, once (`_cold_block`).  The empty set has no blocks.
     """
     if not ids:
         return ()
@@ -449,10 +470,23 @@ def factor_blocks(config: CurveConfig, ids: frozenset[int]) -> tuple[Block, ...]
                 parent = memo[rest]
                 entry = memo[ids] = None if parent is None else _add_curve(config, parent, cid)
                 return entry
+    if not ids <= config._curve_map.keys():
+        config.curve(min(ids - config._curve_map.keys()))
+    adjacency = config._adjacency
+    reached: set[int] = set()
     blocks: list[Block] = []
-    for component in connected_components(config, ids):
+    for seed in sorted(ids):
+        if seed in reached:
+            continue
+        tree = forest_post_order(
+            (seed,),
+            lambda v: [u for u in adjacency[v] if u in ids],
+            lambda v, u: adjacency[v][u],
+        )
+        component = frozenset(tree[0]) if tree else _component(config, ids, seed)
+        reached |= component
         if component not in memo:
-            memo[component] = _cold_block(config, component)
+            memo[component] = _cold_block(config, component, tree)
         entry = memo[component]
         if entry is None:
             break
@@ -463,26 +497,27 @@ def factor_blocks(config: CurveConfig, ids: frozenset[int]) -> tuple[Block, ...]
     return entry
 
 
-def _cold_block(config: CurveConfig, component: frozenset[int]) -> tuple[Block] | None:
+def _cold_block(
+    config: CurveConfig,
+    component: frozenset[int],
+    tree: tuple[list[int], list[list[tuple[int, int]]]] | None,
+) -> tuple[Block] | None:
     """The one block of a connected set factored from scratch, or None
     when its Gram matrix is not negative definite.
 
-    A tree is factored by `ratlin.tree_factor`, a double contact being an
-    edge of weight 2.  Dense elimination decides the rest: a set with a
-    cycle through three or more curves, and a tree the subtree recurrence
-    rejects, so that every cold "not negative definite" comes from the same
-    `is_negative_definite` test as before the recurrence.  A rejection is
-    the error path, so the repeated test adds nothing to a contractible
-    component's cost.
+    `tree` is the component's post-order and children from
+    `ratlin.forest_post_order`, or None when the component has a cycle.  A
+    tree is factored by `ratlin.tree_factor`, a double contact being an
+    edge of weight 2, into a `ratlin.TreeFactor` that stays sparse until a
+    caller reads its dense rows.  Dense elimination decides the rest: a set
+    with a cycle through three or more curves, and a tree the subtree
+    recurrence rejects, so that every cold "not negative definite" comes
+    from the same `is_negative_definite` test as before the recurrence.  A
+    rejection is the error path, so the repeated test adds nothing to a
+    contractible component's cost.
     """
-    adjacency = config._adjacency
-    found = forest_post_order(
-        (min(component),),
-        lambda v: [u for u in adjacency[v] if u in component],
-        lambda v, u: adjacency[v][u],
-    )
-    if found is not None:
-        order, children = found
+    if tree is not None:
+        order, children = tree
         factor = tree_factor([config.curve(cid).self_intersection for cid in order], children)
         if factor is not None:
             return ((tuple(order), factor),)

@@ -24,6 +24,7 @@ from logsurf import (
     StuckInPhase2Error,
     TheoremViolationError,
     decompose_morphism,
+    generate_crepant_pair,
 )
 import logsurf.cli as cli
 
@@ -497,6 +498,35 @@ class TestTraceInterning:
         doc["steps"][1]["discrepancies_before"]["4"] = 1
         doc["steps"][1]["discrepancies_after"]["3"] = value
         with pytest.raises(ValueError, match=re.escape("steps[1].discrepancies_after.3: ")):
+            cli.trace_from_json(doc)
+
+    def test_a_state_between_two_steps_is_written_and_parsed_once(self):
+        spec = generate_crepant_pair(helpers.corner(), 8, 5)
+        doc = cli.trace_to_json(spec.config, decompose_morphism(spec))
+        steps = doc["steps"]
+        assert len(steps) > 2
+        for prior, step in zip(steps, steps[1:]):
+            assert prior["discrepancies_after"] is step["discrepancies_before"]
+        read = json.loads(json.dumps(doc))
+        _, trace = cli.trace_from_json(read)
+        for prior, step in zip(trace.steps, trace.steps[1:]):
+            assert prior.discrepancies_after is step.discrepancies_before
+        assert trace.steps == _reference_steps(read)
+        # A tampered map is read on its own.
+        read["steps"][2]["discrepancies_before"] = dict(read["steps"][1]["discrepancies_after"])
+        tampered = read["steps"][2]["discrepancies_before"]
+        tampered[min(tampered)] = "5/7"
+        _, trace = cli.trace_from_json(read)
+        assert trace.steps[2].discrepancies_before is not trace.steps[1].discrepancies_after
+        assert trace.steps == _reference_steps(read)
+
+    @pytest.mark.parametrize("after, before", [(1, True), (0, False), (0, 0.0)])
+    def test_a_before_equal_to_a_non_string_after_is_read_on_its_own(self, after, before):
+        # A JSON 1 equals true: the parsed "after" must not stand for it.
+        doc = _tower_trace_doc()
+        doc["steps"][0]["discrepancies_after"]["4"] = after
+        doc["steps"][1]["discrepancies_before"]["4"] = before
+        with pytest.raises(ValueError, match=re.escape("steps[1].discrepancies_before.4: ")):
             cli.trace_from_json(doc)
 
     def test_a_repeated_malformed_string_is_reported_at_its_first_path(self):

@@ -19,6 +19,7 @@ from logsurf import (
     NotLogTerminalError,
     NotNefError,
     NotNestedError,
+    StuckInPhase2Error,
     CurveConfig,
     PointBase,
     SurfaceState,
@@ -60,6 +61,24 @@ class TestDecomposeMorphism:
         )
         assert trace.steps[1].order == (4, 3)
         assert trace.steps[1].discrepancies_after == {3: -1, 4: 0}
+
+    def test_stuck_names_each_remaining_curves_failed_test(self, monkeypatch):
+        # Valid input never sticks, so the passing blow-down is withheld.
+        real = logsurf.decompose.is_log_blowdown
+
+        def withheld(state, cid):
+            check = real(state, cid)
+            return dataclasses.replace(check, ok=False, reason="Withheld") if check else check
+
+        monkeypatch.setattr(logsurf.decompose, "is_log_blowdown", withheld)
+        spec = generate_crepant_pair(helpers.corner(), 8, 0)
+        with pytest.raises(StuckInPhase2Error) as raised:
+            decompose_morphism(spec)
+        assert str(raised.value) == (
+            "at contracted set [3, 4, 7, 8, 9], no curve in [5, 6, 10] admits a log "
+            "blow-down (curve 5: ImageNotMinusOne; curve 6: ImageNotMinusOne; "
+            "curve 10: Withheld)"
+        )
 
     def test_identity_morphism(self):
         trace = decompose_morphism(MorphismSpec(helpers.corner_twice(), {4}, {4}))
@@ -161,6 +180,41 @@ class TestVerifyTrace:
         assert not result
         assert "prior" in result.failure
 
+    def test_a_shared_record_is_compared_once(self):
+        # A step's "before" that is the previous step's "after" object was
+        # just compared with the same state; an equal copy is compared, and
+        # a tampered one rejected, on its own.
+        spec = generate_crepant_pair(helpers.corner(), 8, 5)
+        trace = decompose_morphism(spec)
+        compared = []
+
+        class Recorded(dict):
+            def __ne__(self, other):
+                compared.append(self)
+                return dict(self) != other
+
+        def with_records(shared):
+            steps, after = [], Recorded(trace.steps[0].discrepancies_before)
+            for step in trace.steps:
+                before = after if shared else Recorded(after)
+                after = Recorded(step.discrepancies_after)
+                steps.append(dataclasses.replace(
+                    step, discrepancies_before=before, discrepancies_after=after
+                ))
+            return dataclasses.replace(trace, steps=tuple(steps))
+
+        n = len(trace.steps)
+        for shared, comparisons in ((True, n + 1), (False, 2 * n)):
+            compared.clear()
+            assert verify_trace(spec.config, spec.source_contracted, with_records(shared))
+            assert len(compared) == comparisons
+        tampered = with_records(False)
+        record = tampered.steps[2].discrepancies_before
+        record[min(record)] += 1
+        result = verify_trace(spec.config, spec.source_contracted, tampered)
+        assert not result
+        assert "prior" in result.failure and result.step_index == 2
+
     def test_rejects_wrong_end_claim(self, tower_trace):
         config, trace = tower_trace
         bad = dataclasses.replace(trace, end=frozenset({3}))
@@ -242,7 +296,7 @@ class _Tripwire(dict):
 class TestVerifyIndependence:
     """`verify_trace` replays without the run's per-configuration memo."""
 
-    MEMOS = ("_factor_memo", "_crepant_memo", "_corner_memo")
+    MEMOS = ("_factor_memo", "_crepant_memo", "_corner_memo", "_blowdown_memo")
 
     def test_replay_neither_reads_nor_grows_the_run_memo(self):
         spec = generate_crepant_pair(helpers.corner(), 8, 5)

@@ -1,6 +1,7 @@
 """The two elementary contractions and their certificates and guards."""
 
 from fractions import Fraction
+import random
 
 import pytest
 
@@ -24,8 +25,10 @@ from logsurf import (
     contract_blowdown,
     contract_flop,
     correction_multiplicities,
+    decompose_morphism,
     epsilon_bound,
     free_point_on,
+    generate_crepant_pair,
     is_flop_minimal,
     is_log_blowdown,
     is_log_flopping,
@@ -36,6 +39,7 @@ from logsurf import (
     relative_picard_rank,
 )
 from logsurf.moves import lowest_flop, lowest_passing
+from logsurf.surface import factor_blocks
 
 
 def tower_state(contracted=(), target=(3, 4)):
@@ -342,6 +346,54 @@ class TestIsLogBlowdown:
         check = is_log_blowdown(SurfaceState(config, {1}), 2)
         assert not check
         assert check.reason == "AdjacentSetNotContractible"
+
+    def test_memoised_failures_equal_fresh_verdicts_along_runs(self, monkeypatch):
+        # At every state of a decomposition, then at random contractible
+        # sub-states, each curve still to contract is tested on the run's
+        # configuration, whose memo holds the failures found so far, and on
+        # a fresh copy of it.
+        rng = random.Random(11)
+        run_tests = []
+        real = logsurf.moves._local_blowdown
+
+        def counting(state, cid, *args):
+            run_tests.append(state.config)
+            return real(state, cid, *args)
+
+        monkeypatch.setattr(logsurf.moves, "_local_blowdown", counting)
+        for template in (helpers.corner, helpers.boundary_chain):
+            for seed in range(3):
+                spec = generate_crepant_pair(template(), 10, seed)
+                config = spec.config
+                trace = decompose_morphism(spec)
+                run_tests.clear()
+                asked = 0
+                states = [SurfaceState(config, spec.source_contracted, trace.base)]
+                for step in trace.steps:
+                    states.append(states[-1].successor(step.curve))
+                target = sorted(spec.target_contracted)
+                for _ in range(30):
+                    state = SurfaceState(config, rng.sample(target, rng.randint(0, len(target))))
+                    if factor_blocks(config, state.contracted) is not None:
+                        states.append(state)
+                for state in states:
+                    for cid in sorted(spec.target_contracted - state.contracted):
+                        check = is_log_blowdown(state, cid)
+                        copy = CurveConfig(config.curves, config.points)
+                        fresh = is_log_blowdown(
+                            SurfaceState(copy, state.contracted, state.base), cid
+                        )
+                        assert (check.ok, check.reason, check.detail, check.order) == (
+                            fresh.ok, fresh.reason, fresh.detail, fresh.order
+                        )
+                        asked += 1
+                # The memo holds failures only, and answered for the run's
+                # configuration some of the local tests each copy ran.
+                memo = config._blowdown_memo
+                assert memo and all(reason for reason, _, _ in memo.values())
+                on_run = sum(tested is config for tested in run_tests)
+                assert on_run < len(run_tests) - on_run
+                assert asked > 10
 
     def test_round_trip_with_corner_blow_up(self):
         for state, cid in [

@@ -426,20 +426,40 @@ class TestTreeFactor:
             assert factor.rows == dense.factor.rows
             assert factor.scale == 1
 
-    @settings(max_examples=100)
+    @settings(max_examples=150)
     @given(forest_rows(diagonal=(-5, -4, -3, -2)), st.data())
     def test_solves_and_determinants_match_the_oracles(self, rows, data):
+        # The sparse factor against the dense one of the same matrix: its
+        # O(n) solve, its determinant, then its dense rows, written on
+        # first read, and a bordering by a random column.
         order, children = _post_order(rows)
         factor = tree_factor([rows[v][v] for v in order], children)
         if factor is None:
             return
         ordered = _permuted(rows, order)
+        dense = SymMatrix(ordered)
+        assert is_negative_definite(dense)
         rhs = [
             data.draw(st.fractions(min_value=-5, max_value=5, max_denominator=6))
             for _ in order
         ]
         assert factor.solve(rhs) == oracles.solve_linear(ordered, rhs)
+        n = len(order)
+        c = data.draw(st.lists(st.integers(-9, 9), min_size=n, max_size=n), label="c")
+        e = data.draw(st.integers(1, 6), label="e")
+        solved = factor.solve_scaled(list(c), e)
+        assert solved == dense.factor.solve_scaled(list(c), e)
+        assert solved == oracles.solve_linear(ordered, [Fraction(v, e) for v in c])
         assert factor.determinant() == oracles.laplace_det(rows)
+        assert factor._dense is None
+        assert factor.rows == dense.factor.rows
+        column = data.draw(st.lists(st.integers(-2, 2), min_size=n, max_size=n), label="column")
+        diagonal = data.draw(st.integers(-6, -1), label="diagonal")
+        bordered = factor.border(column, diagonal)
+        expected = dense.factor.border(column, diagonal)
+        assert (bordered is None) == (expected is None)
+        if bordered is not None:
+            assert bordered.rows == expected.rows
 
     def test_double_contacts(self):
         # Two (−3)-curves meeting twice, and a third meeting one of them twice.

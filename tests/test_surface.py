@@ -305,6 +305,8 @@ class TestComponentsAndGram:
     def test_unknown_member_raises(self):
         with pytest.raises(UnknownIdError):
             connected_components(helpers.chain(), [9])
+        with pytest.raises(UnknownIdError, match="no curve with id 9"):
+            factor_blocks(helpers.chain(), frozenset({1, 9}))
 
     @pytest.mark.parametrize("seed", range(4))
     def test_neighbours_match_raw_counts(self, seed):
