@@ -6,10 +6,19 @@ system determines how the log canonical class of the contracted model pulls
 back.  The residual coefficients it assigns to the contracted curves drive
 everything downstream: classification, centre detection, and the legality of
 each rewriting move.
+
+Residuals are exact rationals, and so is every value returned here.  The
+arithmetic of a move runs on integers: each residual mapping has one positive
+common denominator Δ, the lcm of its residual denominators, and the integer
+numerators N = Δ·e, both found once and kept in its `SolutionFacts`.  A log
+degree is summed as Δ times itself, an image self-intersection over the lcm
+of the multiplicities it reads, and a `Fraction` is built only for the value
+returned.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from enum import IntEnum
 from fractions import Fraction
@@ -22,7 +31,6 @@ from .errors import (
     NotNestedError,
     UnknownIdError,
 )
-from .ratlin import solve_symmetric
 from .surface import (
     Block,
     CurveConfig,
@@ -71,19 +79,35 @@ class SolutionFacts:
     table follows the mapping: every `CrepantData` sharing a mapping shares
     its table, and a fresh solution gets a fresh one.
 
-    - `degrees`: the log degree of each curve asked of `log_degree`;
+    - `denominator` and `numerators`: Δ > 0, the least common denominator of
+      the residuals, and N = Δ·e for every curve, integers found together in
+      one pass and read through `CrepantData.scaled`; the move algebra
+      (`log_degree`, `moves.epsilon_bound`) runs on them;
+    - `degrees`: the log degree of each curve asked of `log_degree`, an
+      exact rational built from its integer numerator over Δ;
     - `negated`: the negated residual of each curve `discrepancies` has read;
     - `ones` and `above_one`: the curves of residual exactly 1 and above 1,
       found together in one pass.
     """
 
-    __slots__ = ("degrees", "negated", "ones", "above_one")
+    __slots__ = ("denominator", "numerators", "degrees", "negated", "ones", "above_one")
 
     def __init__(self) -> None:
+        self.denominator: int | None = None
+        self.numerators: dict[int, int] | None = None
         self.degrees: dict[int, Fraction] = {}
         self.negated: dict[int, Fraction] | None = None
         self.ones: frozenset[int] | None = None
         self.above_one: frozenset[int] | None = None
+
+    def scale(self, residual: Mapping[int, Fraction]) -> None:
+        """Fill `denominator` and `numerators`."""
+        delta = math.lcm(*[value.denominator for value in residual.values()])
+        self.denominator = delta
+        self.numerators = {
+            cid: value.numerator * (delta // value.denominator)
+            for cid, value in residual.items()
+        }
 
     def scan(self, residual: Mapping[int, Fraction]) -> None:
         """Fill `ones` and `above_one`; a residual is a `Fraction`, whose
@@ -126,8 +150,9 @@ class CrepantData:
     def discrepancies(self) -> Mapping[int, Fraction]:
         """The discrepancies by contracted curve, in id order; read-only.
 
-        Each curve's residual is negated once per mapping: a state reached
-        by a move negates only the curve it added."""
+        Each curve's residual is negated once per mapping, built from its
+        negated numerator and its denominator: a state reached by a move
+        negates only the curve it added."""
         residual = self.residual
         facts = self.facts
         negated = facts.negated
@@ -137,9 +162,19 @@ class CrepantData:
         for cid in sorted(self.contracted):
             value = negated.get(cid)
             if value is None:
-                value = negated[cid] = -residual[cid]
+                value = residual[cid]
+                value = negated[cid] = Fraction(-value.numerator, value.denominator)
             out[cid] = value
         return MappingProxyType(out)
+
+    @property
+    def scaled(self) -> tuple[int, Mapping[int, int]]:
+        """Δ, the residuals' least common denominator, and the integer
+        numerators N = Δ·e of every curve."""
+        facts = self.facts
+        if facts.numerators is None:
+            facts.scale(self.residual)
+        return facts.denominator, facts.numerators
 
     @property
     def ones(self) -> frozenset[int]:
@@ -263,16 +298,29 @@ class SurfaceState:
 
     @cached_property
     def _checked(self) -> bool:
-        require_valid(self.config)
-        for cid in self.contracted:
+        """Validate the configuration, the contracted ids, their nesting in
+        the base and the contractibility of the contracted and target sets.
+
+        A successor whose parent passed these checks, on the same
+        configuration over the same base, checks only what the added curve
+        changes: its id, its nesting and the new set's blocks.
+        """
+        link = self.__dict__.get("_parent")
+        inherited = link is not None and "_checked" in link[0].__dict__
+        if inherited:
+            added = frozenset((link[1],))
+        else:
+            require_valid(self.config)
+            added = self.contracted
+        for cid in added:
             self.config.curve(cid)
-        if not self.base.contains(self.contracted):
+        if not self.base.contains(added):
             raise NotNestedError(
                 f"contracted set {sorted(self.contracted)} is not contained in the "
                 f"target set {sorted(self.base.contracted_on_target)}"
             )
         _require_contractible(self.config, self.contracted)
-        if isinstance(self.base, TargetBase):
+        if not inherited and isinstance(self.base, TargetBase):
             for cid in self.base.contracted_on_target:
                 self.config.curve(cid)
             _require_contractible(self.config, self.base.contracted_on_target)
@@ -306,7 +354,7 @@ class SurfaceState:
         if link is not None:
             parent, cid = link
             memo = self.config._crepant_memo
-            if self.contracted not in memo and log_degree(parent, cid) == 0:
+            if self.contracted not in memo and log_degree(parent, cid).numerator == 0:
                 inherited = parent.crepant
                 memo[self.contracted] = CrepantData(
                     inherited.residual, self.contracted, inherited.facts
@@ -424,13 +472,18 @@ def pushforward_self_intersection(state: SurfaceState, cid: int) -> Fraction:
 
 
 def image_self_intersection(
-    config: CurveConfig, cid: int, lam: dict[int, Fraction]
+    config: CurveConfig, cid: int, lam: Mapping[int, Fraction]
 ) -> Fraction:
-    """C² + Σ λ_j (C·E_j): the image of `cid` pulls back to C + Σ λ_j E_j."""
-    near = config._adjacency[cid]
-    return config.curve(cid).self_intersection + sum(
-        (lam[j] * count for j, count in near.items() if j in lam), Fraction(0)
-    )
+    """C² + Σ λ_j (C·E_j): the image of `cid` pulls back to C + Σ λ_j E_j.
+
+    The sum runs in integers over the lcm of the denominators of the λ_j it
+    reads; one `Fraction` is built, for the result."""
+    terms = [(lam[j], count) for j, count in config._adjacency[cid].items() if j in lam]
+    den = math.lcm(*[value.denominator for value, _ in terms])
+    num = config.curve(cid).self_intersection * den
+    for value, count in terms:
+        num += value.numerator * (den // value.denominator) * count
+    return Fraction(num, den)
 
 
 def correction_multiplicities(state: SurfaceState, cid: int) -> dict[int, Fraction]:
@@ -439,7 +492,8 @@ def correction_multiplicities(state: SurfaceState, cid: int) -> dict[int, Fracti
     They solve gram(S)·λ = −(C·E_j)_j over the contracted set S, which must
     not contain `cid`, from the set's memoised blocks: only the components
     that `cid` meets have a nonzero right-hand side, so only their blocks
-    are solved, each from its factor; elsewhere λ is exactly 0.
+    are solved, each from its factor, on the integer right-hand side as it
+    is (`ratlin.DefiniteFactor.solve_scaled`); elsewhere λ is exactly 0.
     """
     state._checked
     state.config.curve(cid)
@@ -449,7 +503,7 @@ def correction_multiplicities(state: SurfaceState, cid: int) -> dict[int, Fracti
     lam = dict.fromkeys(state.contracted, _ZERO)
     for order, factor in _require_contractible(state.config, state.contracted):
         if not near.keys().isdisjoint(order):
-            lam.update(zip(order, solve_symmetric(factor, [-near.get(j, 0) for j in order])))
+            lam.update(zip(order, factor.solve_scaled([-near.get(j, 0) for j in order], 1)))
     return dict(sorted(lam.items()))
 
 
@@ -459,23 +513,26 @@ def log_degree(state: SurfaceState, cid: int) -> Fraction:
     deg K|_C + Σ_k e_k (C_k·C), with the residuals running over every curve
     including C itself; only C and the curves meeting it contribute.
     Vanishes identically on contracted curves by construction of the crepant
-    pullback.  It depends only on the solution, so each curve's degree is
-    computed once per residual mapping and kept in its shared table
-    (`SolutionFacts`).
+    pullback.  It is summed in integers, as Δ·deg K|_C + N_C·C² +
+    Σ_k N_k·(C_k·C) over the mapping's common denominator Δ and numerators
+    N (`SolutionFacts`), and divided by Δ once.  It depends only on the
+    solution, so each curve's degree is computed once per residual mapping
+    and kept in its shared table.  A degree's denominator is positive, so
+    callers test its sign on its numerator.
     """
     state._checked
     data = state.crepant
     degrees = data.facts.degrees
-    acc = degrees.get(cid)
-    if acc is None:
-        residual = data.residual
+    degree = degrees.get(cid)
+    if degree is None:
+        delta, numerators = data.scaled
         config = state.config
-        acc = Fraction(canonical_degree(config, cid))
-        acc += residual[cid] * config.curve(cid).self_intersection
+        acc = delta * canonical_degree(config, cid)
+        acc += numerators[cid] * config.curve(cid).self_intersection
         for k, count in config._adjacency[cid].items():
-            acc += residual[k] * count
-        degrees[cid] = acc
-    return acc
+            acc += numerators[k] * count
+        degree = degrees[cid] = Fraction(acc, delta) if acc else _ZERO
+    return degree
 
 
 def is_log_crepant(

@@ -54,11 +54,10 @@ from .moves import (
 from .surface import (
     BlowUpTarget,
     CrossingPoint,
+    Curve,
     CurveConfig,
     at_point,
-    blow_up,
     free_point_on,
-    next_curve_id,
     require_valid,
 )
 
@@ -351,30 +350,38 @@ def generate_crepant_pair(
     the sum minus 1) or a fresh point on a coefficient-1 curve (the new curve
     gets 0).  The pair contracts nothing on the source and all the new curves
     on the target.
+
+    Each step is the rewrite of `surface.blow_up`, applied to running tables
+    instead of a fresh configuration: curves and points by id, in the order
+    `blow_up` keeps them, and the next curve and point ids.  Every step adds
+    a point, so the next point id stays one above the largest.  One
+    configuration is built at the end, so a tower of depth d costs O(d).
     """
     if depth < 0:
         raise ValueError("depth must be non-negative")
     require_valid(template)
     rng = random.Random(seed)
-    config = template
-    coeff = {c.id: c.boundary_coeff for c in config.curves}
+    curves = {c.id: c for c in template.curves}
+    points = {p.id: p for p in template.points}
+    next_cid = max(curves, default=0) + 1
+    next_pid = max(points, default=0) + 1
     # The admissible centres, kept in the order a full rescan would list
     # them: crossing points by id, then coefficient-1 curves in curve order.
     # A blow-up removes at most its centre and appends its new points and
-    # curve with the largest ids (`blow_up`), so each step only appends.
+    # curve with the largest ids, so each step only appends.
     at_points: dict[int, tuple[BlowUpTarget, Fraction]] = {}
 
     def admit(point: CrossingPoint) -> None:
         if len(point.incident) == 2:
             a, b = point.incident
-            total = coeff[a] + coeff[b]
+            total = curves[a].boundary_coeff + curves[b].boundary_coeff
             if total >= 1:
                 at_points[point.id] = (at_point(point.id), total - 1)
 
-    for p in sorted(config.points, key=lambda p: p.id):
+    for p in sorted(points.values(), key=lambda p: p.id):
         admit(p)
     on_curves: list[tuple[BlowUpTarget, Fraction | int]] = [
-        (free_point_on(cid), 0) for cid, d in coeff.items() if d == 1
+        (free_point_on(c.id), 0) for c in curves.values() if c.boundary_coeff == 1
     ]
     new_ids: list[int] = []
     for _ in range(depth):
@@ -383,16 +390,28 @@ def generate_crepant_pair(
                 "the configuration offers no crepant blow-up centre"
             )
         target, new_coeff = rng.choice([*at_points.values(), *on_curves])
-        new_cid = next_curve_id(config)
+        new_cid = next_cid
+        next_cid += 1
         new_ids.append(new_cid)
-        before = len(config.points)
         if target.kind == "point":
             del at_points[target.ref]
-            before -= 1
-        config = blow_up(config, target, new_coeff)
-        coeff[new_cid] = config.curve(new_cid).boundary_coeff
-        for p in config.points[before:]:
-            admit(p)
-        if coeff[new_cid] == 1:
+            touched = sorted(points.pop(target.ref).incident)
+        else:
+            touched = [target.ref]
+        coeff = Fraction(new_coeff)
+        curves[new_cid] = Curve(new_cid, 0, -1, coeff)
+        for cid in touched:
+            c = curves[cid]
+            curves[cid] = Curve(cid, c.genus, c.self_intersection - 1, c.boundary_coeff)
+            point = points[next_pid] = CrossingPoint(next_pid, frozenset({new_cid, cid}))
+            next_pid += 1
+            admit(point)
+        if coeff == 1:
             on_curves.append((free_point_on(new_cid), 0))
+    rank = template.picard_rank_of_model
+    config = CurveConfig(
+        tuple(curves.values()),
+        tuple(points.values()),
+        None if rank is None else rank + depth,
+    )
     return MorphismSpec(config, frozenset(), frozenset(new_ids))

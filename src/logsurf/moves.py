@@ -13,6 +13,13 @@ coefficient below 1 (a coefficient-1 curve is itself a non-klt centre,
 image self-intersection, and last the curve is tested against the other
 non-klt centres.
 
+The predicates and `epsilon_bound` decide on integers: a log degree, an
+image self-intersection or a multiplicity is an exact rational whose
+denominator is positive, so its sign is its numerator's, and the
+perturbation bound is taken over the residuals' common denominator and
+numerators (`crepant.SolutionFacts`) and minimised by integer
+cross-multiplication.  Only the values a caller receives are `Fraction`s.
+
 A predicate returns a check: the state and curve it was made for and, on
 success, the evidence found — a flop's multiplicities λ, a blow-down's local
 contraction order.  The check is the move's certificate: `epsilon_bound`,
@@ -178,13 +185,13 @@ def is_log_flopping(state: SurfaceState, cid: int) -> FlopCheck:
     if _survives_on_target(state, cid):
         return fail("NotExceptionalOverBase", f"curve {cid} survives on the target model")
     degree = log_degree(state, cid)
-    if degree != 0:
+    if degree.numerator != 0:
         return fail("NonzeroLogDegree", f"log degree is {degree}, not 0")
     if state.config.curve(cid).boundary_coeff == 1:
         return fail("IsDivisorialCenter", f"curve {cid} has coefficient 1")
     lam = correction_multiplicities(state, cid)
     image_self = image_self_intersection(state.config, cid, lam)
-    if image_self >= 0:
+    if image_self.numerator >= 0:
         return fail("ImageNotNegative", f"image self-intersection is {image_self} ≥ 0")
     for center in lc_centers(state):
         if isinstance(center, NodeCenter) and cid in center.curves:
@@ -209,18 +216,27 @@ def epsilon_bound(check: FlopCheck) -> EpsilonChoice:
     Raising the curve's coefficient by any ε below the supremum keeps every
     residual at most 1 (hence the pair log terminal): the binding constraints
     are the coefficient cap 1 − d and, for each contracted curve picked up by
-    the image pullback with multiplicity λ > 0, the headroom (1 − e)/λ, read
-    as (1 + a)/λ from the cached discrepancy a = −e.
+    the image pullback with multiplicity λ > 0, the headroom (1 − e)/λ.  With
+    the solution's common denominator Δ and numerator N = Δ·e
+    (`crepant.SolutionFacts`) and λ = a/b, that is (Δ − N)·b / (Δ·a), both
+    integers.  λ > 0 is read off a; the least bound is kept as an integer
+    pair p/q with q > 0 and replaced when (Δ − N)·b·q < p·Δ·a.  The two
+    values returned are the only `Fraction`s built.
     """
     check.require()
     state = check.state
-    constraints = [Fraction(1) - state.config.curve(check.curve).boundary_coeff]
-    discrepancies = state.crepant.discrepancies
+    coeff = state.config.curve(check.curve).boundary_coeff
+    q = coeff.denominator
+    p = q - coeff.numerator
+    delta, numerators = state.crepant.scaled
     for j, lam in check.multiplicities.items():
-        if lam > 0:
-            constraints.append((1 + discrepancies[j]) / lam)
-    supremum = min(constraints)
-    return EpsilonChoice(supremum, supremum / 2)
+        a = lam.numerator
+        if a > 0:
+            num = (delta - numerators[j]) * lam.denominator
+            den = delta * a
+            if num * q < p * den:
+                p, q = num, den
+    return EpsilonChoice(Fraction(p, q), Fraction(p, 2 * q))
 
 
 @dataclass(frozen=True)
@@ -289,7 +305,7 @@ def is_nef_on_marked(state: SurfaceState) -> NefReport:
     failing = tuple(
         (cid, degree)
         for cid in _in_scope(state)
-        if (degree := log_degree(state, cid)) < 0
+        if (degree := log_degree(state, cid)).numerator < 0
     )
     return NefReport(not failing, isinstance(state.base, TargetBase), failing)
 
@@ -325,7 +341,8 @@ def lowest_flop(state: SurfaceState) -> FlopCheck | None:
         _require_log_terminal(state)
         degrees = state.crepant.facts.degrees
         for cid in scope:
-            if degrees.get(cid, 0) == 0:
+            degree = degrees.get(cid)
+            if degree is None or degree.numerator == 0:
                 check = is_log_flopping(state, cid)
                 if check:
                     return check

@@ -29,6 +29,7 @@ recurrence for every forest-patterned matrix instead of O(n³) elimination.
 
 from __future__ import annotations
 
+import itertools
 import math
 from fractions import Fraction
 from typing import Callable, Hashable, Iterable, Iterator, Sequence, TypeVar
@@ -107,21 +108,20 @@ class SymMatrix:
         return f"SymMatrix([{body}])"
 
 
-def _integer_rows(matrix: SymMatrix) -> tuple[list[list[int]], int]:
+def _integer_rows(matrix: SymMatrix) -> tuple[Sequence[Sequence[int]], int]:
     """The rows of d·M as integers, d > 0 being the least common denominator.
 
     Scaling by a positive d keeps the sign of every leading minor, and the
     k-th minor of d·M is d**k times that of M, so fraction-free elimination
     can run on Python integers, where each of its divisions is exact.  An
-    all-integer matrix, such as every Gram matrix, is copied with d = 1.
+    all-integer matrix, such as every Gram matrix, is returned as it is, with
+    d = 1, its entries' types tested at C level; a caller that writes to the
+    rows copies them.
     """
     rows = matrix.rows()
-    if all(type(x) is int for row in rows for x in row):
-        return [list(row) for row in rows], 1
-    d = 1
-    for row in rows:
-        for x in row:
-            d = math.lcm(d, x.denominator)
+    if set(map(type, itertools.chain.from_iterable(rows))) <= {int}:
+        return rows, 1
+    d = math.lcm(*[x.denominator for x in itertools.chain.from_iterable(rows)])
     return [[x.numerator * (d // x.denominator) for x in row] for row in rows], d
 
 
@@ -167,12 +167,14 @@ class DefiniteFactor:
     def n(self) -> int:
         return len(self.rows)
 
+    def integer_determinant(self) -> int:
+        """det A = d**n·det M, the last pivot (1 for the empty matrix): det M
+        itself when d = 1, as for every Gram matrix."""
+        return self.rows[-1][-1] if self.rows else 1
+
     def determinant(self) -> Fraction:
-        """det M: the last pivot, det A, over d**n."""
-        n = len(self.rows)
-        if n == 0:
-            return Fraction(1)
-        return Fraction(self.rows[-1][-1], self.scale**n)
+        """det M: det A over d**n."""
+        return Fraction(self.integer_determinant(), self.scale**self.n)
 
     def _replay(self, column: list[int]) -> None:
         """Run an extra integer column through the stored elimination, in place.
@@ -392,9 +394,9 @@ class TreeFactor(DefiniteFactor):
     def n(self) -> int:
         return len(self.pivots)
 
-    def determinant(self) -> Fraction:
+    def integer_determinant(self) -> int:
         """det M: the last pivot, the product of the roots' D."""
-        return Fraction(self.pivots[-1] if self.pivots else 1)
+        return self.pivots[-1] if self.pivots else 1
 
     def solve_scaled(self, c: list[int], e: int) -> tuple[Fraction, ...]:
         """Solve M·x = c/e for an integer column c and an integer e > 0 in
@@ -462,12 +464,15 @@ def tree_factor(
     return TreeFactor(children, dets, below, pivots)
 
 
-def _forest_determinant(a: list[list[int]]) -> int | None:
+def _forest_determinant(a: Sequence[Sequence[int]]) -> int | None:
     """det of integer rows whose off-diagonal pattern is a forest: the
-    product of its trees' determinants; None for any other pattern."""
+    product of its trees' determinants; None for any other pattern.  The
+    rows are only read, and each is scanned for its non-zero entries at C
+    level."""
+    columns = range(len(a))
     found = forest_post_order(
-        range(len(a)),
-        lambda i: [j for j, x in enumerate(a[i]) if x and j != i],
+        columns,
+        lambda i: [j for j in itertools.compress(columns, a[i]) if j != i],
         lambda i, j: a[i][j],
     )
     if found is None:
@@ -506,12 +511,11 @@ def solve_symmetric(
     if len(rhs) != n:
         raise ValueError(f"rhs has length {len(rhs)}, matrix has {n} rows")
     b = [exact(v) for v in rhs]
-    a, d = _integer_rows(matrix)
+    rows, d = _integer_rows(matrix)
     e = 1
     for v in b:
         e = math.lcm(e, v.denominator)
-    for row, v in zip(a, b):
-        row.append(v.numerator * (e // v.denominator))
+    a = [[*row, v.numerator * (e // v.denominator)] for row, v in zip(rows, b)]
     prev = 1
     for k in range(n):
         if a[k][k] == 0:
@@ -563,10 +567,11 @@ def determinant(matrix: SymMatrix) -> Fraction:
     n = matrix.n
     if n == 0:
         return Fraction(1)
-    a, d = _integer_rows(matrix)
-    det = _forest_determinant(a)
+    rows, d = _integer_rows(matrix)
+    det = _forest_determinant(rows)
     if det is not None:
         return Fraction(det, d**n)
+    a = [list(row) for row in rows]
     sign = 1
     prev = 1
     for k in range(n - 1):

@@ -417,20 +417,25 @@ def gram(config: CurveConfig, ordered_ids: Sequence[int]) -> SymMatrix:
 
     Entries are plain `int`s read straight from the configuration's curve
     and crossing tables: self-intersections on the diagonal, shared-point
-    counts off it.  Symmetry holds by construction, so the matrix is built
-    without re-checking it.
+    counts off it.  Each row starts as zeros and gets only its curve's
+    crossings, so the Python-level work is the crossing count, not the
+    number of entries.  Symmetry holds by construction, so the matrix is
+    built without re-checking it.
     """
     ids = list(ordered_ids)
-    if len(set(ids)) != len(ids):
+    position = {cid: k for k, cid in enumerate(ids)}
+    if len(position) != len(ids):
         raise ValueError("curve ids must be distinct")
     selves = [config.curve(i).self_intersection for i in ids]
     adjacency = config._adjacency
+    n = len(ids)
     rows = []
     for k, i in enumerate(ids):
-        near = adjacency[i]
-        # tuple(<genexpr>) would be resized after allocation and freed into
-        # another size class, filling the tuple free lists; a list is exact.
-        row = [near.get(j, 0) for j in ids]
+        row = [0] * n
+        for j, count in adjacency[i].items():
+            at = position.get(j)
+            if at is not None:
+                row[at] = count
         row[k] = selves[k]
         rows.append(tuple(row))
     return SymMatrix._trusted(tuple(rows))
@@ -756,10 +761,11 @@ def smooth_point_blowdown(config: CurveConfig, gamma: Iterable[int]) -> Blowdown
 def require_unimodular(ids: Iterable[int], blocks: Iterable[Block]) -> None:
     """Raise ``TheoremViolationError`` unless the Gram matrix of a set `ids`
     that contracted to smooth points, factored as `blocks`, has determinant
-    ±1: the product of its blocks' determinants."""
-    det = Fraction(1)
+    ±1: the product of its blocks' integer determinants (the scale of a
+    Gram matrix's factor is 1)."""
+    det = 1
     for _, factor in blocks:
-        det *= factor.determinant()
+        det *= factor.integer_determinant()
     if abs(det) != 1:
         raise TheoremViolationError(
             f"set {sorted(ids)} contracted to smooth points but its Gram "

@@ -413,6 +413,71 @@ def chain_discrepancies(bs, left=Fraction(0), right=Fraction(0)) -> list[Fractio
 
 
 # ---------------------------------------------------------------------------
+# the move algebra, in plain Fractions over raw pairings
+
+def raw_residuals(config: CurveConfig, contracted) -> dict[int, Fraction]:
+    """Every curve's residual: on the contracted set the solution of its
+    whole raw Gram system (−deg K|_i minus the uncontracted coefficients'
+    pairings on the right), elsewhere the curve's coefficient."""
+    counts = crossing_counts(config)
+    ids = sorted(contracted)
+    residual = {c.id: Fraction(c.boundary_coeff) for c in config.curves}
+    rhs = []
+    for i in ids:
+        curve = next(c for c in config.curves if c.id == i)
+        total = Fraction(2 * curve.genus - 2 - curve.self_intersection)
+        for c in config.curves:
+            if c.id not in contracted:
+                total += c.boundary_coeff * raw_pairing(config, counts, c.id, i)
+        rhs.append(-total)
+    if ids:
+        rows = [[raw_pairing(config, counts, i, j) for j in ids] for i in ids]
+        residual.update(zip(ids, solve_linear(rows, rhs)))
+    return residual
+
+
+def raw_log_degree(config: CurveConfig, residual, cid: int) -> Fraction:
+    """deg K|_C + Σ_k e_k (C_k·C) over every curve k, C itself included."""
+    counts = crossing_counts(config)
+    curve = next(c for c in config.curves if c.id == cid)
+    total = Fraction(2 * curve.genus - 2 - curve.self_intersection)
+    for other in config.curves:
+        total += residual[other.id] * raw_pairing(config, counts, other.id, cid)
+    return total
+
+
+def raw_multiplicities(config: CurveConfig, contracted, cid: int) -> dict[int, Fraction]:
+    """λ solving gram(S)·λ = −(C·E_j)_j over the whole contracted set S at
+    once, by id."""
+    counts = crossing_counts(config)
+    ids = sorted(contracted)
+    if not ids:
+        return {}
+    rows = [[raw_pairing(config, counts, i, j) for j in ids] for i in ids]
+    rhs = [-raw_pairing(config, counts, cid, j) for j in ids]
+    return dict(zip(ids, solve_linear(rows, rhs)))
+
+
+def raw_image_self_intersection(config: CurveConfig, multiplicities, cid: int) -> Fraction:
+    """C² + Σ λ_j (C·E_j), summed term by term."""
+    counts = crossing_counts(config)
+    total = Fraction(raw_pairing(config, counts, cid, cid))
+    for j, value in multiplicities.items():
+        total += value * raw_pairing(config, counts, cid, j)
+    return total
+
+
+def raw_epsilon_bound(config: CurveConfig, residual, multiplicities, cid: int):
+    """(supremum, chosen): the least of 1 − d and (1 − e_j)/λ_j over every
+    λ_j > 0, and half of it."""
+    curve = next(c for c in config.curves if c.id == cid)
+    bounds = [1 - Fraction(curve.boundary_coeff)]
+    bounds += [(1 - residual[j]) / value for j, value in multiplicities.items() if value > 0]
+    supremum = min(bounds)
+    return supremum, supremum / 2
+
+
+# ---------------------------------------------------------------------------
 # the seeded generator and the validator, by full rescans
 
 def rescan_crepant_towers(template: CurveConfig, depth: int, seed: int):

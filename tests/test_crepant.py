@@ -10,14 +10,19 @@ import helpers
 import logsurf.crepant
 import oracles
 import logsurf.surface
+from logsurf.cli import trace_to_json
+from logsurf.crepant import image_self_intersection
 from logsurf.ratlin import TreeFactor
 from logsurf.surface import corner_failure, factor_blocks, smooth_point_blowdown
 from logsurf import (
     Classification,
     ComponentImage,
+    Curve,
     CurveConfig,
     DivisorialCenter,
+    FlopCheck,
     InvalidStateError,
+    MorphismSpec,
     NodeCenter,
     NotNestedError,
     PointBase,
@@ -29,6 +34,7 @@ from logsurf import (
     crepant_pullback,
     decompose_morphism,
     determinant,
+    epsilon_bound,
     generate_crepant_pair,
     gram,
     is_log_crepant,
@@ -127,6 +133,37 @@ class TestSurfaceState:
     def test_rejects_indefinite_target_set(self):
         with pytest.raises(InvalidStateError):
             SurfaceState(helpers.corner(), set(), TargetBase({1}))._checked
+
+    def test_a_successor_checks_its_added_curve_as_a_full_check_would(self, monkeypatch):
+        spec = generate_crepant_pair(helpers.corner(), 8, 5)
+        target = TargetBase(spec.target_contracted)
+        double = CurveConfig.build([(1, 0, -2, 0), (2, 0, -2, 0)], [(1, [1, 2]), (2, [1, 2])])
+        cases = [
+            (spec.config, target, min(spec.target_contracted), 99, UnknownIdError),
+            (spec.config, target, min(spec.target_contracted), 1, NotNestedError),
+            (double, PointBase(), 1, 2, InvalidStateError),
+        ]
+        assert 1 not in spec.target_contracted
+        validated = []
+        real = logsurf.crepant.require_valid
+        monkeypatch.setattr(
+            logsurf.crepant, "require_valid", lambda config: validated.append(config) or real(config)
+        )
+        for config, base, first, added, error in cases:
+            with pytest.raises(error) as full:
+                SurfaceState(fresh(config), {first, added}, base)._checked
+            parent = SurfaceState(config, {first}, base)
+            parent._checked
+            validated.clear()
+            with pytest.raises(error) as inherited:
+                parent.successor(added)._checked
+            assert str(inherited.value) == str(full.value)
+            # The parent's checks are not repeated, but a state built
+            # directly, or from an unchecked parent, runs them all.
+            assert validated == []
+            with pytest.raises(error):
+                SurfaceState(config, {first}, base).successor(added)._checked
+            assert validated == [config]
 
     def test_rejects_unknown_contracted_id(self):
         with pytest.raises(UnknownIdError):
@@ -638,6 +675,12 @@ class TestColdPathGuard:
         assert tuple(state.crepant.residual[i] for i in ids) == expected
 
 
+FRACTION_ARITHMETIC = (
+    "__add__", "__radd__", "__sub__", "__rsub__", "__mul__", "__rmul__",
+    "__truediv__", "__rtruediv__", "__neg__",
+)
+
+
 class TestIntegerColdSolve:
     """A cold solve sums its right-hand sides in integers."""
 
@@ -658,8 +701,7 @@ class TestIntegerColdSolve:
 
             with monkeypatch.context() as patch:
                 patch.setattr(Fraction, "__new__", counting_new)
-                for name in ("__add__", "__radd__", "__sub__", "__rsub__", "__mul__",
-                             "__rmul__", "__truediv__", "__rtruediv__", "__neg__"):
+                for name in FRACTION_ARITHMETIC:
                     patch.setattr(Fraction, name, forbidden)
                 data = crepant_pullback(copy, ids)
             assert len(built) == len(ids)
@@ -909,6 +951,96 @@ class TestSharedFacts:
         assert len(trace.steps) > 1
         assert computed and all(cfg is config for cfg, _ in computed)
         assert len(computed) == len(set(computed)) <= len(config.curves)
+
+
+COEFFICIENTS = (0, Fraction(1, 2), Fraction(1, 3), Fraction(2, 3), Fraction(3, 5), 1)
+
+
+@st.composite
+def move_algebra_states(draw):
+    """(configuration, contracted set): a random subset of a contractible set
+    of a crepant tower, of the same tower with some coefficients set to 1/2
+    (so that log degrees are non-zero), or of a Hirzebruch–Jung chain
+    decorated with two boundary curves of assorted coefficients."""
+    kind = draw(st.sampled_from(["tower", "halves", "chain"]))
+    if kind == "chain":
+        bs = draw(st.lists(st.integers(2, 5), min_size=1, max_size=6))
+        left, right = draw(st.sampled_from(COEFFICIENTS)), draw(st.sampled_from(COEFFICIENTS))
+        config = hj_chain(bs, left, right)
+        ids = list(range(1, len(bs) + 1))
+    else:
+        template = draw(st.sampled_from([helpers.corner, helpers.boundary_chain]))
+        spec = generate_crepant_pair(
+            template(), draw(st.integers(1, 8)), draw(st.integers(0, 10**6))
+        )
+        config, ids = spec.config, sorted(spec.target_contracted)
+        if kind == "halves":
+            halved = draw(st.sets(st.sampled_from([c.id for c in config.curves]), min_size=1))
+            config = CurveConfig(
+                tuple(
+                    Curve(c.id, c.genus, c.self_intersection, Fraction(1, 2))
+                    if c.id in halved
+                    else c
+                    for c in config.curves
+                ),
+                config.points,
+            )
+    return config, draw(st.frozensets(st.sampled_from(ids)))
+
+
+class TestIntegerMoveAlgebra:
+    """Log degrees, multiplicities, image self-intersections and ε bounds
+    run on integers over one denominator per solution, and equal plain
+    `Fraction` references."""
+
+    def test_runs_and_replays_do_no_fraction_arithmetic(self, monkeypatch):
+        jobs = []
+        for template in (helpers.corner, helpers.boundary_chain):
+            for seed in range(4):
+                spec = generate_crepant_pair(template(), 12, seed)
+                jobs.append((spec.config, decompose_morphism(spec), spec))
+        for config, trace in runs("chains"):
+            jobs.append((config, trace, None))
+
+        def forbidden(*args):
+            raise AssertionError("Fraction arithmetic in a run or its replay")
+
+        for config, expected, spec in jobs:
+            copy = fresh(config)
+            with monkeypatch.context() as patch:
+                for name in FRACTION_ARITHMETIC:
+                    patch.setattr(Fraction, name, forbidden)
+                if spec is None:
+                    trace = minimize(SurfaceState(copy, set()))
+                else:
+                    trace = decompose_morphism(
+                        MorphismSpec(copy, spec.source_contracted, spec.target_contracted)
+                    )
+                verdict = verify_trace(copy, trace.start, trace)
+            assert verdict, verdict.failure
+            assert trace == expected
+            assert trace_to_json(copy, trace) == trace_to_json(config, expected)
+
+    @settings(max_examples=120, deadline=None)
+    @given(move_algebra_states())
+    def test_values_equal_plain_fraction_references(self, drawn):
+        config, contracted = drawn
+        state = SurfaceState(config, contracted)
+        residual = oracles.raw_residuals(config, contracted)
+        for c in config.curves:
+            assert log_degree(state, c.id) == oracles.raw_log_degree(config, residual, c.id)
+            if c.id in contracted:
+                continue
+            lam = correction_multiplicities(state, c.id)
+            assert lam == oracles.raw_multiplicities(config, contracted, c.id)
+            assert image_self_intersection(
+                config, c.id, lam
+            ) == oracles.raw_image_self_intersection(config, lam, c.id)
+            # The bound's arithmetic, whether or not the curve's flop passes.
+            bound = epsilon_bound(FlopCheck(state, c.id, True, None, None, lam))
+            assert (bound.supremum, bound.chosen) == oracles.raw_epsilon_bound(
+                config, residual, lam, c.id
+            )
 
 
 class TestCornerMemo:

@@ -240,6 +240,40 @@ class TestVerifyTrace:
         assert not result
         assert "replay error" in result.failure
 
+    def test_tampered_curves_fail_with_the_messages_of_a_full_check(self):
+        # An unknown curve, a curve that survives on the target, and a step
+        # to a set whose Gram matrix is singular.
+        spec = generate_crepant_pair(helpers.corner(), 8, 5)
+        trace = decompose_morphism(spec)
+        assert 1 not in spec.target_contracted
+        double = CurveConfig.build(
+            [(1, 0, -2, 0), (2, 0, -2, 0)], [(1, [1, 2]), (2, [1, 2])]
+        )
+        minimal = minimize(SurfaceState(double, set()))
+        assert [step.curve for step in minimal.steps] == [1]
+        singular = dataclasses.replace(minimal, end=frozenset({1, 2}), flop_minimal_index=2)
+        cases = [
+            (spec.config, trace, 1, 99, "replay error: no curve with id 99", None),
+            (
+                spec.config, trace, 1, 1,
+                "curve 1 is not of flop type: curve 1 survives on the target model", 1,
+            ),
+            (
+                double, singular, 1, 2,
+                "curve 2 is not of flop type: image self-intersection is 0 ≥ 0", 1,
+            ),
+        ]
+        for config, good, index, curve, failure, step_index in cases:
+            steps = list(good.steps)
+            if index == len(steps):
+                last = steps[-1]
+                steps.append(dataclasses.replace(
+                    last, discrepancies_before=last.discrepancies_after
+                ))
+            steps[index] = dataclasses.replace(steps[index], curve=curve)
+            result = verify_trace(config, good.start, dataclasses.replace(good, steps=tuple(steps)))
+            assert (result.ok, result.failure, result.step_index) == (False, failure, step_index)
+
     def test_accepts_minimization_trace(self):
         trace = minimize(SurfaceState(helpers.du_val_a1(), set()))
         assert verify_trace(helpers.du_val_a1(), set(), trace)
