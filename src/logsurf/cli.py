@@ -242,18 +242,24 @@ def _fractions_to_json(values: dict[int, Fraction]) -> dict[str, str]:
     return {str(cid): str(value) for cid, value in sorted(values.items())}
 
 
-def _interned_fraction(value: Any, path: str, parsed: dict[str, Fraction]) -> Fraction:
-    """`_fraction`, parsing each distinct string of a document once.
+def _interned_fraction(
+    value: Any, parsed: dict[str, Fraction], path: str, key: str
+) -> Fraction:
+    """`_fraction` of the field `key` of `path`, parsing each distinct
+    string of a document once; the field's path is built only for an error.
 
     `parsed` maps the strings read so far to their values.  Only strings are
     keys: a JSON true or 1.0 equals 1 and hashes like it, so a table keyed
     on values would accept it as a cached "1".
     """
-    if type(value) is not str:
-        return _fraction(value, path)
-    fraction = parsed.get(value)
+    fraction = parsed.get(value) if type(value) is str else None
     if fraction is None:
-        fraction = parsed[value] = _fraction(value, path)
+        try:
+            fraction = parse_fraction(value)
+        except ValueError as exc:
+            raise ValueError(f"{path}.{key}: {exc}") from None
+        if type(value) is str:
+            parsed[value] = fraction
     return fraction
 
 
@@ -266,7 +272,7 @@ def _fractions_from_json(
     for cid, value in data.items():
         if not _INTEGER.fullmatch(cid):
             raise ValueError(f"{path} has a key {cid!r} that is not a curve id")
-        out[int(cid)] = _interned_fraction(value, f"{path}.{cid}", parsed)
+        out[int(cid)] = _interned_fraction(value, parsed, path, cid)
     return out
 
 
@@ -346,9 +352,9 @@ def trace_from_json(data: Any) -> tuple[str, DecompositionTrace]:
             epsilon = EpsilonChoice(
                 None
                 if supremum is None
-                else _interned_fraction(supremum, f"{at}epsilon.supremum", parsed),
+                else _interned_fraction(supremum, parsed, f"{at}epsilon", "supremum"),
                 _interned_fraction(
-                    _required(eps, "chosen", f"{at}epsilon."), f"{at}epsilon.chosen", parsed
+                    _required(eps, "chosen", f"{at}epsilon."), parsed, f"{at}epsilon", "chosen"
                 ),
             )
         else:

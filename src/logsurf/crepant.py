@@ -18,6 +18,7 @@ returned.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass, field
 from enum import IntEnum
@@ -152,20 +153,18 @@ class CrepantData:
 
         Each curve's residual is negated once per mapping, built from its
         negated numerator and its denominator: a state reached by a move
-        negates only the curve it added."""
+        negates only the curve it added, and reads the rest from the
+        mapping's table."""
         residual = self.residual
         facts = self.facts
         negated = facts.negated
         if negated is None:
             negated = facts.negated = {}
-        out = {}
-        for cid in sorted(self.contracted):
-            value = negated.get(cid)
-            if value is None:
-                value = residual[cid]
-                value = negated[cid] = Fraction(-value.numerator, value.denominator)
-            out[cid] = value
-        return MappingProxyType(out)
+        for cid in self.contracted.difference(negated):
+            value = residual[cid]
+            negated[cid] = Fraction(-value.numerator, value.denominator)
+        order = sorted(self.contracted)
+        return MappingProxyType(dict(zip(order, map(negated.__getitem__, order))))
 
     @property
     def scaled(self) -> tuple[int, Mapping[int, int]]:
@@ -194,13 +193,17 @@ class CrepantData:
         return facts.above_one
 
 
-def _require_contractible(config: CurveConfig, ids: frozenset[int]) -> tuple[Block, ...]:
+def _require_contractible(
+    config: CurveConfig,
+    ids: frozenset[int],
+    grown: tuple[frozenset[int], int] | None = None,
+) -> tuple[Block, ...]:
     """Raise unless the Gram matrix of `ids` is negative definite.
 
     Returns the set's memoised blocks, one per connected component; the
-    empty set has none.
+    empty set has none.  `grown` is `factor_blocks`' parent hint.
     """
-    blocks = factor_blocks(config, ids)
+    blocks = factor_blocks(config, ids, grown)
     if blocks is None:
         raise InvalidStateError(
             f"gram matrix of {sorted(ids)} is not negative definite; the set is not contractible"
@@ -238,8 +241,6 @@ def _solve_pullback(config: CurveConfig, key: frozenset[int]) -> CrepantData:
     (`ratlin.DefiniteFactor.solve_scaled`), so the only `Fraction` objects
     built are the residuals themselves.
     """
-    for cid in sorted(key):
-        config.curve(cid)
     blocks = _require_contractible(config, key)
     residual = {c.id: c.boundary_coeff for c in config.curves}
     adjacency = config._adjacency
@@ -303,7 +304,10 @@ class SurfaceState:
 
         A successor whose parent passed these checks, on the same
         configuration over the same base, checks only what the added curve
-        changes: its id, its nesting and the new set's blocks.
+        changes: its id, its nesting and the new set's blocks.  A successor
+        finds its blocks from its parent's (`factor_blocks`' hint), and
+        when its parent has built its `_block_index`, derives its own from
+        it here, while the link to the parent is held.
         """
         link = self.__dict__.get("_parent")
         inherited = link is not None and "_checked" in link[0].__dict__
@@ -319,12 +323,38 @@ class SurfaceState:
                 f"contracted set {sorted(self.contracted)} is not contained in the "
                 f"target set {sorted(self.base.contracted_on_target)}"
             )
-        _require_contractible(self.config, self.contracted)
+        grown = None if link is None else (link[0].contracted, link[1])
+        _require_contractible(self.config, self.contracted, grown)
         if not inherited and isinstance(self.base, TargetBase):
             for cid in self.base.contracted_on_target:
                 self.config.curve(cid)
             _require_contractible(self.config, self.base.contracted_on_target)
+        if link is not None and "_block_index" in link[0].__dict__:
+            self.__dict__["_block_index"] = _grown_index(*link)
         return True
+
+    @cached_property
+    def _block_index(self) -> dict[int, Block]:
+        """Each contracted curve mapped to the block of its component.
+
+        Asked only of a checked state.  A successor derives it from its
+        parent's index when it is checked (`_checked`), so along a run it
+        is built from the blocks only at the first state that asks."""
+        index: dict[int, Block] = {}
+        for block in _require_contractible(self.config, self.contracted):
+            index.update(dict.fromkeys(block[0], block))
+        return index
+
+    def _blocks_meeting(self, cid: int) -> list[Block]:
+        """The blocks of the contracted components that curve `cid` meets,
+        each once, found through its crossings; in no particular order."""
+        index = self._block_index
+        met: dict[int, Block] = {}
+        for j in self.config._adjacency[cid]:
+            block = index.get(j)
+            if block is not None:
+                met[id(block)] = block
+        return list(met.values())
 
     def successor(self, cid: int) -> SurfaceState:
         """The state that also contracts `cid`, over the same base, linked to
@@ -410,6 +440,21 @@ class SurfaceState:
         return Classification.LOG_TERMINAL
 
 
+def _grown_index(parent: SurfaceState, cid: int) -> dict[int, Block]:
+    """The block index of the successor of `parent` by `cid`.
+
+    The blocks cid meets become one component with it, whose block is
+    memoised under its curve set (`factor_blocks`); every other curve keeps
+    its block.  Only cid's crossings and that component are read, besides
+    the copy of the parent's index."""
+    met = parent._blocks_meeting(cid)
+    component = frozenset(itertools.chain((cid,), *(order for order, _ in met)))
+    (block,) = factor_blocks(parent.config, component)
+    grown = dict(parent._block_index)
+    grown.update(dict.fromkeys(block[0], block))
+    return grown
+
+
 def classify(state: SurfaceState) -> Classification:
     return state.classification
 
@@ -491,9 +536,10 @@ def correction_multiplicities(state: SurfaceState, cid: int) -> dict[int, Fracti
 
     They solve gram(S)·λ = −(C·E_j)_j over the contracted set S, which must
     not contain `cid`, from the set's memoised blocks: only the components
-    that `cid` meets have a nonzero right-hand side, so only their blocks
-    are solved, each from its factor, on the integer right-hand side as it
-    is (`ratlin.DefiniteFactor.solve_scaled`); elsewhere λ is exactly 0.
+    that `cid` meets have a nonzero right-hand side, so only their blocks,
+    found through the state's block index, are solved, each from its
+    factor, on the integer right-hand side as it is
+    (`ratlin.DefiniteFactor.solve_scaled`); elsewhere λ is exactly 0.
     """
     state._checked
     state.config.curve(cid)
@@ -501,9 +547,8 @@ def correction_multiplicities(state: SurfaceState, cid: int) -> dict[int, Fracti
         raise InvalidStateError(f"curve {cid} is contracted; its image is a point")
     near = state.config._adjacency[cid]
     lam = dict.fromkeys(state.contracted, _ZERO)
-    for order, factor in _require_contractible(state.config, state.contracted):
-        if not near.keys().isdisjoint(order):
-            lam.update(zip(order, factor.solve_scaled([-near.get(j, 0) for j in order], 1)))
+    for order, factor in state._blocks_meeting(cid):
+        lam.update(zip(order, factor.solve_scaled([-near.get(j, 0) for j in order], 1)))
     return dict(sorted(lam.items()))
 
 

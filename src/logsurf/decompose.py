@@ -15,11 +15,13 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable
+from types import MappingProxyType
+from typing import Iterable, Mapping
 
 from .crepant import (
     Base,
     Classification,
+    CrepantData,
     PointBase,
     SurfaceState,
     TargetBase,
@@ -236,6 +238,42 @@ def minimize(state: SurfaceState) -> DecompositionTrace:
     )
 
 
+def _matches(recorded: Mapping[int, Fraction], data: CrepantData) -> bool:
+    """Whether a recorded discrepancy map equals the discrepancies of the
+    replayed solution `data`, with the verdict of `recorded !=
+    data.discrepancies`, without building that map or calling
+    `Fraction.__eq__`.
+
+    A replayed discrepancy is −N/Δ over the solution's common denominator
+    and integer numerators (`CrepantData.scaled`); a recorded `Fraction` or
+    `int` a/b, b > 0, equals it exactly when a·Δ = −N·b.  A recorded map
+    other than a dict or a read-only view of one, or one holding any other
+    value, is compared by `!=` as before.  A comparison that raises counts
+    as a mismatch, so the check never raises.
+    """
+    try:
+        if type(recorded) is dict or type(recorded) is MappingProxyType:
+            contracted = data.contracted
+            if len(recorded) != len(contracted):
+                return False
+            delta, numerators = data.scaled
+            for cid, value in recorded.items():
+                kind = type(value)
+                if kind is Fraction:
+                    a, b = value.numerator, value.denominator
+                elif kind is int:
+                    a, b = value, 1
+                else:
+                    break
+                if cid not in contracted or a * delta != -numerators[cid] * b:
+                    return False
+            else:
+                return True
+        return not recorded != data.discrepancies
+    except Exception:
+        return False
+
+
 @dataclass(frozen=True)
 class VerifyResult:
     ok: bool
@@ -258,7 +296,8 @@ def verify_trace(
     base the final state must admit no further move.  Never raises: any
     replay failure is reported in the result.  The replay runs on a fresh
     copy of `config`, so it neither reads nor fills the memo of the run that
-    produced the trace.
+    produced the trace.  Recorded discrepancies are compared on integers
+    (`_matches`).
     """
     config = CurveConfig(config.curves, config.points, config.picard_rank_of_model)
     start_set = frozenset(start)
@@ -296,7 +335,7 @@ def verify_trace(
                     index,
                 )
             before = step.discrepancies_before
-            if before is not matched and before != state.crepant.discrepancies:
+            if before is not matched and not _matches(before, state.crepant):
                 return VerifyResult(
                     False, "recorded prior discrepancies do not match", index
                 )
@@ -314,7 +353,7 @@ def verify_trace(
                 )
             state = state.successor(step.curve)
             matched = step.discrepancies_after
-            if matched != state.crepant.discrepancies:
+            if not _matches(matched, state.crepant):
                 return VerifyResult(
                     False, "recorded posterior discrepancies do not match", index
                 )

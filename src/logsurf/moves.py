@@ -13,6 +13,12 @@ coefficient below 1 (a coefficient-1 curve is itself a non-klt centre,
 image self-intersection, and last the curve is tested against the other
 non-klt centres.
 
+Each predicate reads only the curve's neighbourhood: the contracted
+components a curve meets are found through its crossings and the state's
+curve → block index (`crepant.SurfaceState`), which a successor derives
+from its parent's, so a step of a run or a replay does not scan the whole
+contracted set or configuration.
+
 The predicates and `epsilon_bound` decide on integers: a log degree, an
 image self-intersection or a multiplicity is an exact rational whose
 denominator is positive, so its sign is its numerator's, and the
@@ -40,14 +46,11 @@ from typing import Callable, ClassVar, Mapping
 
 from .crepant import (
     Classification,
-    ComponentImage,
-    NodeCenter,
     SurfaceState,
     TargetBase,
     correction_multiplicities,
     image_self_intersection,
     is_log_crepant,
-    lc_centers,
     log_degree,
 )
 from .errors import (
@@ -63,7 +66,6 @@ from .surface import (
     Block,
     LocalBlowdownModel,
     corner_failure,
-    factor_blocks,
     require_unimodular,
     run_contraction,
 )
@@ -178,6 +180,13 @@ def is_log_flopping(state: SurfaceState, cid: int) -> FlopCheck:
     divisorial non-klt centre), its image self-intersection is negative,
     and it avoids every other non-klt centre.  The first requirement that
     fails, in this order, is the reason reported.
+
+    The centre test reads only the contracted components the curve meets,
+    found through the state's block index, and reports the one of least id
+    holding a residual-1 curve: the first centre the curve meets in the
+    order of `crepant.lc_centers`.  No node centre can come first: a node
+    centre's two curves have residual 1, and an uncontracted curve's
+    residual is its coefficient, which is below 1 here.
     """
     _require_uncontracted(state, cid)
     _require_log_terminal(state)
@@ -193,20 +202,14 @@ def is_log_flopping(state: SurfaceState, cid: int) -> FlopCheck:
     image_self = image_self_intersection(state.config, cid, lam)
     if image_self.numerator >= 0:
         return fail("ImageNotNegative", f"image self-intersection is {image_self} ≥ 0")
-    for center in lc_centers(state):
-        if isinstance(center, NodeCenter) and cid in center.curves:
-            return fail(
-                "MeetsNodeCenter",
-                f"curve {cid} passes through corner point {center.point}",
-            )
-        if isinstance(center, ComponentImage) and not center.component.isdisjoint(
-            state.config._adjacency[cid]
-        ):
-            return fail(
-                "MeetsComponentImage",
-                f"curve {cid} meets contracted component {sorted(center.component)} "
-                "whose image is a non-klt point",
-            )
+    ones = state.crepant.ones
+    images = [order for order, _ in state._blocks_meeting(cid) if not ones.isdisjoint(order)]
+    if images:
+        return fail(
+            "MeetsComponentImage",
+            f"curve {cid} meets contracted component {sorted(min(images, key=min))} "
+            "whose image is a non-klt point",
+        )
     return FlopCheck(state, cid, True, None, None, lam)
 
 
@@ -400,7 +403,9 @@ def is_log_blowdown(state: SurfaceState, cid: int) -> BlowdownCheck:
     move blows down to.  Those last tests read only the configuration near
     the curve and the adjacent contracted curves, so a failure among them
     is kept in the configuration's `_blowdown_memo` and read back at every
-    later state where the curve meets the same contracted curves.
+    later state where the curve meets the same contracted curves.  The
+    contracted components the curve meets are found through its crossings
+    and the state's block index, not by testing every block.
     """
     _require_uncontracted(state, cid)
     fail = partial(BlowdownCheck, state, cid, False)
@@ -412,13 +417,7 @@ def is_log_blowdown(state: SurfaceState, cid: int) -> BlowdownCheck:
         return fail("CoefficientNotOne", f"coefficient is {curve.boundary_coeff}")
     if curve.genus != 0:
         return fail("PositiveGenus", f"genus is {curve.genus}")
-    near = config._adjacency[cid].keys()
-    # The contracted components meeting the curve: the blocks it meets.
-    met = [
-        block
-        for block in factor_blocks(config, state.contracted)
-        if not near.isdisjoint(block[0])
-    ]
+    met = state._blocks_meeting(cid)
     adjacent = frozenset([j for order, _ in met for j in order])
     key = (cid, adjacent)
     memo = config._blowdown_memo

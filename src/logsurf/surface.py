@@ -441,23 +441,31 @@ def gram(config: CurveConfig, ordered_ids: Sequence[int]) -> SymMatrix:
     return SymMatrix._trusted(tuple(rows))
 
 
-def factor_blocks(config: CurveConfig, ids: frozenset[int]) -> tuple[Block, ...] | None:
+def factor_blocks(
+    config: CurveConfig,
+    ids: frozenset[int],
+    grown: tuple[frozenset[int], int] | None = None,
+) -> tuple[Block, ...] | None:
     """The factored blocks of the Gram matrix of `ids`, one per connected
     component, or None when that matrix is not negative definite.
 
     Each set is factored at most once per configuration, in its
-    `_factor_memo`.  A set whose parent S∖{c} is memoised inherits a
-    parent's None, since every principal block of a negative-definite
-    matrix is negative definite; otherwise it reuses every parent block
-    that c does not meet, and joins the blocks c meets, largest first,
-    into one block bordered by c (`DefiniteFactor.join`,
-    `DefiniteFactor.border`).  Any other set, every singleton included, is
-    searched once per component, from its least id not yet reached: the
-    search of `ratlin.forest_post_order`, kept within the set, yields a
-    tree component together with its post-order; a component with a
-    cycle, where that search stops, is found by a plain search
-    (`_component`).  Each component's block is then taken from the memo or
-    factored cold, once (`_cold_block`).  The empty set has no blocks.
+    `_factor_memo`.  `grown`, when given, is (S, c) with `ids` = S ∪ {c}:
+    the hint `crepant.SurfaceState.successor` passes, so that one lookup
+    of its parent's own key finds S's blocks.  When S is memoised or
+    empty, `ids`
+    inherits a parent's None, since every principal block of a
+    negative-definite matrix is negative definite; otherwise it reuses
+    every block of S that c does not meet, and joins the blocks c meets,
+    largest first, into one block bordered by c (`DefiniteFactor.join`,
+    `DefiniteFactor.border`).  Any other set, every singleton and every set
+    without a hint included, is searched once per component, from its
+    least id not yet reached: the search of `ratlin.forest_post_order`,
+    kept within the set, yields a tree component together with its
+    post-order; a component with a cycle, where that search stops, is
+    found by a plain search (`_component`).  Each component's block is
+    then taken from the memo or factored cold, once (`_cold_block`).  The
+    empty set has no blocks.
     """
     if not ids:
         return ()
@@ -466,15 +474,12 @@ def factor_blocks(config: CurveConfig, ids: frozenset[int]) -> tuple[Block, ...]
         return memo[ids]
     except KeyError:
         pass
-    if len(ids) > 1:
-        # Drivers contract the lowest passing id, so the newest curve is
-        # usually the largest: try it first.
-        for cid in sorted(ids, reverse=True):
-            rest = ids - {cid}
-            if rest in memo:
-                parent = memo[rest]
-                entry = memo[ids] = None if parent is None else _add_curve(config, parent, cid)
-                return entry
+    if grown is not None:
+        parent, cid = grown
+        if not parent or parent in memo:
+            kept = memo.get(parent, ())
+            entry = memo[ids] = None if kept is None else _add_curve(config, kept, cid)
+            return entry
     if not ids <= config._curve_map.keys():
         config.curve(min(ids - config._curve_map.keys()))
     adjacency = config._adjacency

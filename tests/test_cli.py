@@ -529,6 +529,19 @@ class TestTraceInterning:
         with pytest.raises(ValueError, match=re.escape("steps[1].discrepancies_before.4: ")):
             cli.trace_from_json(doc)
 
+    def test_a_bad_value_deep_in_a_map_names_its_path(self):
+        spec = generate_crepant_pair(helpers.corner(), 8, 5)
+        doc = json.loads(json.dumps(cli.trace_to_json(spec.config, decompose_morphism(spec))))
+        after = doc["steps"][6]["discrepancies_after"]
+        assert list(after)[-1] == "10" and len(after) == 7
+        after["10"] = "1.5"
+        with pytest.raises(ValueError) as raised:
+            cli.trace_from_json(doc)
+        assert str(raised.value) == (
+            "steps[6].discrepancies_after.10: expected an integer or a fraction "
+            "string 'p/q', got '1.5'"
+        )
+
     def test_a_repeated_malformed_string_is_reported_at_its_first_path(self):
         doc = _tower_trace_doc()
         doc["steps"][0]["discrepancies_after"]["4"] = "1e0"

@@ -102,6 +102,11 @@ class TestCrepantPullback:
         with pytest.raises(InvalidStateError):
             crepant_pullback(helpers.corner(), {1})
 
+    @pytest.mark.parametrize("ids", [{1, 9, 7}, {9, 7}])
+    def test_two_unknown_ids_name_the_least(self, ids):
+        with pytest.raises(UnknownIdError, match=r"^no curve with id 7$"):
+            crepant_pullback(helpers.corner_twice(), ids)
+
     def test_raw_identity_on_fixture_states(self):
         for config, contracted in [
             (helpers.corner_twice(), {3, 4}),
@@ -407,15 +412,18 @@ class TestFactorMemo:
         return config
 
     def _grow(self, config: CurveConfig) -> None:
-        """Border every memoised definite set by each curve it leaves out."""
+        """Border every memoised definite set by each curve it leaves out,
+        through `successor`, as a run grows its sets."""
         memo = config._factor_memo
         for ids, entry in list(memo.items()):
             if entry is None:
                 continue
+            parent = SurfaceState(config, ids)
+            parent._checked
             for c in config.curves:
                 if c.id not in ids:
                     try:
-                        SurfaceState(config, ids | {c.id})._checked
+                        parent.successor(c.id)._checked
                     except InvalidStateError:
                         pass
 
@@ -1043,6 +1051,62 @@ class TestIntegerMoveAlgebra:
             )
 
 
+class TestBlockIndex:
+    """Each state's curve → block index against the raw components, and the
+    searches a run makes."""
+
+    @pytest.mark.parametrize("build", ["towers", "chains"])
+    def test_every_state_of_a_run(self, build):
+        for config, trace in runs(build):
+            copy = fresh(config)
+            state = SurfaceState(copy, trace.start, trace.base)
+            state._checked
+            states = [state]
+            for step in trace.steps:
+                state._block_index
+                state = state.successor(step.curve)
+                state._checked
+                # Derived from the parent's index while checked.
+                assert "_block_index" in state.__dict__
+                states.append(state)
+            for state in states:
+                index = state._block_index
+                assert index.keys() == state.contracted
+                components = oracles.raw_components(copy, state.contracted)
+                for component in components:
+                    ((order, _),) = blocks = {id(index[j]): index[j] for j in component}.values()
+                    assert frozenset(order) == component
+                    # The component's memoised block itself.
+                    assert factor_blocks(copy, component)[0] is next(iter(blocks))
+                counts = oracles.crossing_counts(copy)
+                for cid in state.uncontracted:
+                    met = [frozenset(order) for order, _ in state._blocks_meeting(cid)]
+                    assert len(met) == len(set(met))
+                    assert set(met) == {
+                        component
+                        for component in components
+                        if any(oracles.raw_pairing(copy, counts, cid, j) for j in component)
+                    }
+
+    def test_a_run_searches_only_its_end_states(self, monkeypatch):
+        # A decomposition checks its start and end sets cold; every state
+        # its moves reach finds its blocks from its parent's.
+        searched = []
+        real = logsurf.surface.forest_post_order
+
+        def recording(roots, children, weight):
+            searched.append(roots)
+            return real(roots, children, weight)
+
+        monkeypatch.setattr(logsurf.surface, "forest_post_order", recording)
+        spec = generate_crepant_pair(helpers.corner(), 200, 200)
+        trace = decompose_morphism(spec)
+        assert len(trace.steps) == 200 and trace.flop_minimal_index > 0
+        components = oracles.raw_components(spec.config, spec.source_contracted)
+        components += oracles.raw_components(spec.config, spec.target_contracted)
+        assert sorted(searched) == sorted((min(component),) for component in components)
+
+
 class TestCornerMemo:
     """Each residual-1 component is simulated once per configuration."""
 
@@ -1090,15 +1154,18 @@ class TestChainClosedForm:
         ((_, cold_factor),) = config._factor_memo[ids]
         assert cold_factor.determinant() == (-1) ** r * n
         assert determinant(gram(config, sorted(ids))) == (-1) ** r * n
-        # Bordered: the same set grown one curve at a time in `order`.  The
-        # join rule predicts each block's row order: the new curve's blocks,
-        # largest first (ties in the set's block order), then the new curve,
-        # after the blocks it does not meet.
+        # Bordered: the same set grown one curve at a time in `order`, by
+        # successors.  The join rule predicts each block's row order: the
+        # new curve's blocks, largest first (ties in the set's block order),
+        # then the new curve, after the blocks it does not meet.
         grown = hj_chain(bs, left, right)
         predicted: list[tuple[int, ...]] = []
+        step = SurfaceState(grown, ())
+        step._checked
         for k in range(1, r + 1):
             c = order[k - 1]
-            SurfaceState(grown, order[:k])._checked
+            step = step.successor(c)
+            step._checked
             met = [b for b in predicted if any(abs(j - c) == 1 for j in b)]
             met.sort(key=lambda b: -len(b))
             predicted = [b for b in predicted if b not in met]

@@ -1,11 +1,15 @@
 """End-to-end drivers: two-phase factorization, minimization, trace replay, generation."""
 
+from collections import OrderedDict
 import dataclasses
+import functools
 import hashlib
 import json
 from fractions import Fraction
+from types import MappingProxyType
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import helpers
 import oracles
@@ -180,24 +184,26 @@ class TestVerifyTrace:
         assert not result
         assert "prior" in result.failure
 
-    def test_a_shared_record_is_compared_once(self):
+    def test_a_shared_record_is_compared_once(self, monkeypatch):
         # A step's "before" that is the previous step's "after" object was
         # just compared with the same state; an equal copy is compared, and
         # a tampered one rejected, on its own.
         spec = generate_crepant_pair(helpers.corner(), 8, 5)
         trace = decompose_morphism(spec)
         compared = []
+        real = logsurf.decompose._matches
 
-        class Recorded(dict):
-            def __ne__(self, other):
-                compared.append(self)
-                return dict(self) != other
+        def counting(recorded, data):
+            compared.append(recorded)
+            return real(recorded, data)
+
+        monkeypatch.setattr(logsurf.decompose, "_matches", counting)
 
         def with_records(shared):
-            steps, after = [], Recorded(trace.steps[0].discrepancies_before)
+            steps, after = [], dict(trace.steps[0].discrepancies_before)
             for step in trace.steps:
-                before = after if shared else Recorded(after)
-                after = Recorded(step.discrepancies_after)
+                before = after if shared else dict(after)
+                after = dict(step.discrepancies_after)
                 steps.append(dataclasses.replace(
                     step, discrepancies_before=before, discrepancies_after=after
                 ))
@@ -206,8 +212,9 @@ class TestVerifyTrace:
         n = len(trace.steps)
         for shared, comparisons in ((True, n + 1), (False, 2 * n)):
             compared.clear()
-            assert verify_trace(spec.config, spec.source_contracted, with_records(shared))
-            assert len(compared) == comparisons
+            records = with_records(shared)
+            assert verify_trace(spec.config, spec.source_contracted, records)
+            assert len({id(record) for record in compared}) == len(compared) == comparisons
         tampered = with_records(False)
         record = tampered.steps[2].discrepancies_before
         record[min(record)] += 1
@@ -312,6 +319,144 @@ class TestVerifyTrace:
         result = verify_trace(config, set(), bad)
         assert not result
         assert "target" in result.failure
+
+
+@functools.cache
+def _tower_run():
+    """A decomposed depth-8 tower: (spec, trace)."""
+    spec = generate_crepant_pair(helpers.corner(), 8, 5)
+    return spec, decompose_morphism(spec)
+
+
+def _replayed(spec, curves):
+    """The crepant data of a fresh replay state contracting `curves`."""
+    config = CurveConfig(spec.config.curves, spec.config.points)
+    return SurfaceState(config, curves, TargetBase(spec.target_contracted)).crepant
+
+
+class _Raising:
+    """A recorded value whose comparison raises."""
+
+    def __eq__(self, other):
+        raise TypeError("not comparable")
+
+    __ne__ = __eq__
+    __hash__ = None
+
+
+class _SubFraction(Fraction):
+    pass
+
+
+class _Recorded(dict):
+    pass
+
+
+# Ways a caller may write a recorded discrepancy, equal or not.
+VARIANTS = {
+    "same": lambda v: v,
+    "int": lambda v: int(v) if v.denominator == 1 else v,
+    "float": float,
+    "bool": bool,
+    "subclass": _SubFraction,
+    "numerator": lambda v: Fraction(v.numerator + 1, v.denominator),
+    "denominator": lambda v: Fraction(v.numerator, v.denominator + 1),
+    "string": str,
+    "nan": lambda v: float("nan"),
+    "drop": None,
+}
+CONTAINERS = (dict, MappingProxyType, OrderedDict, _Recorded)
+
+
+class TestRecordComparison:
+    """`verify_trace` compares a recorded map with the replayed solution on
+    integers (`_matches`), with the verdict of `!=` on the replayed map."""
+
+    @pytest.fixture()
+    def run(self):
+        return _tower_run()
+
+    def _tamper_after(self, spec, trace, index, record):
+        step = dataclasses.replace(trace.steps[index], discrepancies_after=record)
+        steps = trace.steps[:index] + (step,) + trace.steps[index + 1:]
+        assert record != trace.steps[index].discrepancies_after
+        return verify_trace(spec.config, spec.source_contracted, dataclasses.replace(trace, steps=steps))
+
+    @pytest.mark.parametrize("tamper", ["denominator", "extra key", "missing key"])
+    def test_a_tampered_record_is_rejected(self, run, tamper):
+        spec, trace = run
+        index = 6
+        record = dict(trace.steps[index].discrepancies_after)
+        cid = min(c for c, value in record.items() if value != 0)
+        value = record[cid]
+        if tamper == "denominator":
+            record[cid] = Fraction(value.numerator, value.denominator + 1)
+        elif tamper == "extra key":
+            # An uncontracted curve, with its residual's negation.
+            extra = min(c.id for c in spec.config.curves if c.id not in record)
+            record[extra] = -spec.config.curve(extra).boundary_coeff
+        else:
+            del record[cid]
+        result = self._tamper_after(spec, trace, index, record)
+        assert (result.ok, result.failure, result.step_index) == (
+            False, "recorded posterior discrepancies do not match", index
+        )
+
+    def test_an_int_valued_record_passes(self, run):
+        spec, trace = run
+        steps = []
+        converted = 0
+        for step in trace.steps:
+            records = []
+            for mapping in (step.discrepancies_before, step.discrepancies_after):
+                record = {}
+                for cid, value in mapping.items():
+                    if value.denominator == 1:
+                        record[cid] = int(value)
+                        converted += 1
+                    else:
+                        record[cid] = value
+                assert record == mapping
+                records.append(record)
+            steps.append(dataclasses.replace(
+                step, discrepancies_before=records[0], discrepancies_after=records[1]
+            ))
+        assert converted > 2 * len(steps) and 0 in steps[-1].discrepancies_after.values()
+        ints = dataclasses.replace(trace, steps=tuple(steps))
+        assert verify_trace(spec.config, spec.source_contracted, ints)
+
+    def test_a_comparison_that_raises_is_a_mismatch(self, run):
+        spec, trace = run
+        record = dict(trace.steps[1].discrepancies_after)
+        record[min(record)] = _Raising()
+        with pytest.raises(TypeError):
+            record != trace.steps[1].discrepancies_after
+        step = dataclasses.replace(trace.steps[1], discrepancies_after=record)
+        bad = dataclasses.replace(trace, steps=(trace.steps[0], step) + trace.steps[2:])
+        result = verify_trace(spec.config, spec.source_contracted, bad)
+        assert (result.ok, result.failure, result.step_index) == (
+            False, "recorded posterior discrepancies do not match", 1
+        )
+
+    @settings(max_examples=150, deadline=None)
+    @given(st.data())
+    def test_same_verdict_as_not_equal(self, data):
+        spec, trace = _tower_run()
+        index = data.draw(st.integers(0, len(trace.steps) - 1), label="step")
+        expected = trace.steps[index].discrepancies_after
+        replayed = _replayed(spec, expected.keys())
+        record = {}
+        for cid, value in expected.items():
+            variant = VARIANTS[data.draw(st.sampled_from(list(VARIANTS)), label=str(cid))]
+            if variant is not None:
+                record[cid] = variant(value)
+        if data.draw(st.booleans(), label="extra key"):
+            extra = min(c.id for c in spec.config.curves if c.id not in expected)
+            record[extra] = Fraction(0)
+        record = data.draw(st.sampled_from(CONTAINERS), label="container")(record)
+        assert logsurf.decompose._matches(record, replayed) is (
+            not record != replayed.discrepancies
+        )
 
 
 class MemoTouched(Exception):

@@ -4,11 +4,13 @@ from fractions import Fraction
 import random
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import helpers
 import logsurf.moves
 from logsurf import (
     Classification,
+    ComponentImage,
     CurveConfig,
     FlopCheck,
     InvalidStateError,
@@ -16,6 +18,8 @@ from logsurf import (
     NotFloppingError,
     NotLogTerminalError,
     NotNefError,
+    NodeCenter,
+    PointBase,
     SurfaceState,
     TargetBase,
     TheoremViolationError,
@@ -33,6 +37,7 @@ from logsurf import (
     is_log_blowdown,
     is_log_flopping,
     is_nef_on_marked,
+    lc_centers,
     log_degree,
     pushforward_self_intersection,
     minimize,
@@ -119,6 +124,133 @@ class TestIsLogFlopping:
         assert (check.state, check.curve) == (state, 2)
         assert check.multiplicities == correction_multiplicities(state, 2)
         assert check.multiplicities == {1: Fraction(1, 2)}
+
+
+def scanned_flop_verdict(state, cid, image_test=True):
+    """The flop check's (reason, detail) with its centre test scanning every
+    non-klt centre of `lc_centers` in order, node centres included; without
+    `image_test`, every image is taken to be negative."""
+    config = state.config
+    if isinstance(state.base, TargetBase) and cid not in state.base.contracted_on_target:
+        return "NotExceptionalOverBase", f"curve {cid} survives on the target model"
+    degree = log_degree(state, cid)
+    if degree != 0:
+        return "NonzeroLogDegree", f"log degree is {degree}, not 0"
+    if config.curve(cid).boundary_coeff == 1:
+        return "IsDivisorialCenter", f"curve {cid} has coefficient 1"
+    image_self = pushforward_self_intersection(state, cid)
+    if image_test and image_self >= 0:
+        return "ImageNotNegative", f"image self-intersection is {image_self} ≥ 0"
+    for center in lc_centers(state):
+        if isinstance(center, NodeCenter) and cid in center.curves:
+            return "MeetsNodeCenter", f"curve {cid} passes through corner point {center.point}"
+        if isinstance(center, ComponentImage) and any(
+            config.neighbours(cid).get(j) for j in center.component
+        ):
+            return (
+                "MeetsComponentImage",
+                f"curve {cid} meets contracted component {sorted(center.component)} "
+                "whose image is a non-klt point",
+            )
+    return None, None
+
+
+def _tower_sub_state(template, depth, seed, pick, over_target):
+    """A sub-state of a crepant tower: the curves `pick` keeps of its
+    target set, over a point or over the target."""
+    spec = generate_crepant_pair(template(), depth, seed)
+    target = spec.target_contracted
+    base = TargetBase(target) if over_target else PointBase()
+    return SurfaceState(spec.config, pick(sorted(target)), base)
+
+
+def _flop_verdicts_agree(state, image_test=True):
+    """Assert every uncontracted curve's flop verdict equals the scanned
+    reference, and return the reasons.
+
+    The centre test never fails at a log-terminal state: a curve of
+    coefficient below 1 that meets a component with a residual-1 curve
+    survives beside that component's corner, so the component fails the
+    corner test and the state is only log canonical.  A state that is not
+    log terminal is therefore let past the predicate's log-terminality
+    requirement, so that the centre test itself is compared."""
+    if state.classification < Classification.LOG_TERMINAL:
+        state.__dict__["classification"] = Classification.LOG_TERMINAL
+    reasons = []
+    for cid in state.uncontracted:
+        check = is_log_flopping(state, cid)
+        expected = scanned_flop_verdict(state, cid, image_test)
+        assert (check.reason, check.detail) == expected, cid
+        assert bool(check) is (check.reason is None)
+        reasons.append(check.reason)
+    return reasons
+
+
+class TestFlopCentres:
+    """The flop predicate's centre test, which reads only the contracted
+    components the curve meets, against a scan of every non-klt centre."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(
+        st.sampled_from([helpers.corner, helpers.boundary_chain]),
+        st.integers(1, 12),
+        st.integers(0, 10**6),
+        st.randoms(use_true_random=False),
+        st.booleans(),
+    )
+    def test_same_reason_and_detail_as_scanning_every_centre(
+        self, template, depth, seed, rng, over_target
+    ):
+        def pick(ids):
+            return rng.sample(ids, rng.randint(0, len(ids)))
+
+        _flop_verdicts_agree(_tower_sub_state(template, depth, seed, pick, over_target))
+
+    def test_the_sub_states_reach_the_centre_test_beside_both_kinds_of_centre(self):
+        rng = random.Random(17)
+        beside = {NodeCenter: 0, ComponentImage: 0}
+        reasons = []
+        for seed in range(60):
+            state = _tower_sub_state(
+                (helpers.corner, helpers.boundary_chain)[seed % 2],
+                rng.randint(4, 12),
+                seed,
+                lambda ids: rng.sample(ids, rng.randint(0, len(ids))),
+                seed % 3 == 0,
+            )
+            centers = lc_centers(state)
+            verdicts = _flop_verdicts_agree(state)
+            reasons += verdicts
+            for reason in verdicts:
+                if reason in (None, "MeetsComponentImage"):
+                    for kind in beside:
+                        beside[kind] += any(isinstance(c, kind) for c in centers)
+        assert beside[NodeCenter] > 10 and beside[ComponentImage] > 10, beside
+        assert reasons.count("MeetsComponentImage") > 10 and None in reasons
+
+    def test_the_least_of_several_met_images_is_reported(self, monkeypatch):
+        # Curve 5 (coefficient 0, self-intersection 0) meets the contracted
+        # (−2)-curves 4 and 3, each of residual 1 between two coefficient-1
+        # curves; 1 and 6 cross at a node centre.  Its log degree is
+        # −2 + 1 + 1 = 0, but its image is positive: no such curve with a
+        # negative image meets two images, so the image is taken to be
+        # negative here, in the predicate and in the reference alike.
+        config = CurveConfig.build(
+            [(1, 0, 0, 1), (2, 0, 0, 1), (3, 0, -2, 0), (4, 0, -2, 0),
+             (5, 0, 0, 0), (6, 0, 0, 1), (7, 0, 0, 1)],
+            [(1, [5, 4]), (2, [5, 3]), (3, [1, 3]), (4, [2, 3]),
+             (5, [6, 4]), (6, [7, 4]), (7, [1, 6])],
+        )
+        state = SurfaceState(config, {3, 4})
+        assert state.crepant.ones >= {3, 4}
+        assert any(isinstance(c, NodeCenter) for c in lc_centers(state))
+        monkeypatch.setattr(logsurf.moves, "image_self_intersection", lambda *_: Fraction(-1))
+        reasons = _flop_verdicts_agree(state, image_test=False)
+        assert reasons[state.uncontracted.index(5)] == "MeetsComponentImage"
+        check = is_log_flopping(state, 5)
+        assert check.detail == (
+            "curve 5 meets contracted component [3] whose image is a non-klt point"
+        )
 
 
 class TestEpsilonBound:
