@@ -382,7 +382,7 @@ class TestRecordComparison:
         assert record != trace.steps[index].discrepancies_after
         return verify_trace(spec.config, spec.source_contracted, dataclasses.replace(trace, steps=steps))
 
-    @pytest.mark.parametrize("tamper", ["denominator", "extra key", "missing key"])
+    @pytest.mark.parametrize("tamper", ["denominator", "extra key", "missing key", "swapped key"])
     def test_a_tampered_record_is_rejected(self, run, tamper):
         spec, trace = run
         index = 6
@@ -391,12 +391,13 @@ class TestRecordComparison:
         value = record[cid]
         if tamper == "denominator":
             record[cid] = Fraction(value.numerator, value.denominator + 1)
-        elif tamper == "extra key":
-            # An uncontracted curve, with its residual's negation.
-            extra = min(c.id for c in spec.config.curves if c.id not in record)
-            record[extra] = -spec.config.curve(extra).boundary_coeff
         else:
-            del record[cid]
+            if tamper != "extra key":
+                del record[cid]
+            if tamper != "missing key":
+                # An uncontracted curve, with its residual's negation.
+                extra = min(c.id for c in spec.config.curves if c.id not in record)
+                record[extra] = -spec.config.curve(extra).boundary_coeff
         result = self._tamper_after(spec, trace, index, record)
         assert (result.ok, result.failure, result.step_index) == (
             False, "recorded posterior discrepancies do not match", index
@@ -451,8 +452,9 @@ class TestRecordComparison:
             if variant is not None:
                 record[cid] = variant(value)
         if data.draw(st.booleans(), label="extra key"):
+            # An uncontracted curve, with its residual's negation.
             extra = min(c.id for c in spec.config.curves if c.id not in expected)
-            record[extra] = Fraction(0)
+            record[extra] = -spec.config.curve(extra).boundary_coeff
         record = data.draw(st.sampled_from(CONTAINERS), label="container")(record)
         assert logsurf.decompose._matches(record, replayed) is (
             not record != replayed.discrepancies
