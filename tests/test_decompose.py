@@ -372,10 +372,6 @@ class TestRecordComparison:
     """`verify_trace` compares a recorded map with the replayed solution on
     integers (`_matches`), with the verdict of `!=` on the replayed map."""
 
-    @pytest.fixture()
-    def run(self):
-        return _tower_run()
-
     def _tamper_after(self, spec, trace, index, record):
         step = dataclasses.replace(trace.steps[index], discrepancies_after=record)
         steps = trace.steps[:index] + (step,) + trace.steps[index + 1:]
@@ -383,8 +379,8 @@ class TestRecordComparison:
         return verify_trace(spec.config, spec.source_contracted, dataclasses.replace(trace, steps=steps))
 
     @pytest.mark.parametrize("tamper", ["denominator", "extra key", "missing key", "swapped key"])
-    def test_a_tampered_record_is_rejected(self, run, tamper):
-        spec, trace = run
+    def test_a_tampered_record_is_rejected(self, tamper):
+        spec, trace = _tower_run()
         index = 6
         record = dict(trace.steps[index].discrepancies_after)
         cid = min(c for c, value in record.items() if value != 0)
@@ -403,8 +399,8 @@ class TestRecordComparison:
             False, "recorded posterior discrepancies do not match", index
         )
 
-    def test_an_int_valued_record_passes(self, run):
-        spec, trace = run
+    def test_an_int_valued_record_passes(self):
+        spec, trace = _tower_run()
         steps = []
         converted = 0
         for step in trace.steps:
@@ -426,8 +422,8 @@ class TestRecordComparison:
         ints = dataclasses.replace(trace, steps=tuple(steps))
         assert verify_trace(spec.config, spec.source_contracted, ints)
 
-    def test_a_comparison_that_raises_is_a_mismatch(self, run):
-        spec, trace = run
+    def test_a_comparison_that_raises_is_a_mismatch(self):
+        spec, trace = _tower_run()
         record = dict(trace.steps[1].discrepancies_after)
         record[min(record)] = _Raising()
         with pytest.raises(TypeError):
