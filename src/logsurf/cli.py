@@ -270,7 +270,8 @@ def _fractions_from_json(
         raise ValueError(f"{path} must be a JSON object, got {data!r}")
     out = {}
     for cid, value in data.items():
-        if not _INTEGER.fullmatch(cid):
+        # One spelling per id: "03" or "-0" would alias "3" or "0".
+        if not _INTEGER.fullmatch(cid) or str(int(cid)) != cid:
             raise ValueError(f"{path} has a key {cid!r} that is not a curve id")
         out[int(cid)] = _interned_fraction(value, parsed, path, cid)
     return out

@@ -18,7 +18,6 @@ returned.
 
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass, field
 from enum import IntEnum
@@ -38,6 +37,7 @@ from .surface import (
     canonical_degree,
     corner_failure,
     factor_blocks,
+    grow_block,
     require_valid,
     smooth_point_blowdown,
 )
@@ -193,22 +193,22 @@ class CrepantData:
         return facts.above_one
 
 
-def _require_contractible(
-    config: CurveConfig,
-    ids: frozenset[int],
-    grown: tuple[frozenset[int], int] | None = None,
-) -> tuple[Block, ...]:
+def _require_contractible(config: CurveConfig, ids: frozenset[int]) -> tuple[Block, ...]:
     """Raise unless the Gram matrix of `ids` is negative definite.
 
     Returns the set's memoised blocks, one per connected component; the
-    empty set has none.  `grown` is `factor_blocks`' parent hint.
+    empty set has none.
     """
-    blocks = factor_blocks(config, ids, grown)
+    blocks = factor_blocks(config, ids)
     if blocks is None:
-        raise InvalidStateError(
-            f"gram matrix of {sorted(ids)} is not negative definite; the set is not contractible"
-        )
+        raise _not_contractible(ids)
     return blocks
+
+
+def _not_contractible(ids: frozenset[int]) -> InvalidStateError:
+    return InvalidStateError(
+        f"gram matrix of {sorted(ids)} is not negative definite; the set is not contractible"
+    )
 
 
 def crepant_pullback(config: CurveConfig, contracted: Iterable[int]) -> CrepantData:
@@ -304,10 +304,11 @@ class SurfaceState:
 
         A successor whose parent passed these checks, on the same
         configuration over the same base, checks only what the added curve
-        changes: its id, its nesting and the new set's blocks.  A successor
-        finds its blocks from its parent's (`factor_blocks`' hint), and
-        when its parent has built its `_block_index`, derives its own from
-        it here, while the link to the parent is held.
+        changes: its id, its nesting and its component.  The parent's block
+        index names the blocks the curve meets; `grow_block` joins them and
+        borders them by the curve, and the successor's `_block_index` is
+        the parent's plus that one block.  Nothing else of the new set is
+        looked up or stored.
         """
         link = self.__dict__.get("_parent")
         inherited = link is not None and "_checked" in link[0].__dict__
@@ -323,23 +324,30 @@ class SurfaceState:
                 f"contracted set {sorted(self.contracted)} is not contained in the "
                 f"target set {sorted(self.base.contracted_on_target)}"
             )
-        grown = None if link is None else (link[0].contracted, link[1])
-        _require_contractible(self.config, self.contracted, grown)
-        if not inherited and isinstance(self.base, TargetBase):
+        if inherited:
+            parent, cid = link
+            block = grow_block(self.config, parent._blocks_meeting(cid), cid)
+            if block is None:
+                raise _not_contractible(self.contracted)
+            index = dict(parent._block_index)
+            index.update(dict.fromkeys(block[0], block))
+            self.__dict__["_block_index"] = index
+            return True
+        _require_contractible(self.config, self.contracted)
+        if isinstance(self.base, TargetBase):
             for cid in self.base.contracted_on_target:
                 self.config.curve(cid)
             _require_contractible(self.config, self.base.contracted_on_target)
-        if link is not None and "_block_index" in link[0].__dict__:
-            self.__dict__["_block_index"] = _grown_index(*link)
         return True
 
     @cached_property
     def _block_index(self) -> dict[int, Block]:
         """Each contracted curve mapped to the block of its component.
 
-        Asked only of a checked state.  A successor derives it from its
-        parent's index when it is checked (`_checked`), so along a run it
-        is built from the blocks only at the first state that asks."""
+        Asked only of a checked state.  A state reached by a move gets it
+        from its parent's when it is checked (`_checked`); any other state
+        builds it from its set's memoised blocks, the first time it is
+        asked."""
         index: dict[int, Block] = {}
         for block in _require_contractible(self.config, self.contracted):
             index.update(dict.fromkeys(block[0], block))
@@ -399,9 +407,15 @@ class SurfaceState:
     @cached_property
     def components(self) -> tuple[frozenset[int], ...]:
         """The connected components of the contracted set, by least id: the
-        curve sets of its memoised blocks."""
+        curve sets of its blocks, read from the block index when the state
+        has one, as every state reached by a move does, and from the set's
+        memoised blocks otherwise."""
         self._checked
-        blocks = _require_contractible(self.config, self.contracted)
+        index = self.__dict__.get("_block_index")
+        if index is None:
+            blocks = _require_contractible(self.config, self.contracted)
+        else:
+            blocks = dict(zip(map(id, index.values()), index.values())).values()
         return tuple(sorted((frozenset(order) for order, _ in blocks), key=min))
 
     @cached_property
@@ -438,21 +452,6 @@ class SurfaceState:
                 if not corners[component]:
                     return Classification.LOG_CANONICAL
         return Classification.LOG_TERMINAL
-
-
-def _grown_index(parent: SurfaceState, cid: int) -> dict[int, Block]:
-    """The block index of the successor of `parent` by `cid`.
-
-    The blocks cid meets become one component with it, whose block is
-    memoised under its curve set (`factor_blocks`); every other curve keeps
-    its block.  Only cid's crossings and that component are read, besides
-    the copy of the parent's index."""
-    met = parent._blocks_meeting(cid)
-    component = frozenset(itertools.chain((cid,), *(order for order, _ in met)))
-    (block,) = factor_blocks(parent.config, component)
-    grown = dict(parent._block_index)
-    grown.update(dict.fromkeys(block[0], block))
-    return grown
 
 
 def classify(state: SurfaceState) -> Classification:

@@ -7,7 +7,8 @@ move.  Both evaluate a move's predicate once per step and apply the passed
 check it returns.  `verify_trace` independently replays a trace, re-checking
 every predicate and certificate against the trace's base.
 `generate_crepant_pair` manufactures valid inputs by running the
-factorization backwards: iterated crepant blow-ups.
+factorization backwards: iterated crepant blow-ups, each the rewrite
+`surface.blow_up` applies (`surface.blow_up_tables`).
 """
 
 from __future__ import annotations
@@ -56,9 +57,9 @@ from .moves import (
 from .surface import (
     BlowUpTarget,
     CrossingPoint,
-    Curve,
     CurveConfig,
     at_point,
+    blow_up_tables,
     free_point_on,
     require_valid,
 )
@@ -390,11 +391,11 @@ def generate_crepant_pair(
     gets 0).  The pair contracts nothing on the source and all the new curves
     on the target.
 
-    Each step is the rewrite of `surface.blow_up`, applied to running tables
-    instead of a fresh configuration: curves and points by id, in the order
-    `blow_up` keeps them, and the next curve and point ids.  Every step adds
-    a point, so the next point id stays one above the largest.  One
-    configuration is built at the end, so a tower of depth d costs O(d).
+    Each step applies `surface.blow_up_tables` to running tables of curves
+    and points by id, then admits the new points as centres.  Every step
+    adds a point with the largest id, so the next point id stays one above
+    the largest, as `blow_up` takes it.  One configuration is built at the
+    end, so a tower of depth d costs O(d).
     """
     if depth < 0:
         raise ValueError("depth must be non-negative")
@@ -429,24 +430,17 @@ def generate_crepant_pair(
                 "the configuration offers no crepant blow-up centre"
             )
         target, new_coeff = rng.choice([*at_points.values(), *on_curves])
-        new_cid = next_cid
-        next_cid += 1
-        new_ids.append(new_cid)
         if target.kind == "point":
             del at_points[target.ref]
-            touched = sorted(points.pop(target.ref).incident)
-        else:
-            touched = [target.ref]
         coeff = Fraction(new_coeff)
-        curves[new_cid] = Curve(new_cid, 0, -1, coeff)
-        for cid in touched:
-            c = curves[cid]
-            curves[cid] = Curve(cid, c.genus, c.self_intersection - 1, c.boundary_coeff)
-            point = points[next_pid] = CrossingPoint(next_pid, frozenset({new_cid, cid}))
-            next_pid += 1
+        new_points = blow_up_tables(curves, points, target, coeff, next_cid, next_pid)
+        next_pid += len(new_points)
+        for point in new_points:
             admit(point)
         if coeff == 1:
-            on_curves.append((free_point_on(new_cid), 0))
+            on_curves.append((free_point_on(next_cid), 0))
+        new_ids.append(next_cid)
+        next_cid += 1
     rank = template.picard_rank_of_model
     config = CurveConfig(
         tuple(curves.values()),

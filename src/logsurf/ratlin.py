@@ -90,11 +90,6 @@ class SymMatrix:
     def rows(self) -> tuple[tuple[Fraction | int, ...], ...]:
         return self._rows
 
-    def submatrix(self, indices: Sequence[int]) -> "SymMatrix":
-        return SymMatrix(
-            tuple(tuple(self._rows[i][j] for j in indices) for i in indices)
-        )
-
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, SymMatrix):
             return NotImplemented

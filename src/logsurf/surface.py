@@ -136,12 +136,14 @@ class CurveConfig:
         matrix of a set is block-diagonal by component.  An entry is the
         tuple of the set's blocks, one per connected component: (order,
         factor), the `ratlin.DefiniteFactor` of the component's Gram matrix
-        with its curves taken in `order`.  Every block is also the entry of
-        its own component, and a block is shared by reference by every set
-        containing that component.  None records that the Gram matrix is not
-        negative definite.  Filled by `factor_blocks`; it lives and dies
-        with this configuration, which is immutable, so an entry never goes
-        stale.
+        with its curves taken in `order`.  None records that the Gram
+        matrix is not negative definite.  Keys are the components, each
+        entered with its one block, and the sets `factor_blocks` is asked
+        for; a state reached by a move adds only the component its curve
+        joins (`grow_block`), never its whole set.  A block is shared by
+        reference by every entry and state containing its component.  The
+        memo lives and dies with this configuration, which is immutable, so
+        an entry never goes stale.
         """
         return {}
 
@@ -252,9 +254,6 @@ class CurveConfig:
         except KeyError:
             raise UnknownIdError(f"no point with id {pid}") from None
 
-    def curve_ids(self) -> tuple[int, ...]:
-        return tuple(c.id for c in self.curves)
-
     def neighbours(self, cid: int) -> dict[int, int]:
         """Curves sharing a point with `cid`, mapped to the crossing count."""
         self.curve(cid)
@@ -313,71 +312,75 @@ def next_curve_id(config: CurveConfig) -> int:
     return max((c.id for c in config.curves), default=0) + 1
 
 
-def next_point_id(config: CurveConfig) -> int:
-    return max((p.id for p in config.points), default=0) + 1
-
-
 def blow_up(
     config: CurveConfig, target: BlowUpTarget, new_coeff: Fraction | int
 ) -> CurveConfig:
     """Blow up the model at a marked point, a fresh point on a curve, or a
     generic point.
 
-    The new exceptional curve gets genus 0, self-intersection −1 and the given
-    coefficient; curves through the centre lose 1 from their self-intersection
-    and meet the new curve transversally.  A blown-up marked point disappears.
-
-    The result keeps the surviving curves and points in their order and
-    appends the new ones: the new curve last, with id `next_curve_id`, and
-    the new points after the survivors, with ids from `next_point_id` up.
+    Checks the coefficient, the configuration and the target, then applies
+    `blow_up_tables` to the configuration's curves and points, with the new
+    curve's id from `next_curve_id` and the new points' ids from one above
+    the largest point id.  The Picard rank, when recorded, goes up by 1.
     """
     coeff = Fraction(exact(new_coeff))
     if not (0 <= coeff <= 1):
         raise BadCoefficientError(f"coefficient {coeff} outside [0, 1]")
-    new_cid = next_curve_id(config)
-    pid = next_point_id(config)
-
+    require_valid(config)
     if target.kind == "point":
-        try:
-            centre = config.point(target.ref)
-        except UnknownIdError:
-            raise UnknownTargetError(f"no point with id {target.ref}") from None
-        touched = sorted(centre.incident)
-        curves = tuple(
-            Curve(c.id, c.genus, c.self_intersection - 1, c.boundary_coeff)
-            if c.id in centre.incident
-            else c
-            for c in config.curves
-        )
-        points = tuple(p for p in config.points if p.id != centre.id)
-        new_points = tuple(
-            CrossingPoint(pid + k, frozenset({new_cid, cid}))
-            for k, cid in enumerate(touched)
-        )
+        if target.ref not in config._point_map:
+            raise UnknownTargetError(f"no point with id {target.ref}")
     elif target.kind == "free":
         if target.ref not in config._curve_map:
             raise UnknownTargetError(f"no curve with id {target.ref}")
-        curves = tuple(
-            Curve(c.id, c.genus, c.self_intersection - 1, c.boundary_coeff)
-            if c.id == target.ref
-            else c
-            for c in config.curves
-        )
-        points = config.points
-        new_points = (CrossingPoint(pid, frozenset({new_cid, target.ref})),)
-    elif target.kind == "generic":
-        curves = config.curves
-        points = config.points
-        new_points = ()
-    else:
+    elif target.kind != "generic":
         raise UnknownTargetError(f"unknown target kind {target.kind!r}")
-
+    curves = dict(config._curve_map)
+    points = dict(config._point_map)
+    pid = max(points, default=0) + 1
+    blow_up_tables(curves, points, target, coeff, next_curve_id(config), pid)
     rank = config.picard_rank_of_model
     return CurveConfig(
-        curves + (Curve(new_cid, 0, -1, coeff),),
-        points + new_points,
+        tuple(curves.values()),
+        tuple(points.values()),
         None if rank is None else rank + 1,
     )
+
+
+def blow_up_tables(
+    curves: dict[int, Curve],
+    points: dict[int, CrossingPoint],
+    target: BlowUpTarget,
+    coeff: Fraction,
+    new_cid: int,
+    pid: int,
+) -> list[CrossingPoint]:
+    """The blow-up rewrite, applied in place to tables of curves and points
+    keyed by id; returns the new points.
+
+    The new exceptional curve `new_cid` gets genus 0, self-intersection −1
+    and coefficient `coeff`.  Curves through the centre lose 1 from their
+    self-intersection and meet the new curve transversally, at new points
+    with ids from `pid` up, in curve id order.  A blown-up marked point
+    disappears.  Survivors keep their places and the new entries are
+    appended, the new curve last, so the tables stay in the order a
+    configuration lists them.  The target must exist in the tables.
+    """
+    if target.kind == "point":
+        touched = sorted(points.pop(target.ref).incident)
+    elif target.kind == "free":
+        touched = [target.ref]
+    else:
+        touched = []
+    curves[new_cid] = Curve(new_cid, 0, -1, coeff)
+    new_points = []
+    for cid in touched:
+        c = curves[cid]
+        curves[cid] = Curve(cid, c.genus, c.self_intersection - 1, c.boundary_coeff)
+        point = points[pid] = CrossingPoint(pid, frozenset({new_cid, cid}))
+        new_points.append(point)
+        pid += 1
+    return new_points
 
 
 def connected_components(
@@ -441,31 +444,19 @@ def gram(config: CurveConfig, ordered_ids: Sequence[int]) -> SymMatrix:
     return SymMatrix._trusted(tuple(rows))
 
 
-def factor_blocks(
-    config: CurveConfig,
-    ids: frozenset[int],
-    grown: tuple[frozenset[int], int] | None = None,
-) -> tuple[Block, ...] | None:
+def factor_blocks(config: CurveConfig, ids: frozenset[int]) -> tuple[Block, ...] | None:
     """The factored blocks of the Gram matrix of `ids`, one per connected
     component, or None when that matrix is not negative definite.
 
-    Each set is factored at most once per configuration, in its
-    `_factor_memo`.  `grown`, when given, is (S, c) with `ids` = S ∪ {c}:
-    the hint `crepant.SurfaceState.successor` passes, so that one lookup
-    of its parent's own key finds S's blocks.  When S is memoised or
-    empty, `ids`
-    inherits a parent's None, since every principal block of a
-    negative-definite matrix is negative definite; otherwise it reuses
-    every block of S that c does not meet, and joins the blocks c meets,
-    largest first, into one block bordered by c (`DefiniteFactor.join`,
-    `DefiniteFactor.border`).  Any other set, every singleton and every set
-    without a hint included, is searched once per component, from its
-    least id not yet reached: the search of `ratlin.forest_post_order`,
-    kept within the set, yields a tree component together with its
-    post-order; a component with a cycle, where that search stops, is
-    found by a plain search (`_component`).  Each component's block is
-    then taken from the memo or factored cold, once (`_cold_block`).  The
-    empty set has no blocks.
+    Each set asked for is factored at most once per configuration, in its
+    `_factor_memo`.  It is searched once per component, from its least id
+    not yet reached: the search of `ratlin.forest_post_order`, kept within
+    the set, yields a tree component together with its post-order; a
+    component with a cycle, where that search stops, is found by a plain
+    search (`_component`).  Each component's block is then taken from the
+    memo or factored cold, once (`_cold_block`).  The empty set has no
+    blocks.  A state reached by a move finds its one new block from its
+    parent's instead (`grow_block`).
     """
     if not ids:
         return ()
@@ -474,12 +465,6 @@ def factor_blocks(
         return memo[ids]
     except KeyError:
         pass
-    if grown is not None:
-        parent, cid = grown
-        if not parent or parent in memo:
-            kept = memo.get(parent, ())
-            entry = memo[ids] = None if kept is None else _add_curve(config, kept, cid)
-            return entry
     if not ids <= config._curve_map.keys():
         config.curve(min(ids - config._curve_map.keys()))
     adjacency = config._adjacency
@@ -536,30 +521,33 @@ def _cold_block(
     return ((order, matrix.factor),) if is_negative_definite(matrix) else None
 
 
-def _add_curve(
-    config: CurveConfig, parent: tuple[Block, ...], cid: int
-) -> tuple[Block, ...] | None:
-    """The blocks of S ∪ {cid} from the blocks of S: the blocks cid meets
-    become one component, memoised on its own, and the rest are kept."""
-    self_sq = config.curve(cid).self_intersection
-    near = config._adjacency[cid]
-    kept: list[Block] = []
-    met: list[Block] = []
-    for block in parent:
-        (kept if near.keys().isdisjoint(block[0]) else met).append(block)
+def grow_block(config: CurveConfig, met: Sequence[Block], cid: int) -> Block | None:
+    """The block of the component that curve `cid` forms with the blocks
+    `met` of the contracted components it meets, or None when that
+    component's Gram matrix is not negative definite.
+
+    The blocks are joined largest first, ties in the order `met` lists them
+    (`crepant.SurfaceState._blocks_meeting` lists them in the order the
+    curve's crossings do), into one factor bordered by `cid`
+    (`DefiniteFactor.join`, `DefiniteFactor.border`): the largest block's
+    rows are shared, the others' rebuilt.  The result is memoised under
+    the component in `_factor_memo`, so a component is factored once.
+    """
     component = frozenset([cid, *(j for order, _ in met for j in order)])
     memo = config._factor_memo
     if component not in memo:
-        # Largest first: its rows are shared, the others' are rebuilt.
-        met.sort(key=lambda block: -len(block[0]))
-        order, factor = met[0] if met else ((), DefiniteFactor(()))
-        for block_order, block_factor in met[1:]:
+        joined = sorted(met, key=lambda block: -len(block[0]))
+        order, factor = joined[0] if joined else ((), DefiniteFactor(()))
+        for block_order, block_factor in joined[1:]:
             order += block_order
             factor = factor.join(block_factor)
-        bordered = factor.border([near.get(j, 0) for j in order], self_sq)
+        near = config._adjacency[cid]
+        bordered = factor.border(
+            [near.get(j, 0) for j in order], config.curve(cid).self_intersection
+        )
         memo[component] = None if bordered is None else ((order + (cid,), bordered),)
-    blocks = memo[component]
-    return None if blocks is None else (*kept, *blocks)
+    entry = memo[component]
+    return None if entry is None else entry[0]
 
 
 class LocalBlowdownModel:

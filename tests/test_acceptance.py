@@ -178,7 +178,7 @@ def test_criterion_05_blow_up_sequences():
                 if kind == 0 and config.points:
                     target = at_point(rng.choice(sorted(p.id for p in config.points)))
                 elif kind == 1:
-                    target = free_point_on(rng.choice(sorted(config.curve_ids())))
+                    target = free_point_on(rng.choice(sorted(c.id for c in config.curves)))
                 else:
                     target = generic_point()
                 config = blow_up(config, target, Fraction(rng.randrange(5), 4))

@@ -542,6 +542,35 @@ class TestTraceInterning:
             "string 'p/q', got '1.5'"
         )
 
+    def test_a_zero_padded_key_cannot_hide_a_wrong_discrepancy(self, tmp_path, capsys):
+        # "03" read as curve 3 would overwrite the wrong "3" before it.
+        spec = generate_crepant_pair(helpers.corner(), 6, 5)
+        doc = json.loads(json.dumps(cli.trace_to_json(spec.config, decompose_morphism(spec))))
+        after = doc["steps"][-1]["discrepancies_after"]
+        assert len(doc["steps"]) == 6 and after["3"] == "0"
+        after["3"] = "-7/3"
+        after["03"] = "0"
+        scenario = write_scenario(tmp_path / "pair.json", spec.config)
+        trace_path = tmp_path / "trace.json"
+        trace_path.write_text(json.dumps(doc), encoding="utf-8")
+        capsys.readouterr()
+        assert cli.main(["verify", scenario, "--trace", str(trace_path)]) == 2
+        captured = capsys.readouterr()
+        assert "verified" not in captured.out
+        assert captured.err == (
+            "error: steps[5].discrepancies_after has a key '03' that is not a curve id\n"
+        )
+
+    @pytest.mark.parametrize("key", ["03", "-0", "007", "-04"])
+    def test_a_key_must_be_the_id_as_written(self, key):
+        doc = _tower_trace_doc()
+        doc["steps"][1]["discrepancies_after"][key] = "0"
+        with pytest.raises(ValueError) as raised:
+            cli.trace_from_json(doc)
+        assert str(raised.value) == (
+            f"steps[1].discrepancies_after has a key {key!r} that is not a curve id"
+        )
+
     def test_a_repeated_malformed_string_is_reported_at_its_first_path(self):
         doc = _tower_trace_doc()
         doc["steps"][0]["discrepancies_after"]["4"] = "1e0"

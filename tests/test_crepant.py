@@ -1088,6 +1088,41 @@ class TestBlockIndex:
                         if any(oracles.raw_pairing(copy, counts, cid, j) for j in component)
                     }
 
+    def test_an_indefinite_grown_block_gives_the_cold_message(self):
+        # Curves 1 and 2 form an indefinite pair; curve 5 is apart from
+        # them, so the message names the whole set, not the component.
+        config = CurveConfig.build(
+            [(1, 0, -1, 0), (2, 0, -1, 0), (5, 0, -2, 0)], [(1, [1, 2])]
+        )
+        parent = SurfaceState(config, {1, 5})
+        parent._checked
+        with pytest.raises(InvalidStateError) as grown:
+            parent.successor(2)._checked
+        with pytest.raises(InvalidStateError) as cold:
+            SurfaceState(fresh(config), {1, 2, 5})._checked
+        assert str(grown.value) == str(cold.value) == (
+            "gram matrix of [1, 2, 5] is not negative definite; the set is not contractible"
+        )
+        assert config._factor_memo[frozenset({1, 2})] is None
+
+    def test_a_successor_by_a_contracted_curve_is_its_parent(self):
+        spec = generate_crepant_pair(helpers.corner(), 12, 3)
+        picked = sorted(spec.target_contracted)[::2]
+        for base in (PointBase(), TargetBase(spec.target_contracted)):
+            parent = SurfaceState(fresh(spec.config), picked, base)
+            parent._checked
+            index = parent._block_index
+            assert len(set(map(id, index.values()))) > 1
+            for cid in picked:
+                same = parent.successor(cid)
+                same._checked
+                assert same.contracted == parent.contracted
+                assert same._block_index.keys() == index.keys()
+                assert all(same._block_index[j] is index[j] for j in index)
+                assert same.components == parent.components
+                assert same.crepant.discrepancies == parent.crepant.discrepancies
+                assert same.classification is parent.classification
+
     def test_a_run_searches_only_its_end_states(self, monkeypatch):
         # A decomposition checks its start and end sets cold; every state
         # its moves reach finds its blocks from its parent's.
@@ -1105,6 +1140,16 @@ class TestBlockIndex:
         components = oracles.raw_components(spec.config, spec.source_contracted)
         components += oracles.raw_components(spec.config, spec.target_contracted)
         assert sorted(searched) == sorted((min(component),) for component in components)
+        # A successor stores only the component its curve joins: every
+        # other key is the start or the end set.
+        memo = spec.config._factor_memo
+        whole = {spec.source_contracted, spec.target_contracted}
+        for ids, entry in memo.items():
+            if ids not in whole:
+                ((order, _),) = entry
+                assert frozenset(order) == ids
+                assert oracles.raw_components(spec.config, ids) == [ids]
+        assert whole - {frozenset()} <= memo.keys()
 
 
 class TestCornerMemo:
@@ -1156,8 +1201,9 @@ class TestChainClosedForm:
         assert determinant(gram(config, sorted(ids))) == (-1) ** r * n
         # Bordered: the same set grown one curve at a time in `order`, by
         # successors.  The join rule predicts each block's row order: the
-        # new curve's blocks, largest first (ties in the set's block order),
-        # then the new curve, after the blocks it does not meet.
+        # blocks the new curve meets, largest first (ties in the order the
+        # curve's crossings list them), then the new curve; the blocks it
+        # does not meet are kept.
         grown = hj_chain(bs, left, right)
         predicted: list[tuple[int, ...]] = []
         step = SurfaceState(grown, ())
@@ -1166,12 +1212,14 @@ class TestChainClosedForm:
             c = order[k - 1]
             step = step.successor(c)
             step._checked
-            met = [b for b in predicted if any(abs(j - c) == 1 for j in b)]
+            met = []
+            for j in grown._adjacency[c]:
+                met += [b for b in predicted if j in b and b not in met]
             met.sort(key=lambda b: -len(b))
             predicted = [b for b in predicted if b not in met]
             predicted.append(tuple(j for b in met for j in b) + (c,))
-            blocks = grown._factor_memo[frozenset(order[:k])]
-            assert [block_order for block_order, _ in blocks] == predicted
+            blocks = {id(block): block for block in step._block_index.values()}.values()
+            assert sorted(block_order for block_order, _ in blocks) == sorted(predicted)
         state = SurfaceState(grown, ids)
         assert state.crepant.discrepancies == expected
         assert state.classification is Classification.KLT

@@ -365,11 +365,6 @@ class TestSymMatrix:
         with pytest.raises(TypeError):
             SymMatrix([[1.5]])
 
-    def test_submatrix_is_principal_block(self):
-        m = SymMatrix([[-2, 1, 0], [1, -2, 1], [0, 1, -2]])
-        sub = m.submatrix([0, 2])
-        assert sub.rows() == ((Fraction(-2), Fraction(0)), (Fraction(0), Fraction(-2)))
-
     def test_equality_and_hash(self):
         a = SymMatrix([[1, 0], [0, 1]])
         b = SymMatrix([[Fraction(1), 0], [0, 1]])

@@ -13,6 +13,7 @@ from logsurf import (
     CrossingPoint,
     Curve,
     CurveConfig,
+    InvalidStateError,
     LocalBlowdownModel,
     SurfaceState,
     TargetBase,
@@ -30,7 +31,6 @@ from logsurf import (
     gram,
     is_log_blowdown,
     next_curve_id,
-    next_point_id,
     pairing,
     smooth_point_blowdown,
     validate_config,
@@ -188,7 +188,7 @@ class TestPairingAndDegree:
 
     def test_pairing_is_symmetric(self):
         config = helpers.corner_twice()
-        ids = config.curve_ids()
+        ids = [c.id for c in config.curves]
         for i in ids:
             for j in ids:
                 assert pairing(config, i, j) == pairing(config, j, i)
@@ -263,10 +263,18 @@ class TestBlowUp:
         with pytest.raises(UnknownTargetError):
             blow_up(helpers.corner(), free_point_on(9), 0)
 
+    def test_rejects_an_invalid_configuration(self):
+        # Two curves with id 1: tables keyed by id would merge them.
+        config = CurveConfig((Curve(1, 0, -1, Fraction(1)), Curve(1, 0, -2, Fraction(0))), ())
+        with pytest.raises(InvalidStateError, match="curve id 1 appears twice"):
+            blow_up(config, free_point_on(1), 0)
+
     def test_fresh_ids(self):
         config = helpers.corner_twice()
         assert next_curve_id(config) == 5
-        assert next_point_id(config) == 5
+        # New points take ids from one above the largest.
+        blown = blow_up(config, free_point_on(1), 0)
+        assert blown.points[-1].id == 5
 
     @given(st.integers(0, 10_000))
     @settings(max_examples=40, deadline=None)
@@ -280,7 +288,7 @@ class TestBlowUp:
             if kind == 0 and config.points:
                 target = at_point(rng.choice(sorted(p.id for p in config.points)))
             elif kind == 1:
-                target = free_point_on(rng.choice(sorted(config.curve_ids())))
+                target = free_point_on(rng.choice(sorted(c.id for c in config.curves)))
             else:
                 target = generic_point()
             config = blow_up(config, target, Fraction(rng.randrange(5), 4))
