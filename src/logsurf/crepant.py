@@ -355,7 +355,9 @@ class SurfaceState:
 
     def _blocks_meeting(self, cid: int) -> list[Block]:
         """The blocks of the contracted components that curve `cid` meets,
-        each once, found through its crossings; in no particular order."""
+        each once, found through its crossings and listed in the order the
+        crossings first reach them (`surface.grow_block` breaks ties by
+        it)."""
         index = self._block_index
         met: dict[int, Block] = {}
         for j in self.config._adjacency[cid]:
