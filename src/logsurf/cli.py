@@ -61,9 +61,10 @@ CLASS_NAMES = {
 # parsing helpers
 
 _FRACTION = re.compile(r"[+-]?[0-9]+(/0*[1-9][0-9]*)?")
-# An id: an optional '-' and ASCII digits.  `int()` alone would also read
-# '0_4' as 4, ' 1' as 1 and '+1' as 1.
-_INTEGER = re.compile(r"-?[0-9]+")
+# An id as `str(id)` writes it: '0', or an optional '-' and ASCII digits
+# without a leading zero.  `int()` alone would also read '0_4' as 4, ' 1' as
+# 1 and '+1' as 1, and '03' and '-0' would alias 3 and 0.
+_ID = re.compile(r"0|-?[1-9][0-9]*")
 
 
 def parse_fraction(value: Any) -> Fraction:
@@ -75,18 +76,28 @@ def parse_fraction(value: Any) -> Fraction:
     raise ValueError(f"expected an integer or a fraction string 'p/q', got {value!r}")
 
 
+def _read_id(text: str) -> int | None:
+    """The id that `text` spells, or None unless `text` is its one spelling."""
+    return int(text) if _ID.fullmatch(text) else None
+
+
 def parse_ids(text: str) -> tuple[int, ...]:
-    """Comma-separated curve ids; the error names the first malformed item."""
+    """Comma-separated distinct curve ids; the error names the first
+    malformed or repeated item."""
     text = text.strip()
     if not text:
         return ()
     ids = []
     for part in text.split(","):
-        if not _INTEGER.fullmatch(part):
+        cid = _read_id(part)
+        if cid is None:
             raise ValueError(
-                f"bad curve id {part!r} in {text!r}: expected comma-separated integers"
+                f"bad curve id {part!r} in {text!r}: expected comma-separated "
+                "integers without '+' or leading zeros"
             )
-        ids.append(int(part))
+        if cid in ids:
+            raise ValueError(f"curve id {part!r} is repeated in {text!r}")
+        ids.append(cid)
     return tuple(ids)
 
 
@@ -105,9 +116,12 @@ def parse_target(text: str) -> BlowUpTarget:
     make = {"point": at_point, "free": free_point_on}.get(kind)
     if make is None:
         raise ValueError(f"expected 'point:ID', 'free:CURVE' or 'generic', got {text!r}")
-    if not _INTEGER.fullmatch(ref):
-        raise ValueError(f"bad id {ref!r} in {text!r}: expected an integer")
-    return make(int(ref))
+    rid = _read_id(ref)
+    if rid is None:
+        raise ValueError(
+            f"bad id {ref!r} in {text!r}: expected an integer without '+' or leading zeros"
+        )
+    return make(rid)
 
 
 # ---------------------------------------------------------------------------
@@ -269,11 +283,11 @@ def _fractions_from_json(
     if not isinstance(data, dict):
         raise ValueError(f"{path} must be a JSON object, got {data!r}")
     out = {}
-    for cid, value in data.items():
-        # One spelling per id: "03" or "-0" would alias "3" or "0".
-        if not _INTEGER.fullmatch(cid) or str(int(cid)) != cid:
-            raise ValueError(f"{path} has a key {cid!r} that is not a curve id")
-        out[int(cid)] = _interned_fraction(value, parsed, path, cid)
+    for key, value in data.items():
+        cid = _read_id(key)
+        if cid is None:
+            raise ValueError(f"{path} has a key {key!r} that is not a curve id")
+        out[cid] = _interned_fraction(value, parsed, path, key)
     return out
 
 

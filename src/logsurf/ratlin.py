@@ -1,11 +1,11 @@
-"""Exact linear algebra over the rationals for small symmetric matrices.
+"""Exact linear algebra for small symmetric integer matrices.
 
-Everything here is exact: entries are Python `int` or `fractions.Fraction`
-values, and no operation ever rounds.  The matrices that arise in practice
-are integer Gram matrices of curve sets, so symmetry is enforced structurally
-and sizes stay small (a few dozen rows at most).  Elimination runs
-fraction-free on integers (Bareiss, *Math. Comp.* 22, 1968); `Fraction`
-objects are built only for results.
+Everything here is exact: matrix entries are Python `int` values,
+right-hand sides are `int` or `fractions.Fraction` values, and no operation
+ever rounds.  The matrices that arise are Gram matrices of curve sets, so
+symmetry is enforced structurally and sizes stay small (a few dozen rows at
+most).  Elimination runs fraction-free on integers (Bareiss, *Math. Comp.*
+22, 1968); `Fraction` objects are built only for solutions.
 
 A matrix found negative definite keeps its elimination as a
 `DefiniteFactor`: later solves read the factor in O(n²) and its
@@ -36,21 +36,20 @@ from typing import Callable, Hashable, Iterable, Iterator, Sequence, TypeVar
 
 from .errors import SingularMatrixError
 
-Rat = Fraction
 Node = TypeVar("Node", bound=Hashable)
 
 
-def exact(value: Rat | int) -> Fraction | int:
-    """`value` as a `Fraction` or plain `int`; a float raises ``TypeError``."""
+def exact(value: Fraction | int) -> Fraction | int:
+    """`value` as a `Fraction` or plain `int`; a float or bool raises ``TypeError``."""
     if isinstance(value, Fraction):
         return value
-    if isinstance(value, int):
+    if isinstance(value, int) and not isinstance(value, bool):
         return int(value)
     raise TypeError(f"expected an exact rational, got {type(value).__name__}")
 
 
 class SymMatrix:
-    """Immutable symmetric matrix with exact rational entries.
+    """Immutable symmetric matrix with `int` entries.
 
     `is_negative_definite` attaches the matrix's `DefiniteFactor` when the
     answer is yes; `solve_symmetric` and `determinant` then read it.
@@ -58,11 +57,14 @@ class SymMatrix:
 
     __slots__ = ("_rows", "_factor")
 
-    def __init__(self, rows: Iterable[Iterable[Rat | int]]):
-        mat = tuple(tuple(exact(x) for x in row) for row in rows)
+    def __init__(self, rows: Iterable[Iterable[int]]):
+        mat = tuple(tuple(row) for row in rows)
         for row in mat:
             if len(row) != len(mat):
                 raise ValueError("matrix must be square")
+            for x in row:
+                if type(x) is not int:
+                    raise TypeError(f"matrix entries must be int, got {type(x).__name__}")
         for i in range(len(mat)):
             for j in range(i):
                 if mat[i][j] != mat[j][i]:
@@ -72,7 +74,7 @@ class SymMatrix:
 
     @classmethod
     def _trusted(cls, rows: tuple[tuple[int, ...], ...]) -> "SymMatrix":
-        """Wrap rows already known to be square, symmetric and exact, unchecked."""
+        """Wrap rows already known to be square, symmetric and `int`, unchecked."""
         matrix = cls.__new__(cls)
         matrix._rows = rows
         matrix._factor = None
@@ -87,7 +89,7 @@ class SymMatrix:
         """The elimination `is_negative_definite` kept, or None before a yes."""
         return self._factor
 
-    def rows(self) -> tuple[tuple[Fraction | int, ...], ...]:
+    def rows(self) -> tuple[tuple[int, ...], ...]:
         return self._rows
 
     def __eq__(self, other: object) -> bool:
@@ -103,73 +105,30 @@ class SymMatrix:
         return f"SymMatrix([{body}])"
 
 
-def _integer_rows(matrix: SymMatrix) -> tuple[Sequence[Sequence[int]], int]:
-    """The rows of d·M as integers, d > 0 being the least common denominator.
-
-    Scaling by a positive d keeps the sign of every leading minor, and the
-    k-th minor of d·M is d**k times that of M, so fraction-free elimination
-    can run on Python integers, where each of its divisions is exact.  An
-    all-integer matrix, such as every Gram matrix, is returned as it is, with
-    d = 1, its entries' types tested at C level; a caller that writes to the
-    rows copies them.
-    """
-    rows = matrix.rows()
-    if set(map(type, itertools.chain.from_iterable(rows))) <= {int}:
-        return rows, 1
-    d = math.lcm(*[x.denominator for x in itertools.chain.from_iterable(rows)])
-    return [[x.numerator * (d // x.denominator) for x in row] for row in rows], d
-
-
-def _eliminate_below(a: list[list[int]], k: int, prev: int) -> None:
-    """One Bareiss step in place: clear column k below the pivot row k.
-
-    Every entry x right of column k in a lower row becomes
-    (p·x − l·y) / prev, with p = a[k][k], l the row's entry in column k, y the
-    pivot row's entry above x and prev the previous pivot (1 at the start);
-    Sylvester's identity makes each division exact.  Entries in columns up
-    to k are left as they were and are never read again.
-    """
-    row_k = a[k]
-    pivot = row_k[k]
-    width = len(row_k)
-    for i in range(k + 1, len(a)):
-        row_i = a[i]
-        lead = row_i[k]
-        for j in range(k + 1, width):
-            row_i[j] = (pivot * row_i[j] - lead * row_k[j]) // prev
-
-
 class DefiniteFactor:
-    """The fraction-free elimination of a negative-definite matrix, kept for reuse.
+    """The fraction-free elimination of a negative-definite matrix A, kept for reuse.
 
-    It factors A = d·M, d > 0 being the least common denominator of M (1 for
-    a Gram matrix).  Row i holds the leads of row i, its entries in columns
-    0..i−1 at the moments those columns were cleared, and then pivot i, the
-    (i+1)-th leading minor of A.  Symmetric elimination keeps every trailing
-    block symmetric, so the upper triangle is this one transposed and is not
+    Row i holds the leads of row i, its entries in columns 0..i−1 at the
+    moments those columns were cleared, and then pivot i, the (i+1)-th
+    leading minor of A.  Symmetric elimination keeps every trailing block
+    symmetric, so the upper triangle is this one transposed and is not
     stored.  `is_negative_definite` builds one and `border` grows one; rows
     are tuples that a bordered factor shares with its parent.  `tree_factor`
     builds the sparse subclass `TreeFactor`.
     """
 
-    __slots__ = ("rows", "scale")
+    __slots__ = ("rows",)
 
-    def __init__(self, rows: tuple[tuple[int, ...], ...], scale: int = 1):
+    def __init__(self, rows: tuple[tuple[int, ...], ...]):
         self.rows = rows
-        self.scale = scale
 
     @property
     def n(self) -> int:
         return len(self.rows)
 
-    def integer_determinant(self) -> int:
-        """det A = d**n·det M, the last pivot (1 for the empty matrix): det M
-        itself when d = 1, as for every Gram matrix."""
+    def determinant(self) -> int:
+        """det A: the last pivot (1 for the empty matrix)."""
         return self.rows[-1][-1] if self.rows else 1
-
-    def determinant(self) -> Fraction:
-        """det M: det A over d**n."""
-        return Fraction(self.integer_determinant(), self.scale**self.n)
 
     def _replay(self, column: list[int]) -> None:
         """Run an extra integer column through the stored elimination, in place.
@@ -186,23 +145,14 @@ class DefiniteFactor:
                 column[i] = (pivot * column[i] - rows[i][k] * lead) // prev
             prev = pivot
 
-    def solve(self, rhs: Sequence[Rat | int]) -> tuple[Fraction, ...]:
-        """Solve M·x = b: scale b to the integer column c = e·b, e > 0 its
-        least common denominator, and solve that (`solve_scaled`), in O(n²)
-        or, for a `TreeFactor`, in O(n)."""
-        b = [exact(v) for v in rhs]
-        e = 1
-        for v in b:
-            e = math.lcm(e, v.denominator)
-        return self.solve_scaled([v.numerator * (e // v.denominator) for v in b], e)
-
     def solve_scaled(self, c: list[int], e: int) -> tuple[Fraction, ...]:
-        """Solve M·x = c/e for an integer column c and an integer e > 0.
+        """Solve A·x = c/e for an integer column c and an integer e > 0, in
+        O(n²).
 
         Replays c through the stored elimination (consuming the list), then
         back-substitutes over the stored leads, read as the upper triangle:
         that gives z = D·A⁻¹c, integral by Cramer's rule with D = det A the
-        last pivot, and x = d·z / (e·D) is the only step that builds
+        last pivot, and x = z / (e·D) is the only step that builds
         `Fraction` objects, one per entry.
         """
         rows = self.rows
@@ -220,14 +170,13 @@ class DefiniteFactor:
                 acc -= rows[j][i] * z[j]
             z[i] = acc // rows[i][i]
         scale = e * det
-        d = self.scale
-        return tuple([Fraction(d * zi, scale) for zi in z])
+        return tuple([Fraction(zi, scale) for zi in z])
 
     def border(self, column: Sequence[int], diagonal: int) -> "DefiniteFactor | None":
-        """The factor of M bordered by one integer row and column, in O(n²).
+        """The factor of A bordered by one integer row and column, in O(n²).
 
         `column` holds the new row's entries against the factored rows, in
-        their order, and `diagonal` its diagonal entry.  Replaying d·column
+        their order, and `diagonal` its diagonal entry.  Replaying `column`
         gives the new row's leads; the new pivot follows from
         δ ← (p_k·δ − lead_k²) / p_{k−1}, each division exact.  Returns None
         when that pivot has the wrong sign (or is zero), that is when the
@@ -237,10 +186,9 @@ class DefiniteFactor:
         n = len(rows)
         if len(column) != n:
             raise ValueError(f"column has length {len(column)}, matrix has {n} rows")
-        d = self.scale
-        leads = [d * v for v in column]
+        leads = list(column)
         self._replay(leads)
-        delta = d * diagonal
+        delta = diagonal
         prev = 1
         for k, lead in enumerate(leads):
             pivot = rows[k][k]
@@ -249,25 +197,20 @@ class DefiniteFactor:
         if delta == 0 or (delta < 0) != (n % 2 == 0):
             return None
         leads.append(delta)
-        return DefiniteFactor(rows + (tuple(leads),), d)
+        return DefiniteFactor(rows + (tuple(leads),))
 
     def join(self, other: "DefiniteFactor") -> "DefiniteFactor":
-        """The factor of the block-diagonal matrix diag(M, N), in O(|N|·(|M| + |N|)).
+        """The factor of the block-diagonal matrix diag(A, B), in O(|B|·(|A| + |B|)).
 
-        Every minor that the factor stores for diag(M, N) splits: a lead or
-        pivot of a row of N is det A_M times N's own, and its leads in M's
-        columns vanish.  So M's rows are shared and N's rows follow, each
-        entry multiplied by M's last pivot, after one zero per row of M.
-        Both factors must share their scale d (1 for Gram matrices).
+        Every minor that the factor stores for diag(A, B) splits: a lead or
+        pivot of a row of B is det A times B's own, and its leads in A's
+        columns vanish.  So A's rows are shared and B's rows follow, each
+        entry multiplied by A's last pivot, after one zero per row of A.
         """
-        if other.scale != self.scale:
-            raise ValueError(f"scales differ: {self.scale} and {other.scale}")
-        m = len(self.rows)
-        det = self.rows[-1][-1] if m else 1
-        zeros = (0,) * m
+        det = self.determinant()
+        zeros = (0,) * len(self.rows)
         return DefiniteFactor(
-            self.rows + tuple([zeros + tuple([det * x for x in row]) for row in other.rows]),
-            self.scale,
+            self.rows + tuple([zeros + tuple([det * x for x in row]) for row in other.rows])
         )
 
 
@@ -349,7 +292,7 @@ class TreeFactor(DefiniteFactor):
     children's product `below[k]` = P_k and `pivots[k]`, pivot k of the
     elimination.  Solves and the determinant read these in O(n); the dense
     `rows` are written on first read and are exactly those
-    `is_negative_definite` stores for the same matrix.  The scale is 1.
+    `is_negative_definite` stores for the same matrix.
     """
 
     __slots__ = ("children", "dets", "below", "pivots", "_dense")
@@ -365,7 +308,6 @@ class TreeFactor(DefiniteFactor):
         self.dets = dets
         self.below = below
         self.pivots = pivots
-        self.scale = 1
         self._dense: tuple[tuple[int, ...], ...] | None = None
 
     @property
@@ -389,12 +331,12 @@ class TreeFactor(DefiniteFactor):
     def n(self) -> int:
         return len(self.pivots)
 
-    def integer_determinant(self) -> int:
-        """det M: the last pivot, the product of the roots' D."""
+    def determinant(self) -> int:
+        """det A: the last pivot, the product of the roots' D."""
         return self.pivots[-1] if self.pivots else 1
 
     def solve_scaled(self, c: list[int], e: int) -> tuple[Fraction, ...]:
-        """Solve M·x = c/e for an integer column c and an integer e > 0 in
+        """Solve A·x = c/e for an integer column c and an integer e > 0 in
         two O(n) integer passes.
 
         Up the tree, eliminating k's children leaves P_k·(row k) as
@@ -481,54 +423,83 @@ def _forest_determinant(a: Sequence[Sequence[int]]) -> int | None:
     return det
 
 
-def solve_symmetric(
-    matrix: SymMatrix | DefiniteFactor, rhs: Sequence[Rat | int]
-) -> tuple[Fraction, ...]:
-    """Solve M·x = b exactly, for a matrix or the `DefiniteFactor` of one.
+def _bareiss(a: list[list[int]]) -> int:
+    """Fraction-free elimination with row swaps of the n integer rows `a`
+    over their first n columns, in place; the sign of the row permutation,
+    or 0 when those columns are singular.
 
-    A factor, or a matrix that `is_negative_definite` has factored, is
-    solved from the stored elimination in O(n²), or O(n) for a `TreeFactor`
-    (`DefiniteFactor.solve`).
-    Any other matrix is scaled to the integer matrix A = d·M and b to the
-    integer vector c = e·b, d and e > 0 being least common denominators.
-    Bareiss elimination with row swaps runs on the augmented rows [A | c],
-    each division exact, and leaves D = ±det A as its last pivot.  Integer
-    back-substitution then gives z = D·A⁻¹c, which Cramer's rule makes
-    integral, and x = d·z / (e·D) is the only step that builds `Fraction`
-    objects.  The returned vector satisfies M·x − b = 0 identically.  Raises
-    SingularMatrixError when M has determinant zero.
+    Step k clears column k below the pivot row k: every entry x right of
+    column k in a lower row becomes (p·x − l·y) / prev, with p the pivot,
+    l the row's entry in column k, y the pivot row's entry above x and prev
+    the previous pivot (1 at the start); Sylvester's identity makes each
+    division exact (Bareiss, *Math. Comp.* 22, 1968).  A zero pivot is
+    swapped for the first lower row with a non-zero entry in its column.
+    Rows may carry further columns, such as a right-hand side, which are
+    eliminated with them.  Afterwards the last pivot a[n−1][n−1] is sign·det
+    of the n columns, and entries in cleared columns are never read again.
     """
-    if isinstance(matrix, DefiniteFactor):
-        return matrix.solve(rhs)
-    if matrix._factor is not None:
-        return matrix._factor.solve(rhs)
-    n = matrix.n
-    if len(rhs) != n:
-        raise ValueError(f"rhs has length {len(rhs)}, matrix has {n} rows")
-    b = [exact(v) for v in rhs]
-    rows, d = _integer_rows(matrix)
-    e = 1
-    for v in b:
-        e = math.lcm(e, v.denominator)
-    a = [[*row, v.numerator * (e // v.denominator)] for row, v in zip(rows, b)]
+    n = len(a)
+    sign = 1
     prev = 1
     for k in range(n):
         if a[k][k] == 0:
             piv = next((r for r in range(k + 1, n) if a[r][k] != 0), None)
             if piv is None:
-                raise SingularMatrixError("matrix is singular")
+                return 0
             a[k], a[piv] = a[piv], a[k]
-        _eliminate_below(a, k, prev)
-        prev = a[k][k]
+            sign = -sign
+        row_k = a[k]
+        pivot = row_k[k]
+        width = len(row_k)
+        for i in range(k + 1, n):
+            row_i = a[i]
+            lead = row_i[k]
+            for j in range(k + 1, width):
+                row_i[j] = (pivot * row_i[j] - lead * row_k[j]) // prev
+        prev = pivot
+    return sign
+
+
+def solve_symmetric(
+    matrix: SymMatrix | DefiniteFactor, rhs: Sequence[Fraction | int]
+) -> tuple[Fraction, ...]:
+    """Solve A·x = b exactly, for a matrix or the `DefiniteFactor` of one.
+
+    b is scaled to the integer column c = e·b, e > 0 its least common
+    denominator.  A factor, or a matrix that `is_negative_definite` has
+    factored, then solves A·x = c/e from the stored elimination in O(n²),
+    or O(n) for a `TreeFactor` (`DefiniteFactor.solve_scaled`).  Any other
+    matrix is eliminated with row swaps (`_bareiss`) on the augmented rows
+    [A | c], leaving D = ±det A as its last pivot; integer back-substitution
+    then gives z = D·A⁻¹c, which Cramer's rule makes integral, and
+    x = z / (e·D) is the only step that builds `Fraction` objects.  The
+    returned vector satisfies A·x − b = 0 identically.  Raises
+    SingularMatrixError when A has determinant zero.
+    """
+    n = matrix.n
+    if len(rhs) != n:
+        raise ValueError(f"rhs has length {len(rhs)}, matrix has {n} rows")
+    b = [exact(v) for v in rhs]
+    e = 1
+    for v in b:
+        e = math.lcm(e, v.denominator)
+    c = [v.numerator * (e // v.denominator) for v in b]
+    factor = matrix if isinstance(matrix, DefiniteFactor) else matrix._factor
+    if factor is not None:
+        return factor.solve_scaled(c, e)
+    a = [[*row, v] for row, v in zip(matrix.rows(), c)]
+    if not _bareiss(a):
+        raise SingularMatrixError("matrix is singular")
+    det = a[-1][n - 1] if n else 1
     z = [0] * n
     for i in range(n - 1, -1, -1):
         row_i = a[i]
-        acc = prev * row_i[n]
+        acc = det * row_i[n]
         for j in range(i + 1, n):
             acc -= row_i[j] * z[j]
         z[i] = acc // row_i[i]
-    scale = e * prev
-    return tuple([Fraction(d * zi, scale) for zi in z])
+    scale = e * det
+    return tuple([Fraction(zi, scale) for zi in z])
 
 
 def is_negative_definite(matrix: SymMatrix) -> bool:
@@ -543,39 +514,25 @@ def is_negative_definite(matrix: SymMatrix) -> bool:
     """
     if matrix._factor is not None:
         return True
-    a, d = _integer_rows(matrix)
     factor = DefiniteFactor(())
-    for k, row in enumerate(a):
+    for k, row in enumerate(matrix.rows()):
         factor = factor.border(row[:k], row[k])
         if factor is None:
             return False
-    matrix._factor = DefiniteFactor(factor.rows, d)
+    matrix._factor = factor
     return True
 
 
-def determinant(matrix: SymMatrix) -> Fraction:
+def determinant(matrix: SymMatrix) -> int:
     """Exact determinant: the stored factor's last pivot when the matrix has
-    one, the subtree recurrence when its off-diagonal pattern is a forest,
-    else fraction-free elimination with row pivoting."""
+    one, the subtree recurrence when its off-diagonal pattern is a forest
+    (the empty matrix's is 1), else elimination with row swaps
+    (`_bareiss`)."""
     if matrix._factor is not None:
         return matrix._factor.determinant()
-    n = matrix.n
-    if n == 0:
-        return Fraction(1)
-    rows, d = _integer_rows(matrix)
+    rows = matrix.rows()
     det = _forest_determinant(rows)
-    if det is not None:
-        return Fraction(det, d**n)
-    a = [list(row) for row in rows]
-    sign = 1
-    prev = 1
-    for k in range(n - 1):
-        if a[k][k] == 0:
-            piv = next((r for r in range(k + 1, n) if a[r][k] != 0), None)
-            if piv is None:
-                return Fraction(0)
-            a[k], a[piv] = a[piv], a[k]
-            sign = -sign
-        _eliminate_below(a, k, prev)
-        prev = a[k][k]
-    return Fraction(sign * a[n - 1][n - 1], d**n)
+    if det is None:
+        a = [list(row) for row in rows]
+        det = _bareiss(a) * a[-1][-1]
+    return det

@@ -754,11 +754,10 @@ def smooth_point_blowdown(config: CurveConfig, gamma: Iterable[int]) -> Blowdown
 def require_unimodular(ids: Iterable[int], blocks: Iterable[Block]) -> None:
     """Raise ``TheoremViolationError`` unless the Gram matrix of a set `ids`
     that contracted to smooth points, factored as `blocks`, has determinant
-    ±1: the product of its blocks' integer determinants (the scale of a
-    Gram matrix's factor is 1)."""
+    ±1: the product of its blocks' determinants."""
     det = 1
     for _, factor in blocks:
-        det *= factor.integer_determinant()
+        det *= factor.determinant()
     if abs(det) != 1:
         raise TheoremViolationError(
             f"set {sorted(ids)} contracted to smooth points but its Gram "

@@ -271,6 +271,22 @@ class TestClassifyAndDiscrepancies:
         path = write_scenario(tmp_path / "s.json", helpers.corner())
         assert cli.main(["discrepancies", path, "--contract", "1"]) == 2
 
+    @pytest.mark.parametrize(
+        "contract, message",
+        [
+            ("3,03", "bad curve id '03' in '3,03'"),
+            ("3,-0", "bad curve id '-0' in '3,-0'"),
+            ("3,3", "curve id '3' is repeated in '3,3'"),
+        ],
+    )
+    def test_contract_names_each_curve_once(self, contract, message, capsys):
+        # Read leniently, '3,03' and '3,3' would both classify the set {3}.
+        tower = str(SCENARIOS / "tower.json")
+        assert cli.main(["classify", tower, "--contract", contract]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert message in captured.err
+
 
 class TestFlopsCommand:
     def test_reports_per_curve(self, tower, capsys):
@@ -315,6 +331,8 @@ class TestDecomposeAndVerify:
             ("3,,4", ""),
             ("3,4,", ""),
             ("3,\u0664", "\u0664"),
+            ("3,04", "04"),
+            ("3,012", "012"),
         ],
     )
     def test_malformed_id_list_exits_2(self, to_ids, bad, capsys):
@@ -329,7 +347,10 @@ class TestDecomposeAndVerify:
         assert cli.parse_ids("") == ()
         assert cli.parse_ids("  ") == ()
         assert cli.parse_ids(" 3,4 ") == (3, 4)
-        assert cli.parse_ids("-1,0,012") == (-1, 0, 12)
+        assert cli.parse_ids("-1,0,12") == (-1, 0, 12)
+        for bad in ("-1,0,012", "-0", "1,-1,1"):
+            with pytest.raises(ValueError):
+                cli.parse_ids(bad)
 
     def test_non_crepant_exits_2(self, tmp_path, capsys):
         path = write_scenario(tmp_path / "h.json", helpers.du_val_a1_half())
@@ -661,10 +682,17 @@ class TestBlowupCommand:
 
     @pytest.mark.parametrize(
         "at, bad",
-        [("point:0_1", "0_1"), ("point: 1", " 1"), ("free:0_2", "0_2"), ("free:+1", "+1")],
+        [
+            ("point:0_1", "0_1"),
+            ("point: 1", " 1"),
+            ("free:0_2", "0_2"),
+            ("free:+1", "+1"),
+            ("free:03", "03"),
+            ("point:-0", "-0"),
+        ],
     )
     def test_malformed_target_id_exits_2(self, tmp_path, capsys, at, bad):
-        # int() alone reads each of these as the id 1 or 2.
+        # int() alone reads each of these as the id 0, 1, 2 or 3.
         out = tmp_path / "out.json"
         corner = str(SCENARIOS / "boundary-corner.json")
         assert cli.main(["blowup", corner, "--at", at, "--coeff", "1", "-o", str(out)]) == 2

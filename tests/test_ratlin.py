@@ -55,10 +55,6 @@ class TestSolve:
         with pytest.raises(ValueError):
             solve_symmetric(SymMatrix([[-1]]), (1, 2))
 
-    def test_fractional_entries(self):
-        m = SymMatrix([[Fraction(-1, 2)]])
-        assert solve_symmetric(m, (Fraction(1, 4),)) == (Fraction(-1, 2),)
-
     @given(symmetric_rows(max_n=4), st.data())
     def test_substitution_and_oracle_agreement(self, rows, data):
         m = SymMatrix(rows)
@@ -80,25 +76,26 @@ def _fraction(rng: random.Random) -> Fraction:
     return Fraction(rng.randint(-9, 9), rng.randint(1, 6))
 
 
-def _symmetric_fractions(rng: random.Random, n: int) -> list[list[Fraction]]:
-    rows = [[Fraction(0)] * n for _ in range(n)]
+def _symmetric_ints(rng: random.Random, n: int) -> list[list[int]]:
+    rows = [[0] * n for _ in range(n)]
     for i in range(n):
         for j in range(i, n):
-            rows[i][j] = rows[j][i] = _fraction(rng)
+            rows[i][j] = rows[j][i] = rng.randint(-9, 9)
     return rows
 
 
 class TestIntegerSolveDifferential:
-    """The fraction-free integer solve against the oracle's Fraction elimination."""
+    """The fraction-free integer solve against the oracle's Fraction elimination,
+    on integer matrices with rational right-hand sides."""
 
     def test_random_fraction_systems(self):
         swapped = 0
         for seed in range(300):
             rng = random.Random(seed)
             n = rng.randint(1, 7)
-            rows = _symmetric_fractions(rng, n)
+            rows = _symmetric_ints(rng, n)
             if seed % 3 == 0:
-                rows[0][0] = Fraction(0)  # the first pivot needs a row swap
+                rows[0][0] = 0  # the first pivot needs a row swap
             rhs = [_fraction(rng) for _ in range(n)]
             if oracles.laplace_det(rows) == 0:
                 with pytest.raises(SingularMatrixError):
@@ -116,10 +113,7 @@ class TestIntegerSolveDifferential:
             ([[0, 1], [1, 0]], (Fraction(1, 2), Fraction(-1, 3))),
             # the second pivot vanishes after the first step: swap mid-elimination
             ([[1, 1, 0], [1, 1, 1], [0, 1, 1]], (Fraction(2, 3), 1, Fraction(-5, 4))),
-            (
-                [[Fraction(1, 2), Fraction(1, 2), 0], [Fraction(1, 2), Fraction(1, 2), 3], [0, 3, 0]],
-                (1, Fraction(1, 7), 0),
-            ),
+            ([[1, 1, 0], [1, 1, 6], [0, 6, 0]], (1, Fraction(1, 7), 0)),
         ],
     )
     def test_pinned_row_swaps(self, rows, rhs):
@@ -136,12 +130,13 @@ class TestIntegerSolveDifferential:
             p = [[rng.randint(-3, 3) for _ in range(n)] for _ in range(n)]
             d = [rng.randint(-3, 3) for _ in range(n)]
             d[rng.randrange(n)] = 0
-            c = _fraction(rng) or Fraction(1, 2)
+            c = rng.choice((-2, -1, 1, 3))
             rows = [
                 [c * sum(p[k][i] * d[k] * p[k][j] for k in range(n)) for j in range(n)]
                 for i in range(n)
             ]
             assert oracles.laplace_det(rows) == 0
+            assert determinant(SymMatrix(rows)) == 0
             with pytest.raises(SingularMatrixError):
                 solve_symmetric(SymMatrix(rows), [_fraction(rng) for _ in range(n)])
 
@@ -240,6 +235,7 @@ class TestDefiniteFactor:
         assert solve_symmetric(m, rhs) == oracles.solve_linear(rows, rhs)
         assert solve_symmetric(m.factor, rhs) == oracles.solve_linear(rows, rhs)
         assert determinant(m) == m.factor.determinant() == oracles.laplace_det(rows)
+        assert type(determinant(m)) is int
 
     @given(definite_rows())
     def test_factor_entries_are_minors(self, rows):
@@ -262,17 +258,6 @@ class TestDefiniteFactor:
             return
         bordered = head.factor.border(rows[n - 1][: n - 1], rows[n - 1][n - 1])
         assert (bordered is not None) == oracles.brute_negative_definite(rows)
-
-    def test_scaled_rational_matrix(self):
-        half, third = Fraction(1, 2), Fraction(1, 3)
-        m = SymMatrix([[-half, third], [third, -half]])
-        assert is_negative_definite(m)
-        assert m.factor.scale == 6
-        assert determinant(m) == half * half - third * third
-        bordered = m.factor.border([1, 0], -5)
-        rows = [[-half, third, 1], [third, -half, 0], [1, 0, -5]]
-        assert bordered.determinant() == oracles.laplace_det(rows)
-        assert bordered.solve([1, 2, 3]) == oracles.solve_linear(rows, [1, 2, 3])
 
 
 def _block_diagonal(m, n):
@@ -313,7 +298,7 @@ class TestJoin:
             data.draw(st.fractions(min_value=-5, max_value=5, max_denominator=4))
             for _ in rows
         ]
-        assert joined.solve(rhs) == oracles.solve_linear(rows, rhs)
+        assert solve_symmetric(joined, rhs) == oracles.solve_linear(rows, rhs)
         # M's rows are shared, not copied.
         assert all(a is b for a, b in zip(joined.rows, left.rows))
 
@@ -327,15 +312,12 @@ class TestJoin:
         if bordered is not None:
             assert bordered.determinant() == oracles.laplace_det(full)
 
-    def test_empty_sides_and_mismatched_scales(self):
+    def test_empty_sides(self):
         single = self._factor([[-2]])
         empty = SymMatrix([])
         assert is_negative_definite(empty)
         assert empty.factor.join(single).rows == single.rows
         assert single.join(empty.factor).rows == single.rows
-        half = self._factor([[Fraction(-1, 2)]])
-        with pytest.raises(ValueError, match="scales differ"):
-            single.join(half)
 
 
 class TestDeterminant:
@@ -349,7 +331,9 @@ class TestDeterminant:
 
     @given(symmetric_rows(max_n=5))
     def test_agrees_with_laplace_expansion(self, rows):
-        assert determinant(SymMatrix(rows)) == oracles.laplace_det(rows)
+        det = determinant(SymMatrix(rows))
+        assert det == oracles.laplace_det(rows)
+        assert type(det) is int
 
 
 class TestSymMatrix:
@@ -365,11 +349,19 @@ class TestSymMatrix:
         with pytest.raises(TypeError):
             SymMatrix([[1.5]])
 
+    def test_rejects_non_int_entries(self):
+        # Gram matrices are integer matrices; a rational enters a solve only
+        # through its right-hand side.
+        for bad in (Fraction(-1, 2), Fraction(1), 1.5, True):
+            with pytest.raises(TypeError, match=f"got {type(bad).__name__}"):
+                SymMatrix([[-2, 0], [0, bad]])
+
     def test_equality_and_hash(self):
         a = SymMatrix([[1, 0], [0, 1]])
-        b = SymMatrix([[Fraction(1), 0], [0, 1]])
+        b = SymMatrix(iter([(1, 0), [0, 1]]))
         assert a == b
         assert hash(a) == hash(b)
+        assert a != SymMatrix([[1, 0], [0, 2]])
 
 
 @st.composite
@@ -419,7 +411,7 @@ class TestTreeFactor:
         assert (factor is not None) == oracles.brute_negative_definite(rows)
         if factor is not None:
             assert factor.rows == dense.factor.rows
-            assert factor.scale == 1
+            assert factor.determinant() == dense.factor.determinant()
 
     @settings(max_examples=150)
     @given(forest_rows(diagonal=(-5, -4, -3, -2)), st.data())
@@ -438,7 +430,7 @@ class TestTreeFactor:
             data.draw(st.fractions(min_value=-5, max_value=5, max_denominator=6))
             for _ in order
         ]
-        assert factor.solve(rhs) == oracles.solve_linear(ordered, rhs)
+        assert solve_symmetric(factor, rhs) == oracles.solve_linear(ordered, rhs)
         n = len(order)
         c = data.draw(st.lists(st.integers(-9, 9), min_size=n, max_size=n), label="c")
         e = data.draw(st.integers(1, 6), label="e")
@@ -497,9 +489,4 @@ class TestForestDeterminant:
     @example(rows=[[0, 0], [0, 0]])
     @given(forest_rows())
     def test_agrees_with_laplace_expansion(self, rows):
-        assert determinant(SymMatrix(rows)) == oracles.laplace_det(rows)
-
-    def test_rational_forest(self):
-        half = Fraction(1, 2)
-        rows = [[-half, Fraction(1, 3), 0], [Fraction(1, 3), 0, 1], [0, 1, Fraction(-5, 4)]]
         assert determinant(SymMatrix(rows)) == oracles.laplace_det(rows)

@@ -80,6 +80,11 @@ class TestValidation:
         config = CurveConfig.build([(1, 0, -2, Fraction(-1, 2))])
         assert "BadCoefficient" in self._kinds(config)
 
+    def test_build_rejects_a_bool_coefficient(self):
+        # True is an int subclass; read as 1 it would change the curve's meaning.
+        with pytest.raises(TypeError, match="got bool"):
+            CurveConfig.build([(1, 0, -1, True)])
+
     def test_negative_genus(self):
         config = CurveConfig.build([(1, -1, -2, 0)])
         assert "BadGenus" in self._kinds(config)
@@ -256,6 +261,11 @@ class TestBlowUp:
             blow_up(helpers.corner(), at_point(1), Fraction(3, 2))
         with pytest.raises(BadCoefficientError):
             blow_up(helpers.corner(), at_point(1), -1)
+
+    def test_rejects_a_bool_coefficient(self):
+        for coeff in (True, False):
+            with pytest.raises(TypeError, match="got bool"):
+                blow_up(helpers.corner(), generic_point(), coeff)
 
     def test_rejects_unknown_targets(self):
         with pytest.raises(UnknownTargetError):
