@@ -146,6 +146,15 @@ def _ints(value: Any, path: str) -> list[int]:
     return [_int(item, f"{path}[{i}]") for i, item in enumerate(value)]
 
 
+def _distinct_ints(value: Any, path: str) -> list[int]:
+    """`_ints` of a list of ids, none repeated: collapsing a repeat would
+    change what the document says."""
+    ids = _ints(value, path)
+    if len(set(ids)) != len(ids):
+        raise ValueError(f"{path} repeats a curve: {ids}")
+    return ids
+
+
 def _fraction(value: Any, path: str) -> Fraction:
     try:
         return parse_fraction(value)
@@ -181,20 +190,18 @@ def config_from_json(data: Any) -> tuple[CurveConfig, frozenset[int], Base]:
     ]
     points = []
     for at, entry in _objects(data.get("points", []), "points"):
-        incident = _ints(_required(entry, "incident", at), f"{at}incident")
-        if len(set(incident)) != len(incident):
-            raise ValueError(f"{at}incident repeats a curve: {incident}")
+        incident = _distinct_ints(_required(entry, "incident", at), f"{at}incident")
         points.append((_int(_required(entry, "id", at), f"{at}id"), incident))
     rank = data.get("picard_rank_of_model")
     config = CurveConfig.build(
         curves, points, None if rank is None else _int(rank, "picard_rank_of_model")
     )
-    contracted = frozenset(_ints(data.get("contracted", []), "contracted"))
+    contracted = frozenset(_distinct_ints(data.get("contracted", []), "contracted"))
     raw_base = data.get("base", "point")
     if raw_base == "point":
         base: Base = PointBase()
     elif isinstance(raw_base, dict) and "target" in raw_base:
-        base = TargetBase(_ints(raw_base["target"], "base.target"))
+        base = TargetBase(_distinct_ints(raw_base["target"], "base.target"))
     else:
         raise ValueError(f"expected base 'point' or {{'target': IDS}}, got {raw_base!r}")
     return config, contracted, base
@@ -387,7 +394,7 @@ def trace_from_json(data: Any) -> tuple[str, DecompositionTrace]:
         raw_after = _required(entry, "discrepancies_after", at)
         after = _fractions_from_json(raw_after, f"{at}discrepancies_after", parsed)
         steps.append(MoveRecord(kind, curve, before, after, epsilon=epsilon, order=order))
-    end = frozenset(_ints(_required(data, "end", ""), "end"))
+    end = frozenset(_distinct_ints(_required(data, "end", ""), "end"))
     raw_base = data.get("base")
     if raw_base is None:
         base: Base = TargetBase(end)
@@ -398,7 +405,7 @@ def trace_from_json(data: Any) -> tuple[str, DecompositionTrace]:
     trace = DecompositionTrace(
         tuple(steps),
         _int(_required(data, "flop_minimal_index", ""), "flop_minimal_index"),
-        frozenset(_ints(_required(data, "start", ""), "start")),
+        frozenset(_distinct_ints(_required(data, "start", ""), "start")),
         end,
         base,
     )

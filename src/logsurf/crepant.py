@@ -211,6 +211,13 @@ def _not_contractible(ids: frozenset[int]) -> InvalidStateError:
     )
 
 
+def _not_nested(contracted: frozenset[int], base: TargetBase) -> NotNestedError:
+    return NotNestedError(
+        f"contracted set {sorted(contracted)} is not contained in the "
+        f"target set {sorted(base.contracted_on_target)}"
+    )
+
+
 def crepant_pullback(config: CurveConfig, contracted: Iterable[int]) -> CrepantData:
     """Solve for the residual coefficients making the pullback crepant.
 
@@ -278,9 +285,8 @@ class SurfaceState:
 
     This is the working object of every driver: immutable, with validation,
     the solved crepant data and the classification all cached on first use.
-    A state built by `successor` holds a link to its parent until its
-    crepant data is first computed, which then usually inherits the
-    parent's solution instead of solving.
+    A state built by `successor` is checked when it is made and usually
+    inherits its parent's solution instead of solving.
     """
 
     config: CurveConfig
@@ -298,67 +304,33 @@ class SurfaceState:
         object.__setattr__(self, "base", base if base is not None else PointBase())
 
     @cached_property
-    def _checked(self) -> bool:
+    def _checked(self) -> dict[int, Block]:
         """Validate the configuration, the contracted ids, their nesting in
-        the base and the contractibility of the contracted and target sets.
+        the base and the contractibility of the contracted and target sets,
+        and return the state's block index: each contracted curve mapped to
+        the block of its component, built from the set's memoised blocks.
 
-        A successor whose parent passed these checks, on the same
-        configuration over the same base, checks only what the added curve
-        changes: its id, its nesting and its component.  The parent's block
-        index names the blocks the curve meets; `grow_block` joins them and
-        borders them by the curve, and the successor's `_block_index` is
-        the parent's plus that one block.  Nothing else of the new set is
-        looked up or stored.
+        A state made by `successor` is checked, and its index stored, when
+        it is made.
         """
-        link = self.__dict__.get("_parent")
-        inherited = link is not None and "_checked" in link[0].__dict__
-        if inherited:
-            added = frozenset((link[1],))
-        else:
-            require_valid(self.config)
-            added = self.contracted
-        for cid in added:
+        require_valid(self.config)
+        for cid in self.contracted:
             self.config.curve(cid)
-        if not self.base.contains(added):
-            raise NotNestedError(
-                f"contracted set {sorted(self.contracted)} is not contained in the "
-                f"target set {sorted(self.base.contracted_on_target)}"
-            )
-        if inherited:
-            parent, cid = link
-            block = grow_block(self.config, parent._blocks_meeting(cid), cid)
-            if block is None:
-                raise _not_contractible(self.contracted)
-            index = dict(parent._block_index)
-            index.update(dict.fromkeys(block[0], block))
-            self.__dict__["_block_index"] = index
-            return True
-        _require_contractible(self.config, self.contracted)
+        if not self.base.contains(self.contracted):
+            raise _not_nested(self.contracted, self.base)
+        blocks = _require_contractible(self.config, self.contracted)
         if isinstance(self.base, TargetBase):
             for cid in self.base.contracted_on_target:
                 self.config.curve(cid)
             _require_contractible(self.config, self.base.contracted_on_target)
-        return True
-
-    @cached_property
-    def _block_index(self) -> dict[int, Block]:
-        """Each contracted curve mapped to the block of its component.
-
-        Asked only of a checked state.  A state reached by a move gets it
-        from its parent's when it is checked (`_checked`); any other state
-        builds it from its set's memoised blocks, the first time it is
-        asked."""
-        index: dict[int, Block] = {}
-        for block in _require_contractible(self.config, self.contracted):
-            index.update(dict.fromkeys(block[0], block))
-        return index
+        return {cid: block for block in blocks for cid in block[0]}
 
     def _blocks_meeting(self, cid: int) -> list[Block]:
         """The blocks of the contracted components that curve `cid` meets,
         each once, found through its crossings and listed in the order the
         crossings first reach them (`surface.grow_block` breaks ties by
         it)."""
-        index = self._block_index
+        index = self._checked
         met: dict[int, Block] = {}
         for j in self.config._adjacency[cid]:
             block = index.get(j)
@@ -367,38 +339,43 @@ class SurfaceState:
         return list(met.values())
 
     def successor(self, cid: int) -> SurfaceState:
-        """The state that also contracts `cid`, over the same base, linked to
-        this one so that its crepant data can be inherited."""
-        new = SurfaceState(self.config, self.contracted | {cid}, self.base)
-        object.__setattr__(new, "_parent", (self, cid))
+        """The checked state that also contracts `cid`, over the same base.
+
+        This state is checked first; then only what `cid` changes is: its
+        id, its nesting in the base and its component, whose block
+        `grow_block` makes from the blocks `cid` meets.  The new index is
+        this one plus that block.
+
+        Each row of the new system but `cid`'s is a row of this one, with
+        `cid`'s term moved across at e = d, and `cid`'s row says that this
+        state's log degree on `cid` is 0.  When that one exact equation
+        holds, this state's residuals solve the new system, uniquely, so its
+        read-only mapping and its table of facts (`SolutionFacts`) are
+        stored as the new state's solution, with no solve and no copy.
+        Otherwise the new set is solved cold when asked.
+        """
+        self._checked
+        config = self.config
+        config.curve(cid)
+        new = SurfaceState(config, self.contracted | {cid}, self.base)
+        if not self.base.contains(frozenset((cid,))):
+            raise _not_nested(new.contracted, self.base)
+        block = grow_block(config, self._blocks_meeting(cid), cid)
+        if block is None:
+            raise _not_contractible(new.contracted)
+        index = dict(self._checked)
+        index.update(dict.fromkeys(block[0], block))
+        new.__dict__["_checked"] = index
+        memo = config._crepant_memo
+        if new.contracted not in memo and log_degree(self, cid).numerator == 0:
+            inherited = self.crepant
+            memo[new.contracted] = CrepantData(inherited.residual, new.contracted, inherited.facts)
         return new
 
     @cached_property
     def crepant(self) -> CrepantData:
-        """The crepant data of the contracted set (`crepant_pullback`).
-
-        A successor of S by C first checks its own set, which makes
-        gram(S ∪ {C}) negative definite.  Each row of its system but C's is
-        a row of S's, with C's term moved across at e_C = d_C, and C's row
-        says that S's log degree on C is 0.  When that one exact equation
-        holds, S's residuals solve the system, uniquely, so S's read-only
-        mapping itself is stored as its solution, with no solve and no
-        copy, together with the mapping's table of facts (`SolutionFacts`),
-        so nothing S has found about its solution is found again.
-        Otherwise the set is solved cold and gets a fresh table.  The
-        parent link is dropped either way, so no chain of states stays
-        alive.
-        """
+        """The crepant data of the contracted set (`crepant_pullback`)."""
         self._checked
-        link = self.__dict__.pop("_parent", None)
-        if link is not None:
-            parent, cid = link
-            memo = self.config._crepant_memo
-            if self.contracted not in memo and log_degree(parent, cid).numerator == 0:
-                inherited = parent.crepant
-                memo[self.contracted] = CrepantData(
-                    inherited.residual, self.contracted, inherited.facts
-                )
         return crepant_pullback(self.config, self.contracted)
 
     @cached_property
@@ -409,16 +386,14 @@ class SurfaceState:
     @cached_property
     def components(self) -> tuple[frozenset[int], ...]:
         """The connected components of the contracted set, by least id: the
-        curve sets of its blocks, read from the block index when the state
-        has one, as every state reached by a move does, and from the set's
-        memoised blocks otherwise."""
-        self._checked
-        index = self.__dict__.get("_block_index")
-        if index is None:
-            blocks = _require_contractible(self.config, self.contracted)
-        else:
-            blocks = dict(zip(map(id, index.values()), index.values())).values()
-        return tuple(sorted((frozenset(order) for order, _ in blocks), key=min))
+        curve sets of the blocks of its block index, each read under the
+        first curve of its order."""
+        return tuple(
+            sorted(
+                (frozenset(order) for cid, (order, _) in self._checked.items() if order[0] == cid),
+                key=min,
+            )
+        )
 
     @cached_property
     def classification(self) -> Classification:

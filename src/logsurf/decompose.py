@@ -51,6 +51,7 @@ from .moves import (
     contract_blowdown,
     contract_flop,
     is_nef_on_marked,
+    _require_log_terminal,
     lowest_flop,
     lowest_passing,
 )
@@ -203,18 +204,21 @@ def minimize(state: SurfaceState) -> DecompositionTrace:
     """
     if not isinstance(state.base, PointBase):
         raise InvalidStateError("minimization runs over a point base only")
-    state._checked
-    if state.classification < Classification.LOG_TERMINAL:
-        raise NotLogTerminalError(
-            f"state classifies as {state.classification.name}; log terminality is required"
-        )
+    _require_log_terminal(state)
     if not is_nef_on_marked(state):
         raise NotNefError("state is not nef on its marked curves")
 
     start = state.contracted
     budget = len(state.uncontracted)
     steps: list[MoveRecord] = []
+    flop_minimal_index = 0
     while check := _next_move(state):
+        if isinstance(check, FlopCheck):
+            if flop_minimal_index < len(steps):
+                raise TheoremViolationError(
+                    "a flop-type contraction became available again after a log blow-down"
+                )
+            flop_minimal_index += 1
         state, record = _apply(check)
         steps.append(record)
         if len(steps) > budget:
@@ -224,16 +228,6 @@ def minimize(state: SurfaceState) -> DecompositionTrace:
                 f"step {len(steps)} ({record.kind.value} of curve {record.curve}) "
                 "broke nef-ness"
             )
-    flop_minimal_index = 0
-    while (
-        flop_minimal_index < len(steps)
-        and steps[flop_minimal_index].kind is MoveKind.FLOP
-    ):
-        flop_minimal_index += 1
-    if any(s.kind is MoveKind.FLOP for s in steps[flop_minimal_index:]):
-        raise TheoremViolationError(
-            "a flop-type contraction became available again after a log blow-down"
-        )
     return DecompositionTrace(
         tuple(steps), flop_minimal_index, start, state.contracted, state.base
     )

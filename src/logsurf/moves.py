@@ -15,9 +15,9 @@ non-klt centres.
 
 Each predicate reads only the curve's neighbourhood: the contracted
 components a curve meets are found through its crossings and the state's
-curve → block index (`crepant.SurfaceState`), which a successor derives
-from its parent's, so a step of a run or a replay does not scan the whole
-contracted set or configuration.
+curve → block index (`crepant.SurfaceState`), which a successor builds
+from its parent's when it is made, so a step of a run or a replay does not
+scan the whole contracted set or configuration.
 
 The predicates and `epsilon_bound` decide on integers: a log degree, an
 image self-intersection or a multiplicity is an exact rational whose
@@ -364,9 +364,8 @@ def _contract(check: FlopCheck | BlowdownCheck, move: str) -> SurfaceState:
     """Contract a checked curve and assert the postconditions common to both
     moves; failures signal library bugs."""
     old, cid = check.state, check.curve
-    new = old.successor(cid)
     try:
-        new._checked
+        new = old.successor(cid)
     except LogSurfaceError as exc:
         raise TheoremViolationError(
             f"{move} of curve {cid} produced an invalid state: {exc}"

@@ -151,10 +151,10 @@ class CurveConfig:
     def _crepant_memo(self) -> dict[frozenset[int], object]:
         """Solved crepant pullbacks (`crepant.CrepantData`) by contracted set.
 
-        Filled by `crepant`: by a solve from the set's factors, or, for a
-        state reached by a move, with the parent's residual mapping itself
-        once the new curve's row holds exactly
-        (`crepant.SurfaceState.crepant`).  Entries are read-only, so every
+        Filled by `crepant.crepant_pullback`, by a solve from the set's
+        factors, or, for a state reached by a move, with the parent's
+        residual mapping itself once the new curve's row holds exactly
+        (`crepant.SurfaceState.successor`).  Entries are read-only, so every
         caller gets the entry itself and states along a run share one
         mapping.
         """
@@ -228,6 +228,13 @@ class CurveConfig:
             if p.id in seen_points:
                 out.append(Violation("DuplicateId", f"point id {p.id} appears twice"))
             seen_points.add(p.id)
+            if type(p.id) is not int:
+                out.append(
+                    Violation(
+                        "BadType",
+                        f"point {p.id!r} has id {p.id!r} of type {type(p.id).__name__}, not int",
+                    )
+                )
             incident = p.incident
             if len(incident) > 2:
                 out.append(
@@ -236,7 +243,15 @@ class CurveConfig:
             if not incident:
                 out.append(Violation("EmptyPoint", f"point {p.id} touches no curve"))
             for cid in incident:
-                if cid not in seen_curves:
+                if type(cid) is not int:
+                    out.append(
+                        Violation(
+                            "BadType",
+                            f"point {p.id!r} has incident curve {cid!r} of type "
+                            f"{type(cid).__name__}, not int",
+                        )
+                    )
+                elif cid not in seen_curves:
                     out.append(
                         Violation("DanglingId", f"point {p.id} references missing curve {cid}")
                     )

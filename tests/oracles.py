@@ -547,6 +547,13 @@ def rescan_violations(curves, points) -> tuple[Violation, ...]:
         if p.id in seen_points:
             out.append(Violation("DuplicateId", f"point id {p.id} appears twice"))
         seen_points.add(p.id)
+        if type(p.id) is not int:
+            out.append(
+                Violation(
+                    "BadType",
+                    f"point {p.id!r} has id {p.id!r} of type {type(p.id).__name__}, not int",
+                )
+            )
         if len(p.incident) > 2:
             out.append(
                 Violation("TriplePoint", f"point {p.id} meets curves {sorted(p.incident)}")
@@ -554,7 +561,15 @@ def rescan_violations(curves, points) -> tuple[Violation, ...]:
         if not p.incident:
             out.append(Violation("EmptyPoint", f"point {p.id} touches no curve"))
         for cid in p.incident:
-            if cid not in seen_curves:
+            if type(cid) is not int:
+                out.append(
+                    Violation(
+                        "BadType",
+                        f"point {p.id!r} has incident curve {cid!r} of type "
+                        f"{type(cid).__name__}, not int",
+                    )
+                )
+            elif cid not in seen_curves:
                 out.append(
                     Violation("DanglingId", f"point {p.id} references missing curve {cid}")
                 )

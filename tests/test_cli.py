@@ -156,6 +156,8 @@ class TestStrictDocuments:
             (("curves", 1, "self_intersection"), DELETE, "curves[1].self_intersection"),
             (("curves", 1, "id"), DELETE, "curves[1].id"),
             (("points", 2, "incident"), DELETE, "points[2].incident"),
+            (("contracted",), [4, 4], "contracted repeats a curve"),
+            (("base",), {"target": [3, 4, 4]}, "base.target repeats a curve"),
         ],
     )
     def test_scenario_field_rejected(self, tmp_path, capsys, path, value, named):
@@ -182,6 +184,8 @@ class TestStrictDocuments:
             (("flop_minimal_index",), DELETE, "flop_minimal_index"),
             (("steps", 1, "order"), DELETE, "steps[1].order"),
             (("base",), "sphere", "base"),
+            (("end",), [3, 4, 4, 3], "end repeats a curve"),
+            (("start",), [3, 3], "start repeats a curve"),
         ],
     )
     def test_trace_field_rejected(self, tower, tmp_path, capsys, path, value, named):
@@ -421,8 +425,8 @@ _TRACE_STEP = st.one_of(
 _TRACE_DOC = st.fixed_dictionaries(
     {
         "scenario_digest": st.just("digest"),
-        "start": st.lists(st.integers(1, 4), max_size=2),
-        "end": st.lists(st.integers(1, 4), max_size=4),
+        "start": st.lists(st.integers(1, 4), max_size=2, unique=True),
+        "end": st.lists(st.integers(1, 4), max_size=4, unique=True),
         "flop_minimal_index": st.integers(0, 4),
         "steps": st.lists(_TRACE_STEP, max_size=5),
     },

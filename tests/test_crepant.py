@@ -797,17 +797,18 @@ class TestInheritedSolutions:
             assert replayed is not config and key == trace.start
             cold.clear()
 
-    def test_successor_drops_its_parent_link(self):
+    def test_successor_shares_its_parents_solution(self):
         config = helpers.corner_twice()
         state = SurfaceState(config, (), TargetBase({3, 4}))
         new = state.successor(4)
         assert new.contracted == frozenset({4}) and new.base == state.base
+        # The solution is stored when the successor is made.
+        assert frozenset({4}) in config._crepant_memo
         # The inherited entry is the parent's mapping itself, and no caller
         # of either state can write to it.
         assert new.crepant.residual is state.crepant.residual
         # The table of facts follows the mapping.
         assert new.crepant.facts is state.crepant.facts
-        assert "_parent" not in vars(new)
         assert crepant_pullback(config, {4}) is new.crepant
         for data in (state.crepant, new.crepant):
             with pytest.raises(TypeError):
@@ -1064,14 +1065,12 @@ class TestBlockIndex:
             state._checked
             states = [state]
             for step in trace.steps:
-                state._block_index
                 state = state.successor(step.curve)
-                state._checked
-                # Derived from the parent's index while checked.
-                assert "_block_index" in state.__dict__
+                # Checked when made, its index derived from the parent's.
+                assert "_checked" in state.__dict__
                 states.append(state)
             for state in states:
-                index = state._block_index
+                index = state._checked
                 assert index.keys() == state.contracted
                 components = oracles.raw_components(copy, state.contracted)
                 for component in components:
@@ -1111,15 +1110,13 @@ class TestBlockIndex:
         picked = sorted(spec.target_contracted)[::2]
         for base in (PointBase(), TargetBase(spec.target_contracted)):
             parent = SurfaceState(fresh(spec.config), picked, base)
-            parent._checked
-            index = parent._block_index
+            index = parent._checked
             assert len(set(map(id, index.values()))) > 1
             for cid in picked:
                 same = parent.successor(cid)
-                same._checked
                 assert same.contracted == parent.contracted
-                assert same._block_index.keys() == index.keys()
-                assert all(same._block_index[j] is index[j] for j in index)
+                assert same._checked.keys() == index.keys()
+                assert all(same._checked[j] is index[j] for j in index)
                 assert same.components == parent.components
                 assert same.crepant.discrepancies == parent.crepant.discrepancies
                 assert same.classification is parent.classification
@@ -1212,14 +1209,13 @@ class TestChainClosedForm:
         for k in range(1, r + 1):
             c = order[k - 1]
             step = step.successor(c)
-            step._checked
             met = []
             for j in grown._adjacency[c]:
                 met += [b for b in predicted if j in b and b not in met]
             met.sort(key=lambda b: -len(b))
             predicted = [b for b in predicted if b not in met]
             predicted.append(tuple(j for b in met for j in b) + (c,))
-            blocks = {id(block): block for block in step._block_index.values()}.values()
+            blocks = {id(block): block for block in step._checked.values()}.values()
             assert sorted(block_order for block_order, _ in blocks) == sorted(predicted)
         state = SurfaceState(grown, ids)
         assert state.crepant.discrepancies == expected

@@ -28,6 +28,7 @@ from logsurf import (
     PointBase,
     SurfaceState,
     TargetBase,
+    TheoremViolationError,
     at_point,
     blow_up,
     classify,
@@ -574,6 +575,36 @@ class TestMinimize:
         first = minimize(SurfaceState(helpers.du_val_a1(), set()))
         again = minimize(SurfaceState(helpers.du_val_a1(), first.end))
         assert again.steps == ()
+
+    def test_a_flop_after_a_blow_down_is_a_theorem_violation(self, monkeypatch):
+        # A blown-up square beside a (−2)-curve of coefficient 0: curve 9
+        # flops first, then curves 1 and 2 blow down.
+        square = CurveConfig.build(
+            [(i, 0, 0, 1) for i in range(1, 5)] + [(9, 0, -2, 0)],
+            [(1, [1, 2]), (2, [2, 3]), (3, [3, 4]), (4, [4, 1])],
+        )
+        config = blow_up(square, at_point(1), 1)
+        trace = minimize(SurfaceState(config, set()))
+        assert [(s.kind, s.curve) for s in trace.steps] == [
+            (MoveKind.FLOP, 9),
+            (MoveKind.BLOWDOWN, 1),
+            (MoveKind.BLOWDOWN, 2),
+        ]
+        # Hiding the flop at the start makes a blow-down come first, so the
+        # flop turns up after it.
+        real = logsurf.decompose.lowest_flop
+        searched = []
+
+        def late(state):
+            searched.append(state)
+            return None if len(searched) == 1 else real(state)
+
+        monkeypatch.setattr(logsurf.decompose, "lowest_flop", late)
+        with pytest.raises(
+            TheoremViolationError,
+            match="a flop-type contraction became available again after a log blow-down",
+        ):
+            minimize(SurfaceState(config, set()))
 
 
 class TestGenerateCrepantPair:

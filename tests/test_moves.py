@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import helpers
+import logsurf.crepant
 import logsurf.moves
 from logsurf import (
     Classification,
@@ -342,6 +343,17 @@ class TestContractFlop:
         forged = FlopCheck(state, cid, True, None, None, {})
         with pytest.raises(TheoremViolationError, match="not log crepant"):
             contract_flop(forged)
+
+    def test_an_invalid_successor_is_a_theorem_violation(self, monkeypatch):
+        check = is_log_flopping(tower_state(), 4)
+        assert check
+        monkeypatch.setattr(logsurf.crepant, "grow_block", lambda config, met, cid: None)
+        with pytest.raises(TheoremViolationError) as raised:
+            contract_flop(check)
+        assert str(raised.value) == (
+            "flop contraction of curve 4 produced an invalid state: gram matrix of [4] "
+            "is not negative definite; the set is not contractible"
+        )
 
 
 class TestPicardRank:

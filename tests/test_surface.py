@@ -127,6 +127,29 @@ class TestValidation:
         violations = validate_config(CurveConfig((Curve(*row),), ()))
         assert [(v.kind, field in v.detail) for v in violations] == [("BadType", True)]
 
+    @pytest.mark.parametrize(
+        "point, named",
+        [
+            (CrossingPoint(1.5, frozenset({1, 2})), "id 1.5 of type float"),
+            (CrossingPoint(True, frozenset({2})), "id True of type bool"),
+            (CrossingPoint(1, frozenset({1.0, 2})), "incident curve 1.0 of type float"),
+            (CrossingPoint(1, frozenset({True})), "incident curve True of type bool"),
+            (CrossingPoint(1, frozenset({2.5})), "incident curve 2.5 of type float"),
+        ],
+    )
+    def test_non_int_point_ids_are_bad_types(self, point, named):
+        curves = (Curve(1, 0, -2, Fraction(0)), Curve(2, 0, -2, Fraction(0)))
+        violations = validate_config(CurveConfig(curves, (point,)))
+        assert [(v.kind, named in v.detail) for v in violations] == [("BadType", True)]
+
+    def test_float_and_bool_point_ids_do_not_pass_as_ints(self):
+        config = CurveConfig.build(
+            [(1, 0, -2, 0), (2, 0, -2, 0)], [(1.5, [1.0, 2]), (True, [2])]
+        )
+        assert [v.kind for v in validate_config(config)] == ["BadType"] * 3
+        with pytest.raises(InvalidStateError, match="BadType"):
+            SurfaceState(config, {1}).classification
+
     def test_agrees_with_a_full_rescan_on_random_rows(self):
         rng = random.Random(9)
         ids = (1, 2, 3, 4, 1.0, 2.5, True, False, -1)
@@ -154,6 +177,8 @@ class TestValidation:
             for k in range(rng.randint(0, 4)):
                 size = rng.choice((1, 2, 2, 2, 0, 3)) if not clean else rng.choice((1, 2))
                 incident = rng.sample(range(1, n + 2), min(size, n + 1))
+                if not clean and incident and rng.random() < 0.2:
+                    incident[0] = rng.choice(ids)
                 if clean:
                     incident = [c for c in incident if c <= n][:2] or [1]
                 points.append(CrossingPoint(k + 1 if clean else rng.choice(ids), frozenset(incident)))
