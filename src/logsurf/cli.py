@@ -15,7 +15,7 @@ import re
 import sys
 from fractions import Fraction
 from pathlib import Path
-from typing import Any, Iterable
+from typing import Any, Callable, Iterable
 
 from .crepant import (
     Base,
@@ -60,7 +60,7 @@ CLASS_NAMES = {
 # ---------------------------------------------------------------------------
 # parsing helpers
 
-_FRACTION = re.compile(r"[+-]?[0-9]+(/0*[1-9][0-9]*)?")
+_FRACTION = re.compile(r"([+-]?[0-9]+)(?:/(0*[1-9][0-9]*))?")
 # An id as `str(id)` writes it: '0', or an optional '-' and ASCII digits
 # without a leading zero.  `int()` alone would also read '0_4' as 4, ' 1' as
 # 1 and '+1' as 1, and '03' and '-0' would alias 3 and 0.
@@ -68,11 +68,18 @@ _ID = re.compile(r"0|-?[1-9][0-9]*")
 
 
 def parse_fraction(value: Any) -> Fraction:
-    """An integer, or a string "p" or "p/q"; decimals and exponents are rejected."""
+    """An integer, or a string "p" or "p/q"; decimals and exponents are rejected.
+
+    The string is stripped and matched once, and its two ASCII integers
+    make the `Fraction`, which is `Fraction(value)` without its own parse.
+    """
     if type(value) is int:
         return Fraction(value)
-    if isinstance(value, str) and _FRACTION.fullmatch(value.strip()):
-        return Fraction(value.strip())
+    if isinstance(value, str):
+        match = _FRACTION.fullmatch(value.strip())
+        if match:
+            p, q = match.groups()
+            return Fraction(int(p), int(q)) if q else Fraction(int(p))
     raise ValueError(f"expected an integer or a fraction string 'p/q', got {value!r}")
 
 
@@ -126,50 +133,86 @@ def parse_target(text: str) -> BlowUpTarget:
 
 # ---------------------------------------------------------------------------
 # typed reading of documents: every error names the path of the bad field
+#
+# A field's path is passed as a tuple of its parts, ("steps", 1, "order",
+# 0), and spelled "steps[1].order[0]" only for an error: a valid document
+# builds no path string.
 
-def _required(doc: dict, key: str, path: str) -> Any:
+_Path = tuple[str | int, ...]
+
+
+def _path(parts: _Path) -> str:
+    """The path of a field as an error names it, from its parts."""
+    text = parts[0]
+    for part in parts[1:]:
+        text += f"[{part}]" if type(part) is int else f".{part}"
+    return text
+
+
+def _required(doc: dict, read: Callable[[Any, _Path], Any], path: _Path) -> Any:
+    """`read(value, path)` of the field of `doc` named by the last part of
+    `path`, which must be there: a typed reader such as `_int`."""
+    key = path[-1]
     if key not in doc:
-        raise ValueError(f"{path}{key} is missing")
-    return doc[key]
+        raise ValueError(f"{_path(path)} is missing")
+    return read(doc[key], path)
 
 
-def _int(value: Any, path: str) -> int:
+def _int(value: Any, path: _Path) -> int:
     """A JSON integer; a bool, float or string is rejected, not coerced."""
     if type(value) is not int:
-        raise ValueError(f"{path} must be an integer, got {value!r}")
+        raise ValueError(f"{_path(path)} must be an integer, got {value!r}")
     return value
 
 
-def _ints(value: Any, path: str) -> list[int]:
+def _ints(value: Any, path: _Path) -> list[int]:
     if not isinstance(value, list):
-        raise ValueError(f"{path} must be a list of integers, got {value!r}")
-    return [_int(item, f"{path}[{i}]") for i, item in enumerate(value)]
+        raise ValueError(f"{_path(path)} must be a list of integers, got {value!r}")
+    return [_int(item, (*path, i)) for i, item in enumerate(value)]
 
 
-def _distinct_ints(value: Any, path: str) -> list[int]:
+def _distinct_ints(value: Any, path: _Path) -> list[int]:
     """`_ints` of a list of ids, none repeated: collapsing a repeat would
     change what the document says."""
     ids = _ints(value, path)
     if len(set(ids)) != len(ids):
-        raise ValueError(f"{path} repeats a curve: {ids}")
+        raise ValueError(f"{_path(path)} repeats a curve: {ids}")
     return ids
 
 
-def _fraction(value: Any, path: str) -> Fraction:
-    try:
-        return parse_fraction(value)
-    except ValueError as exc:
-        raise ValueError(f"{path}: {exc}") from None
+def _interned_fraction(value: Any, parsed: dict[str, Fraction], path: _Path) -> Fraction:
+    """`parse_fraction` of the field at `path`, parsing each distinct string
+    of a document once.
+
+    `parsed` maps the strings read so far to their values.  Only strings are
+    keys: a JSON true or 1.0 equals 1 and hashes like it, so a table keyed
+    on values would accept it as a cached "1".
+    """
+    fraction = parsed.get(value) if type(value) is str else None
+    if fraction is None:
+        try:
+            fraction = parse_fraction(value)
+        except ValueError as exc:
+            raise ValueError(f"{_path(path)}: {exc}") from None
+        if type(value) is str:
+            parsed[value] = fraction
+    return fraction
 
 
-def _objects(value: Any, path: str) -> list[tuple[str, dict]]:
-    """The JSON objects of a list, each with its path."""
+def _object(value: Any, path: _Path) -> dict:
+    if not isinstance(value, dict):
+        raise ValueError(f"{_path(path)} must be a JSON object, got {value!r}")
+    return value
+
+
+def _objects(value: Any, path: _Path) -> list[dict]:
+    """A list of JSON objects; the caller numbers them for their paths."""
     if not isinstance(value, list):
-        raise ValueError(f"{path} must be a list, got {value!r}")
+        raise ValueError(f"{_path(path)} must be a list, got {value!r}")
     for i, item in enumerate(value):
         if not isinstance(item, dict):
-            raise ValueError(f"{path}[{i}] must be a JSON object, got {item!r}")
-    return [(f"{path}[{i}].", item) for i, item in enumerate(value)]
+            raise ValueError(f"{_path((*path, i))} must be a JSON object, got {item!r}")
+    return value
 
 
 # ---------------------------------------------------------------------------
@@ -179,29 +222,30 @@ def config_from_json(data: Any) -> tuple[CurveConfig, frozenset[int], Base]:
     """Parse a scenario document into (config, default contracted, default base)."""
     if not isinstance(data, dict):
         raise ValueError("scenario document must be a JSON object")
+    parsed: dict[str, Fraction] = {}
     curves = [
         (
-            _int(_required(entry, "id", at), f"{at}id"),
-            _int(entry.get("genus", 0), f"{at}genus"),
-            _int(_required(entry, "self_intersection", at), f"{at}self_intersection"),
-            _fraction(entry.get("coeff", 0), f"{at}coeff"),
+            _required(entry, _int, ("curves", i, "id")),
+            _int(entry.get("genus", 0), ("curves", i, "genus")),
+            _required(entry, _int, ("curves", i, "self_intersection")),
+            _interned_fraction(entry.get("coeff", 0), parsed, ("curves", i, "coeff")),
         )
-        for at, entry in _objects(data.get("curves", []), "curves")
+        for i, entry in enumerate(_objects(data.get("curves", []), ("curves",)))
     ]
     points = []
-    for at, entry in _objects(data.get("points", []), "points"):
-        incident = _distinct_ints(_required(entry, "incident", at), f"{at}incident")
-        points.append((_int(_required(entry, "id", at), f"{at}id"), incident))
+    for i, entry in enumerate(_objects(data.get("points", []), ("points",))):
+        incident = _required(entry, _distinct_ints, ("points", i, "incident"))
+        points.append((_required(entry, _int, ("points", i, "id")), incident))
     rank = data.get("picard_rank_of_model")
     config = CurveConfig.build(
-        curves, points, None if rank is None else _int(rank, "picard_rank_of_model")
+        curves, points, None if rank is None else _int(rank, ("picard_rank_of_model",))
     )
-    contracted = frozenset(_distinct_ints(data.get("contracted", []), "contracted"))
+    contracted = frozenset(_distinct_ints(data.get("contracted", []), ("contracted",)))
     raw_base = data.get("base", "point")
     if raw_base == "point":
         base: Base = PointBase()
     elif isinstance(raw_base, dict) and "target" in raw_base:
-        base = TargetBase(_distinct_ints(raw_base["target"], "base.target"))
+        base = TargetBase(_distinct_ints(raw_base["target"], ("base", "target")))
     else:
         raise ValueError(f"expected base 'point' or {{'target': IDS}}, got {raw_base!r}")
     return config, contracted, base
@@ -263,39 +307,49 @@ def _fractions_to_json(values: dict[int, Fraction]) -> dict[str, str]:
     return {str(cid): str(value) for cid, value in sorted(values.items())}
 
 
-def _interned_fraction(
-    value: Any, parsed: dict[str, Fraction], path: str, key: str
-) -> Fraction:
-    """`_fraction` of the field `key` of `path`, parsing each distinct
-    string of a document once; the field's path is built only for an error.
-
-    `parsed` maps the strings read so far to their values.  Only strings are
-    keys: a JSON true or 1.0 equals 1 and hashes like it, so a table keyed
-    on values would accept it as a cached "1".
-    """
-    fraction = parsed.get(value) if type(value) is str else None
-    if fraction is None:
-        try:
-            fraction = parse_fraction(value)
-        except ValueError as exc:
-            raise ValueError(f"{path}.{key}: {exc}") from None
-        if type(value) is str:
-            parsed[value] = fraction
-    return fraction
+def _move_kind(value: Any, path: _Path) -> MoveKind:
+    try:
+        return MoveKind(value)
+    except ValueError as exc:
+        raise ValueError(f"{_path(path)}: {exc}") from None
 
 
 def _fractions_from_json(
-    data: Any, path: str, parsed: dict[str, Fraction]
-) -> dict[int, Fraction]:
-    if not isinstance(data, dict):
-        raise ValueError(f"{path} must be a JSON object, got {data!r}")
-    out = {}
-    for key, value in data.items():
+    data: dict,
+    parsed: dict[str, Fraction],
+    prior: tuple[dict, dict[int, Fraction]] | None,
+    path: _Path,
+) -> tuple[dict[int, Fraction], bool]:
+    """The map `data` by curve id, and whether its every value is a string.
+
+    `prior` is a raw map read before, every value a string, with its parse.
+    When `data` extends it by exactly one key (a C-level `items() >=`), the
+    result is a copy of the parse plus that one entry,
+    read alone: every other entry equals one already read, since a string
+    equals only the same string.  Any other map is read entry by entry.
+    Either way the first bad entry raises, with its path.
+    """
+    if (
+        prior is not None
+        and len(data) == len(prior[0]) + 1
+        and data.items() >= prior[0].items()
+    ):
+        raw, read = prior
+        (key,) = data.keys() - raw.keys()
+        entries: Iterable[tuple[Any, Any]] = ((key, data[key]),)
+        out = dict(read)
+    else:
+        entries = data.items()
+        out = {}
+    strings = True
+    for key, value in entries:
         cid = _read_id(key)
         if cid is None:
-            raise ValueError(f"{path} has a key {key!r} that is not a curve id")
-        out[cid] = _interned_fraction(value, parsed, path, key)
-    return out
+            raise ValueError(f"{_path(path)} has a key {key!r} that is not a curve id")
+        if type(value) is not str:
+            strings = False
+        out[cid] = _interned_fraction(value, parsed, (*path, key))
+    return out, strings
 
 
 def trace_to_json(config: CurveConfig, trace: DecompositionTrace) -> dict:
@@ -347,54 +401,58 @@ def trace_from_json(data: Any) -> tuple[str, DecompositionTrace]:
     its end set; "base": "point" marks a minimization over a point base.
     Each distinct fraction string is parsed once per document, in a table
     local to this call, so equal values read from equal strings are one
-    `Fraction` object; an error still names the first bad field's path.  A
-    step's "discrepancies_before" equal to the previous step's
-    "discrepancies_after", as a trace written by `trace_to_json` has it,
-    is that step's parsed dict itself, when every value of the latter is a
-    string: a string equals only the same string, so a bool or float that
-    equals a parsed JSON integer is still read, and rejected, on its own.
+    `Fraction` object; an error still names the first bad field's path.
+
+    Maps whose every value is a string are reused, as a trace written by
+    `trace_to_json` allows: a string equals only the same string, so a bool
+    or float that equals a parsed JSON integer is still read, and rejected,
+    on its own.  A step's "discrepancies_before" equal to the previous
+    step's "discrepancies_after" is that step's parsed dict itself, and a
+    "discrepancies_after" that extends its "before" by one key is a copy of
+    the parsed "before" plus that entry (`_fractions_from_json`), so a step
+    reads one entry.  Any other map is read in full.
     """
     if not isinstance(data, dict):
         raise ValueError("trace document must be a JSON object")
     parsed: dict[str, Fraction] = {}
     steps = []
-    raw_after = after = None
-    for at, entry in _objects(data.get("steps", []), "steps"):
-        try:
-            kind = MoveKind(_required(entry, "kind", at))
-        except ValueError as exc:
-            raise ValueError(f"{at}kind: {exc}") from None
+    # The last map read, with its parse, when its every value is a string.
+    prior: tuple[dict, dict[int, Fraction]] | None = None
+
+    def fraction(value: Any, path: _Path) -> Fraction:
+        return _interned_fraction(value, parsed, path)
+
+    for i, entry in enumerate(_objects(data.get("steps", []), ("steps",))):
+        kind = _required(entry, _move_kind, ("steps", i, "kind"))
         epsilon = None
         order = None
         if kind is MoveKind.FLOP:
-            eps = _required(entry, "epsilon", at)
-            if not isinstance(eps, dict):
-                raise ValueError(f"{at}epsilon must be a JSON object, got {eps!r}")
+            eps = _required(entry, _object, ("steps", i, "epsilon"))
             supremum = eps.get("supremum")
             epsilon = EpsilonChoice(
                 None
                 if supremum is None
-                else _interned_fraction(supremum, parsed, f"{at}epsilon", "supremum"),
-                _interned_fraction(
-                    _required(eps, "chosen", f"{at}epsilon."), parsed, f"{at}epsilon", "chosen"
-                ),
+                else fraction(supremum, ("steps", i, "epsilon", "supremum")),
+                _required(eps, fraction, ("steps", i, "epsilon", "chosen")),
             )
         else:
-            order = tuple(_ints(_required(entry, "order", at), f"{at}order"))
-        curve = _int(_required(entry, "curve", at), f"{at}curve")
-        raw_before = _required(entry, "discrepancies_before", at)
-        if (
-            raw_after is not None
-            and raw_before == raw_after
-            and all(type(v) is str for v in raw_after.values())
-        ):
-            before = after
+            order = tuple(_required(entry, _ints, ("steps", i, "order")))
+        curve = _required(entry, _int, ("steps", i, "curve"))
+        raw = _required(entry, _object, ("steps", i, "discrepancies_before"))
+        if prior is not None and raw == prior[0]:
+            before = prior[1]
         else:
-            before = _fractions_from_json(raw_before, f"{at}discrepancies_before", parsed)
-        raw_after = _required(entry, "discrepancies_after", at)
-        after = _fractions_from_json(raw_after, f"{at}discrepancies_after", parsed)
+            before, strings = _fractions_from_json(
+                raw, parsed, None, ("steps", i, "discrepancies_before")
+            )
+            prior = (raw, before) if strings else None
+        raw = _required(entry, _object, ("steps", i, "discrepancies_after"))
+        after, strings = _fractions_from_json(
+            raw, parsed, prior, ("steps", i, "discrepancies_after")
+        )
+        prior = (raw, after) if strings else None
         steps.append(MoveRecord(kind, curve, before, after, epsilon=epsilon, order=order))
-    end = frozenset(_distinct_ints(_required(data, "end", ""), "end"))
+    end = frozenset(_required(data, _distinct_ints, ("end",)))
     raw_base = data.get("base")
     if raw_base is None:
         base: Base = TargetBase(end)
@@ -404,8 +462,8 @@ def trace_from_json(data: Any) -> tuple[str, DecompositionTrace]:
         raise ValueError(f"base: expected 'point' or no key, got {raw_base!r}")
     trace = DecompositionTrace(
         tuple(steps),
-        _int(_required(data, "flop_minimal_index", ""), "flop_minimal_index"),
-        frozenset(_distinct_ints(_required(data, "start", ""), "start")),
+        _required(data, _int, ("flop_minimal_index",)),
+        frozenset(_required(data, _distinct_ints, ("start",))),
         end,
         base,
     )

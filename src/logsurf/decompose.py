@@ -292,7 +292,8 @@ def verify_trace(
     replay failure is reported in the result.  The replay runs on a fresh
     copy of `config`, so it neither reads nor fills the memo of the run that
     produced the trace.  Recorded discrepancies are compared on integers
-    (`_matches`).
+    (`_matches`), one call per distinct record: a step's "before" that is
+    the previous step's "after" object is not compared again.
     """
     config = CurveConfig(config.curves, config.points, config.picard_rank_of_model)
     start_set = frozenset(start)

@@ -263,8 +263,9 @@ class PicardRank:
 def relative_picard_rank(state: SurfaceState) -> PicardRank:
     state._checked
     if isinstance(state.base, TargetBase):
+        # `_checked` has proved the contracted set lies in the target.
         return PicardRank(
-            len(state.base.contracted_on_target - state.contracted),
+            len(state.base.contracted_on_target) - len(state.contracted),
             "relative-to-target",
         )
     rank = state.config.picard_rank_of_model

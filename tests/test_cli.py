@@ -22,9 +22,11 @@ from logsurf import (
     MoveKind,
     MoveRecord,
     StuckInPhase2Error,
+    TargetBase,
     TheoremViolationError,
     decompose_morphism,
     generate_crepant_pair,
+    verify_trace,
 )
 import logsurf.cli as cli
 
@@ -88,6 +90,42 @@ class TestScenarioDocuments:
     def test_rejects_bad_base(self):
         with pytest.raises(ValueError):
             cli.config_from_json({"curves": [], "points": [], "base": "sphere"})
+
+
+class TestParseFraction:
+    """`parse_fraction` reads a string `_FRACTION` accepts as `Fraction` reads
+    it, and rejects everything else with one message."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        st.sampled_from(["", " ", "\t", "\n "]),
+        st.from_regex(cli._FRACTION, fullmatch=True),
+        st.sampled_from(["", " ", "\t", " \n"]),
+    )
+    def test_equals_fraction_on_every_accepted_string(self, lead, text, trail):
+        value = cli.parse_fraction(lead + text + trail)
+        assert type(value) is Fraction and value == Fraction(text)
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.text(alphabet="0123456789+-/ _.eE\t", max_size=8) | st.integers())
+    def test_accepts_exactly_what_the_pattern_accepts(self, value):
+        if type(value) is int or cli._FRACTION.fullmatch(value.strip()):
+            assert cli.parse_fraction(value) == Fraction(value)
+        else:
+            with pytest.raises(ValueError):
+                cli.parse_fraction(value)
+
+    @pytest.mark.parametrize(
+        "value",
+        ["0.5", "1.", "1e-1", "1E2", "1/0", "-3/00", "1_000", "1/2_0", "", " ", "1/",
+         "/2", "+", "1/-2", "1/+2", "--1", "١", True, False, 0.5, 1.0, None, [1]],
+    )
+    def test_rejects_with_its_message(self, value):
+        with pytest.raises(ValueError) as raised:
+            cli.parse_fraction(value)
+        assert str(raised.value) == (
+            f"expected an integer or a fraction string 'p/q', got {value!r}"
+        )
 
 
 class TestValidateCommand:
@@ -603,6 +641,224 @@ class TestTraceInterning:
         with pytest.raises(ValueError) as raised:
             cli.trace_from_json(doc)
         assert str(raised.value).startswith("steps[0].discrepancies_after.4: ")
+
+
+# How a map of a trace document may follow the map before it.
+_RESHAPES = ("extend", "shrink", "repeat", "change", "non-string", "bad key")
+_GOOD_VALUES = ["0", "1", "-1", "1/2", "-2/3", "04/06", " 1/2", "3"]
+_NON_STRINGS = [1, True, 1.0, 0, False]
+_BAD_KEYS = ["03", "-0", "+1", "007", " 2", "x"]
+
+
+def _reshaped(draw, values: dict, how: str, next_key: int) -> dict:
+    """A copy of `values` reshaped as `how` says; "extend" adds `next_key`."""
+    out = dict(values)
+    if how == "extend":
+        out[str(next_key)] = draw(st.sampled_from(_GOOD_VALUES), label="new value")
+    elif how == "shrink" and out:
+        del out[draw(st.sampled_from(sorted(out)), label="dropped")]
+    elif how == "change" and out:
+        key = draw(st.sampled_from(sorted(out)), label="changed")
+        out[key] = draw(st.sampled_from(_GOOD_VALUES), label="changed to")
+    elif how == "non-string":
+        keys = sorted(out) + [str(next_key)]
+        out[draw(st.sampled_from(keys), label="at")] = draw(
+            st.sampled_from(_NON_STRINGS), label="non-string"
+        )
+    elif how == "bad key":
+        out[draw(st.sampled_from(_BAD_KEYS), label="bad key")] = "0"
+    return out
+
+
+def _reference_error(doc) -> str | None:
+    """The error that reading every map of `doc` in full, in document
+    order, meets first, as the reader reports it; None if there is none."""
+    for i, step in enumerate(doc["steps"]):
+        for name in ("discrepancies_before", "discrepancies_after"):
+            for key, value in step[name].items():
+                if not re.fullmatch(r"0|-?[1-9][0-9]*", key):
+                    return f"steps[{i}].{name} has a key {key!r} that is not a curve id"
+                try:
+                    cli.parse_fraction(value)
+                except ValueError as exc:
+                    return f"steps[{i}].{name}.{key}: {exc}"
+    return None
+
+
+class TestIncrementalReader:
+    """A map that extends the map before it by one key is read on its new
+    entry alone; every map reads as the full reference parse does, and a bad
+    map raises the error a full read of the document raises first."""
+
+    @pytest.mark.parametrize("where", ["first", "deep"])
+    @pytest.mark.parametrize("how", _RESHAPES)
+    @settings(max_examples=40, deadline=None)
+    @given(data=st.data())
+    def test_reads_as_the_reference(self, how, where, data):
+        length = data.draw(st.integers(1, 3) if where == "first" else st.integers(8, 12), label="steps")
+        at = 0 if where == "first" else data.draw(st.integers(6, length - 1), label="reshaped step")
+        maps = [data.draw(st.sampled_from([{}, {"1": "0"}, {"1": "-1", "2": "1/2"}]), label="start")]
+        for i in range(2 * length - 1):
+            step, is_after = divmod(i + 1, 2)
+            if is_after and step == at:
+                shape = how
+            elif is_after:
+                shape = data.draw(st.sampled_from(("extend",) * 4 + _RESHAPES), label="shape")
+            else:
+                shape = data.draw(st.sampled_from(("repeat",) * 4 + _RESHAPES), label="shape")
+            maps.append(_reshaped(data.draw, maps[-1], shape, 3 + i))
+        doc = {
+            "scenario_digest": "digest",
+            "start": [],
+            "end": [],
+            "flop_minimal_index": length,
+            "steps": [
+                {
+                    "kind": "flop",
+                    "curve": 1 + i,
+                    "epsilon": {"supremum": None, "chosen": "1/2"},
+                    "discrepancies_before": maps[2 * i],
+                    "discrepancies_after": maps[2 * i + 1],
+                }
+                for i in range(length)
+            ],
+        }
+        error = _reference_error(doc)
+        if error is None:
+            _, trace = cli.trace_from_json(doc)
+            assert trace.steps == _reference_steps(doc)
+        else:
+            with pytest.raises(ValueError) as raised:
+                cli.trace_from_json(doc)
+            assert str(raised.value) == error
+
+    @pytest.mark.parametrize(
+        "before, after, named",
+        [
+            # A JSON 1 equals true, so only a map of strings is extended.
+            ({"4": 1}, {"4": True, "3": "0"}, "steps[1].discrepancies_after.4: "),
+            ({"4": "1"}, {"4": "1", "3": True}, "steps[1].discrepancies_after.3: "),
+            ({"4": "1"}, {"4": "1", "3": 1.0}, "steps[1].discrepancies_after.3: "),
+            ({"4": "1"}, {"4": "1", "04": "0"}, "steps[1].discrepancies_after has a key '04'"),
+        ],
+    )
+    def test_a_bad_new_entry_is_rejected(self, before, after, named):
+        doc = _tower_trace_doc()
+        doc["steps"][0]["discrepancies_after"] = dict(before)
+        doc["steps"][1]["discrepancies_before"] = dict(before)
+        doc["steps"][1]["discrepancies_after"] = after
+        with pytest.raises(ValueError, match=re.escape(named)):
+            cli.trace_from_json(doc)
+
+    def test_a_written_trace_reads_one_entry_per_step(self, monkeypatch):
+        spec = generate_crepant_pair(helpers.corner(), 40, 7)
+        doc = json.loads(json.dumps(cli.trace_to_json(spec.config, decompose_morphism(spec))))
+        read = []
+        real = cli._read_id
+
+        def counting(key):
+            read.append(key)
+            return real(key)
+
+        monkeypatch.setattr(cli, "_read_id", counting)
+        _, trace = cli.trace_from_json(doc)
+        assert read == [str(step["curve"]) for step in doc["steps"]]
+        assert trace.steps == _reference_steps(doc)
+
+
+def _respelled(text: str) -> str:
+    """An equal fraction written another way: "-1/2" as "-2/4", "3" as "6/2"."""
+    value = Fraction(text)
+    return f"{2 * value.numerator}/{2 * value.denominator}"
+
+
+class TestTraceMutationSweep:
+    """One change to a written depth-40 trace makes `verify_trace` and
+    `logsurf verify` reject it at the changed step; an equal value written
+    another way is still accepted."""
+
+    # A blow-down step, late enough that its maps hold both 0 and -1.
+    STEP = 38
+
+    @pytest.fixture(scope="class", params=["corner", "boundary_chain"])
+    def written(self, request):
+        spec = generate_crepant_pair(getattr(helpers, request.param)(), 40, 11)
+        trace = decompose_morphism(spec)
+        doc = json.loads(json.dumps(cli.trace_to_json(spec.config, trace), sort_keys=True))
+        assert len(doc["steps"]) == 40
+        return spec.config, doc
+
+    def _verdicts(self, config, doc, tmp_path, capsys):
+        """`verify_trace`'s (ok, failure, step index) on the read document,
+        and `logsurf verify`'s exit code and error output."""
+        _, trace = cli.trace_from_json(json.loads(json.dumps(doc)))
+        result = verify_trace(config, trace.start, trace)
+        scenario = write_scenario(tmp_path / "scenario.json", config)
+        trace_path = tmp_path / "trace.json"
+        trace_path.write_text(json.dumps(doc, indent=2, sort_keys=True) + "\n", encoding="utf-8")
+        capsys.readouterr()
+        code = cli.main(["verify", scenario, "--trace", str(trace_path)])
+        return (result.ok, result.failure, result.step_index), code, capsys.readouterr().err
+
+    @pytest.mark.parametrize("field", ["discrepancies_after", "discrepancies_before"])
+    @pytest.mark.parametrize(
+        "mutation", ["inherited value", "new value", "drop a key", "add a key", "swap two values"]
+    )
+    def test_a_mutation_is_rejected_at_its_step(
+        self, written, mutation, field, tmp_path, capsys
+    ):
+        config, doc = written
+        doc = json.loads(json.dumps(doc))
+        steps = doc["steps"]
+        index = self.STEP
+        # The curve whose entry `field` added last: this step's, or the one
+        # before it for a "before" map.
+        new = str(steps[index if field == "discrepancies_after" else index - 1]["curve"])
+        record = steps[index][field]
+        inherited = sorted(key for key in record if key != new)
+        if mutation == "inherited value":
+            record[inherited[0]] = str(Fraction(record[inherited[0]]) + 1)
+        elif mutation == "new value":
+            record[new] = str(Fraction(record[new]) - 1)
+        elif mutation == "drop a key":
+            del record[inherited[-1]]
+        elif mutation == "add a key":
+            extra = min(c.id for c in config.curves if str(c.id) not in record)
+            record[str(extra)] = str(-config.curve(extra).boundary_coeff)
+        else:
+            other = next(key for key in inherited if record[key] != record[new])
+            record[other], record[new] = record[new], record[other]
+        which = "posterior" if field == "discrepancies_after" else "prior"
+        failure = f"recorded {which} discrepancies do not match"
+        verdict, code, err = self._verdicts(config, doc, tmp_path, capsys)
+        assert verdict == (False, failure, index)
+        assert code == 2
+        assert err == f"verification failed at step {index}: {failure}\n"
+
+    @pytest.mark.parametrize("where", ["new value", "inherited values", "every value"])
+    def test_an_equal_value_written_another_way_is_accepted(
+        self, written, where, tmp_path, capsys
+    ):
+        config, doc = written
+        doc = json.loads(json.dumps(doc))
+        steps = doc["steps"]
+        new = str(steps[self.STEP]["curve"])
+        records = (
+            [step[field] for step in steps for field in ("discrepancies_before", "discrepancies_after")]
+            if where == "every value"
+            else [steps[self.STEP]["discrepancies_after"]]
+        )
+        respelled = 0
+        for record in records:
+            for key, value in record.items():
+                if where == "new value" and key != new or where == "inherited values" and key == new:
+                    continue
+                record[key] = _respelled(value)
+                respelled += 1
+        assert respelled
+        verdict, code, err = self._verdicts(config, doc, tmp_path, capsys)
+        assert verdict == (True, None, None)
+        assert (code, err) == (0, "")
 
 
 class TestMinimizeCommand:
