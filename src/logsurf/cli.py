@@ -375,10 +375,7 @@ def trace_to_json(config: CurveConfig, trace: DecompositionTrace) -> dict:
         }
         if step.kind is MoveKind.FLOP:
             eps = step.epsilon
-            doc["epsilon"] = {
-                "supremum": None if eps.supremum is None else str(eps.supremum),
-                "chosen": str(eps.chosen),
-            }
+            doc["epsilon"] = {"supremum": str(eps.supremum), "chosen": str(eps.chosen)}
         else:
             doc["order"] = list(step.order)
         steps.append(doc)
@@ -428,11 +425,8 @@ def trace_from_json(data: Any) -> tuple[str, DecompositionTrace]:
         order = None
         if kind is MoveKind.FLOP:
             eps = _required(entry, _object, ("steps", i, "epsilon"))
-            supremum = eps.get("supremum")
             epsilon = EpsilonChoice(
-                None
-                if supremum is None
-                else fraction(supremum, ("steps", i, "epsilon", "supremum")),
+                _required(eps, fraction, ("steps", i, "epsilon", "supremum")),
                 _required(eps, fraction, ("steps", i, "epsilon", "chosen")),
             )
         else:
@@ -529,34 +523,32 @@ def _cmd_validate(args: argparse.Namespace) -> int:
     return 0
 
 
-def _resolve_contract(args: argparse.Namespace, default: frozenset[int]) -> frozenset[int]:
-    if getattr(args, "contract", None) is None:
-        return default
-    return frozenset(parse_ids(args.contract))
+def _load_state(args: argparse.Namespace, base: Base | None = None) -> SurfaceState:
+    """The state a command names: the scenario's checked configuration with
+    `--contract` (default: the scenario's set) over `base`, else `--base`
+    where the command has it, else the scenario's base."""
+    config, contracted, scenario_base = load_scenario(args.file)
+    require_valid(config)
+    if base is None:
+        text = getattr(args, "base", None)
+        base = scenario_base if text is None else parse_base(text)
+    if args.contract is not None:
+        contracted = frozenset(parse_ids(args.contract))
+    return SurfaceState(config, contracted, base)
 
 
 def _cmd_classify(args: argparse.Namespace) -> int:
-    config, default_contracted, base = load_scenario(args.file)
-    require_valid(config)
-    state = SurfaceState(config, _resolve_contract(args, default_contracted), base)
-    print(CLASS_NAMES[state.classification])
+    print(CLASS_NAMES[_load_state(args).classification])
     return 0
 
 
 def _cmd_discrepancies(args: argparse.Namespace) -> int:
-    config, default_contracted, base = load_scenario(args.file)
-    require_valid(config)
-    state = SurfaceState(config, _resolve_contract(args, default_contracted), base)
-    _print_discrepancies(state)
+    _print_discrepancies(_load_state(args))
     return 0
 
 
 def _cmd_flops(args: argparse.Namespace) -> int:
-    config, default_contracted, base = load_scenario(args.file)
-    require_valid(config)
-    if args.base is not None:
-        base = parse_base(args.base)
-    state = SurfaceState(config, _resolve_contract(args, default_contracted), base)
+    state = _load_state(args)
     for cid in sorted(state.uncontracted):
         check = is_log_flopping(state, cid)
         if check:
@@ -579,15 +571,13 @@ def _cmd_decompose(args: argparse.Namespace) -> int:
 
 
 def _cmd_minimize(args: argparse.Namespace) -> int:
-    config, default_contracted, _ = load_scenario(args.file)
-    require_valid(config)
-    state = SurfaceState(config, _resolve_contract(args, default_contracted), PointBase())
+    state = _load_state(args, PointBase())
     trace = minimize(state)
     _print_trace(trace)
     final = ",".join(str(cid) for cid in sorted(trace.end)) or "(none)"
     print(f"final contracted: {final}")
     if args.trace is not None:
-        _dump_json(trace_to_json(config, trace), args.trace)
+        _dump_json(trace_to_json(state.config, trace), args.trace)
     return 0
 
 

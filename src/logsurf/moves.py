@@ -1,8 +1,8 @@
 """The two elementary contraction moves and the predicates guarding them.
 
-A *flop-type contraction* removes a curve of log degree zero and negative
-image self-intersection that stays clear of every non-klt centre; it is
-crepant and keeps the pair log terminal.  A *log blow-down* removes a
+A *flop-type contraction* removes a curve of log degree zero, coefficient
+below 1 and negative image self-intersection from a log terminal state; it
+is crepant and keeps the pair log terminal.  A *log blow-down* removes a
 coefficient-1 rational curve whose image is a (−1)-curve joining two boundary
 branches through a smooth point, undoing a corner blow-up.
 
@@ -10,14 +10,13 @@ The flop predicate reports the first requirement that fails, cheapest
 first: the curve must be exceptional over the base, of log degree 0 and of
 coefficient below 1 (a coefficient-1 curve is itself a non-klt centre,
 `IsDivisorialCenter`); only then are the multiplicities λ solved for the
-image self-intersection, and last the curve is tested against the other
-non-klt centres.
+image self-intersection.
 
-Each predicate reads only the curve's neighbourhood: the contracted
-components a curve meets are found through its crossings and the state's
-curve → block index (`crepant.SurfaceState`), which a successor builds
-from its parent's when it is made, so a step of a run or a replay does not
-scan the whole contracted set or configuration.
+Each predicate reads only the curve's neighbourhood: the blow-down
+predicate finds the contracted components a curve meets through its
+crossings and the state's curve → block index (`crepant.SurfaceState`),
+which a successor builds from its parent's when it is made, so a step of a
+run or a replay does not scan the whole contracted set or configuration.
 
 The predicates and `epsilon_bound` decide on integers: a log degree, an
 image self-intersection or a multiplicity is an exact rational whose
@@ -76,12 +75,11 @@ class EpsilonChoice:
     """A witness interval for the perturbation argument.
 
     ``supremum`` is the least upper bound of admissible perturbations of the
-    flopping curve's coefficient (``None`` for unbounded); ``chosen`` is the
-    reproducible representative used by certificates — half the supremum, or
-    1/2 when unbounded.
+    flopping curve's coefficient, at most 1 − coefficient; ``chosen`` is the
+    reproducible representative used by certificates, half the supremum.
     """
 
-    supremum: Fraction | None
+    supremum: Fraction
     chosen: Fraction
 
 
@@ -135,7 +133,8 @@ class _Check:
 @dataclass(frozen=True)
 class FlopCheck(_Check):
     """Verdict plus, on success, the multiplicities λ_j of the contracted
-    curves in the pullback of the curve's image."""
+    curves in the pullback of the curve's image, which `epsilon_bound`
+    reads."""
 
     error = NotFloppingError
     noun = "of flop type"
@@ -144,14 +143,13 @@ class FlopCheck(_Check):
 
 @dataclass(frozen=True)
 class BlowdownCheck(_Check):
-    """Verdict plus, on success, the stepwise local contraction order and the
-    local models just before and just after the final contraction."""
+    """Verdict plus the stepwise local contraction order: on success the
+    adjacent contracted curves' order then the curve, on failure as far as
+    the simulation got.  A trace records it as the move's certificate."""
 
     error = NotABlowdownError
     noun = "a log blow-down"
     order: tuple[int, ...] = ()
-    local_before: LocalBlowdownModel | None = field(default=None, repr=False)
-    local_after: LocalBlowdownModel | None = field(default=None, repr=False)
 
 
 def _require_uncontracted(state: SurfaceState, cid: int) -> None:
@@ -175,18 +173,21 @@ def _survives_on_target(state: SurfaceState, cid: int) -> bool:
 def is_log_flopping(state: SurfaceState, cid: int) -> FlopCheck:
     """Test whether contracting `cid` is a flop-type divisorial contraction.
 
-    Requires: the curve is exceptional over the base, its log degree
-    vanishes, its own coefficient is below 1 (a coefficient-1 curve is a
-    divisorial non-klt centre), its image self-intersection is negative,
-    and it avoids every other non-klt centre.  The first requirement that
-    fails, in this order, is the reason reported.
+    Requires a log terminal state, then: the curve is exceptional over the
+    base, its log degree vanishes, its own coefficient is below 1 (a
+    coefficient-1 curve is a divisorial non-klt centre) and its image
+    self-intersection is negative.  The first requirement that fails, in
+    this order, is the reason reported: `NotExceptionalOverBase`,
+    `NonzeroLogDegree`, `IsDivisorialCenter` or `ImageNotNegative`.
 
-    The centre test reads only the contracted components the curve meets,
-    found through the state's block index, and reports the one of least id
-    holding a residual-1 curve: the first centre the curve meets in the
-    order of `crepant.lc_centers`.  No node centre can come first: a node
-    centre's two curves have residual 1, and an uncontracted curve's
-    residual is its coefficient, which is below 1 here.
+    Such a curve also avoids every other non-klt centre, with no test: it
+    passes through no node centre, whose two curves have residual 1 while
+    an uncontracted curve's residual is its coefficient; and it meets no
+    contracted component holding a residual-1 curve, since at a log
+    terminal state such a component contracts onto a corner of exactly two
+    coefficient-1 curves (`crepant.SurfaceState.classification`), and every
+    curve meeting the component survives its contraction, so a curve of
+    coefficient below 1 meeting it would break that corner.
     """
     _require_uncontracted(state, cid)
     _require_log_terminal(state)
@@ -202,14 +203,6 @@ def is_log_flopping(state: SurfaceState, cid: int) -> FlopCheck:
     image_self = image_self_intersection(state.config, cid, lam)
     if image_self.numerator >= 0:
         return fail("ImageNotNegative", f"image self-intersection is {image_self} ≥ 0")
-    ones = state.crepant.ones
-    images = [order for order, _ in state._blocks_meeting(cid) if not ones.isdisjoint(order)]
-    if images:
-        return fail(
-            "MeetsComponentImage",
-            f"curve {cid} meets contracted component {sorted(min(images, key=min))} "
-            "whose image is a non-klt point",
-        )
     return FlopCheck(state, cid, True, None, None, lam)
 
 
@@ -464,14 +457,11 @@ def _local_blowdown(
         )
     # Every other curve of the model met a contracted component, so it now
     # meets the image: contracting the image leaves exactly a and b.
-    local_before = model.clone()
     model.contract(cid)
     failure = corner_failure(model)
     if failure is not None:
         return fail(*failure, sim.order)
-    return BlowdownCheck(
-        state, cid, True, None, None, sim.order + (cid,), local_before, model
-    )
+    return BlowdownCheck(state, cid, True, None, None, sim.order + (cid,))
 
 
 def contract_blowdown(check: BlowdownCheck) -> SurfaceState:

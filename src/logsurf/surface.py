@@ -61,6 +61,12 @@ class Violation:
         return f"{self.kind}: {self.detail}"
 
 
+def _fraction(value: Fraction | int) -> Fraction:
+    """`value` as a `Fraction`: a `Fraction` as it is, an `int` or a
+    `Fraction` subclass normalised; a float or bool raises ``TypeError``."""
+    return value if type(value) is Fraction else Fraction(exact(value))
+
+
 @dataclass(frozen=True)
 class CurveConfig:
     """The master model: an immutable curve configuration.
@@ -94,7 +100,7 @@ class CurveConfig:
                 raise ValueError(f"point {pid} lists a curve twice: {list(row)}")
             built_points.append(CrossingPoint(pid, members))
         return cls(
-            tuple(Curve(i, g, s, Fraction(exact(d))) for i, g, s, d in curves),
+            tuple(Curve(i, g, s, _fraction(d)) for i, g, s, d in curves),
             tuple(built_points),
             picard_rank_of_model,
         )
@@ -338,7 +344,7 @@ def blow_up(
     curve's id from `next_curve_id` and the new points' ids from one above
     the largest point id.  The Picard rank, when recorded, goes up by 1.
     """
-    coeff = Fraction(exact(new_coeff))
+    coeff = _fraction(new_coeff)
     if not (0 <= coeff <= 1):
         raise BadCoefficientError(f"coefficient {coeff} outside [0, 1]")
     require_valid(config)
@@ -571,8 +577,8 @@ class LocalBlowdownModel:
     Tracks live self-intersections and crossing counts while core curves get
     contracted one at a time.  Crossings are per-curve partner maps, curve →
     {partner: count}, holding both ends of every crossing, so the pairing
-    stays symmetric; the present curves are the map's keys.  Genus and
-    coefficient never change under contraction, so clones share them.
+    stays symmetric; the present curves are the map's keys.  Contracting a
+    core curve removes it alone, so every non-core curve stays present.
     """
 
     def __init__(
@@ -605,15 +611,6 @@ class LocalBlowdownModel:
             {c.id: c.genus for c in curves},
             {c.id: c.boundary_coeff for c in curves},
             {c.id: c.self_intersection for c in curves},
-        )
-
-    def clone(self) -> "LocalBlowdownModel":
-        return LocalBlowdownModel(
-            set(self.core),
-            {cid: dict(near) for cid, near in self._links.items()},
-            self._genus,
-            self._coeff,
-            dict(self._selves),
         )
 
     @property

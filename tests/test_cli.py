@@ -449,7 +449,7 @@ _TRACE_STEP = st.one_of(
         "discrepancies_before": _TRACE_FRACTIONS,
         "discrepancies_after": _TRACE_FRACTIONS,
         "epsilon": st.fixed_dictionaries(
-            {"supremum": st.none() | _TRACE_VALUE, "chosen": _TRACE_VALUE}
+            {"supremum": _TRACE_VALUE, "chosen": _TRACE_VALUE}
         ),
     }),
     st.fixed_dictionaries({
@@ -482,9 +482,8 @@ def _reference_steps(doc) -> tuple[MoveRecord, ...]:
     for step in doc["steps"]:
         epsilon = order = None
         if step["kind"] == "flop":
-            supremum = step["epsilon"]["supremum"]
             epsilon = EpsilonChoice(
-                None if supremum is None else cli.parse_fraction(supremum),
+                cli.parse_fraction(step["epsilon"]["supremum"]),
                 cli.parse_fraction(step["epsilon"]["chosen"]),
             )
         else:
@@ -506,7 +505,7 @@ def _parsed_fractions(steps) -> list[Fraction]:
         out += step.discrepancies_before.values()
         out += step.discrepancies_after.values()
         if step.epsilon is not None:
-            out += [v for v in (step.epsilon.supremum, step.epsilon.chosen) if v is not None]
+            out += [step.epsilon.supremum, step.epsilon.chosen]
     return out
 
 
@@ -716,7 +715,7 @@ class TestIncrementalReader:
                 {
                     "kind": "flop",
                     "curve": 1 + i,
-                    "epsilon": {"supremum": None, "chosen": "1/2"},
+                    "epsilon": {"supremum": "1", "chosen": "1/2"},
                     "discrepancies_before": maps[2 * i],
                     "discrepancies_after": maps[2 * i + 1],
                 }
@@ -779,6 +778,8 @@ class TestTraceMutationSweep:
 
     # A blow-down step, late enough that its maps hold both 0 and -1.
     STEP = 38
+    # A flop step, before the split at step 36.
+    FLOP = 30
 
     @pytest.fixture(scope="class", params=["corner", "boundary_chain"])
     def written(self, request):
@@ -788,17 +789,74 @@ class TestTraceMutationSweep:
         assert len(doc["steps"]) == 40
         return spec.config, doc
 
-    def _verdicts(self, config, doc, tmp_path, capsys):
-        """`verify_trace`'s (ok, failure, step index) on the read document,
-        and `logsurf verify`'s exit code and error output."""
-        _, trace = cli.trace_from_json(json.loads(json.dumps(doc)))
-        result = verify_trace(config, trace.start, trace)
+    @staticmethod
+    def _verify_command(config, doc, tmp_path, capsys):
+        """`logsurf verify`'s exit code and error output on the document."""
         scenario = write_scenario(tmp_path / "scenario.json", config)
         trace_path = tmp_path / "trace.json"
         trace_path.write_text(json.dumps(doc, indent=2, sort_keys=True) + "\n", encoding="utf-8")
         capsys.readouterr()
         code = cli.main(["verify", scenario, "--trace", str(trace_path)])
-        return (result.ok, result.failure, result.step_index), code, capsys.readouterr().err
+        return code, capsys.readouterr().err
+
+    def _verdicts(self, config, doc, tmp_path, capsys):
+        """`verify_trace`'s (ok, failure, step index) on the read document,
+        and `logsurf verify`'s exit code and error output."""
+        _, trace = cli.trace_from_json(json.loads(json.dumps(doc)))
+        result = verify_trace(config, trace.start, trace)
+        code, err = self._verify_command(config, doc, tmp_path, capsys)
+        return (result.ok, result.failure, result.step_index), code, err
+
+    @pytest.mark.parametrize(
+        "mutation", ["epsilon.chosen", "epsilon.supremum", "order", "split + 1", "split - 1"]
+    )
+    def test_a_certificate_mutation_is_rejected_at_its_step(
+        self, written, mutation, tmp_path, capsys
+    ):
+        config, doc = written
+        doc = json.loads(json.dumps(doc))
+        steps = doc["steps"]
+        split = doc["flop_minimal_index"]
+        assert steps[self.FLOP]["kind"] == "flop" and split == 36
+        if mutation.startswith("epsilon."):
+            eps = steps[self.FLOP]["epsilon"]
+            name = mutation.removeprefix("epsilon.")
+            eps[name] = str(Fraction(eps[name]) / 3)
+            index, failure = self.FLOP, "recorded perturbation bound does not match"
+        elif mutation == "order":
+            order = steps[self.STEP]["order"]
+            assert order[0] != order[1]
+            order[0], order[1] = order[1], order[0]
+            index, failure = self.STEP, "recorded contraction order does not match"
+        elif mutation == "split + 1":
+            doc["flop_minimal_index"] = split + 1
+            index, failure = split, "step kind blowdown on the wrong side of the split"
+        else:
+            doc["flop_minimal_index"] = split - 1
+            index, failure = split - 1, "step kind flop on the wrong side of the split"
+        verdict, code, err = self._verdicts(config, doc, tmp_path, capsys)
+        assert verdict == (False, failure, index)
+        assert code == 2
+        assert err == f"verification failed at step {index}: {failure}\n"
+
+    @pytest.mark.parametrize("supremum", [None, "missing"])
+    def test_a_null_or_missing_supremum_fails_at_parse(
+        self, written, supremum, tmp_path, capsys
+    ):
+        config, doc = written
+        doc = json.loads(json.dumps(doc))
+        eps = doc["steps"][self.FLOP]["epsilon"]
+        path = f"steps[{self.FLOP}].epsilon.supremum"
+        if supremum is None:
+            eps["supremum"] = None
+            error = f"{path}: expected an integer or a fraction string 'p/q', got None"
+        else:
+            del eps["supremum"]
+            error = f"{path} is missing"
+        with pytest.raises(ValueError) as raised:
+            cli.trace_from_json(doc)
+        assert str(raised.value) == error
+        assert self._verify_command(config, doc, tmp_path, capsys) == (2, f"error: {error}\n")
 
     @pytest.mark.parametrize("field", ["discrepancies_after", "discrepancies_before"])
     @pytest.mark.parametrize(

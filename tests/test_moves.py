@@ -1,12 +1,14 @@
 """The two elementary contractions and their certificates and guards."""
 
 from fractions import Fraction
+import hashlib
 import random
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 import helpers
+import oracles
 import logsurf.crepant
 import logsurf.moves
 from logsurf import (
@@ -15,6 +17,7 @@ from logsurf import (
     CurveConfig,
     FlopCheck,
     InvalidStateError,
+    LogSurfaceError,
     NotABlowdownError,
     NotFloppingError,
     NotLogTerminalError,
@@ -127,10 +130,9 @@ class TestIsLogFlopping:
         assert check.multiplicities == {1: Fraction(1, 2)}
 
 
-def scanned_flop_verdict(state, cid, image_test=True):
-    """The flop check's (reason, detail) with its centre test scanning every
-    non-klt centre of `lc_centers` in order, node centres included; without
-    `image_test`, every image is taken to be negative."""
+def scanned_flop_verdict(state, cid):
+    """The flop check's (reason, detail) with a last test scanning every
+    non-klt centre of `lc_centers` in order, node centres included."""
     config = state.config
     if isinstance(state.base, TargetBase) and cid not in state.base.contracted_on_target:
         return "NotExceptionalOverBase", f"curve {cid} survives on the target model"
@@ -140,7 +142,7 @@ def scanned_flop_verdict(state, cid, image_test=True):
     if config.curve(cid).boundary_coeff == 1:
         return "IsDivisorialCenter", f"curve {cid} has coefficient 1"
     image_self = pushforward_self_intersection(state, cid)
-    if image_test and image_self >= 0:
+    if image_self >= 0:
         return "ImageNotNegative", f"image self-intersection is {image_self} ≥ 0"
     for center in lc_centers(state):
         if isinstance(center, NodeCenter) and cid in center.curves:
@@ -165,22 +167,20 @@ def _tower_sub_state(template, depth, seed, pick, over_target):
     return SurfaceState(spec.config, pick(sorted(target)), base)
 
 
-def _flop_verdicts_agree(state, image_test=True):
-    """Assert every uncontracted curve's flop verdict equals the scanned
-    reference, and return the reasons.
+def _flop_verdicts_agree(state):
+    """Assert every uncontracted curve's flop verdict at a log-terminal state
+    equals the reference that also scans every non-klt centre, which never
+    fails a curve for meeting one; return the reasons.
 
-    The centre test never fails at a log-terminal state: a curve of
-    coefficient below 1 that meets a component with a residual-1 curve
-    survives beside that component's corner, so the component fails the
-    corner test and the state is only log canonical.  A state that is not
-    log terminal is therefore let past the predicate's log-terminality
-    requirement, so that the centre test itself is compared."""
-    if state.classification < Classification.LOG_TERMINAL:
-        state.__dict__["classification"] = Classification.LOG_TERMINAL
+    A curve of coefficient below 1 meeting a contracted component that
+    holds a residual-1 curve would survive beside that component's corner,
+    so the state would be only log canonical."""
+    assert state.classification >= Classification.LOG_TERMINAL
     reasons = []
     for cid in state.uncontracted:
         check = is_log_flopping(state, cid)
-        expected = scanned_flop_verdict(state, cid, image_test)
+        expected = scanned_flop_verdict(state, cid)
+        assert expected[0] not in ("MeetsNodeCenter", "MeetsComponentImage"), cid
         assert (check.reason, check.detail) == expected, cid
         assert bool(check) is (check.reason is None)
         reasons.append(check.reason)
@@ -188,8 +188,9 @@ def _flop_verdicts_agree(state, image_test=True):
 
 
 class TestFlopCentres:
-    """The flop predicate's centre test, which reads only the contracted
-    components the curve meets, against a scan of every non-klt centre."""
+    """At a log-terminal state no curve the flop predicate can pass meets a
+    non-klt centre: the predicate, which tests none, agrees with a scan of
+    every centre."""
 
     @settings(max_examples=150, deadline=None)
     @given(
@@ -205,12 +206,13 @@ class TestFlopCentres:
         def pick(ids):
             return rng.sample(ids, rng.randint(0, len(ids)))
 
-        _flop_verdicts_agree(_tower_sub_state(template, depth, seed, pick, over_target))
+        state = _tower_sub_state(template, depth, seed, pick, over_target)
+        assume(state.classification >= Classification.LOG_TERMINAL)
+        _flop_verdicts_agree(state)
 
-    def test_the_sub_states_reach_the_centre_test_beside_both_kinds_of_centre(self):
+    def test_flops_pass_beside_both_kinds_of_centre(self):
         rng = random.Random(17)
         beside = {NodeCenter: 0, ComponentImage: 0}
-        reasons = []
         for seed in range(60):
             state = _tower_sub_state(
                 (helpers.corner, helpers.boundary_chain)[seed % 2],
@@ -219,39 +221,14 @@ class TestFlopCentres:
                 lambda ids: rng.sample(ids, rng.randint(0, len(ids))),
                 seed % 3 == 0,
             )
+            if state.classification < Classification.LOG_TERMINAL:
+                continue
             centers = lc_centers(state)
-            verdicts = _flop_verdicts_agree(state)
-            reasons += verdicts
-            for reason in verdicts:
-                if reason in (None, "MeetsComponentImage"):
+            for reason in _flop_verdicts_agree(state):
+                if reason is None:
                     for kind in beside:
                         beside[kind] += any(isinstance(c, kind) for c in centers)
         assert beside[NodeCenter] > 10 and beside[ComponentImage] > 10, beside
-        assert reasons.count("MeetsComponentImage") > 10 and None in reasons
-
-    def test_the_least_of_several_met_images_is_reported(self, monkeypatch):
-        # Curve 5 (coefficient 0, self-intersection 0) meets the contracted
-        # (−2)-curves 4 and 3, each of residual 1 between two coefficient-1
-        # curves; 1 and 6 cross at a node centre.  Its log degree is
-        # −2 + 1 + 1 = 0, but its image is positive: no such curve with a
-        # negative image meets two images, so the image is taken to be
-        # negative here, in the predicate and in the reference alike.
-        config = CurveConfig.build(
-            [(1, 0, 0, 1), (2, 0, 0, 1), (3, 0, -2, 0), (4, 0, -2, 0),
-             (5, 0, 0, 0), (6, 0, 0, 1), (7, 0, 0, 1)],
-            [(1, [5, 4]), (2, [5, 3]), (3, [1, 3]), (4, [2, 3]),
-             (5, [6, 4]), (6, [7, 4]), (7, [1, 6])],
-        )
-        state = SurfaceState(config, {3, 4})
-        assert state.crepant.ones >= {3, 4}
-        assert any(isinstance(c, NodeCenter) for c in lc_centers(state))
-        monkeypatch.setattr(logsurf.moves, "image_self_intersection", lambda *_: Fraction(-1))
-        reasons = _flop_verdicts_agree(state, image_test=False)
-        assert reasons[state.uncontracted.index(5)] == "MeetsComponentImage"
-        check = is_log_flopping(state, 5)
-        assert check.detail == (
-            "curve 5 meets contracted component [3] whose image is a non-klt point"
-        )
 
 
 class TestEpsilonBound:
@@ -283,7 +260,7 @@ class TestEpsilonBound:
     def test_perturbation_identity(self, config, contracted, cid):
         state = SurfaceState(config, contracted, TargetBase(contracted | {cid}))
         eps = epsilon_bound(is_log_flopping(state, cid))
-        assert eps.supremum is None or eps.supremum > 0
+        assert eps.supremum > 0
         image_square = pushforward_self_intersection(state, cid)
         old = config.curve(cid)
         perturbed = CurveConfig(
@@ -540,22 +517,28 @@ class TestIsLogBlowdown:
                 assert asked > 10
 
     def test_round_trip_with_corner_blow_up(self):
+        # The dense oracle contracts the met curves in the check's order,
+        # leaving the curve a (−1)-curve on two coefficient-1 curves a and b;
+        # contracting it leaves a and b crossing once, each square one up.
         for state, cid in [
             (tower_state({4}), 3),
             (SurfaceState(helpers.corner_once(), set()), 3),
         ]:
             check = is_log_blowdown(state, cid)
             assert check
-            before, after = check.local_before, check.local_after
-            a, b = before.partners(cid)
-            assert before.self_intersection(cid) == -1
-            assert before.crossings(cid, a) == 1
-            assert before.crossings(cid, b) == 1
-            assert before.crossings(a, b) == after.crossings(a, b) - 1
-            assert before.self_intersection(a) == after.self_intersection(a) - 1
-            assert before.self_intersection(b) == after.self_intersection(b) - 1
-            assert after.crossings(a, b) == 1
-            assert after.coeff(a) == 1 and after.coeff(b) == 1
+            oracle = oracles.DenseContraction(state.config, state.contracted | {cid})
+            assert oracle.lowest_id_order(state.contracted) + (cid,) == check.order
+            a, b = (o for o in oracle.selves if o != cid and oracle.table[(cid, o)])
+            assert oracle.selves[cid] == -1
+            assert oracle.table[(cid, a)] == oracle.table[(cid, b)] == 1
+            before = oracle.table[(a, b)], oracle.selves[a], oracle.selves[b]
+            oracle.contract(cid)
+            assert set(oracle.selves) == {a, b}
+            assert (oracle.table[(a, b)], oracle.selves[a], oracle.selves[b]) == (
+                before[0] + 1, before[1] + 1, before[2] + 1
+            )
+            assert oracle.table[(a, b)] == 1
+            assert state.config.curve(a).boundary_coeff == state.config.curve(b).boundary_coeff == 1
 
 
 class TestContractBlowdown:
@@ -654,3 +637,45 @@ class TestLowestFlop:
         for find in (lowest_flop, lambda s: lowest_passing(s, is_log_flopping)):
             with pytest.raises(InvalidStateError):
                 find(SurfaceState(helpers.corner(), {1}))
+
+
+def _outcome(predicate, state, cid):
+    """The check's verdict, or the raised exception's class and message."""
+    try:
+        return predicate(state, cid)
+    except LogSurfaceError as exc:
+        return type(exc).__name__, str(exc)
+
+
+class TestGoldenChecks:
+    """Every move check on seeded tower sub-states, pinned by digest."""
+
+    def test_move_checks(self):
+        digest = hashlib.sha256()
+        rng = random.Random(5)
+        for template in (helpers.corner, helpers.boundary_chain):
+            for depth in range(6, 16):
+                for seed in range(4):
+                    spec = generate_crepant_pair(template(), depth, seed)
+                    target = sorted(spec.target_contracted)
+                    for _ in range(3):
+                        contracted = rng.sample(target, rng.randint(0, len(target)))
+                        for base in (PointBase(), TargetBase(target)):
+                            state = SurfaceState(spec.config, contracted, base)
+                            lines = [state.classification.name]
+                            for cid in state.uncontracted:
+                                flop = _outcome(is_log_flopping, state, cid)
+                                if isinstance(flop, FlopCheck):
+                                    lines.append((flop.ok, flop.reason, flop.detail))
+                                    if flop:
+                                        eps = epsilon_bound(flop)
+                                        lines.append(sorted(flop.multiplicities.items()))
+                                        lines.append((eps.supremum, eps.chosen))
+                                else:
+                                    lines.append(flop)
+                                down = _outcome(is_log_blowdown, state, cid)
+                                lines.append((down.ok, down.reason, down.detail, down.order))
+                            digest.update(repr(lines).encode())
+        assert digest.hexdigest() == (
+            "68a459000de83bcde894c90c971225f6d0c79ec5885c8aa94fde0d763b869b30"
+        )
