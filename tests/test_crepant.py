@@ -1,5 +1,6 @@
 """Pullback coefficients, classification, non-klt centres, image intersections."""
 
+import collections
 from fractions import Fraction
 import random
 
@@ -1174,6 +1175,207 @@ class TestCornerMemo:
         for component, verdict in memo.items():
             sim = real(fresh, component)
             assert verdict == (bool(sim) and corner_failure(sim.final) is None)
+
+
+def cold_classification(state):
+    """`state.classification` decided again on a fresh copy, by the cold path."""
+    return SurfaceState(fresh(state.config), state.contracted, state.base).classification
+
+
+@pytest.fixture
+def made(monkeypatch):
+    """Every state `SurfaceState.successor` makes."""
+    states = []
+    real = SurfaceState.successor
+
+    def recording(self, cid):
+        new = real(self, cid)
+        states.append(new)
+        return new
+
+    monkeypatch.setattr(SurfaceState, "successor", recording)
+    return states
+
+
+def tower_sub_states(rng, count):
+    """`count` random sub-states of seeded towers of both templates, each on
+    a fresh copy of its configuration."""
+    specs = [
+        generate_crepant_pair(template(), depth, seed)
+        for template in (helpers.corner, helpers.boundary_chain)
+        for depth, seed in ((8, 1), (16, 2), (24, 3), (40, 4))
+    ]
+    for _ in range(count):
+        spec = rng.choice(specs)
+        ids = sorted(spec.target_contracted)
+        yield SurfaceState(fresh(spec.config), rng.sample(ids, rng.randint(0, len(ids))))
+
+
+class TestSuccessorVerdict:
+    """A state made by a move from a state of known verdict at least
+    LOG_TERMINAL is classified from that verdict and its grown block; every
+    such verdict equals the cold one on a fresh copy."""
+
+    @pytest.mark.parametrize("template", [helpers.corner, helpers.boundary_chain])
+    def test_every_state_of_decompositions_and_replays(self, template, made):
+        for depth in (1, 6, 12, 25, 40):
+            for seed in range(3):
+                spec = generate_crepant_pair(template(), depth, seed)
+                trace = decompose_morphism(spec)
+                run = list(made)
+                assert verify_trace(spec.config, trace.start, trace)
+                # Each state of the run is made from a classified parent.
+                assert len(run) == len(trace.steps)
+                assert all("_inherited_verdict" in state.__dict__ for state in run)
+                for state in made:
+                    assert state.classification is cold_classification(state)
+                made.clear()
+
+    def test_every_state_of_chain_minimisations(self, made):
+        rng = random.Random(7)
+        chains = [[2] * 12, [2, 3, 2, 2, 4, 2, 2]]
+        chains += [[rng.choice((2, 2, 2, 3, 4)) for _ in range(n)] for n in (20, 40, 60)]
+        for bs in chains:
+            config = hj_chain(bs)
+            trace = minimize(SurfaceState(config, ()))
+            assert trace.steps and verify_trace(config, trace.start, trace)
+            assert "_inherited_verdict" in made[0].__dict__
+            for state in made:
+                assert state.classification is cold_classification(state)
+            made.clear()
+
+    def test_successors_of_random_log_terminal_sub_states(self):
+        rng = random.Random(23)
+        seen = collections.Counter()
+        for parent in tower_sub_states(rng, 150):
+            verdict = parent.classification
+            if verdict < Classification.LOG_TERMINAL:
+                continue
+            for cid in parent.uncontracted:
+                try:
+                    new = parent.successor(cid)
+                except InvalidStateError:
+                    continue
+                got = new.classification
+                assert got is cold_classification(new)
+                if "_inherited_verdict" in new.__dict__:
+                    seen[verdict, got] += 1
+        # Both outcomes of a LOG_TERMINAL parent's grown-block test occur.
+        assert seen[Classification.LOG_TERMINAL, Classification.LOG_TERMINAL] > 50
+        assert seen[Classification.LOG_TERMINAL, Classification.LOG_CANONICAL] > 50
+
+    @pytest.mark.parametrize("ends", [None, (Fraction(1, 3), Fraction(6, 7))])
+    def test_successors_of_klt_chain_sub_states(self, ends):
+        rng = random.Random(31)
+        seen = collections.Counter()
+        for _ in range(40):
+            bs = [rng.choice((2, 2, 2, 3, 4)) for _ in range(rng.randint(2, 20))]
+            picked = [i for i in range(1, len(bs) + 1) if rng.random() < 0.5]
+            parent = SurfaceState(hj_chain(bs, *(ends or (None, None))), picked)
+            verdict = parent.classification
+            for cid in parent.uncontracted:
+                try:
+                    new = parent.successor(cid)
+                except InvalidStateError:
+                    continue
+                assert new.classification is cold_classification(new)
+                if "_inherited_verdict" in new.__dict__:
+                    seen[verdict, new.classification] += 1
+        assert seen[Classification.KLT, Classification.KLT] > 10
+
+    def test_a_parent_read_later_leaves_its_successor_cold(self):
+        # The parent's verdict is taken only if it is known when the
+        # successor is made; no link to the parent is kept.
+        spec = generate_crepant_pair(helpers.corner(), 12, 2)
+        parent = SurfaceState(spec.config, spec.source_contracted, TargetBase(spec.target_contracted))
+        parent._checked
+        cid = min(spec.target_contracted - spec.source_contracted)
+        new = parent.successor(cid)
+        assert parent.classification >= Classification.LOG_TERMINAL
+        assert "_inherited_verdict" not in new.__dict__
+        assert not any(value is parent for value in vars(new).values())
+        assert new.classification is cold_classification(new)
+
+
+class TestDeterminantPretest:
+    """A component whose Gram determinant is not ±1 cannot contract to a
+    smooth point, so its corner verdict is False with no simulation."""
+
+    @staticmethod
+    def connected_subsets(rng, count):
+        """Random connected subsets of seeded towers' target sets, each on a
+        fresh copy, kept when they hold a residual-1 curve."""
+        specs = [
+            generate_crepant_pair(template(), depth, seed)
+            for template in (helpers.corner, helpers.boundary_chain)
+            for depth, seed in ((10, 5), (20, 6), (40, 7))
+        ]
+        while count:
+            spec = rng.choice(specs)
+            config = fresh(spec.config)
+            picked = {rng.choice(sorted(spec.target_contracted))}
+            size = rng.randint(1, len(spec.target_contracted))
+            while len(picked) < size:
+                front = sorted(
+                    j
+                    for cid in picked
+                    for j in config._adjacency[cid]
+                    if j in spec.target_contracted and j not in picked
+                )
+                if not front:
+                    break
+                picked.add(rng.choice(front))
+            state = SurfaceState(config, picked)
+            if not state.crepant.ones.isdisjoint(picked):
+                count -= 1
+                yield state
+
+    def test_memo_verdicts_and_simulations(self, monkeypatch):
+        simulated = []
+        real = logsurf.crepant.smooth_point_blowdown
+
+        def counting(config, gamma):
+            simulated.append((config, frozenset(gamma)))
+            return real(config, gamma)
+
+        monkeypatch.setattr(logsurf.crepant, "smooth_point_blowdown", counting)
+        rng = random.Random(41)
+        unimodular = skipped = 0
+        for state in self.connected_subsets(rng, 200):
+            config = state.config
+            (component,) = state.components
+            assert component == state.contracted
+            state.classification
+            memo = config._corner_memo
+            assert set(memo) == {component}
+            ((_, factor),) = factor_blocks(config, component)
+            sim = real(fresh(config), component)
+            assert memo[component] == (bool(sim) and corner_failure(sim.final) is None)
+            if abs(factor.determinant()) == 1:
+                assert simulated == [(config, component)]
+                unimodular += 1
+            else:
+                assert simulated == [] and memo[component] is False
+                skipped += 1
+            simulated.clear()
+        assert unimodular > 20 and skipped > 20
+
+    def test_sub_states_with_several_components(self, monkeypatch):
+        simulated = []
+        real = logsurf.crepant.smooth_point_blowdown
+
+        def counting(config, gamma):
+            simulated.append(frozenset(gamma))
+            return real(config, gamma)
+
+        monkeypatch.setattr(logsurf.crepant, "smooth_point_blowdown", counting)
+        rng = random.Random(43)
+        for state in tower_sub_states(rng, 100):
+            assert state.classification is comparison_classification(state)
+            for component in simulated:
+                ((_, factor),) = factor_blocks(state.config, component)
+                assert abs(factor.determinant()) == 1
+            simulated.clear()
 
 
 coefficients = st.fractions(min_value=0, max_value=1, max_denominator=7).filter(lambda x: x < 1)

@@ -1,10 +1,12 @@
 """End-to-end drivers: two-phase factorization, minimization, trace replay, generation."""
 
+import collections
 from collections import OrderedDict
 import dataclasses
 import functools
 import hashlib
 import json
+import random
 from fractions import Fraction
 from types import MappingProxyType
 
@@ -24,6 +26,7 @@ from logsurf import (
     NotNefError,
     NotNestedError,
     StuckInPhase2Error,
+    CrossingPoint,
     CurveConfig,
     PointBase,
     SurfaceState,
@@ -664,6 +667,77 @@ class TestGenerateCrepantPair:
                 spec = generate_crepant_pair(template(), depth, seed)
                 assert config_digest(spec.config) == config_digest(config), (depth, seed)
                 assert spec.target_contracted == targets
+
+
+def relabelled(config: CurveConfig, rng) -> tuple[CurveConfig, dict[int, int]]:
+    """`config` with its curve ids and point ids sent to random distinct ids,
+    its curves and points listed in a random order, and the curve map."""
+    n, m = len(config.curves), len(config.points)
+    sigma = dict(zip((c.id for c in config.curves), rng.sample(range(1, 5 * n + 1), n)))
+    point_ids = rng.sample(range(1, 5 * m + 2), m)
+    curves = [dataclasses.replace(c, id=sigma[c.id]) for c in config.curves]
+    points = [
+        CrossingPoint(pid, frozenset(sigma[cid] for cid in p.incident))
+        for pid, p in zip(point_ids, config.points)
+    ]
+    rng.shuffle(curves)
+    rng.shuffle(points)
+    return CurveConfig(tuple(curves), tuple(points), config.picard_rank_of_model), sigma
+
+
+class TestRelabelling:
+    """Relabelled towers sample other move orders through the real drivers:
+    every driver picks the lowest id, so new ids give a new order, and the
+    outcome must be the old one renamed."""
+
+    @pytest.mark.parametrize("template", [helpers.corner, helpers.boundary_chain])
+    def test_decompositions_agree_up_to_the_relabelling(self, template):
+        rng = random.Random(17)
+        reordered = runs = 0
+        for depth in (8, 20, 40):
+            for seed in range(3):
+                spec = generate_crepant_pair(template(), depth, seed)
+                trace = decompose_morphism(spec)
+                for _ in range(2):
+                    config, sigma = relabelled(spec.config, rng)
+                    start = {sigma[cid] for cid in spec.source_contracted}
+                    moved = decompose_morphism(
+                        MorphismSpec(config, start, {sigma[cid] for cid in spec.target_contracted})
+                    )
+                    assert collections.Counter(s.kind for s in moved.steps) == collections.Counter(
+                        s.kind for s in trace.steps
+                    )
+                    assert moved.flop_minimal_index == trace.flop_minimal_index
+                    assert moved.steps[-1].discrepancies_after == {
+                        sigma[cid]: value
+                        for cid, value in trace.steps[-1].discrepancies_after.items()
+                    }
+                    assert verify_trace(config, start, moved)
+                    inverse = {new: old for old, new in sigma.items()}
+                    runs += 1
+                    reordered += [inverse[s.curve] for s in moved.steps] != [
+                        s.curve for s in trace.steps
+                    ]
+        assert reordered > runs // 2
+
+    def test_sub_states_agree_up_to_the_relabelling(self):
+        rng = random.Random(19)
+        seen = set()
+        for template in (helpers.corner, helpers.boundary_chain):
+            for depth, seed in ((8, 3), (24, 4), (40, 5)):
+                spec = generate_crepant_pair(template(), depth, seed)
+                ids = sorted(spec.target_contracted)
+                for _ in range(15):
+                    picked = rng.sample(ids, rng.randint(0, len(ids)))
+                    config, sigma = relabelled(spec.config, rng)
+                    state = SurfaceState(spec.config, picked)
+                    moved = SurfaceState(config, [sigma[cid] for cid in picked])
+                    assert moved.classification is state.classification
+                    assert moved.crepant.discrepancies == {
+                        sigma[cid]: value for cid, value in state.crepant.discrepancies.items()
+                    }
+                    seen.add(state.classification)
+        assert {Classification.LOG_TERMINAL, Classification.LOG_CANONICAL} <= seen
 
 
 def chain_config(bs) -> CurveConfig:
