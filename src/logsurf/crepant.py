@@ -24,14 +24,13 @@ from enum import IntEnum
 from fractions import Fraction
 from functools import cached_property
 from types import MappingProxyType
-from typing import ClassVar, Iterable, Mapping
+from typing import Iterable, Mapping
 
 from .errors import (
     InvalidStateError,
     NotNestedError,
     UnknownIdError,
 )
-from .ratlin import DefiniteFactor
 from .surface import (
     Block,
     CurveConfig,
@@ -353,11 +352,7 @@ class SurfaceState:
         holds, this state's residuals solve the new system, uniquely, so its
         read-only mapping and its table of facts (`SolutionFacts`) are
         stored as the new state's solution, with no solve and no copy.
-        Otherwise the new set is solved cold when asked.  When this state's
-        verdict has been read, is at least LOG_TERMINAL and the solution is
-        inherited, the verdict and the grown block are kept for the new
-        state's `classification`, which then reads nothing else of this
-        state.
+        Otherwise the new set is solved cold when asked.
         """
         self._checked
         config = self.config
@@ -372,17 +367,9 @@ class SurfaceState:
         index.update(dict.fromkeys(block[0], block))
         new.__dict__["_checked"] = index
         memo = config._crepant_memo
-        unsolved = new.contracted not in memo
-        verdict = self.__dict__.get("classification", Classification.NOT_LC)
-        known = verdict >= Classification.LOG_TERMINAL
-        if (unsolved or known) and log_degree(self, cid).numerator == 0:
-            if unsolved:
-                inherited = self.crepant
-                memo[new.contracted] = CrepantData(
-                    inherited.residual, new.contracted, inherited.facts
-                )
-            if known:
-                new.__dict__["_inherited_verdict"] = (verdict, block)
+        if new.contracted not in memo and log_degree(self, cid).numerator == 0:
+            inherited = self.crepant
+            memo[new.contracted] = CrepantData(inherited.residual, new.contracted, inherited.facts)
         return new
 
     @cached_property
@@ -408,11 +395,6 @@ class SurfaceState:
             )
         )
 
-    # On a state made by `successor` from a parent of known verdict at least
-    # LOG_TERMINAL, with the parent's solution: that verdict and the block
-    # the added curve grew.
-    _inherited_verdict: ClassVar[tuple[Classification, Block] | None] = None
-
     @cached_property
     def classification(self) -> Classification:
         """Classify the contraction by its residual coefficients.
@@ -420,73 +402,45 @@ class SurfaceState:
         A residual above 1 (a discrepancy below −1) on a contracted curve
         rules out log canonical.  With residuals at most 1, each component
         carrying a residual-1 curve must contract stepwise to a smooth point
-        that is a normal-crossing corner of the boundary — failing that
-        leaves the state merely log canonical.  KLT further requires every
-        residual and every surviving coefficient strictly below 1.  Every
-        test is a set test on the solution's shared residual-1 and
-        residual-above-1 curves (`CrepantData.ones`, `CrepantData.above_one`):
-        uncontracted residuals are the coefficients, which validation keeps
-        at most 1, so KLT means that no curve has residual 1.
+        that is a normal-crossing corner of the boundary
+        (`surface.corner_failure`) — failing that leaves the state merely
+        log canonical.  KLT further requires every residual and every
+        surviving coefficient strictly below 1.  Every test is a set test on
+        the solution's shared residual-1 and residual-above-1 curves
+        (`CrepantData.ones`, `CrepantData.above_one`): uncontracted
+        residuals are the coefficients, which validation keeps at most 1,
+        so KLT means that no curve has residual 1.
 
-        A state `successor` made from a state of known verdict at least
-        LOG_TERMINAL, with that state's solution, is decided from that
-        verdict.  The two share their residual-1 and residual-above-1
-        curves, the added curve's residual is its coefficient, and every
-        component but the grown block is one of the parent's.  So a KLT
-        parent gives KLT, and a LOG_TERMINAL parent gives LOG_TERMINAL
-        unless the grown block carries a residual-1 curve and is no corner
-        (`_is_corner`).  Any other state reads every component of its block
-        index, in order of least id, and asks `_is_corner` of each that
-        carries a residual-1 curve.
+        Each point blow-up adds one class of square −1, so a set that
+        contracts to a smooth point has a unimodular Gram matrix
+        (Hartshorne, *Algebraic Geometry*, V.3.2): a component whose
+        determinant, its block factor's last pivot, is not ±1 is no corner,
+        and is not simulated.  Any other component carrying a residual-1
+        curve is simulated (`surface.smooth_point_blowdown`, which asserts
+        that determinant after every successful contraction).
         """
-        self._checked
+        index = self._checked
         data = self.crepant
-        inherited = self._inherited_verdict
-        if inherited is not None:
-            verdict, (order, factor) = inherited
-            if (
-                verdict is Classification.KLT
-                or data.ones.isdisjoint(order)
-                or _is_corner(self.config, frozenset(order), factor)
-            ):
-                return verdict
-            return Classification.LOG_CANONICAL
         if not data.above_one.isdisjoint(self.contracted):
             return Classification.NOT_LC
         ones = data.ones
         if not ones:
             return Classification.KLT
-        index = self._checked
+        # A component's residuals and its contraction depend only on the
+        # configuration and the component, so its verdict is memoised.
+        corners = self.config._corner_memo
         for component in self.components:
             if not component.isdisjoint(ones):
-                if not _is_corner(self.config, component, index[next(iter(component))][1]):
+                if component not in corners:
+                    factor = index[next(iter(component))][1]
+                    if abs(factor.determinant()) != 1:
+                        corners[component] = False
+                    else:
+                        sim = smooth_point_blowdown(self.config, component)
+                        corners[component] = bool(sim) and corner_failure(sim.final) is None
+                if not corners[component]:
                     return Classification.LOG_CANONICAL
         return Classification.LOG_TERMINAL
-
-
-def _is_corner(config: CurveConfig, component: frozenset[int], factor: DefiniteFactor) -> bool:
-    """Whether the connected set `component`, whose block factor is
-    `factor`, contracts stepwise to a smooth point that is a normal-crossing
-    corner of the boundary (`surface.corner_failure`), memoised in the
-    configuration's `_corner_memo`.
-
-    Each point blow-up adds one class of square −1, so a set that contracts
-    to a smooth point has a unimodular Gram matrix (Hartshorne, *Algebraic
-    Geometry*, V.3.2): a set whose determinant, the factor's last pivot, is
-    not ±1 is no corner, and is not simulated.  Any other set is simulated
-    (`surface.smooth_point_blowdown`, which asserts that determinant after
-    every successful contraction).
-    """
-    corners = config._corner_memo
-    verdict = corners.get(component)
-    if verdict is None:
-        if abs(factor.determinant()) != 1:
-            verdict = False
-        else:
-            sim = smooth_point_blowdown(config, component)
-            verdict = bool(sim) and corner_failure(sim.final) is None
-        corners[component] = verdict
-    return verdict
 
 
 def classify(state: SurfaceState) -> Classification:

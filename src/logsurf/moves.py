@@ -17,7 +17,8 @@ contracted components a curve meets through its crossings and the state's
 curve → block index (`crepant.SurfaceState`), which a successor builds
 from its parent's when it is made, so it does not scan the whole
 contracted set or configuration.  The flop predicate solves for λ only on
-the blocks of those components, and `epsilon_bound` reads λ only there.
+the blocks of those components, but its map of λ, which `epsilon_bound`
+reads, holds every contracted curve.
 
 The predicates and `epsilon_bound` decide on integers: a log degree, an
 image self-intersection or a multiplicity is an exact rational whose
@@ -217,10 +218,8 @@ def epsilon_bound(check: FlopCheck) -> EpsilonChoice:
     the solution's common denominator Δ and numerator N = Δ·e
     (`crepant.SolutionFacts`) and λ = a/b, that is (Δ − N)·b / (Δ·a), both
     integers.  λ > 0 is read off a; the least bound is kept as an integer
-    pair p/q with q > 0 and replaced when (Δ − N)·b·q < p·Δ·a.  λ is read
-    only on the blocks of the components the curve meets
-    (`crepant.SurfaceState._blocks_meeting`), since it is exactly 0
-    elsewhere.  The two values returned are the only `Fraction`s built.
+    pair p/q with q > 0 and replaced when (Δ − N)·b·q < p·Δ·a.  The two
+    values returned are the only `Fraction`s built.
     """
     check.require()
     state = check.state
@@ -228,16 +227,13 @@ def epsilon_bound(check: FlopCheck) -> EpsilonChoice:
     q = coeff.denominator
     p = q - coeff.numerator
     delta, numerators = state.crepant.scaled
-    multiplicities = check.multiplicities
-    for order, _ in state._blocks_meeting(check.curve):
-        for j in order:
-            lam = multiplicities[j]
-            a = lam.numerator
-            if a > 0:
-                num = (delta - numerators[j]) * lam.denominator
-                den = delta * a
-                if num * q < p * den:
-                    p, q = num, den
+    for j, lam in check.multiplicities.items():
+        a = lam.numerator
+        if a > 0:
+            num = (delta - numerators[j]) * lam.denominator
+            den = delta * a
+            if num * q < p * den:
+                p, q = num, den
     return EpsilonChoice(Fraction(p, q), Fraction(p, 2 * q))
 
 

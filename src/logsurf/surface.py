@@ -171,11 +171,9 @@ class CurveConfig:
         """Connected curve sets mapped to whether they contract stepwise to
         a smooth point that is a normal-crossing corner of the boundary.
 
-        Filled by `crepant._is_corner` alone, on both paths of
-        `crepant.SurfaceState.classification`: the cold path asks it of each
-        component carrying a residual-1 curve, a state made by a move only
-        of the block its curve grew.  A set whose Gram determinant is not
-        ±1 is entered as False without a simulation.
+        Filled by `crepant.SurfaceState.classification`, which asks it of
+        each component carrying a residual-1 curve.  A component whose Gram
+        determinant is not ±1 is entered as False without a simulation.
         """
         return {}
 

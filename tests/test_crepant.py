@@ -1212,9 +1212,8 @@ def tower_sub_states(rng, count):
 
 
 class TestSuccessorVerdict:
-    """A state made by a move from a state of known verdict at least
-    LOG_TERMINAL is classified from that verdict and its grown block; every
-    such verdict equals the cold one on a fresh copy."""
+    """Every state `SurfaceState.successor` makes has the verdict of a cold
+    state of the same set on a fresh copy."""
 
     @pytest.mark.parametrize("template", [helpers.corner, helpers.boundary_chain])
     def test_every_state_of_decompositions_and_replays(self, template, made):
@@ -1224,9 +1223,8 @@ class TestSuccessorVerdict:
                 trace = decompose_morphism(spec)
                 run = list(made)
                 assert verify_trace(spec.config, trace.start, trace)
-                # Each state of the run is made from a classified parent.
+                # The run makes one state per step.
                 assert len(run) == len(trace.steps)
-                assert all("_inherited_verdict" in state.__dict__ for state in run)
                 for state in made:
                     assert state.classification is cold_classification(state)
                 made.clear()
@@ -1239,7 +1237,6 @@ class TestSuccessorVerdict:
             config = hj_chain(bs)
             trace = minimize(SurfaceState(config, ()))
             assert trace.steps and verify_trace(config, trace.start, trace)
-            assert "_inherited_verdict" in made[0].__dict__
             for state in made:
                 assert state.classification is cold_classification(state)
             made.clear()
@@ -1258,9 +1255,8 @@ class TestSuccessorVerdict:
                     continue
                 got = new.classification
                 assert got is cold_classification(new)
-                if "_inherited_verdict" in new.__dict__:
-                    seen[verdict, got] += 1
-        # Both outcomes of a LOG_TERMINAL parent's grown-block test occur.
+                seen[verdict, got] += 1
+        # A LOG_TERMINAL parent has successors of both verdicts.
         assert seen[Classification.LOG_TERMINAL, Classification.LOG_TERMINAL] > 50
         assert seen[Classification.LOG_TERMINAL, Classification.LOG_CANONICAL] > 50
 
@@ -1279,22 +1275,8 @@ class TestSuccessorVerdict:
                 except InvalidStateError:
                     continue
                 assert new.classification is cold_classification(new)
-                if "_inherited_verdict" in new.__dict__:
-                    seen[verdict, new.classification] += 1
+                seen[verdict, new.classification] += 1
         assert seen[Classification.KLT, Classification.KLT] > 10
-
-    def test_a_parent_read_later_leaves_its_successor_cold(self):
-        # The parent's verdict is taken only if it is known when the
-        # successor is made; no link to the parent is kept.
-        spec = generate_crepant_pair(helpers.corner(), 12, 2)
-        parent = SurfaceState(spec.config, spec.source_contracted, TargetBase(spec.target_contracted))
-        parent._checked
-        cid = min(spec.target_contracted - spec.source_contracted)
-        new = parent.successor(cid)
-        assert parent.classification >= Classification.LOG_TERMINAL
-        assert "_inherited_verdict" not in new.__dict__
-        assert not any(value is parent for value in vars(new).values())
-        assert new.classification is cold_classification(new)
 
 
 class TestDeterminantPretest:

@@ -278,29 +278,6 @@ class TestEpsilonBound:
         assert log_degree(new_state, cid) == eps.chosen * image_square
         assert log_degree(new_state, cid) < 0
 
-    def test_reads_only_the_blocks_the_curve_meets(self):
-        class Reads(dict):
-            def __getitem__(self, key):
-                read.append(key)
-                return super().__getitem__(key)
-
-        flops = 0
-        for seed in range(6):
-            spec = generate_crepant_pair(helpers.corner(), 24, seed)
-            trace = decompose_morphism(spec)
-            state = SurfaceState(spec.config, trace.start, trace.base)
-            for step in trace.steps[: trace.flop_minimal_index]:
-                check = is_log_flopping(state, step.curve)
-                read = []
-                lam = Reads(check.multiplicities)
-                bound = epsilon_bound(FlopCheck(state, step.curve, True, None, None, lam))
-                assert bound == epsilon_bound(check) == step.epsilon
-                near = [j for order, _ in state._blocks_meeting(step.curve) for j in order]
-                assert sorted(read) == sorted(near)
-                flops += len(near) < len(state.contracted)
-                state = state.successor(step.curve)
-        assert flops > 5
-
 
 class TestContractFlop:
     def test_tower_top(self):
