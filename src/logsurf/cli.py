@@ -319,28 +319,28 @@ def _fractions_from_json(
     parsed: dict[str, Fraction],
     prior: tuple[dict, dict[int, Fraction]] | None,
     path: _Path,
-) -> tuple[dict[int, Fraction], bool]:
-    """The map `data` by curve id, and whether its every value is a string.
+) -> tuple[dict[int, Fraction], tuple[dict, dict[int, Fraction]] | None]:
+    """The map `data` by curve id, and the `prior` for the next map: `data`
+    with its parse when its every value is a string, else None.
 
     `prior` is a raw map read before, every value a string, with its parse.
-    When `data` extends it by exactly one key (a C-level `items() >=`), the
-    result is a copy of the parse plus that one entry,
-    read alone: every other entry equals one already read, since a string
-    equals only the same string.  Any other map is read entry by entry.
-    Either way the first bad entry raises, with its path.
+    When `data` equals it, the result is that parse itself; when `data`
+    extends it by exactly one key (a C-level `items() >=`), a copy of the
+    parse plus that one entry, read alone: every other entry equals one
+    already read, since a string equals only the same string.  Any other
+    map is read entry by entry.  Either way the first bad entry raises,
+    with its path.
     """
-    if (
-        prior is not None
-        and len(data) == len(prior[0]) + 1
-        and data.items() >= prior[0].items()
-    ):
+    entries: Iterable[tuple[Any, Any]] = data.items()
+    out: dict[int, Fraction] = {}
+    if prior is not None:
         raw, read = prior
-        (key,) = data.keys() - raw.keys()
-        entries: Iterable[tuple[Any, Any]] = ((key, data[key]),)
-        out = dict(read)
-    else:
-        entries = data.items()
-        out = {}
+        if data == raw:
+            return read, prior
+        if len(data) == len(raw) + 1 and data.items() >= raw.items():
+            (key,) = data.keys() - raw.keys()
+            entries = ((key, data[key]),)
+            out = dict(read)
     strings = True
     for key, value in entries:
         cid = _read_id(key)
@@ -349,7 +349,7 @@ def _fractions_from_json(
         if type(value) is not str:
             strings = False
         out[cid] = _interned_fraction(value, parsed, (*path, key))
-    return out, strings
+    return out, (data, out) if strings else None
 
 
 def trace_to_json(config: CurveConfig, trace: DecompositionTrace) -> dict:
@@ -403,11 +403,12 @@ def trace_from_json(data: Any) -> tuple[str, DecompositionTrace]:
     Maps whose every value is a string are reused, as a trace written by
     `trace_to_json` allows: a string equals only the same string, so a bool
     or float that equals a parsed JSON integer is still read, and rejected,
-    on its own.  A step's "discrepancies_before" equal to the previous
-    step's "discrepancies_after" is that step's parsed dict itself, and a
-    "discrepancies_after" that extends its "before" by one key is a copy of
-    the parsed "before" plus that entry (`_fractions_from_json`), so a step
-    reads one entry.  Any other map is read in full.
+    on its own.  Both maps of a step follow one rule against the map read
+    just before (`_fractions_from_json`): a "discrepancies_before" equal to
+    the previous step's "discrepancies_after" is that step's parsed dict
+    itself, and a map that extends the one before it by one key is a copy
+    of its parse plus that entry, so a step reads one entry.  Any other map
+    is read in full.
     """
     if not isinstance(data, dict):
         raise ValueError("trace document must be a JSON object")
@@ -432,19 +433,10 @@ def trace_from_json(data: Any) -> tuple[str, DecompositionTrace]:
         else:
             order = tuple(_required(entry, _ints, ("steps", i, "order")))
         curve = _required(entry, _int, ("steps", i, "curve"))
-        raw = _required(entry, _object, ("steps", i, "discrepancies_before"))
-        if prior is not None and raw == prior[0]:
-            before = prior[1]
-        else:
-            before, strings = _fractions_from_json(
-                raw, parsed, None, ("steps", i, "discrepancies_before")
-            )
-            prior = (raw, before) if strings else None
-        raw = _required(entry, _object, ("steps", i, "discrepancies_after"))
-        after, strings = _fractions_from_json(
-            raw, parsed, prior, ("steps", i, "discrepancies_after")
-        )
-        prior = (raw, after) if strings else None
+        path = ("steps", i, "discrepancies_before")
+        before, prior = _fractions_from_json(_required(entry, _object, path), parsed, prior, path)
+        path = ("steps", i, "discrepancies_after")
+        after, prior = _fractions_from_json(_required(entry, _object, path), parsed, prior, path)
         steps.append(MoveRecord(kind, curve, before, after, epsilon=epsilon, order=order))
     end = frozenset(_required(data, _distinct_ints, ("end",)))
     raw_base = data.get("base")

@@ -52,8 +52,8 @@ from .moves import (
     contract_flop,
     is_nef_on_marked,
     _require_log_terminal,
+    lowest_blowdown,
     lowest_flop,
-    lowest_passing,
 )
 from .surface import (
     BlowUpTarget,
@@ -124,7 +124,7 @@ def _apply(check: FlopCheck | BlowdownCheck) -> tuple[SurfaceState, MoveRecord]:
 
 def _next_move(state: SurfaceState) -> FlopCheck | BlowdownCheck | None:
     """The lowest-id flop if any passes, else the lowest-id blow-down, else None."""
-    return lowest_flop(state) or lowest_passing(state, is_log_blowdown)
+    return lowest_flop(state) or lowest_blowdown(state)
 
 
 def decompose_morphism(spec: MorphismSpec) -> DecompositionTrace:
@@ -179,7 +179,7 @@ def decompose_morphism(spec: MorphismSpec) -> DecompositionTrace:
             "state after phase 1 still admits a flop-type contraction"
         )
     while state.contracted != s2:
-        check = lowest_passing(state, is_log_blowdown)
+        check = lowest_blowdown(state)
         if check is None:
             reasons = "; ".join(
                 f"curve {cid}: {is_log_blowdown(state, cid).reason}"

@@ -16,9 +16,11 @@ The blow-down predicate reads only the curve's neighbourhood: it finds the
 contracted components a curve meets through its crossings and the state's
 curve → block index (`crepant.SurfaceState`), which a successor builds
 from its parent's when it is made, so it does not scan the whole
-contracted set or configuration.  The flop predicate solves for λ only on
-the blocks of those components, but its map of λ, which `epsilon_bound`
-reads, holds every contracted curve.
+contracted set or configuration, and its local tests run once per curve
+and set of contracted curves it meets (`CurveConfig._blowdown_memo`).  The
+flop predicate solves for λ only on the blocks of those components, but
+its map of λ, which `epsilon_bound` reads, holds every contracted curve.
+Each move kind has one candidate scan: `lowest_flop`, `lowest_blowdown`.
 
 The predicates and `epsilon_bound` decide on integers: a log degree, an
 image self-intersection or a multiplicity is an exact rational whose
@@ -43,7 +45,7 @@ from dataclasses import dataclass, field
 from enum import Enum
 from fractions import Fraction
 from functools import partial
-from typing import Callable, ClassVar, Mapping
+from typing import ClassVar, Mapping
 
 from .crepant import (
     Classification,
@@ -65,6 +67,7 @@ from .errors import (
 )
 from .surface import (
     Block,
+    CurveConfig,
     LocalBlowdownModel,
     corner_failure,
     require_unimodular,
@@ -309,24 +312,10 @@ def is_nef_on_marked(state: SurfaceState) -> NefReport:
     return NefReport(not failing, isinstance(state.base, TargetBase), failing)
 
 
-def lowest_passing(
-    state: SurfaceState, predicate: Callable[[SurfaceState, int], _Check]
-) -> _Check | None:
-    """The passed check of the lowest-id curve in the base's scope, or None.
-
-    Curves that survive on a target base are never candidates: neither move
-    may contract them.
-    """
-    for cid in _in_scope(state):
-        check = predicate(state, cid)
-        if check:
-            return check
-    return None
-
-
 def lowest_flop(state: SurfaceState) -> FlopCheck | None:
-    """`lowest_passing(state, is_log_flopping)`, skipping every curve whose
-    log degree is already known to be non-zero.
+    """The passed flop check of the lowest-id curve in the base's scope, or
+    None, skipping every curve whose log degree is already known to be
+    non-zero.
 
     The degrees live in the table of the state's residual mapping, which a
     run shares from state to state, so a curve rejected for its log degree
@@ -396,11 +385,12 @@ def is_log_blowdown(state: SurfaceState, cid: int) -> BlowdownCheck:
     curves transversally, and the final contraction of that image must leave
     those two curves crossing exactly once — the normal-crossing corner the
     move blows down to.  Those last tests read only the configuration near
-    the curve and the adjacent contracted curves, so a failure among them
-    is kept in the configuration's `_blowdown_memo` and read back at every
-    later state where the curve meets the same contracted curves.  The
-    contracted components the curve meets are found through its crossings
-    and the state's block index, not by testing every block.
+    the curve and the adjacent contracted curves (`_local_blowdown`), so
+    their outcome, pass or failure, is kept in the configuration's
+    `_blowdown_memo` and read back at every later state where the curve
+    meets the same contracted curves.  The contracted components the curve
+    meets are found through its crossings and the state's block index, not
+    by testing every block.
     """
     _require_uncontracted(state, cid)
     fail = partial(BlowdownCheck, state, cid, False)
@@ -416,42 +406,37 @@ def is_log_blowdown(state: SurfaceState, cid: int) -> BlowdownCheck:
     adjacent = frozenset([j for order, _ in met for j in order])
     key = (cid, adjacent)
     memo = config._blowdown_memo
-    failed = memo.get(key)
-    if failed is not None:
-        return fail(*failed)
-    check = _local_blowdown(state, cid, adjacent, met)
-    if not check:
-        memo[key] = (check.reason, check.detail, check.order)
-    return check
+    outcome = memo.get(key)
+    if outcome is None:
+        outcome = memo[key] = _local_blowdown(config, cid, adjacent, met)
+    reason, detail, order = outcome
+    return BlowdownCheck(state, cid, reason is None, reason, detail, order)
 
 
 def _local_blowdown(
-    state: SurfaceState, cid: int, adjacent: frozenset[int], met: list[Block]
-) -> BlowdownCheck:
+    config: CurveConfig, cid: int, adjacent: frozenset[int], met: list[Block]
+) -> tuple[str | None, str | None, tuple[int, ...]]:
     """The tests of `is_log_blowdown` on the local model of `cid` and the
-    contracted components `met` it meets, whose curves are `adjacent`."""
-    fail = partial(BlowdownCheck, state, cid, False)
-    model = LocalBlowdownModel.from_config(state.config, adjacent | {cid})
-    sim = run_contraction(model, restrict_to=adjacent)
+    contracted components `met` it meets, whose curves are `adjacent`:
+    (reason, detail, local contraction order), reason None on a pass."""
+    model = LocalBlowdownModel.from_config(config, adjacent | {cid})
+    sim = run_contraction(model, adjacent)
     if not sim:
-        return fail("AdjacentSetNotContractible", f"{sim.reason}: {sim.detail}", sim.order)
+        return "AdjacentSetNotContractible", f"{sim.reason}: {sim.detail}", sim.order
     require_unimodular(adjacent, met)
-    if model.self_intersection(cid) != -1:
-        return fail(
-            "ImageNotMinusOne",
-            f"image self-intersection is {model.self_intersection(cid)}",
-            sim.order,
-        )
+    image_self = model.self_intersection(cid)
+    if image_self != -1:
+        return "ImageNotMinusOne", f"image self-intersection is {image_self}", sim.order
     partners = model.partners(cid)
     if len(partners) != 2:
-        return fail(
+        return (
             "BoundaryNotTwoCurves",
             f"image meets {len(partners)} distinct curves: {list(partners)}",
             sim.order,
         )
     a, b = partners
     if model.crossings(cid, a) != 1 or model.crossings(cid, b) != 1:
-        return fail(
+        return (
             "NonTransverseContact",
             f"image meets {a} and {b} with multiplicities "
             f"{model.crossings(cid, a)}, {model.crossings(cid, b)}",
@@ -462,8 +447,19 @@ def _local_blowdown(
     model.contract(cid)
     failure = corner_failure(model)
     if failure is not None:
-        return fail(*failure, sim.order)
-    return BlowdownCheck(state, cid, True, None, None, sim.order + (cid,))
+        return (*failure, sim.order)
+    return None, None, sim.order + (cid,)
+
+
+def lowest_blowdown(state: SurfaceState) -> BlowdownCheck | None:
+    """The passed blow-down check of the lowest-id curve in the base's
+    scope, or None; a curve that survives on a target base is never a
+    candidate."""
+    for cid in _in_scope(state):
+        check = is_log_blowdown(state, cid)
+        if check:
+            return check
+    return None
 
 
 def contract_blowdown(check: BlowdownCheck) -> SurfaceState:

@@ -8,8 +8,8 @@ most).  Elimination runs fraction-free on integers (Bareiss, *Math. Comp.*
 22, 1968); `Fraction` objects are built only for solutions.
 
 A matrix found negative definite keeps its elimination as a
-`DefiniteFactor`: later solves read the factor in O(n²) and its
-determinant in O(1), `DefiniteFactor.border` extends it by one row and
+`DefiniteFactor`: later solves read the factor in O(n²), the factor's own
+`determinant` is its last pivot, `DefiniteFactor.border` extends it by one row and
 column in O(n²) instead of eliminating the larger matrix again, and
 `DefiniteFactor.join` puts two factors side by side as the factor of their
 block-diagonal sum.
@@ -23,8 +23,9 @@ from the leaves up by a division-free recurrence.  `tree_factor` keeps that
 recurrence as a `TreeFactor`, which stays sparse: a solve is one pass up
 the tree and one down, and the determinant is its last pivot, all with O(n)
 big-integer work; the dense rows of a `DefiniteFactor` are written only for
-a caller that reads them, such as `border`.  `determinant` uses the same
-recurrence for every forest-patterned matrix instead of O(n³) elimination.
+a caller that reads them, such as `border`.  The function `determinant`
+takes a bare matrix: it uses the same recurrence for every
+forest-patterned matrix instead of O(n³) elimination.
 """
 
 from __future__ import annotations
@@ -52,7 +53,7 @@ class SymMatrix:
     """Immutable symmetric matrix with `int` entries.
 
     `is_negative_definite` attaches the matrix's `DefiniteFactor` when the
-    answer is yes; `solve_symmetric` and `determinant` then read it.
+    answer is yes; `solve_symmetric` then reads it.
     """
 
     __slots__ = ("_rows", "_factor")
@@ -512,8 +513,6 @@ def is_negative_definite(matrix: SymMatrix) -> bool:
     the matrix as its `DefiniteFactor` (`SymMatrix.factor`).  The empty
     matrix is vacuously negative definite.
     """
-    if matrix._factor is not None:
-        return True
     factor = DefiniteFactor(())
     for k, row in enumerate(matrix.rows()):
         factor = factor.border(row[:k], row[k])
@@ -524,12 +523,10 @@ def is_negative_definite(matrix: SymMatrix) -> bool:
 
 
 def determinant(matrix: SymMatrix) -> int:
-    """Exact determinant: the stored factor's last pivot when the matrix has
-    one, the subtree recurrence when its off-diagonal pattern is a forest
-    (the empty matrix's is 1), else elimination with row swaps
-    (`_bareiss`)."""
-    if matrix._factor is not None:
-        return matrix._factor.determinant()
+    """Exact determinant: the subtree recurrence when the off-diagonal
+    pattern is a forest (the empty matrix's is 1), else elimination with row
+    swaps (`_bareiss`).  A stored factor is not read: its last pivot is the
+    same `int` (`DefiniteFactor.determinant`)."""
     rows = matrix.rows()
     det = _forest_determinant(rows)
     if det is None:

@@ -178,16 +178,19 @@ class CurveConfig:
         return {}
 
     @cached_property
-    def _blowdown_memo(self) -> dict[tuple[int, frozenset[int]], tuple[str, str, tuple[int, ...]]]:
-        """Failed log blow-down tests: (curve, the union of the contracted
-        components it meets) mapped to the failure's (reason, detail, local
-        contraction order).
+    def _blowdown_memo(
+        self,
+    ) -> dict[tuple[int, frozenset[int]], tuple[str | None, str | None, tuple[int, ...]]]:
+        """Local log blow-down tests: (curve, the union of the contracted
+        components it meets) mapped to the outcome (reason, detail, local
+        contraction order), reason None on a pass.
 
         Past its base, coefficient and genus tests, `moves.is_log_blowdown`
-        reads only the configuration near that curve and that union, so a
-        failure recurs at every state where the union is the same.  Filled
-        by `moves.is_log_blowdown`; passes are not kept, since their local
-        models are mutable.
+        reads only the configuration near that curve and that union
+        (`moves._local_blowdown`, a pure function of them), so every outcome,
+        pass or failure, holds at every state where the union is the same.
+        Filled by `moves.is_log_blowdown`, which builds its check from the
+        entry.
         """
         return {}
 
@@ -573,45 +576,39 @@ def grow_block(config: CurveConfig, met: Sequence[Block], cid: int) -> Block | N
 
 
 class LocalBlowdownModel:
-    """Mutable scratch model of a curve subset plus its adjacent curves.
+    """Mutable scratch model of a curve set plus the curves meeting it.
 
-    Tracks live self-intersections and crossing counts while core curves get
-    contracted one at a time.  Crossings are per-curve partner maps, curve →
-    {partner: count}, holding both ends of every crossing, so the pairing
-    stays symmetric; the present curves are the map's keys.  Contracting a
-    core curve removes it alone, so every non-core curve stays present.
+    Tracks live self-intersections and crossing counts while curves get
+    contracted one at a time; genus and coefficient are read from the
+    configuration, since no contraction changes them.  Crossings are
+    per-curve partner maps, curve → {partner: count}, holding both ends of
+    every crossing, so the pairing stays symmetric; the present curves are
+    the map's keys.
     """
 
     def __init__(
         self,
-        core: set[int],
+        curves: dict[int, Curve],
         links: dict[int, dict[int, int]],
-        genus: dict[int, int],
-        coeff: dict[int, Fraction],
         selves: dict[int, int],
     ):
-        self.core = core
+        self._curves = curves
         self._links = links
-        self._genus = genus
-        self._coeff = coeff
         self._selves = selves
 
     @classmethod
-    def from_config(cls, config: CurveConfig, core: Iterable[int]) -> "LocalBlowdownModel":
-        core_set = set(core)
-        for cid in core_set:
-            config.curve(cid)
+    def from_config(cls, config: CurveConfig, curves: Iterable[int]) -> "LocalBlowdownModel":
+        """The model of the set `curves` and every curve meeting it."""
         adjacency = config._adjacency
-        present = set(core_set)
-        for cid in core_set:
+        present = set()
+        for cid in curves:
+            config.curve(cid)
+            present.add(cid)
             present.update(adjacency[cid])
-        curves = [config.curve(cid) for cid in present]
         return cls(
-            core_set,
-            {c.id: {b: n for b, n in adjacency[c.id].items() if b in present} for c in curves},
-            {c.id: c.genus for c in curves},
-            {c.id: c.boundary_coeff for c in curves},
-            {c.id: c.self_intersection for c in curves},
+            config._curve_map,
+            {cid: {b: n for b, n in adjacency[cid].items() if b in present} for cid in present},
+            {cid: config._curve_map[cid].self_intersection for cid in present},
         )
 
     @property
@@ -619,7 +616,7 @@ class LocalBlowdownModel:
         return self._links.keys()
 
     def coeff(self, cid: int) -> Fraction:
-        return self._coeff[cid]
+        return self._curves[cid].boundary_coeff
 
     def self_intersection(self, cid: int) -> int:
         return self._selves[cid]
@@ -632,7 +629,7 @@ class LocalBlowdownModel:
 
     def is_candidate(self, cid: int) -> bool:
         """A rational current (−1)-curve; the raw material of a contraction."""
-        return self._genus[cid] == 0 and self._selves[cid] == -1
+        return self._selves[cid] == -1 and self._curves[cid].genus == 0
 
     def is_eligible(self, cid: int) -> bool:
         """Candidate whose contraction keeps the image normal crossing: at most
@@ -654,7 +651,6 @@ class LocalBlowdownModel:
         for a, count in near.items():
             del links[a][cid]
             self._selves[a] += count * count
-        self.core.discard(cid)
         del self._selves[cid]
 
 
@@ -695,21 +691,22 @@ class BlowdownSim:
     reason: str | None
     detail: str | None
     order: tuple[int, ...]
-    final: LocalBlowdownModel | None = field(default=None, repr=False)
+    final: LocalBlowdownModel = field(repr=False)
 
     def __bool__(self) -> bool:
         return self.ok
 
 
-def run_contraction(model: LocalBlowdownModel, restrict_to: set[int] | None = None) -> BlowdownSim:
-    """Drive the model until the chosen core curves are gone, lowest id first.
+def run_contraction(model: LocalBlowdownModel, pool: Iterable[int]) -> BlowdownSim:
+    """Contract the curves of `pool`, present in the model, one at a time,
+    the lowest eligible id first, until none is left; the model's other
+    curves stay put.
 
-    `restrict_to` limits which core curves may be picked; others stay put.
     Contracting a curve changes only its partners, so only they are
     re-tested: `eligible` is a heap holding every eligible pool curve, plus
     stale entries dropped when they surface.
     """
-    pool = set(model.core) if restrict_to is None else model.core & restrict_to
+    pool = set(pool)
     eligible = [c for c in pool if model.is_eligible(c)]
     heapq.heapify(eligible)
     order: list[int] = []
@@ -758,7 +755,7 @@ def smooth_point_blowdown(config: CurveConfig, gamma: Iterable[int]) -> Blowdown
     blocks = factor_blocks(config, gamma_set)
     if blocks is None:
         raise ValueError("gram matrix of gamma must be negative definite")
-    result = run_contraction(LocalBlowdownModel.from_config(config, gamma_set))
+    result = run_contraction(LocalBlowdownModel.from_config(config, gamma_set), gamma_set)
     if result.ok:
         require_unimodular(gamma_set, blocks)
     return result

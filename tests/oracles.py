@@ -246,7 +246,7 @@ def depth3_probe(config: CurveConfig, contracted, residual) -> list[str]:
 
 
 # ---------------------------------------------------------------------------
-# exhaustive order exploration for the drivers
+# exhaustive order exploration and candidate scans for the drivers
 
 def explore_decomposition_orders(config: CurveConfig, s1, s2):
     """Try every legal move at every reachable state between the two sets.
@@ -287,6 +287,24 @@ def explore_decomposition_orders(config: CurveConfig, s1, s2):
         return outcomes
 
     return explore(s1)
+
+
+def lowest_passing(state: SurfaceState, predicate):
+    """The passed check of the lowest-id curve in the base's scope, testing
+    every curve of the scope in turn, or None: the reference scan for
+    `moves.lowest_flop` and `moves.lowest_blowdown`.
+
+    The scope is read from the raw curve list: every uncontracted curve
+    over a point base, only those of the target over a target base.
+    """
+    scope = sorted(c.id for c in state.config.curves if c.id not in state.contracted)
+    if isinstance(state.base, TargetBase):
+        scope = [cid for cid in scope if cid in state.base.contracted_on_target]
+    for cid in scope:
+        check = predicate(state, cid)
+        if check:
+            return check
+    return None
 
 
 # ---------------------------------------------------------------------------

@@ -1,6 +1,7 @@
 """Command-line behaviour: documents, exit codes, determinism, DOT output."""
 
 import contextlib
+import dataclasses
 from fractions import Fraction
 import importlib
 import io
@@ -17,6 +18,7 @@ from hypothesis import given, settings, strategies as st
 
 import helpers
 from logsurf import (
+    CurveConfig,
     EpsilonChoice,
     MorphismSpec,
     MoveKind,
@@ -224,6 +226,8 @@ class TestStrictDocuments:
             (("base",), "sphere", "base"),
             (("end",), [3, 4, 4, 3], "end repeats a curve"),
             (("start",), [3, 3], "start repeats a curve"),
+            (("steps", 0, "kind"), "teleport", "steps[0].kind: 'teleport' is not a valid MoveKind"),
+            (("steps", 0, "epsilon"), "half", "steps[0].epsilon must be a JSON object, got 'half'"),
         ],
     )
     def test_trace_field_rejected(self, tower, tmp_path, capsys, path, value, named):
@@ -237,6 +241,12 @@ class TestStrictDocuments:
         err = capsys.readouterr().err
         assert named in err
         assert "Traceback" not in err
+
+    def test_a_trace_document_must_be_an_object(self, tower, tmp_path, capsys):
+        trace_path = tmp_path / "trace.json"
+        trace_path.write_text("[]", encoding="utf-8")
+        assert cli.main(["verify", tower, "--trace", str(trace_path)]) == 2
+        assert "trace document must be a JSON object" in capsys.readouterr().err
 
 
 _LEAF = (
@@ -347,6 +357,10 @@ class TestFlopsCommand:
         assert cli.main(["flops", du_val, "--base", "point"]) == 0
         assert capsys.readouterr().out == "1: yes\n"
 
+    def test_unknown_base_exits_2(self, tower, capsys):
+        assert cli.main(["flops", tower, "--base", "nowhere"]) == 2
+        assert "expected 'point' or 'target:IDS', got 'nowhere'" in capsys.readouterr().err
+
 
 class TestDecomposeAndVerify:
     def test_worked_decomposition(self, tower, tmp_path, capsys):
@@ -409,6 +423,20 @@ class TestDecomposeAndVerify:
         capsys.readouterr()
         assert cli.main(["verify", du_val, "--trace", trace_path]) == 2
         assert "does not match" in capsys.readouterr().err
+
+    def test_verify_rejects_a_trace_cut_short(self, tmp_path, capsys):
+        spec = generate_crepant_pair(helpers.corner(), 8, 0)
+        trace = decompose_morphism(spec)
+        cut = dataclasses.replace(trace, steps=trace.steps[:-1])
+        message = (
+            "replay ends at [3, 4, 6, 7, 8, 9, 10], trace claims [3, 4, 5, 6, 7, 8, 9, 10]"
+        )
+        assert verify_trace(spec.config, spec.source_contracted, cut).failure == message
+        scenario = write_scenario(tmp_path / "tower.json", spec.config)
+        trace_path = tmp_path / "trace.json"
+        trace_path.write_text(json.dumps(cli.trace_to_json(spec.config, cut)), encoding="utf-8")
+        assert cli.main(["verify", scenario, "--trace", str(trace_path)]) == 2
+        assert message in capsys.readouterr().err
 
     def test_verify_rejects_tampered_certificate(self, tower, tmp_path, capsys):
         trace_path = tmp_path / "trace.json"
@@ -763,6 +791,10 @@ class TestIncrementalReader:
         _, trace = cli.trace_from_json(doc)
         assert read == [str(step["curve"]) for step in doc["steps"]]
         assert trace.steps == _reference_steps(doc)
+        # `verify_trace` compares a record once: a step's "before" is the
+        # previous step's parsed "after" itself.
+        for prior, step in zip(trace.steps, trace.steps[1:]):
+            assert step.discrepancies_before is prior.discrepancies_after
 
 
 def _respelled(text: str) -> str:
@@ -1030,6 +1062,13 @@ class TestDotCommand:
         assert 'c1 [label="1: 0,-1,1"];' in out
         assert 'c1 -- c3 [label="p2"];' in out
         assert 'c3 -- c4 [label="p4"];' in out
+
+    def test_marks_a_one_curve_point(self, tmp_path, capsys):
+        path = write_scenario(tmp_path / "s.json", CurveConfig.build([(1, 0, -1, 0)], [(7, [1])]))
+        assert cli.main(["dot", path]) == 0
+        out = capsys.readouterr().out
+        assert "  p7 [shape=point];\n" in out
+        assert '  p7 -- c1 [label="p7"];\n' in out
 
     def test_writes_file_deterministically(self, tmp_path, capsys):
         path = write_scenario(tmp_path / "s.json", helpers.corner_twice())

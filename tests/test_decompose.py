@@ -78,7 +78,9 @@ class TestDecomposeMorphism:
             check = real(state, cid)
             return dataclasses.replace(check, ok=False, reason="Withheld") if check else check
 
+        # The scan and the diagnostics both see the withheld check.
         monkeypatch.setattr(logsurf.decompose, "is_log_blowdown", withheld)
+        monkeypatch.setattr(logsurf.moves, "is_log_blowdown", withheld)
         spec = generate_crepant_pair(helpers.corner(), 8, 0)
         with pytest.raises(StuckInPhase2Error) as raised:
             decompose_morphism(spec)

@@ -47,7 +47,7 @@ from logsurf import (
     minimize,
     relative_picard_rank,
 )
-from logsurf.moves import lowest_flop, lowest_passing
+from logsurf.moves import lowest_blowdown, lowest_flop
 from logsurf.surface import factor_blocks
 
 
@@ -468,18 +468,18 @@ class TestIsLogBlowdown:
         assert not check
         assert check.reason == "AdjacentSetNotContractible"
 
-    def test_memoised_failures_equal_fresh_verdicts_along_runs(self, monkeypatch):
+    def test_memoised_outcomes_equal_fresh_verdicts_along_runs(self, monkeypatch):
         # At every state of a decomposition, then at random contractible
         # sub-states, each curve still to contract is tested on the run's
-        # configuration, whose memo holds the failures found so far, and on
+        # configuration, whose memo holds the outcomes found so far, and on
         # a fresh copy of it.
         rng = random.Random(11)
         run_tests = []
         real = logsurf.moves._local_blowdown
 
-        def counting(state, cid, *args):
-            run_tests.append(state.config)
-            return real(state, cid, *args)
+        def counting(config, *args):
+            run_tests.append(config)
+            return real(config, *args)
 
         monkeypatch.setattr(logsurf.moves, "_local_blowdown", counting)
         for template in (helpers.corner, helpers.boundary_chain):
@@ -508,10 +508,15 @@ class TestIsLogBlowdown:
                             fresh.ok, fresh.reason, fresh.detail, fresh.order
                         )
                         asked += 1
-                # The memo holds failures only, and answered for the run's
+                # The memo holds passes and failures, each equal to the
+                # outcome a fresh copy computes, and answered for the run's
                 # configuration some of the local tests each copy ran.
                 memo = config._blowdown_memo
-                assert memo and all(reason for reason, _, _ in memo.values())
+                assert {reason is None for reason, _, _ in memo.values()} == {True, False}
+                for (cid, adjacent), outcome in memo.items():
+                    copy = CurveConfig(config.curves, config.points)
+                    blocks = factor_blocks(copy, adjacent)
+                    assert real(copy, cid, adjacent, list(blocks)) == outcome
                 on_run = sum(tested is config for tested in run_tests)
                 assert on_run < len(run_tests) - on_run
                 assert asked > 10
@@ -610,10 +615,10 @@ class TestLowestFlop:
                 CurveConfig(config.curves, config.points, config.picard_rank_of_model), set()
             )
             for step in trace.steps:
-                expected = _verdict(lowest_passing(reference, every_curve))
+                expected = _verdict(oracles.lowest_passing(reference, every_curve))
                 assert _verdict(lowest_flop(state)) == expected
                 state, reference = state.successor(step.curve), reference.successor(step.curve)
-            assert lowest_flop(state) is None is lowest_passing(reference, every_curve)
+            assert lowest_flop(state) is None is oracles.lowest_passing(reference, every_curve)
         # The nef check after each step has found every log degree, so no
         # curve is tested only to be rejected for it.
         assert tested and "NonzeroLogDegree" not in tested
@@ -628,15 +633,54 @@ class TestLowestFlop:
         with pytest.raises(NotLogTerminalError):
             lowest_flop(state)
         with pytest.raises(NotLogTerminalError):
-            lowest_passing(state, is_log_flopping)
+            oracles.lowest_passing(state, is_log_flopping)
 
     def test_empty_scope_and_invalid_states(self):
         state = SurfaceState(helpers.elliptic(), {1})
         assert state.classification is Classification.LOG_CANONICAL
-        assert lowest_flop(state) is None is lowest_passing(state, is_log_flopping)
-        for find in (lowest_flop, lambda s: lowest_passing(s, is_log_flopping)):
+        assert lowest_flop(state) is None is oracles.lowest_passing(state, is_log_flopping)
+        for find in (lowest_flop, lambda s: oracles.lowest_passing(s, is_log_flopping)):
             with pytest.raises(InvalidStateError):
                 find(SurfaceState(helpers.corner(), {1}))
+
+
+def _blowdown_verdict(check):
+    if check is None:
+        return None
+    return check.curve, check.ok, check.reason, check.detail, check.order
+
+
+class TestLowestBlowdown:
+    """`lowest_blowdown` answers as the reference scan of every curve."""
+
+    def test_same_check_as_testing_every_curve(self):
+        rng = random.Random(3)
+        found = set()
+        for template in (helpers.corner, helpers.boundary_chain):
+            for seed in range(3):
+                spec = generate_crepant_pair(template(), 12, seed)
+                config = spec.config
+                target = sorted(spec.target_contracted)
+                trace = decompose_morphism(spec)
+                # Along the run, on its memo, then at random sub-states over
+                # both bases; the reference scans a fresh copy.
+                state = SurfaceState(config, trace.start, trace.base)
+                states = [state]
+                for step in trace.steps:
+                    state = state.successor(step.curve)
+                    states.append(state)
+                for _ in range(20):
+                    contracted = rng.sample(target, rng.randint(0, len(target)))
+                    for base in (PointBase(), TargetBase(target)):
+                        states.append(SurfaceState(config, contracted, base))
+                for state in states:
+                    copy = CurveConfig(config.curves, config.points)
+                    reference = SurfaceState(copy, state.contracted, state.base)
+                    expected = _blowdown_verdict(oracles.lowest_passing(reference, is_log_blowdown))
+                    assert _blowdown_verdict(lowest_blowdown(state)) == expected
+                    found.add(expected is not None)
+        # Both a pass and no pass occur.
+        assert found == {True, False}
 
 
 def _outcome(predicate, state, cid):

@@ -10,6 +10,7 @@ import helpers
 import oracles
 from logsurf import (
     BadCoefficientError,
+    BlowUpTarget,
     CrossingPoint,
     Curve,
     CurveConfig,
@@ -313,6 +314,8 @@ class TestBlowUp:
             blow_up(helpers.corner(), at_point(9), 0)
         with pytest.raises(UnknownTargetError):
             blow_up(helpers.corner(), free_point_on(9), 0)
+        with pytest.raises(UnknownTargetError, match="unknown target kind 'nowhere'"):
+            blow_up(helpers.corner(), BlowUpTarget("nowhere"), 0)
 
     def test_rejects_an_invalid_configuration(self):
         # Two curves with id 1: tables keyed by id would merge them.
@@ -391,6 +394,10 @@ class TestComponentsAndGram:
             (Fraction(1), Fraction(-1)),
         )
 
+    def test_gram_rejects_a_repeated_curve(self):
+        with pytest.raises(ValueError, match="curve ids must be distinct"):
+            gram(helpers.corner_twice(), [1, 1])
+
 
 class TestSmoothPointBlowdown:
     def test_contracts_exceptional_tower(self):
@@ -452,6 +459,11 @@ class TestSmoothPointBlowdown:
         for gamma in ([3, 4], [3, 4, 5], [5]):
             if smooth_point_blowdown(config, gamma):
                 assert abs(determinant(gram(config, sorted(gamma)))) == 1
+
+    def test_contracting_an_absent_curve_raises(self):
+        model = LocalBlowdownModel.from_config(helpers.corner_twice(), [4])
+        with pytest.raises(UnknownIdError, match="curve 1 not present in local model"):
+            model.contract(1)
 
     def test_corner_failure_names_the_first_broken_condition(self):
         assert corner_failure(smooth_point_blowdown(helpers.corner_twice(), [3, 4]).final) is None
@@ -594,7 +606,7 @@ class TestSimulatorAgainstDenseOracle:
         assert compared >= 2 * len(self.SEEDS)
 
     def test_random_cores_and_restrictions(self):
-        """Any core, any restriction: the same order, model and failure."""
+        """Any modelled set, any pool of it: the same order, model and failure."""
         rng = random.Random("cores")
         outcomes = set()
         # A (−1)-curve meeting three curves, and a (−1)-curve meeting a
@@ -612,12 +624,11 @@ class TestSimulatorAgainstDenseOracle:
             ids = [c.id for c in config.curves]
             for _ in range(25):
                 core = set(rng.sample(ids, rng.randint(1, len(ids))))
-                restrict = set(rng.sample(sorted(core), rng.randint(0, len(core))))
+                pool = set(rng.sample(sorted(core), rng.randint(0, len(core))))
                 if rng.random() < 0.5:
-                    restrict = None
+                    pool = core
                 model = LocalBlowdownModel.from_config(config, core)
-                sim = run_contraction(model, restrict)
-                pool = core if restrict is None else restrict
+                sim = run_contraction(model, pool)
                 oracle = oracles.DenseContraction(config, core)
                 assert sim.order == oracle.lowest_id_order(pool)
                 self.assert_same_model(sim.final, oracle)
