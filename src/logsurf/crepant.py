@@ -74,32 +74,40 @@ Base = PointBase | TargetBase
 
 
 class SolutionFacts:
-    """The facts of one crepant solution, each found once, when first asked.
+    """The facts of one crepant solution, each found once.
 
     They depend only on the residual mapping and the configuration, so the
     table follows the mapping: every `CrepantData` sharing a mapping shares
     its table, and a fresh solution gets a fresh one.
 
+    - `ones` and `above_one`: the curves of residual exactly 1 and above 1,
+      found together in one pass when the table is made, since every
+      classification reads them; a residual is a `Fraction`, whose
+      denominator is positive, so both tests are integer comparisons;
     - `denominator` and `numerators`: Δ > 0, the least common denominator of
       the residuals, and N = Δ·e for every curve, integers found together in
-      one pass and read through `CrepantData.scaled`; the move algebra
-      (`log_degree`, `moves.epsilon_bound`) runs on them;
+      one pass when first asked and read through `CrepantData.scaled`; the
+      move algebra (`log_degree`, `moves.epsilon_bound`) runs on them;
     - `degrees`: the log degree of each curve asked of `log_degree`, an
       exact rational built from its integer numerator over Δ;
-    - `negated`: the negated residual of each curve `discrepancies` has read;
-    - `ones` and `above_one`: the curves of residual exactly 1 and above 1,
-      found together in one pass.
+    - `negated`: the negated residual of each curve `discrepancies` has read.
     """
 
     __slots__ = ("denominator", "numerators", "degrees", "negated", "ones", "above_one")
 
-    def __init__(self) -> None:
+    def __init__(self, residual: Mapping[int, Fraction]) -> None:
         self.denominator: int | None = None
         self.numerators: dict[int, int] | None = None
         self.degrees: dict[int, Fraction] = {}
-        self.negated: dict[int, Fraction] | None = None
-        self.ones: frozenset[int] | None = None
-        self.above_one: frozenset[int] | None = None
+        self.negated: dict[int, Fraction] = {}
+        ones: list[int] = []
+        above: list[int] = []
+        for cid, value in residual.items():
+            n, d = value.numerator, value.denominator
+            if n >= d:
+                (ones if n == d else above).append(cid)
+        self.ones = frozenset(ones)
+        self.above_one = frozenset(above)
 
     def scale(self, residual: Mapping[int, Fraction]) -> None:
         """Fill `denominator` and `numerators`."""
@@ -109,18 +117,6 @@ class SolutionFacts:
             cid: value.numerator * (delta // value.denominator)
             for cid, value in residual.items()
         }
-
-    def scan(self, residual: Mapping[int, Fraction]) -> None:
-        """Fill `ones` and `above_one`; a residual is a `Fraction`, whose
-        denominator is positive, so both tests are integer comparisons."""
-        ones: list[int] = []
-        above: list[int] = []
-        for cid, value in residual.items():
-            n, d = value.numerator, value.denominator
-            if n >= d:
-                (ones if n == d else above).append(cid)
-        self.ones = frozenset(ones)
-        self.above_one = frozenset(above)
 
 
 @dataclass(frozen=True)
@@ -132,15 +128,19 @@ class CrepantData:
     reference: by the configuration's memo, by every caller of
     `crepant_pullback` and by the states a run reaches by moves, which all
     have the same solution.  `facts` is the mapping's `SolutionFacts`,
-    passed along with it: log degrees, negated residuals and the residual-1
-    and residual-above-1 curves are each found once per mapping, not once
-    per state.  Discrepancies are the negated residuals on the contracted
-    set.
+    passed along with it, or made from the mapping when none is passed: log
+    degrees, negated residuals and the residual-1 and residual-above-1
+    curves are each found once per mapping, not once per state.
+    Discrepancies are the negated residuals on the contracted set.
     """
 
     residual: Mapping[int, Fraction]
     contracted: frozenset[int]
-    facts: SolutionFacts = field(default_factory=SolutionFacts, repr=False, compare=False)
+    facts: SolutionFacts = field(default=None, repr=False, compare=False)
+
+    def __post_init__(self) -> None:
+        if self.facts is None:
+            object.__setattr__(self, "facts", SolutionFacts(self.residual))
 
     def discrepancy(self, cid: int) -> Fraction:
         if cid not in self.contracted:
@@ -156,10 +156,7 @@ class CrepantData:
         negates only the curve it added, and reads the rest from the
         mapping's table."""
         residual = self.residual
-        facts = self.facts
-        negated = facts.negated
-        if negated is None:
-            negated = facts.negated = {}
+        negated = self.facts.negated
         for cid in self.contracted.difference(negated):
             value = residual[cid]
             negated[cid] = Fraction(-value.numerator, value.denominator)
@@ -178,19 +175,13 @@ class CrepantData:
     @property
     def ones(self) -> frozenset[int]:
         """The curves, contracted or not, whose residual is exactly 1."""
-        facts = self.facts
-        if facts.ones is None:
-            facts.scan(self.residual)
-        return facts.ones
+        return self.facts.ones
 
     @property
     def above_one(self) -> frozenset[int]:
         """The curves whose residual is above 1; all are contracted, since
         validation keeps every coefficient at most 1."""
-        facts = self.facts
-        if facts.above_one is None:
-            facts.scan(self.residual)
-        return facts.above_one
+        return self.facts.above_one
 
 
 def _require_contractible(config: CurveConfig, ids: frozenset[int]) -> tuple[Block, ...]:
@@ -305,23 +296,22 @@ class SurfaceState:
 
     @cached_property
     def _checked(self) -> dict[int, Block]:
-        """Validate the configuration, the contracted ids, their nesting in
-        the base and the contractibility of the contracted and target sets,
-        and return the state's block index: each contracted curve mapped to
-        the block of its component, built from the set's memoised blocks.
+        """Validate the configuration, the ids and contractibility of the
+        contracted set, its nesting in the base and the ids and
+        contractibility of the target set, in that order, and return the
+        state's block index: each contracted curve mapped to the block of
+        its component, built from the set's memoised blocks.  An unknown id
+        is reported by the set's factor lookup (`surface.factor_blocks`),
+        which names the least.
 
         A state made by `successor` is checked, and its index stored, when
         it is made.
         """
         require_valid(self.config)
-        for cid in self.contracted:
-            self.config.curve(cid)
+        blocks = _require_contractible(self.config, self.contracted)
         if not self.base.contains(self.contracted):
             raise _not_nested(self.contracted, self.base)
-        blocks = _require_contractible(self.config, self.contracted)
         if isinstance(self.base, TargetBase):
-            for cid in self.base.contracted_on_target:
-                self.config.curve(cid)
             _require_contractible(self.config, self.base.contracted_on_target)
         return {cid: block for block in blocks for cid in block[0]}
 
@@ -519,25 +509,34 @@ def image_self_intersection(
     return Fraction(num, den)
 
 
-def correction_multiplicities(state: SurfaceState, cid: int) -> dict[int, Fraction]:
-    """Multiplicities λ_j of the contracted curves in the pullback of `cid`'s image.
-
-    They solve gram(S)·λ = −(C·E_j)_j over the contracted set S, which must
-    not contain `cid`, from the set's memoised blocks: only the components
-    that `cid` meets have a nonzero right-hand side, so only their blocks,
-    found through the state's block index, are solved, each from its
-    factor, on the integer right-hand side as it is
-    (`ratlin.DefiniteFactor.solve_scaled`); elsewhere λ is exactly 0.
-    """
+def require_uncontracted(state: SurfaceState, cid: int) -> None:
+    """Check the state, then raise unless `cid` is one of its curves that
+    is not contracted."""
     state._checked
     state.config.curve(cid)
     if cid in state.contracted:
-        raise InvalidStateError(f"curve {cid} is contracted; its image is a point")
+        raise InvalidStateError(f"curve {cid} is already contracted")
+
+
+def correction_multiplicities(state: SurfaceState, cid: int) -> dict[int, Fraction]:
+    """The non-zero multiplicities λ_j of the contracted curves in the
+    pullback of the image of `cid`, which must not be contracted.
+
+    They solve gram(S)·λ = −(C·E_j)_j over the contracted set S.  Only the
+    components that `cid` meets have a non-zero right-hand side, so only
+    their blocks, found through the state's block index, are solved, each
+    from its factor, on the integer right-hand side as it is
+    (`ratlin.DefiniteFactor.solve_scaled`).  By the negativity lemma
+    (Kollár–Mori, *Birational Geometry of Algebraic Varieties*, 1998) λ is
+    positive on every curve of those components and 0 on every other
+    contracted curve, which the map leaves out.
+    """
+    require_uncontracted(state, cid)
     near = state.config._adjacency[cid]
-    lam = dict.fromkeys(state.contracted, _ZERO)
+    lam: dict[int, Fraction] = {}
     for order, factor in state._blocks_meeting(cid):
         lam.update(zip(order, factor.solve_scaled([-near.get(j, 0) for j in order], 1)))
-    return dict(sorted(lam.items()))
+    return lam
 
 
 def log_degree(state: SurfaceState, cid: int) -> Fraction:

@@ -12,15 +12,16 @@ coefficient below 1 (a coefficient-1 curve is itself a non-klt centre,
 `IsDivisorialCenter`); only then are the multiplicities λ solved for the
 image self-intersection.
 
-The blow-down predicate reads only the curve's neighbourhood: it finds the
+Both predicates read only the curve's neighbourhood: they find the
 contracted components a curve meets through its crossings and the state's
 curve → block index (`crepant.SurfaceState`), which a successor builds
-from its parent's when it is made, so it does not scan the whole
-contracted set or configuration, and its local tests run once per curve
-and set of contracted curves it meets (`CurveConfig._blowdown_memo`).  The
-flop predicate solves for λ only on the blocks of those components, but
-its map of λ, which `epsilon_bound` reads, holds every contracted curve.
-Each move kind has one candidate scan: `lowest_flop`, `lowest_blowdown`.
+from its parent's when it is made, so neither scans the whole contracted
+set or configuration.  The blow-down predicate's local tests run once per
+curve and set of contracted curves it meets (`CurveConfig._blowdown_memo`).
+The flop predicate solves for λ only on the blocks of those components,
+and its map of λ, which `epsilon_bound` reads, holds only their curves,
+the contracted curves where λ is non-zero.  Each move kind has one
+candidate scan: `lowest_flop`, `lowest_blowdown`.
 
 The predicates and `epsilon_bound` decide on integers: a log degree, an
 image self-intersection or a multiplicity is an exact rational whose
@@ -55,9 +56,9 @@ from .crepant import (
     image_self_intersection,
     is_log_crepant,
     log_degree,
+    require_uncontracted,
 )
 from .errors import (
-    InvalidStateError,
     LogSurfaceError,
     NotABlowdownError,
     NotFloppingError,
@@ -157,13 +158,6 @@ class BlowdownCheck(_Check):
     order: tuple[int, ...] = ()
 
 
-def _require_uncontracted(state: SurfaceState, cid: int) -> None:
-    state._checked
-    state.config.curve(cid)
-    if cid in state.contracted:
-        raise InvalidStateError(f"curve {cid} is already contracted")
-
-
 def _require_log_terminal(state: SurfaceState) -> None:
     if state.classification < Classification.LOG_TERMINAL:
         raise NotLogTerminalError(
@@ -194,7 +188,7 @@ def is_log_flopping(state: SurfaceState, cid: int) -> FlopCheck:
     curve meeting the component survives its contraction, so a curve of
     coefficient below 1 meeting it would break that corner.
     """
-    _require_uncontracted(state, cid)
+    require_uncontracted(state, cid)
     _require_log_terminal(state)
     fail = partial(FlopCheck, state, cid, False, multiplicities=None)
     if _survives_on_target(state, cid):
@@ -392,7 +386,7 @@ def is_log_blowdown(state: SurfaceState, cid: int) -> BlowdownCheck:
     meets are found through its crossings and the state's block index, not
     by testing every block.
     """
-    _require_uncontracted(state, cid)
+    require_uncontracted(state, cid)
     fail = partial(BlowdownCheck, state, cid, False)
     if _survives_on_target(state, cid):
         return fail("NotExceptionalOverBase", f"curve {cid} survives on the target model")

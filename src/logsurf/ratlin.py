@@ -219,18 +219,22 @@ def forest_post_order(
     roots: Iterable[Node],
     neighbours: Callable[[Node], Iterable[Node]],
     weight: Callable[[Node, Node], int],
-) -> tuple[list[Node], list[list[tuple[int, int]]]] | None:
-    """The vertices reachable from `roots` in post-order, each after all its
-    descendants, with each vertex's children, or None on a cycle.
+) -> tuple[list[Node], list[list[tuple[int, int]]] | None]:
+    """The vertices reachable from `roots`, each once, and their children:
+    in post-order, each vertex after all its descendants, with each
+    vertex's children when they form a forest, else with None.
 
     `neighbours` must be symmetric.  The search starts a tree at each root
     not yet reached; the reverse of its pre-order is a post-order.  A
-    neighbour reached a second time, other than the parent, closes a cycle.
-    Entry k of the children lists (j, weight(child, vertex)) for each child
-    at position j < k: the form `tree_factor` takes.
+    neighbour reached a second time, other than the parent, closes a cycle;
+    the search still reaches every vertex, so the order is the vertex set
+    of the roots' components either way.  Entry k of the children lists
+    (j, weight(child, vertex)) for each child at position j < k: the form
+    `tree_factor` takes.
     """
     parent: dict[Node, Node | None] = {}
     order: list[Node] = []
+    forest = True
     for root in roots:
         if root in parent:
             continue
@@ -244,10 +248,13 @@ def forest_post_order(
                 if u == up:
                     continue
                 if u in parent:
-                    return None
+                    forest = False
+                    continue
                 parent[u] = v
                 stack.append(u)
     order.reverse()
+    if not forest:
+        return order, None
     position = {v: k for k, v in enumerate(order)}
     children: list[list[tuple[int, int]]] = [[] for _ in order]
     for k, v in enumerate(order):
@@ -408,14 +415,13 @@ def _forest_determinant(a: Sequence[Sequence[int]]) -> int | None:
     rows are only read, and each is scanned for its non-zero entries at C
     level."""
     columns = range(len(a))
-    found = forest_post_order(
+    order, children = forest_post_order(
         columns,
         lambda i: [j for j in itertools.compress(columns, a[i]) if j != i],
         lambda i, j: a[i][j],
     )
-    if found is None:
+    if children is None:
         return None
-    order, children = found
     below = {j for kids in children for j, _ in kids}
     det = 1
     for k, (d, _) in enumerate(_subtree_determinants([a[v][v] for v in order], children)):

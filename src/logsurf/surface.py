@@ -15,7 +15,7 @@ import math
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property
-from typing import Iterable, KeysView, Sequence
+from typing import Iterable, Iterator, KeysView, Sequence
 
 from .errors import (
     BadCoefficientError,
@@ -72,7 +72,8 @@ class CurveConfig:
     """The master model: an immutable curve configuration.
 
     ``picard_rank_of_model`` optionally records the Picard number of the
-    smooth model the configuration lives on; blow-ups keep it in step.
+    smooth model the configuration lives on, an `int` of at least 0;
+    blow-ups keep it in step.
     """
 
     curves: tuple[Curve, ...]
@@ -265,6 +266,12 @@ class CurveConfig:
                     out.append(
                         Violation("DanglingId", f"point {p.id} references missing curve {cid}")
                     )
+        rank = self.picard_rank_of_model
+        if rank is not None and type(rank) is not int:
+            name = type(rank).__name__
+            out.append(Violation("BadType", f"picard_rank_of_model {rank!r} is {name}, not int"))
+        elif rank is not None and rank < 0:
+            out.append(Violation("BadPicardRank", f"picard_rank_of_model {rank} is negative"))
         return tuple(out)
 
     def curve(self, cid: int) -> Curve:
@@ -411,33 +418,33 @@ def blow_up_tables(
 def connected_components(
     config: CurveConfig, subset: Iterable[int]
 ) -> tuple[frozenset[int], ...]:
-    """Partition of the subset under the relation "share a point"."""
-    members = set(subset)
+    """Partition of the subset under the relation "share a point", by least
+    id (`_components`)."""
+    members = frozenset(subset)
     for cid in members:
         config.curve(cid)
-    out: list[frozenset[int]] = []
-    todo = set(members)
-    while todo:
-        comp = _component(config, members, min(todo))
-        out.append(comp)
-        todo -= comp
-    return tuple(sorted(out, key=min))
+    return tuple(frozenset(order) for order, _ in _components(config, members))
 
 
-def _component(
-    config: CurveConfig, members: set[int] | frozenset[int], seed: int
-) -> frozenset[int]:
-    """The curves of `members` joined to `seed` by a path within `members`."""
+def _components(
+    config: CurveConfig, ids: frozenset[int]
+) -> Iterator[tuple[list[int], list[list[tuple[int, int]]] | None]]:
+    """Each connected component of `ids` from one search, by least id: the
+    search of `ratlin.forest_post_order` from the least id not yet reached,
+    kept within the set, yields the component's curves in post-order and,
+    unless it has a cycle, their children, a double contact being an edge
+    of weight 2."""
     adjacency = config._adjacency
-    comp = {seed}
-    frontier = [seed]
-    while frontier:
-        cur = frontier.pop()
-        for other in adjacency[cur]:
-            if other in members and other not in comp:
-                comp.add(other)
-                frontier.append(other)
-    return frozenset(comp)
+    reached: set[int] = set()
+    for seed in sorted(ids):
+        if seed not in reached:
+            order, children = forest_post_order(
+                (seed,),
+                lambda v: [u for u in adjacency[v] if u in ids],
+                lambda v, u: adjacency[v][u],
+            )
+            reached.update(order)
+            yield order, children
 
 
 def gram(config: CurveConfig, ordered_ids: Sequence[int]) -> SymMatrix:
@@ -474,14 +481,12 @@ def factor_blocks(config: CurveConfig, ids: frozenset[int]) -> tuple[Block, ...]
     component, or None when that matrix is not negative definite.
 
     Each set asked for is factored at most once per configuration, in its
-    `_factor_memo`.  It is searched once per component, from its least id
-    not yet reached: the search of `ratlin.forest_post_order`, kept within
-    the set, yields a tree component together with its post-order; a
-    component with a cycle, where that search stops, is found by a plain
-    search (`_component`).  Each component's block is then taken from the
-    memo or factored cold, once (`_cold_block`).  The empty set has no
-    blocks.  A state reached by a move finds its one new block from its
-    parent's instead (`grow_block`).
+    `_factor_memo`.  It is searched once per component (`_components`),
+    which yields the component in post-order, with its children when it is
+    a tree.  Each component's block is then taken from the memo or factored
+    cold, once (`_cold_block`).  The empty set has no blocks.  A state
+    reached by a move finds its one new block from its parent's instead
+    (`grow_block`).
     """
     if not ids:
         return ()
@@ -492,21 +497,11 @@ def factor_blocks(config: CurveConfig, ids: frozenset[int]) -> tuple[Block, ...]
         pass
     if not ids <= config._curve_map.keys():
         config.curve(min(ids - config._curve_map.keys()))
-    adjacency = config._adjacency
-    reached: set[int] = set()
     blocks: list[Block] = []
-    for seed in sorted(ids):
-        if seed in reached:
-            continue
-        tree = forest_post_order(
-            (seed,),
-            lambda v: [u for u in adjacency[v] if u in ids],
-            lambda v, u: adjacency[v][u],
-        )
-        component = frozenset(tree[0]) if tree else _component(config, ids, seed)
-        reached |= component
+    for order, children in _components(config, ids):
+        component = frozenset(order)
         if component not in memo:
-            memo[component] = _cold_block(config, component, tree)
+            memo[component] = _cold_block(config, component, order, children)
         entry = memo[component]
         if entry is None:
             break
@@ -520,30 +515,30 @@ def factor_blocks(config: CurveConfig, ids: frozenset[int]) -> tuple[Block, ...]
 def _cold_block(
     config: CurveConfig,
     component: frozenset[int],
-    tree: tuple[list[int], list[list[tuple[int, int]]]] | None,
+    order: list[int],
+    children: list[list[tuple[int, int]]] | None,
 ) -> tuple[Block] | None:
     """The one block of a connected set factored from scratch, or None
     when its Gram matrix is not negative definite.
 
-    `tree` is the component's post-order and children from
-    `ratlin.forest_post_order`, or None when the component has a cycle.  A
-    tree is factored by `ratlin.tree_factor`, a double contact being an
-    edge of weight 2, into a `ratlin.TreeFactor` that stays sparse until a
-    caller reads its dense rows.  Dense elimination decides the rest: a set
-    with a cycle through three or more curves, and a tree the subtree
+    `order` and `children` are the component's post-order and children
+    from `_components`; `children` is None when the component has a
+    cycle.  A tree is factored by `ratlin.tree_factor` into a
+    `ratlin.TreeFactor` that stays sparse until a caller reads its dense
+    rows.  Dense elimination of the rows in id order decides the rest: a
+    set with a cycle through three or more curves, and a tree the subtree
     recurrence rejects, so that every cold "not negative definite" comes
     from the same `is_negative_definite` test as before the recurrence.  A
     rejection is the error path, so the repeated test adds nothing to a
     contractible component's cost.
     """
-    if tree is not None:
-        order, children = tree
+    if children is not None:
         factor = tree_factor([config.curve(cid).self_intersection for cid in order], children)
         if factor is not None:
             return ((tuple(order), factor),)
-    order = tuple(sorted(component))
-    matrix = gram(config, order)
-    return ((order, matrix.factor),) if is_negative_definite(matrix) else None
+    ids = tuple(sorted(component))
+    matrix = gram(config, ids)
+    return ((ids, matrix.factor),) if is_negative_definite(matrix) else None
 
 
 def grow_block(config: CurveConfig, met: Sequence[Block], cid: int) -> Block | None:

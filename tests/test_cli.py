@@ -145,6 +145,22 @@ class TestValidateCommand:
         assert cli.main(["validate", path]) == 2
         assert "TriplePoint" in capsys.readouterr().err
 
+    def test_negative_picard_rank_rejected(self, tmp_path, capsys):
+        from logsurf import CurveConfig
+
+        config = CurveConfig.build([(1, 0, -2, 0)], [], picard_rank_of_model=-3)
+        path = write_scenario(tmp_path / "rank.json", config)
+        assert cli.main(["validate", path]) == 2
+        assert "BadPicardRank: picard_rank_of_model -3 is negative" in capsys.readouterr().err
+
+    def test_string_picard_rank_rejected(self, tmp_path, capsys):
+        doc = cli.config_to_json(helpers.corner_twice())
+        doc["picard_rank_of_model"] = "5"
+        path = tmp_path / "rank.json"
+        path.write_text(json.dumps(doc), encoding="utf-8")
+        assert cli.main(["validate", str(path)]) == 2
+        assert "picard_rank_of_model must be an integer" in capsys.readouterr().err
+
     def test_missing_file(self, tmp_path, capsys):
         assert cli.main(["validate", str(tmp_path / "nope.json")]) == 2
         assert "error" in capsys.readouterr().err

@@ -713,7 +713,11 @@ class TestGoldenChecks:
                                     lines.append((flop.ok, flop.reason, flop.detail))
                                     if flop:
                                         eps = epsilon_bound(flop)
-                                        lines.append(sorted(flop.multiplicities.items()))
+                                        lines.append(
+                                            sorted(
+                                                (j, v) for j, v in flop.multiplicities.items() if v
+                                            )
+                                        )
                                         lines.append((eps.supremum, eps.chosen))
                                 else:
                                     lines.append(flop)
@@ -721,5 +725,5 @@ class TestGoldenChecks:
                                 lines.append((down.ok, down.reason, down.detail, down.order))
                             digest.update(repr(lines).encode())
         assert digest.hexdigest() == (
-            "68a459000de83bcde894c90c971225f6d0c79ec5885c8aa94fde0d763b869b30"
+            "64fcadf2583f68320a8bcc5b66e5016d10515b54901e637066447fda235d2168"
         )

@@ -1,6 +1,7 @@
 """Configurations, validation, blow-up rewriting, and the contraction simulator."""
 
 from fractions import Fraction
+import itertools
 import random
 
 import pytest
@@ -33,6 +34,7 @@ from logsurf import (
     is_log_blowdown,
     next_curve_id,
     pairing,
+    relative_picard_rank,
     smooth_point_blowdown,
     validate_config,
 )
@@ -207,6 +209,22 @@ class TestValidation:
             assert validate_config(CurveConfig(tuple(curves), tuple(points))) == expected
             plain += not expected
         assert 100 < plain < 500
+
+    @pytest.mark.parametrize(
+        "rank, kind",
+        [(-3, "BadPicardRank"), (-1, "BadPicardRank"), ("5", "BadType"), (True, "BadType"),
+         (2.0, "BadType")],
+    )
+    def test_malformed_picard_rank(self, rank, kind):
+        config = CurveConfig.build([(1, 0, -2, 0)], [], picard_rank_of_model=rank)
+        assert [v.kind for v in validate_config(config)] == [kind]
+        with pytest.raises(InvalidStateError, match=kind):
+            relative_picard_rank(SurfaceState(config, {1}))
+
+    @pytest.mark.parametrize("rank", [None, 0, 5])
+    def test_a_picard_rank_of_at_least_zero_is_valid(self, rank):
+        config = CurveConfig.build([(1, 0, -2, 0)], [], picard_rank_of_model=rank)
+        assert validate_config(config) == ()
 
     def test_point_repeating_a_curve_is_refused(self):
         with pytest.raises(ValueError, match="point 1 lists a curve twice"):
@@ -397,6 +415,77 @@ class TestComponentsAndGram:
     def test_gram_rejects_a_repeated_curve(self):
         with pytest.raises(ValueError, match="curve ids must be distinct"):
             gram(helpers.corner_twice(), [1, 1])
+
+
+def _graph_config(selves, edges):
+    """Curves 1..n of genus 0 and coefficient 0 with the given
+    self-intersections, and one crossing point per listed pair: a pair
+    listed twice is a double contact."""
+    return CurveConfig.build(
+        [(cid, 0, square, 0) for cid, square in enumerate(selves, 1)],
+        list(enumerate(edges, 1)),
+    )
+
+
+@st.composite
+def cycle_configs(draw):
+    """3 to 7 curves of self-intersection −5..−1 whose crossings close a
+    cycle through 3 or more of them, plus up to n random crossings, which
+    may repeat a pair."""
+    n = draw(st.integers(3, 7))
+    length = draw(st.integers(3, n))
+    edges = [(i, i % length + 1) for i in range(1, length + 1)]
+    pairs = list(itertools.combinations(range(1, n + 1), 2))
+    edges += draw(st.lists(st.sampled_from(pairs), max_size=n))
+    return _graph_config(draw(st.lists(st.integers(-5, -1), min_size=n, max_size=n)), edges)
+
+
+class TestCycles:
+    """The one component search on sets with cycles: `connected_components`
+    against the raw components, `factor_blocks` against brute-force
+    definiteness."""
+
+    @staticmethod
+    def _check(config, members):
+        components = oracles.raw_components(config, members)
+        assert list(connected_components(config, members)) == components
+        blocks = factor_blocks(config, members)
+        rows = gram(config, sorted(members)).rows()
+        assert (blocks is not None) == oracles.brute_negative_definite(rows)
+        if blocks is not None:
+            assert [frozenset(order) for order, _ in blocks] == components
+
+    @pytest.mark.parametrize(
+        "selves, edges",
+        [
+            # A triangle of (−3)-curves: a cusp, definite.
+            ([-3, -3, -3], [(1, 2), (2, 3), (3, 1)]),
+            # A 4-cycle of (−2)-curves: semi-definite; its proper subsets are chains.
+            ([-2, -2, -2, -2], [(1, 2), (2, 3), (3, 4), (4, 1)]),
+            ([-3, -2, -3, -2], [(1, 2), (2, 3), (3, 4), (4, 1)]),
+            # A triangle with a pendant tree at curve 1.
+            ([-3, -3, -3, -2, -2, -2], [(1, 2), (2, 3), (3, 1), (1, 4), (4, 5), (4, 6)]),
+            # A triangle beside a tree component.
+            ([-3, -3, -3, -2, -2, -2], [(1, 2), (2, 3), (3, 1), (4, 5), (5, 6)]),
+            # Double contacts: within a triangle, and on a pendant curve.
+            ([-4, -3, -3, -3], [(1, 2), (1, 2), (2, 3), (3, 1), (3, 4), (3, 4)]),
+            ([-2, -2], [(1, 2), (1, 2)]),
+        ],
+    )
+    def test_every_subset_of_small_cyclic_configurations(self, selves, edges):
+        config = _graph_config(selves, edges)
+        ids = [c.id for c in config.curves]
+        for size in range(1, len(ids) + 1):
+            for subset in itertools.combinations(ids, size):
+                self._check(config, frozenset(subset))
+
+    @settings(max_examples=150, deadline=None)
+    @given(cycle_configs(), st.data())
+    def test_random_cyclic_configurations(self, config, data):
+        ids = [c.id for c in config.curves]
+        self._check(config, frozenset(ids))
+        drawn = data.draw(st.lists(st.sampled_from(ids), min_size=1, unique=True))
+        self._check(config, frozenset(drawn))
 
 
 class TestSmoothPointBlowdown:
