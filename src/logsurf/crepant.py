@@ -125,13 +125,12 @@ class CrepantData:
 
     `residual` covers every curve: the solved value on contracted curves, the
     stated boundary coefficient elsewhere.  It is read-only and shared by
-    reference: by the configuration's memo, by every caller of
-    `crepant_pullback` and by the states a run reaches by moves, which all
-    have the same solution.  `facts` is the mapping's `SolutionFacts`,
-    passed along with it, or made from the mapping when none is passed: log
-    degrees, negated residuals and the residual-1 and residual-above-1
-    curves are each found once per mapping, not once per state.
-    Discrepancies are the negated residuals on the contracted set.
+    reference by the states a run reaches by moves, which all have the same
+    solution.  Each state holds its own `CrepantData`; no configuration-wide
+    table keeps one.  `facts` is the mapping's `SolutionFacts`, passed along
+    with it, or made from the mapping when none is passed: log degrees,
+    negated residuals and the residual-1 and residual-above-1 curves are
+    each found once per mapping, not once per state.  Discrepancies are the negated residuals on the contracted set.
     """
 
     residual: Mapping[int, Fraction]
@@ -216,29 +215,17 @@ def crepant_pullback(config: CurveConfig, contracted: Iterable[int]) -> CrepantD
     the Gram system  Σ_j e_j (C_j·C_i) = −deg K|_i − Σ_k d_k (C_k·C_i)  over
     contracted j and uncontracted k.  The Gram matrix of a contractible set is
     negative definite, hence invertible, so the solution exists and is unique.
-    Each set is solved at most once per configuration, block by block from
-    its memoised factors, unless a state reached by a move has already
-    stored the solution it inherits (`SurfaceState.successor`); every call
-    returns the memoised solution itself, which is read-only.
+
+    Each call solves afresh, block by block from the set's memoised factors.  A block's right-hand side reads only its own
+    curves and the curves outside the set, so each block is solved on its
+    own.  It is summed in integers, scaled by the configuration's least
+    common coefficient denominator e, and solved at that scale
+    (`ratlin.DefiniteFactor.solve_scaled`), so the only `Fraction` objects
+    built are the residuals themselves.  A state solves its set at most once
+    (`SurfaceState.crepant`), and a state reached by a move usually inherits
+    its parent's solution instead (`SurfaceState.successor`).
     """
     key = frozenset(contracted)
-    memo = config._crepant_memo
-    data = memo.get(key)
-    if data is None:
-        data = memo[key] = _solve_pullback(config, key)
-    return data
-
-
-def _solve_pullback(config: CurveConfig, key: frozenset[int]) -> CrepantData:
-    """Solve the set's system cold, block by block from its factors.
-
-    A block's right-hand side reads only its own curves and the curves
-    outside the set, so each block is solved on its own.  It is summed in
-    integers, scaled by the configuration's least common coefficient
-    denominator e, and solved at that scale
-    (`ratlin.DefiniteFactor.solve_scaled`), so the only `Fraction` objects
-    built are the residuals themselves.
-    """
     blocks = _require_contractible(config, key)
     residual = {c.id: c.boundary_coeff for c in config.curves}
     adjacency = config._adjacency
@@ -255,6 +242,14 @@ def _solve_pullback(config: CurveConfig, key: frozenset[int]) -> CrepantData:
             rhs.append(-acc)
         residual.update(zip(order, factor.solve_scaled(rhs, e)))
     return CrepantData(MappingProxyType(residual), key)
+
+
+def _keeps_coefficients(config: CurveConfig, data: CrepantData, ids: Iterable[int]) -> bool:
+    """Whether the solution `data` gives each curve of `ids` its stated
+    boundary coefficient as its residual: contracting them on top of the
+    rest of `data`'s set shifts no discrepancy."""
+    residual = data.residual
+    return all(residual[j] == config.curve(j).boundary_coeff for j in ids)
 
 
 class Classification(IntEnum):
@@ -339,10 +334,10 @@ class SurfaceState:
         Each row of the new system but `cid`'s is a row of this one, with
         `cid`'s term moved across at e = d, and `cid`'s row says that this
         state's log degree on `cid` is 0.  When that one exact equation
-        holds, this state's residuals solve the new system, uniquely, so its
-        read-only mapping and its table of facts (`SolutionFacts`) are
-        stored as the new state's solution, with no solve and no copy.
-        Otherwise the new set is solved cold when asked.
+        holds, the move is crepant: this state's residuals solve the new
+        system, uniquely, so its read-only mapping and its table of facts
+        (`SolutionFacts`) become the new state's own solution, with no solve
+        and no copy.  Otherwise the new state solves its set cold when asked.
         """
         self._checked
         config = self.config
@@ -356,15 +351,17 @@ class SurfaceState:
         index = dict(self._checked)
         index.update(dict.fromkeys(block[0], block))
         new.__dict__["_checked"] = index
-        memo = config._crepant_memo
-        if new.contracted not in memo and log_degree(self, cid).numerator == 0:
+        if log_degree(self, cid).numerator == 0:
             inherited = self.crepant
-            memo[new.contracted] = CrepantData(inherited.residual, new.contracted, inherited.facts)
+            new.__dict__["crepant"] = CrepantData(
+                inherited.residual, new.contracted, inherited.facts
+            )
         return new
 
     @cached_property
     def crepant(self) -> CrepantData:
-        """The crepant data of the contracted set (`crepant_pullback`)."""
+        """The crepant data of the contracted set: inherited when a move
+        made the state (`successor`), else solved cold (`crepant_pullback`)."""
         self._checked
         return crepant_pullback(self.config, self.contracted)
 
@@ -575,15 +572,12 @@ def is_log_crepant(
     True exactly when every extra curve keeps its stated boundary coefficient
     as its residual in the larger solution — the additional contraction
     introduces no discrepancy shift.  By uniqueness of the solved systems this
-    forces the two residual vectors to agree everywhere.
+    forces the two residual vectors to agree everywhere.  Only `large` is
+    solved; `small` is checked to be contractible.
     """
     small_set = frozenset(small)
     large_set = frozenset(large)
     if not small_set <= large_set:
         raise NotNestedError(f"{sorted(small_set)} is not a subset of {sorted(large_set)}")
-    crepant_pullback(config, small_set)  # validates contractibility of the small set
-    large_data = crepant_pullback(config, large_set)
-    return all(
-        large_data.residual[j] == config.curve(j).boundary_coeff
-        for j in large_set - small_set
-    )
+    _require_contractible(config, small_set)
+    return _keeps_coefficients(config, crepant_pullback(config, large_set), large_set - small_set)

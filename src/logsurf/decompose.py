@@ -26,7 +26,7 @@ from .crepant import (
     PointBase,
     SurfaceState,
     TargetBase,
-    is_log_crepant,
+    _keeps_coefficients,
 )
 from .errors import (
     InvalidStateError,
@@ -151,7 +151,7 @@ def decompose_morphism(spec: MorphismSpec) -> DecompositionTrace:
                 f"state contracting {sorted(endpoint.contracted)} classifies as "
                 f"{endpoint.classification.name}"
             )
-    if not is_log_crepant(spec.config, s1, s2):
+    if not _keeps_coefficients(spec.config, end_state.crepant, s2 - s1):
         raise NotCrepantError(
             f"contracting {sorted(s2)} does not factor log-crepantly through "
             f"{sorted(s1)}"

@@ -52,9 +52,9 @@ from .crepant import (
     Classification,
     SurfaceState,
     TargetBase,
+    _keeps_coefficients,
     correction_multiplicities,
     image_self_intersection,
-    is_log_crepant,
     log_degree,
     require_uncontracted,
 )
@@ -341,7 +341,9 @@ def is_flop_minimal(state: SurfaceState) -> bool:
 
 def _contract(check: FlopCheck | BlowdownCheck, move: str) -> SurfaceState:
     """Contract a checked curve and assert the postconditions common to both
-    moves; failures signal library bugs."""
+    moves; failures signal library bugs.  The move is crepant when the new
+    state's own solution, inherited or solved cold (`SurfaceState.successor`),
+    keeps the curve's coefficient as its residual."""
     old, cid = check.state, check.curve
     try:
         new = old.successor(cid)
@@ -353,7 +355,7 @@ def _contract(check: FlopCheck | BlowdownCheck, move: str) -> SurfaceState:
         raise TheoremViolationError(
             f"{move} of curve {cid} left a {new.classification.name} state"
         )
-    if not is_log_crepant(old.config, old.contracted, new.contracted):
+    if not _keeps_coefficients(old.config, new.crepant, (cid,)):
         raise TheoremViolationError(f"{move} of curve {cid} is not log crepant")
     before = relative_picard_rank(old)
     after = relative_picard_rank(new)

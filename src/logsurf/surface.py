@@ -74,6 +74,9 @@ class CurveConfig:
     ``picard_rank_of_model`` optionally records the Picard number of the
     smooth model the configuration lives on, an `int` of at least 0;
     blow-ups keep it in step.
+
+    Its memos hold facts true at every state that reads them; a solved
+    crepant pullback belongs to its state (`crepant.SurfaceState`).
     """
 
     curves: tuple[Curve, ...]
@@ -151,19 +154,6 @@ class CurveConfig:
         reference by every entry and state containing its component.  The
         memo lives and dies with this configuration, which is immutable, so
         an entry never goes stale.
-        """
-        return {}
-
-    @cached_property
-    def _crepant_memo(self) -> dict[frozenset[int], object]:
-        """Solved crepant pullbacks (`crepant.CrepantData`) by contracted set.
-
-        Filled by `crepant.crepant_pullback`, by a solve from the set's
-        factors, or, for a state reached by a move, with the parent's
-        residual mapping itself once the new curve's row holds exactly
-        (`crepant.SurfaceState.successor`).  Entries are read-only, so every
-        caller gets the entry itself and states along a run share one
-        mapping.
         """
         return {}
 

@@ -1,11 +1,19 @@
-"""Shared fixtures: a lazily built session corpus of generated inputs."""
+"""Shared fixtures: a lazily built session corpus of generated inputs, and
+recorders of the states and cold solves a run makes."""
 
 from __future__ import annotations
 
 import pytest
 
 import helpers
-from logsurf import MorphismSpec, DecompositionTrace, decompose_morphism, generate_crepant_pair
+import logsurf.crepant
+from logsurf import (
+    MorphismSpec,
+    DecompositionTrace,
+    SurfaceState,
+    decompose_morphism,
+    generate_crepant_pair,
+)
 
 PAIR_COUNT = 500
 
@@ -41,3 +49,34 @@ class Corpus:
 @pytest.fixture(scope="session")
 def corpus() -> Corpus:
     return Corpus()
+
+
+@pytest.fixture
+def made(monkeypatch):
+    """Every state `SurfaceState.successor` makes."""
+    states = []
+    real = SurfaceState.successor
+
+    def recording(self, cid):
+        new = real(self, cid)
+        states.append(new)
+        return new
+
+    monkeypatch.setattr(SurfaceState, "successor", recording)
+    return states
+
+
+@pytest.fixture
+def cold(monkeypatch):
+    """Every (configuration, contracted set, solution) that is solved cold
+    (`crepant_pullback`)."""
+    solved = []
+    real = logsurf.crepant.crepant_pullback
+
+    def recording(config, contracted):
+        data = real(config, contracted)
+        solved.append((config, data.contracted, data))
+        return data
+
+    monkeypatch.setattr(logsurf.crepant, "crepant_pullback", recording)
+    return solved

@@ -17,6 +17,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import helpers
+from helpers import write_scenario
 from logsurf import (
     CurveConfig,
     EpsilonChoice,
@@ -33,12 +34,6 @@ from logsurf import (
 import logsurf.cli as cli
 
 SCENARIOS = Path(__file__).resolve().parent.parent / "scenarios"
-
-
-def write_scenario(path, config, contracted=(), base=None) -> str:
-    doc = cli.config_to_json(config, contracted, base)
-    path.write_text(json.dumps(doc, indent=2) + "\n", encoding="utf-8")
-    return str(path)
 
 
 @pytest.fixture()
@@ -907,33 +902,14 @@ class TestTraceMutationSweep:
         assert self._verify_command(config, doc, tmp_path, capsys) == (2, f"error: {error}\n")
 
     @pytest.mark.parametrize("field", ["discrepancies_after", "discrepancies_before"])
-    @pytest.mark.parametrize(
-        "mutation", ["inherited value", "new value", "drop a key", "add a key", "swap two values"]
-    )
+    @pytest.mark.parametrize("mutation", helpers.MAP_MUTATIONS)
     def test_a_mutation_is_rejected_at_its_step(
         self, written, mutation, field, tmp_path, capsys
     ):
         config, doc = written
         doc = json.loads(json.dumps(doc))
-        steps = doc["steps"]
         index = self.STEP
-        # The curve whose entry `field` added last: this step's, or the one
-        # before it for a "before" map.
-        new = str(steps[index if field == "discrepancies_after" else index - 1]["curve"])
-        record = steps[index][field]
-        inherited = sorted(key for key in record if key != new)
-        if mutation == "inherited value":
-            record[inherited[0]] = str(Fraction(record[inherited[0]]) + 1)
-        elif mutation == "new value":
-            record[new] = str(Fraction(record[new]) - 1)
-        elif mutation == "drop a key":
-            del record[inherited[-1]]
-        elif mutation == "add a key":
-            extra = min(c.id for c in config.curves if str(c.id) not in record)
-            record[str(extra)] = str(-config.curve(extra).boundary_coeff)
-        else:
-            other = next(key for key in inherited if record[key] != record[new])
-            record[other], record[new] = record[new], record[other]
+        helpers.mutate_map(doc, config, index, field, mutation)
         which = "posterior" if field == "discrepancies_after" else "prior"
         failure = f"recorded {which} discrepancies do not match"
         verdict, code, err = self._verdicts(config, doc, tmp_path, capsys)

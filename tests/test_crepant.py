@@ -8,6 +8,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import helpers
+from helpers import fresh
 import logsurf.crepant
 import oracles
 import logsurf.surface
@@ -73,7 +74,7 @@ class TestCrepantPullback:
             4: Fraction(0),
         }
 
-    def test_memoised_solution_is_read_only_and_shared_with_callers(self):
+    def test_solution_is_read_only_and_each_call_solves_afresh(self):
         config = helpers.corner_twice()
         first = crepant_pullback(config, {3, 4})
         with pytest.raises(TypeError):
@@ -82,9 +83,10 @@ class TestCrepantPullback:
             del first.residual[4]
         with pytest.raises(TypeError):
             first.discrepancies[4] = Fraction(7)
+        # No configuration-wide memo: a second call solves again, to the
+        # same values.
         again = crepant_pullback(config, [4, 3])
-        assert again is first and again.residual is first.residual
-        assert again.discrepancies is first.discrepancies
+        assert again is not first and again == first
         expected = oracles.solve_linear(gram(config, [3, 4]).rows(), raw_rhs(config, [3, 4]))
         assert (again.residual[3], again.residual[4]) == expected == (1, 0)
         assert again.discrepancies == {3: Fraction(-1), 4: Fraction(0)}
@@ -365,6 +367,22 @@ class TestIsLogCrepant:
         with pytest.raises(NotNestedError):
             is_log_crepant(helpers.corner_twice(), {3}, {4})
 
+    def test_solves_only_the_larger_set(self, cold):
+        config = helpers.corner_twice()
+        assert is_log_crepant(config, {4}, {3, 4})
+        assert [(cfg, key) for cfg, key, _ in cold] == [(config, frozenset({3, 4}))]
+
+    def test_a_non_contractible_small_set_is_refused_without_a_solve(self, cold):
+        config = helpers.corner()
+        with pytest.raises(InvalidStateError) as refused:
+            is_log_crepant(config, {1}, {1, 2})
+        with pytest.raises(InvalidStateError) as solved:
+            crepant_pullback(helpers.corner(), {1})
+        assert str(refused.value) == str(solved.value) == (
+            "gram matrix of [1] is not negative definite; the set is not contractible"
+        )
+        assert cold == []
+
     def test_coherence_of_nested_solutions(self):
         config = helpers.corner_twice()
         small = crepant_pullback(config, {4})
@@ -537,11 +555,6 @@ def random_tree_config(rng, n: int) -> CurveConfig:
         for _ in range(rng.choice((1, 1, 1, 2))):
             points.append((len(points) + 1, [up, i]))
     return CurveConfig.build(curves, points)
-
-
-def fresh(config: CurveConfig) -> CurveConfig:
-    """An equal configuration with nothing cached on it."""
-    return CurveConfig(config.curves, config.points, config.picard_rank_of_model)
 
 
 def tree_configs():
@@ -739,20 +752,6 @@ def runs(build):
             yield config, minimize(SurfaceState(config, set()))
 
 
-@pytest.fixture
-def cold(monkeypatch):
-    """Every (configuration, contracted set) that is solved cold."""
-    solved = []
-    real = logsurf.crepant._solve_pullback
-
-    def recording(config, key):
-        solved.append((config, key))
-        return real(config, key)
-
-    monkeypatch.setattr(logsurf.crepant, "_solve_pullback", recording)
-    return solved
-
-
 class TestInheritedSolutions:
     """A state reached by a move inherits its parent's residuals after one
     exact row check, instead of solving its own system."""
@@ -766,17 +765,19 @@ class TestInheritedSolutions:
             yield frozenset(contracted)
 
     @pytest.mark.parametrize("build", ["towers", "chains"])
-    def test_every_inherited_entry_agrees_with_the_oracle(self, build, cold):
+    def test_every_inherited_solution_agrees_with_the_oracle(self, build, cold, made):
         for config, trace in runs(build):
-            solved = {key for cfg, key in cold if cfg is config}
-            memo = config._crepant_memo
-            # Every set a move reaches is inherited, but a decomposition's
-            # end set, which was solved to check the input.
-            reached = set(self._reached(trace))
-            assert set(memo) == solved | reached
-            assert len(reached - solved) >= len(trace.steps) - 1 > 0
-            for ids in reached - solved:
-                data = memo[ids]
+            solved = {key for cfg, key, _ in cold if cfg is config}
+            # One state per move, each holding the solution it inherited when
+            # it was made: one mapping serves the whole run, and only its end
+            # sets were solved cold.
+            assert [state.contracted for state in made] == list(self._reached(trace))
+            assert len(made) == len(trace.steps) > 1
+            assert len({id(state.crepant.residual) for state in made}) == 1
+            assert solved <= {trace.start, trace.end}
+            for state in made:
+                ids, data = state.contracted, state.crepant
+                assert data.contracted == ids
                 ordered = sorted(ids)
                 rows = gram(config, ordered).rows()
                 expected = oracles.solve_linear(rows, raw_rhs(config, ordered))
@@ -786,6 +787,7 @@ class TestInheritedSolutions:
                     for c in config.curves
                     if c.id not in ids
                 )
+            made.clear()
 
     @pytest.mark.parametrize("build", ["towers", "chains"])
     def test_no_cold_solve_for_a_state_reached_by_a_move(self, build, cold):
@@ -793,11 +795,11 @@ class TestInheritedSolutions:
             # A decomposition solves its two end sets to check its input; a
             # minimisation solves its start.  Nothing else is solved.
             ends = [trace.start, trace.end] if build == "towers" else [trace.start]
-            assert [key for cfg, key in cold if cfg is config] == ends
+            assert [key for cfg, key, _ in cold if cfg is config] == ends
             assert trace.steps
             cold.clear()
             assert verify_trace(config, trace.start, trace)
-            ((replayed, key),) = cold
+            ((replayed, key, _),) = cold
             assert replayed is not config and key == trace.start
             cold.clear()
 
@@ -806,14 +808,15 @@ class TestInheritedSolutions:
         state = SurfaceState(config, (), TargetBase({3, 4}))
         new = state.successor(4)
         assert new.contracted == frozenset({4}) and new.base == state.base
-        # The solution is stored when the successor is made.
-        assert frozenset({4}) in config._crepant_memo
-        # The inherited entry is the parent's mapping itself, and no caller
-        # of either state can write to it.
+        # The solution is stored on the successor when it is made.
+        assert "crepant" in vars(new)
+        # The inherited solution is the parent's mapping itself, and no
+        # caller of either state can write to it.
         assert new.crepant.residual is state.crepant.residual
         # The table of facts follows the mapping.
         assert new.crepant.facts is state.crepant.facts
-        assert crepant_pullback(config, {4}) is new.crepant
+        # A cold solve of the same set gives the same solution.
+        assert crepant_pullback(config, {4}) == new.crepant
         for data in (state.crepant, new.crepant):
             with pytest.raises(TypeError):
                 data.residual[4] = Fraction(5)
@@ -830,8 +833,9 @@ class TestInheritedSolutions:
         assert log_degree(state, 2) == 1
         assert state.crepant.facts.degrees[2] == 1
         new = state.successor(2)
+        assert "crepant" not in vars(new)
         assert new.crepant.discrepancies == {1: Fraction(-1, 5), 2: Fraction(-2, 5)}
-        assert [key for _, key in cold] == [frozenset({1}), frozenset({1, 2})]
+        assert [key for _, key, _ in cold] == [frozenset({1}), frozenset({1, 2})]
         # The cold solution has a table of its own: the parent's stored
         # degree on curve 2 belongs to another mapping.
         assert new.crepant.facts is not state.crepant.facts
@@ -873,9 +877,12 @@ class TestSharedFacts:
     recomputations, along runs, their replays and cold sub-states."""
 
     @staticmethod
-    def _check(config, data, base):
-        """Every fact `data`'s table holds, and every fact a state of its set
-        reads through it, equals a fresh computation."""
+    def _check(state):
+        """Every fact the table of `state`'s solution holds, and every fact
+        the state reads through it, equals a fresh computation."""
+        config = state.config
+        data = state.crepant
+        assert data.contracted == state.contracted
         counts = oracles.crossing_counts(config)
         residual = data.residual
         facts = data.facts
@@ -883,8 +890,6 @@ class TestSharedFacts:
             assert degree == raw_log_degree(config, counts, residual, cid), cid
         if facts.negated is not None:
             assert all(value == -residual[cid] for cid, value in facts.negated.items())
-        state = SurfaceState(config, data.contracted, base)
-        assert state.crepant is data
         for c in config.curves:
             assert log_degree(state, c.id) == raw_log_degree(config, counts, residual, c.id)
         assert data.ones == frozenset(cid for cid, value in residual.items() if value == 1)
@@ -904,23 +909,26 @@ class TestSharedFacts:
         ]
 
     @pytest.mark.parametrize("build", ["towers", "chains"])
-    def test_runs_and_replays_against_raw_scans(self, build, cold):
+    def test_runs_and_replays_against_raw_scans(self, build, cold, made):
         for config, trace in runs(build):
+            run = list(made)
+            made.clear()
             cold.clear()
             assert verify_trace(config, trace.start, trace)
-            (replay,) = {id(cfg): cfg for cfg, _ in cold}.values()
+            (replay,) = {id(cfg): cfg for cfg, _, _ in cold}.values()
             assert replay is not config
-            for cfg in (config, replay):
-                memo = cfg._crepant_memo
-                assert len(memo) > len(trace.steps)
+            for cfg, states in ((config, run), (replay, made)):
+                assert len(states) == len(trace.steps)
+                assert all(state.config is cfg for state in states)
                 # The table follows the mapping: one table per mapping.
-                tables = {id(data.residual): data.facts for data in memo.values()}
-                assert len(set(map(id, tables.values()))) == len(tables) < len(memo)
+                tables = {id(state.crepant.residual): state.crepant.facts for state in states}
+                assert len(set(map(id, tables.values()))) == len(tables) < len(states)
                 # The run has stored the degrees its predicates read.
                 assert any(facts.degrees for facts in tables.values())
-                for data in memo.values():
-                    assert data.facts is tables[id(data.residual)]
-                    self._check(cfg, data, trace.base)
+                for state in states:
+                    assert state.crepant.facts is tables[id(state.crepant.residual)]
+                    self._check(state)
+            made.clear()
 
     def test_cold_sub_states_against_raw_scans(self):
         rng = random.Random(12)
@@ -930,36 +938,36 @@ class TestSharedFacts:
         for config in configs:
             ids = [c.id for c in config.curves]
             for _ in range(40):
-                subset = frozenset(rng.sample(ids, rng.randint(0, len(ids))))
+                state = SurfaceState(config, rng.sample(ids, rng.randint(0, len(ids))))
                 try:
-                    data = crepant_pullback(config, subset)
+                    state.crepant
                 except InvalidStateError:
                     continue
-                self._check(config, data, PointBase())
-                seen.add(SurfaceState(config, subset).classification)
+                self._check(state)
+                seen.add(state.classification)
         assert seen == set(Classification)
 
     def test_a_minimisation_computes_each_log_degree_once(self, monkeypatch):
         computed = []
         solving = []
         real_degree = logsurf.crepant.canonical_degree
-        real_solve = logsurf.crepant._solve_pullback
+        real_solve = logsurf.crepant.crepant_pullback
 
         def counting(config, cid):
             if not solving:
                 computed.append((config, cid))
             return real_degree(config, cid)
 
-        def solve(config, key):
+        def solve(config, contracted):
             # A cold solve's right-hand side reads deg K of its own curves.
-            solving.append(key)
+            solving.append(contracted)
             try:
-                return real_solve(config, key)
+                return real_solve(config, contracted)
             finally:
                 solving.pop()
 
         monkeypatch.setattr(logsurf.crepant, "canonical_degree", counting)
-        monkeypatch.setattr(logsurf.crepant, "_solve_pullback", solve)
+        monkeypatch.setattr(logsurf.crepant, "crepant_pullback", solve)
         config = hj_chain([2, 2, 3, 2, 2, 2, 4, 2, 2, 5, 2, 2, 2, 3, 2, 2, 2, 2, 3, 2])
         trace = minimize(SurfaceState(config, set()))
         assert len(trace.steps) > 1
@@ -1186,21 +1194,6 @@ class TestCornerMemo:
 def cold_classification(state):
     """`state.classification` decided again on a fresh copy, by the cold path."""
     return SurfaceState(fresh(state.config), state.contracted, state.base).classification
-
-
-@pytest.fixture
-def made(monkeypatch):
-    """Every state `SurfaceState.successor` makes."""
-    states = []
-    real = SurfaceState.successor
-
-    def recording(self, cid):
-        new = real(self, cid)
-        states.append(new)
-        return new
-
-    monkeypatch.setattr(SurfaceState, "successor", recording)
-    return states
 
 
 def tower_sub_states(rng, count):

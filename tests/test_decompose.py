@@ -4,11 +4,13 @@ import collections
 from collections import OrderedDict
 import dataclasses
 import functools
+import gc
 import hashlib
 import json
 import random
 from fractions import Fraction
 from types import MappingProxyType
+import weakref
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -479,7 +481,7 @@ class _Tripwire(dict):
 class TestVerifyIndependence:
     """`verify_trace` replays without the run's per-configuration memo."""
 
-    MEMOS = ("_factor_memo", "_crepant_memo", "_corner_memo", "_blowdown_memo")
+    MEMOS = ("_factor_memo", "_corner_memo", "_blowdown_memo")
 
     def test_replay_neither_reads_nor_grows_the_run_memo(self):
         spec = generate_crepant_pair(helpers.corner(), 8, 5)
@@ -507,39 +509,51 @@ class TestVerifyIndependence:
         with pytest.raises(MemoTouched):
             crepant_pullback(config, spec.target_contracted)
 
-    def test_replay_shares_no_solution_with_the_run(self, monkeypatch):
+    def test_replay_shares_no_solution_with_the_run(self, cold, made):
         spec = generate_crepant_pair(helpers.corner(), 8, 5)
         config = spec.config
         trace = decompose_morphism(spec)
-        run_memo = config._crepant_memo
-        run_residuals = {id(data.residual) for data in run_memo.values()}
-        run_tables = {id(data.facts) for data in run_memo.values()}
+        # The run's solutions: its cold solves and those of the states its
+        # moves reach.
+        run = [data for _, _, data in cold] + [state.crepant for state in made]
+        run_residuals = {id(data.residual) for data in run}
+        run_tables = {id(data.facts) for data in run}
         # The states a run reaches share one residual mapping and its table.
-        assert len(run_tables) == len(run_residuals) < len(run_memo)
+        assert len(run_tables) == len(run_residuals) < len(run)
         run_mappings = run_residuals | {
             id(mapping)
             for step in trace.steps
             for mapping in (step.discrepancies_before, step.discrepancies_after)
         }
+        cold.clear()
+        made.clear()
 
-        replays = []
-        real = logsurf.crepant._solve_pullback
-
-        def recording(replay_config, key):
-            replays.append(replay_config)
-            return real(replay_config, key)
-
-        monkeypatch.setattr(logsurf.crepant, "_solve_pullback", recording)
         assert verify_trace(config, spec.source_contracted, trace)
-        (replay,) = {id(c): c for c in replays}.values()
+        (replay,) = {id(cfg): cfg for cfg, _, _ in cold}.values()
         assert replay is not config
-        replay_memo = replay._crepant_memo
-        assert len(replay_memo) > len(trace.steps)
-        for data in replay_memo.values():
+        assert all(state.config is replay for state in made)
+        replayed = [data for _, _, data in cold] + [state.crepant for state in made]
+        assert len(replayed) > len(trace.steps)
+        for data in replayed:
             assert id(data.residual) not in run_mappings
             assert id(data.facts) not in run_tables
             if "discrepancies" in vars(data):
                 assert id(data.discrepancies) not in run_mappings
+
+
+class TestRunFreesItsSolutions:
+    """A state's solution lives on the state: no configuration-wide table
+    keeps it once the run's states are gone."""
+
+    def test_no_solution_outlives_the_run(self, made):
+        spec = generate_crepant_pair(helpers.corner(), 40, 40)
+        trace = decompose_morphism(spec)
+        assert len(made) == len(trace.steps) == 40
+        solutions = [weakref.ref(state.crepant) for state in made]
+        made.clear()
+        gc.collect()
+        assert [ref for ref in solutions if ref() is not None] == []
+        assert verify_trace(spec.config, trace.start, trace)
 
 
 class TestMinimize:

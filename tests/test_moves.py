@@ -606,11 +606,11 @@ class TestLowestFlop:
         monkeypatch.setattr(logsurf.moves, "is_log_flopping", recording)
         for bs in self.CHAINS:
             config = bare_chain(bs)
-            trace = minimize(SurfaceState(config, set()))
-            assert trace.steps
-            # Along the run, on the run's shared solutions, against every
-            # curve tested on a fresh copy.
+            # Along the run from its own start state, on the run's shared
+            # solution, against every curve tested on a fresh copy.
             state = SurfaceState(config, set())
+            trace = minimize(state)
+            assert trace.steps
             reference = SurfaceState(
                 CurveConfig(config.curves, config.points, config.picard_rank_of_model), set()
             )
