@@ -231,16 +231,16 @@ def crepant_pullback(config: CurveConfig, contracted: Iterable[int]) -> CrepantD
     adjacency = config._adjacency
     curves = config._curve_map
     e = config._coeff_denominator
-    for order, factor in blocks:
+    for block in blocks:
         rhs = []
-        for i in order:
+        for i in block.order:
             acc = e * canonical_degree(config, i)
             for k, count in adjacency[i].items():
                 if k not in key:
                     d = curves[k].boundary_coeff
                     acc += d.numerator * (e // d.denominator) * count
             rhs.append(-acc)
-        residual.update(zip(order, factor.solve_scaled(rhs, e)))
+        residual.update(zip(block.order, block.factor.solve_scaled(rhs, e)))
     return CrepantData(MappingProxyType(residual), key)
 
 
@@ -308,20 +308,20 @@ class SurfaceState:
             raise _not_nested(self.contracted, self.base)
         if isinstance(self.base, TargetBase):
             _require_contractible(self.config, self.base.contracted_on_target)
-        return {cid: block for block in blocks for cid in block[0]}
+        return {cid: block for block in blocks for cid in block.order}
 
     def _blocks_meeting(self, cid: int) -> list[Block]:
         """The blocks of the contracted components that curve `cid` meets,
-        each once, found through its crossings and listed in the order the
-        crossings first reach them (`surface.grow_block` breaks ties by
-        it)."""
+        each once, found through its crossings and listed in the order its
+        crossings first reach them, which `surface.grow_block` and the
+        blow-down memo key read."""
         index = self._checked
-        met: dict[int, Block] = {}
+        met: dict[Block, None] = {}
         for j in self.config._adjacency[cid]:
             block = index.get(j)
             if block is not None:
-                met[id(block)] = block
-        return list(met.values())
+                met[block] = None
+        return list(met)
 
     def successor(self, cid: int) -> SurfaceState:
         """The checked state that also contracts `cid`, over the same base.
@@ -349,7 +349,7 @@ class SurfaceState:
         if block is None:
             raise _not_contractible(new.contracted)
         index = dict(self._checked)
-        index.update(dict.fromkeys(block[0], block))
+        index.update(dict.fromkeys(block.order, block))
         new.__dict__["_checked"] = index
         if log_degree(self, cid).numerator == 0:
             inherited = self.crepant
@@ -373,14 +373,9 @@ class SurfaceState:
     @cached_property
     def components(self) -> tuple[frozenset[int], ...]:
         """The connected components of the contracted set, by least id: the
-        curve sets of the blocks of its block index, each read under the
-        first curve of its order."""
-        return tuple(
-            sorted(
-                (frozenset(order) for cid, (order, _) in self._checked.items() if order[0] == cid),
-                key=min,
-            )
-        )
+        curve sets of the distinct blocks of its block index."""
+        blocks = dict.fromkeys(self._checked.values())
+        return tuple(sorted([block.curves for block in blocks], key=min))
 
     @cached_property
     def classification(self) -> Classification:
@@ -404,28 +399,24 @@ class SurfaceState:
         determinant, its block factor's last pivot, is not ±1 is no corner,
         and is not simulated.  Any other component carrying a residual-1
         curve is simulated (`surface.smooth_point_blowdown`, which asserts
-        that determinant after every successful contraction).
+        that determinant after every successful contraction).  A verdict is
+        kept on its component's block (`surface.Block.corner`).
         """
-        index = self._checked
         data = self.crepant
         if not data.above_one.isdisjoint(self.contracted):
             return Classification.NOT_LC
         ones = data.ones
         if not ones:
             return Classification.KLT
-        # A component's residuals and its contraction depend only on the
-        # configuration and the component, so its verdict is memoised.
-        corners = self.config._corner_memo
-        for component in self.components:
-            if not component.isdisjoint(ones):
-                if component not in corners:
-                    factor = index[next(iter(component))][1]
-                    if abs(factor.determinant()) != 1:
-                        corners[component] = False
+        for block in dict.fromkeys(self._checked.values()):
+            if not block.curves.isdisjoint(ones):
+                if block.corner is None:
+                    if abs(block.factor.determinant()) != 1:
+                        block.corner = False
                     else:
-                        sim = smooth_point_blowdown(self.config, component)
-                        corners[component] = bool(sim) and corner_failure(sim.final) is None
-                if not corners[component]:
+                        sim = smooth_point_blowdown(self.config, block.curves)
+                        block.corner = bool(sim) and corner_failure(sim.final) is None
+                if not block.corner:
                     return Classification.LOG_CANONICAL
         return Classification.LOG_TERMINAL
 
@@ -531,8 +522,9 @@ def correction_multiplicities(state: SurfaceState, cid: int) -> dict[int, Fracti
     require_uncontracted(state, cid)
     near = state.config._adjacency[cid]
     lam: dict[int, Fraction] = {}
-    for order, factor in state._blocks_meeting(cid):
-        lam.update(zip(order, factor.solve_scaled([-near.get(j, 0) for j in order], 1)))
+    for block in state._blocks_meeting(cid):
+        order = block.order
+        lam.update(zip(order, block.factor.solve_scaled([-near.get(j, 0) for j in order], 1)))
     return lam
 
 

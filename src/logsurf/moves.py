@@ -17,7 +17,7 @@ contracted components a curve meets through its crossings and the state's
 curve → block index (`crepant.SurfaceState`), which a successor builds
 from its parent's when it is made, so neither scans the whole contracted
 set or configuration.  The blow-down predicate's local tests run once per
-curve and set of contracted curves it meets (`CurveConfig._blowdown_memo`).
+curve and set of blocks it meets (`CurveConfig._blowdown_memo`).
 The flop predicate solves for λ only on the blocks of those components,
 and its map of λ, which `epsilon_bound` reads, holds only their curves,
 the contracted curves where λ is non-zero.  Each move kind has one
@@ -59,6 +59,7 @@ from .crepant import (
     require_uncontracted,
 )
 from .errors import (
+    InvalidStateError,
     LogSurfaceError,
     NotABlowdownError,
     NotFloppingError,
@@ -262,7 +263,10 @@ def relative_picard_rank(state: SurfaceState) -> PicardRank:
         )
     rank = state.config.picard_rank_of_model
     if rank is not None:
-        return PicardRank(rank - len(state.contracted), "of-model-over-point")
+        n = len(state.contracted)
+        if rank <= n:  # the contracted curves and an ample class are independent
+            raise InvalidStateError(f"picard_rank_of_model {rank} is below 1 + {n} = {n + 1}")
+        return PicardRank(rank - n, "of-model-over-point")
     return PicardRank(len(state.contracted), "deficit-from-master-model")
 
 
@@ -381,12 +385,12 @@ def is_log_blowdown(state: SurfaceState, cid: int) -> BlowdownCheck:
     curves transversally, and the final contraction of that image must leave
     those two curves crossing exactly once — the normal-crossing corner the
     move blows down to.  Those last tests read only the configuration near
-    the curve and the adjacent contracted curves (`_local_blowdown`), so
-    their outcome, pass or failure, is kept in the configuration's
-    `_blowdown_memo` and read back at every later state where the curve
-    meets the same contracted curves.  The contracted components the curve
-    meets are found through its crossings and the state's block index, not
-    by testing every block.
+    the curve and the adjacent contracted components (`_local_blowdown`),
+    so their outcome, pass or failure, is kept in the configuration's
+    `_blowdown_memo` under the curve and the components' blocks, and read
+    back at every later state where the curve meets the same blocks.  The
+    blocks are found through the curve's crossings and the state's block
+    index, not by testing every block.
     """
     require_uncontracted(state, cid)
     fail = partial(BlowdownCheck, state, cid, False)
@@ -399,22 +403,22 @@ def is_log_blowdown(state: SurfaceState, cid: int) -> BlowdownCheck:
     if curve.genus != 0:
         return fail("PositiveGenus", f"genus is {curve.genus}")
     met = state._blocks_meeting(cid)
-    adjacent = frozenset([j for order, _ in met for j in order])
-    key = (cid, adjacent)
+    key = (cid, *met)
     memo = config._blowdown_memo
     outcome = memo.get(key)
     if outcome is None:
-        outcome = memo[key] = _local_blowdown(config, cid, adjacent, met)
+        outcome = memo[key] = _local_blowdown(config, cid, met)
     reason, detail, order = outcome
     return BlowdownCheck(state, cid, reason is None, reason, detail, order)
 
 
 def _local_blowdown(
-    config: CurveConfig, cid: int, adjacent: frozenset[int], met: list[Block]
+    config: CurveConfig, cid: int, met: list[Block]
 ) -> tuple[str | None, str | None, tuple[int, ...]]:
     """The tests of `is_log_blowdown` on the local model of `cid` and the
-    contracted components `met` it meets, whose curves are `adjacent`:
-    (reason, detail, local contraction order), reason None on a pass."""
+    blocks `met` of the contracted components it meets: (reason, detail,
+    local contraction order), reason None on a pass."""
+    adjacent = frozenset().union(*[block.curves for block in met])
     model = LocalBlowdownModel.from_config(config, adjacent | {cid})
     sim = run_contraction(model, adjacent)
     if not sim:

@@ -33,9 +33,21 @@ from .ratlin import (
     tree_factor,
 )
 
-# A connected component's factored Gram matrix: its curves in row order and
-# the `ratlin.DefiniteFactor` of their Gram matrix in that order.
-Block = tuple[tuple[int, ...], DefiniteFactor]
+
+class Block:
+    """A connected component and what depends only on it: its curves in row
+    `order`, the `ratlin.DefiniteFactor` of their Gram matrix in that order,
+    its curve set `curves`, its key in `CurveConfig._factor_memo`, and
+    `corner`, whether it contracts stepwise onto a normal-crossing corner of
+    the boundary, None until `crepant.SurfaceState.classification` asks.
+    Only `_cold_block` and `grow_block` make one, once per component and
+    configuration; it compares and hashes by identity."""
+
+    __slots__ = ("order", "factor", "curves", "corner")
+
+    def __init__(self, order: tuple[int, ...], factor: DefiniteFactor, curves: frozenset[int]):
+        self.order, self.factor, self.curves = order, factor, curves
+        self.corner: bool | None = None
 
 
 @dataclass(frozen=True)
@@ -75,8 +87,9 @@ class CurveConfig:
     smooth model the configuration lives on, an `int` of at least 0;
     blow-ups keep it in step.
 
-    Its memos hold facts true at every state that reads them; a solved
-    crepant pullback belongs to its state (`crepant.SurfaceState`).
+    Its memos hold facts true at every state that reads them, each
+    component's `Block` and each local blow-down outcome; a solved crepant
+    pullback belongs to its state (`crepant.SurfaceState`).
     """
 
     curves: tuple[Curve, ...]
@@ -144,44 +157,31 @@ class CurveConfig:
 
         Curves in different connected components never meet, so the Gram
         matrix of a set is block-diagonal by component.  An entry is the
-        tuple of the set's blocks, one per connected component: (order,
-        factor), the `ratlin.DefiniteFactor` of the component's Gram matrix
-        with its curves taken in `order`.  None records that the Gram
-        matrix is not negative definite.  Keys are the components, each
-        entered with its one block, and the sets `factor_blocks` is asked
-        for; a state reached by a move adds only the component its curve
-        joins (`grow_block`), never its whole set.  A block is shared by
-        reference by every entry and state containing its component.  The
-        memo lives and dies with this configuration, which is immutable, so
-        an entry never goes stale.
-        """
-        return {}
-
-    @cached_property
-    def _corner_memo(self) -> dict[frozenset[int], bool]:
-        """Connected curve sets mapped to whether they contract stepwise to
-        a smooth point that is a normal-crossing corner of the boundary.
-
-        Filled by `crepant.SurfaceState.classification`, which asks it of
-        each component carrying a residual-1 curve.  A component whose Gram
-        determinant is not ±1 is entered as False without a simulation.
+        tuple of the set's `Block`s, one per connected component, or None
+        when the Gram matrix is not negative definite.  Keys are the
+        components, each entered with its one block, whose `curves` it is,
+        and the sets `factor_blocks` is asked for; a state reached by a move
+        adds only the component its curve joins (`grow_block`), never its
+        whole set.  A block is shared by reference by every entry and state
+        containing its component.  The memo lives and dies with this
+        configuration, which is immutable, so an entry never goes stale.
         """
         return {}
 
     @cached_property
     def _blowdown_memo(
         self,
-    ) -> dict[tuple[int, frozenset[int]], tuple[str | None, str | None, tuple[int, ...]]]:
-        """Local log blow-down tests: (curve, the union of the contracted
-        components it meets) mapped to the outcome (reason, detail, local
-        contraction order), reason None on a pass.
+    ) -> dict[tuple[int | Block, ...], tuple[str | None, str | None, tuple[int, ...]]]:
+        """Local log blow-down tests: (curve, *the blocks of the contracted
+        components it meets, in the order its crossings reach them) mapped
+        to the outcome (reason, detail, local contraction order), reason
+        None on a pass.
 
         Past its base, coefficient and genus tests, `moves.is_log_blowdown`
-        reads only the configuration near that curve and that union
-        (`moves._local_blowdown`, a pure function of them), so every outcome,
-        pass or failure, holds at every state where the union is the same.
-        Filled by `moves.is_log_blowdown`, which builds its check from the
-        entry.
+        reads only the configuration near that curve and those components
+        (`moves._local_blowdown`, a pure function of them), and a component
+        has one block, so every outcome, pass or failure, holds at every
+        state where the key is the same.  Filled by `moves.is_log_blowdown`.
         """
         return {}
 
@@ -525,10 +525,10 @@ def _cold_block(
     if children is not None:
         factor = tree_factor([config.curve(cid).self_intersection for cid in order], children)
         if factor is not None:
-            return ((tuple(order), factor),)
+            return (Block(tuple(order), factor, component),)
     ids = tuple(sorted(component))
     matrix = gram(config, ids)
-    return ((ids, matrix.factor),) if is_negative_definite(matrix) else None
+    return (Block(ids, matrix.factor, component),) if is_negative_definite(matrix) else None
 
 
 def grow_block(config: CurveConfig, met: Sequence[Block], cid: int) -> Block | None:
@@ -541,21 +541,23 @@ def grow_block(config: CurveConfig, met: Sequence[Block], cid: int) -> Block | N
     curve's crossings do), into one factor bordered by `cid`
     (`DefiniteFactor.join`, `DefiniteFactor.border`): the largest block's
     rows are shared, the others' rebuilt.  The result is memoised under
-    the component in `_factor_memo`, so a component is factored once.
+    the component in `_factor_memo`, so a component is factored once.  A
+    grown block's corner verdict is its own, found when first asked.
     """
-    component = frozenset([cid, *(j for order, _ in met for j in order)])
+    component = frozenset([cid]).union(*[block.curves for block in met])
     memo = config._factor_memo
     if component not in memo:
-        joined = sorted(met, key=lambda block: -len(block[0]))
-        order, factor = joined[0] if joined else ((), DefiniteFactor(()))
-        for block_order, block_factor in joined[1:]:
-            order += block_order
-            factor = factor.join(block_factor)
+        order, factor = (), DefiniteFactor(())
+        for block in sorted(met, key=lambda block: -len(block.order)):
+            factor = factor.join(block.factor) if order else block.factor
+            order += block.order
         near = config._adjacency[cid]
         bordered = factor.border(
             [near.get(j, 0) for j in order], config.curve(cid).self_intersection
         )
-        memo[component] = None if bordered is None else ((order + (cid,), bordered),)
+        memo[component] = (
+            None if bordered is None else (Block(order + (cid,), bordered, component),)
+        )
     entry = memo[component]
     return None if entry is None else entry[0]
 
@@ -751,8 +753,8 @@ def require_unimodular(ids: Iterable[int], blocks: Iterable[Block]) -> None:
     that contracted to smooth points, factored as `blocks`, has determinant
     ±1: the product of its blocks' determinants."""
     det = 1
-    for _, factor in blocks:
-        det *= factor.determinant()
+    for block in blocks:
+        det *= block.factor.determinant()
     if abs(det) != 1:
         raise TheoremViolationError(
             f"set {sorted(ids)} contracted to smooth points but its Gram "

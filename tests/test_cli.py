@@ -959,6 +959,25 @@ class TestMinimizeCommand:
         path = write_scenario(tmp_path / "corner.json", helpers.corner())
         assert cli.main(["minimize", path]) == 2
 
+    def test_picard_rank_below_a_contracted_set_exits_2(self, tmp_path, capsys):
+        # A chain of three (−2)-curves flops onto all three, so a model of
+        # Picard rank 1 is refused at the first move, with no trace written.
+        chain = CurveConfig.build(
+            [(1, 0, -2, 0), (2, 0, -2, 0), (3, 0, -2, 0)],
+            [(1, [1, 2]), (2, [2, 3])],
+            picard_rank_of_model=1,
+        )
+        path = write_scenario(tmp_path / "chain.json", chain)
+        trace_path = tmp_path / "trace.json"
+        assert cli.main(["minimize", path, "--trace", str(trace_path)]) == 2
+        out, err = capsys.readouterr()
+        assert "picard_rank_of_model 1 is below 1 + 1 = 2" in err
+        assert not trace_path.exists()
+        ample = dataclasses.replace(chain, picard_rank_of_model=4)
+        path = write_scenario(tmp_path / "chain4.json", ample)
+        assert cli.main(["minimize", path]) == 0
+        assert "final contracted: 1,2,3" in capsys.readouterr().out
+
     def test_minimize_trace_verifies(self, du_val, tmp_path, capsys):
         trace_path = str(tmp_path / "trace.json")
         assert cli.main(["minimize", du_val, "--trace", trace_path]) == 0

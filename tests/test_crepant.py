@@ -463,18 +463,19 @@ class TestFactorMemo:
                 assert (entry is not None) == is_negative_definite(gram(config, ordered))
             if entry is None:
                 continue
-            assert sorted(j for order, _ in entry for j in order) == ordered
-            for order, factor in entry:
+            assert sorted(j for block in entry for j in block.order) == ordered
+            for block in entry:
+                order, factor = block.order, block.factor
                 parent = memo.get(frozenset(order[:-1]))
                 if len(order) < 2 or parent is None:
                     continue
                 # The join rule: the parent's blocks, largest first, then
                 # the new curve; the largest block's rows are shared.
-                joined = sorted(parent, key=lambda block: -len(block[0]))
-                if tuple(j for o, _ in joined for j in o) == order[:-1]:
+                joined = sorted(parent, key=lambda block: -len(block.order))
+                if tuple(j for b in joined for j in b.order) == order[:-1]:
                     bordered += 1
                     # A bordered factor shares its parent's rows by reference.
-                    head = joined[0][1]
+                    head = joined[0].factor
                     assert all(a is b for a, b in zip(factor.rows, head.rows))
             residual = crepant_pullback(config, ids).residual
             expected = oracles.solve_linear(rows, raw_rhs(config, ordered))
@@ -505,7 +506,7 @@ class TestFactorMemo:
         for ids, entry in memo.items():
             if entry is None:
                 continue
-            blocks = sorted((frozenset(order) for order, _ in entry), key=min)
+            blocks = sorted((frozenset(block.order) for block in entry), key=min)
             assert blocks == sorted(oracles.raw_components(config, ids), key=min)
             # A state's components are its set's blocks, by least id.
             assert SurfaceState(config, ids).components == tuple(
@@ -513,7 +514,7 @@ class TestFactorMemo:
             )
             for block in entry:
                 # One factor per component, shared by every set containing it.
-                assert memo[frozenset(block[0])][0] is block
+                assert memo[frozenset(block.order)][0] is block
 
     @pytest.mark.parametrize("build", ["_decomposed_tower", "_minimized_chain"])
     def test_bordered_and_cold_factors_agree(self, build):
@@ -523,7 +524,8 @@ class TestFactorMemo:
             if entry is None:
                 continue
             det = 1
-            for order, factor in entry:
+            for block in entry:
+                order, factor = block.order, block.factor
                 cold = gram(config, sorted(order))
                 assert is_negative_definite(cold)
                 rhs = raw_rhs(config, order)
@@ -593,7 +595,8 @@ class TestColdTreeBlocks:
                     if entry is None:
                         continue
                     definite += 1
-                    ((order, factor),) = entry
+                    (block,) = entry
+                    order, factor = block.order, block.factor
                     # Post-order: every curve but the last meets exactly one
                     # later curve of the component, its parent.
                     for k, cid in enumerate(order):
@@ -616,7 +619,8 @@ class TestColdTreeBlocks:
             [(1, [1, 2]), (2, [1, 2]), (3, [2, 3]), (4, [3, 4])],
         )
         ids = frozenset({1, 2, 3})
-        ((order, factor),) = factor_blocks(config, ids)
+        (block,) = factor_blocks(config, ids)
+        order, factor = block.order, block.factor
         dense = gram(config, order)
         assert 2 in dense.rows()[order.index(1)]
         assert is_negative_definite(dense) and factor.rows == dense.factor.rows
@@ -1089,13 +1093,13 @@ class TestBlockIndex:
                 assert index.keys() == state.contracted
                 components = oracles.raw_components(copy, state.contracted)
                 for component in components:
-                    ((order, _),) = blocks = {id(index[j]): index[j] for j in component}.values()
-                    assert frozenset(order) == component
+                    (block,) = blocks = {id(index[j]): index[j] for j in component}.values()
+                    assert frozenset(block.order) == component
                     # The component's memoised block itself.
                     assert factor_blocks(copy, component)[0] is next(iter(blocks))
                 counts = oracles.crossing_counts(copy)
                 for cid in state.uncontracted:
-                    met = [frozenset(order) for order, _ in state._blocks_meeting(cid)]
+                    met = [frozenset(block.order) for block in state._blocks_meeting(cid)]
                     assert len(met) == len(set(met))
                     assert set(met) == {
                         component
@@ -1159,14 +1163,24 @@ class TestBlockIndex:
         whole = {spec.source_contracted, spec.target_contracted}
         for ids, entry in memo.items():
             if ids not in whole:
-                ((order, _),) = entry
-                assert frozenset(order) == ids
+                (block,) = entry
+                assert frozenset(block.order) == ids
                 assert oracles.raw_components(spec.config, ids) == [ids]
         assert whole - {frozenset()} <= memo.keys()
 
 
-class TestCornerMemo:
-    """Each residual-1 component is simulated once per configuration."""
+def decided_blocks(config):
+    """The distinct blocks of the configuration's factor memo whose corner
+    verdict is known, by least id."""
+    entries = config._factor_memo.values()
+    blocks = dict.fromkeys(block for entry in entries if entry for block in entry)
+    decided = [block for block in blocks if block.corner is not None]
+    return sorted(decided, key=lambda block: min(block.curves))
+
+
+class TestCornerVerdict:
+    """Each residual-1 component is simulated once per configuration, and
+    its verdict kept on its block."""
 
     def test_one_simulation_per_component(self, monkeypatch):
         simulated = []
@@ -1182,13 +1196,35 @@ class TestCornerMemo:
         trace = decompose_morphism(spec)
         assert verify_trace(config, trace.start, trace)
         assert len(simulated) == len(set(simulated))
-        memo = config._corner_memo
-        assert memo and set(memo) == {gamma for cfg, gamma in simulated if cfg is config}
+        decided = decided_blocks(config)
+        assert decided
+        assert {block.curves for block in decided} == {
+            gamma for cfg, gamma in simulated if cfg is config
+        }
         # Each verdict is what a fresh simulation on a fresh copy decides.
         fresh = CurveConfig(config.curves, config.points)
-        for component, verdict in memo.items():
-            sim = real(fresh, component)
-            assert verdict == (bool(sim) and corner_failure(sim.final) is None)
+        for block in decided:
+            sim = real(fresh, block.curves)
+            assert block.corner == (bool(sim) and corner_failure(sim.final) is None)
+
+    def test_states_of_one_set_share_blocks_and_verdicts(self):
+        spec = generate_crepant_pair(helpers.corner(), 12, 2)
+        config = spec.config
+        trace = decompose_morphism(spec)
+        run = SurfaceState(config, trace.start, trace.base)
+        for step in trace.steps:
+            run = run.successor(step.curve)
+            cold = SurfaceState(config, run.contracted, run.base)
+            copy = SurfaceState(fresh(config), run.contracted, run.base)
+            assert run.classification is cold.classification is copy.classification
+            for cid, block in run._checked.items():
+                # A cold state of the same set reads the run's blocks.
+                assert cold._checked[cid] is block
+                # A fresh copy decides its own blocks, with the same verdicts.
+                other = copy._checked[cid]
+                assert other is not block and other.curves == block.curves
+                assert other.corner == block.corner
+        assert any(block.corner for block in run._checked.values())
 
 
 def cold_classification(state):
@@ -1327,16 +1363,15 @@ class TestDeterminantPretest:
             (component,) = state.components
             assert component == state.contracted
             state.classification
-            memo = config._corner_memo
-            assert set(memo) == {component}
-            ((_, factor),) = factor_blocks(config, component)
+            (block,) = factor_blocks(config, component)
+            assert decided_blocks(config) == [block]
             sim = real(fresh(config), component)
-            assert memo[component] == (bool(sim) and corner_failure(sim.final) is None)
-            if abs(factor.determinant()) == 1:
+            assert block.corner == (bool(sim) and corner_failure(sim.final) is None)
+            if abs(block.factor.determinant()) == 1:
                 assert simulated == [(config, component)]
                 unimodular += 1
             else:
-                assert simulated == [] and memo[component] is False
+                assert simulated == [] and block.corner is False
                 skipped += 1
             simulated.clear()
         assert unimodular > 20 and skipped > 20
@@ -1354,8 +1389,8 @@ class TestDeterminantPretest:
         for state in tower_sub_states(rng, 100):
             assert state.classification is comparison_classification(state)
             for component in simulated:
-                ((_, factor),) = factor_blocks(state.config, component)
-                assert abs(factor.determinant()) == 1
+                (block,) = factor_blocks(state.config, component)
+                assert abs(block.factor.determinant()) == 1
             simulated.clear()
 
 
@@ -1377,8 +1412,8 @@ class TestChainClosedForm:
         cold = SurfaceState(config, ids)
         assert cold.crepant.discrepancies == expected
         assert cold.classification is Classification.KLT
-        ((_, cold_factor),) = config._factor_memo[ids]
-        assert cold_factor.determinant() == (-1) ** r * n
+        (cold_block,) = config._factor_memo[ids]
+        assert cold_block.factor.determinant() == (-1) ** r * n
         assert determinant(gram(config, sorted(ids))) == (-1) ** r * n
         # Bordered: the same set grown one curve at a time in `order`, by
         # successors.  The join rule predicts each block's row order: the
@@ -1399,13 +1434,13 @@ class TestChainClosedForm:
             predicted = [b for b in predicted if b not in met]
             predicted.append(tuple(j for b in met for j in b) + (c,))
             blocks = {id(block): block for block in step._checked.values()}.values()
-            assert sorted(block_order for block_order, _ in blocks) == sorted(predicted)
+            assert sorted(block.order for block in blocks) == sorted(predicted)
         state = SurfaceState(grown, ids)
         assert state.crepant.discrepancies == expected
         assert state.classification is Classification.KLT
-        ((factor_order, factor),) = grown._factor_memo[ids]
-        assert [factor_order] == predicted
-        assert factor.determinant() == (-1) ** r * n
+        (block,) = grown._factor_memo[ids]
+        assert [block.order] == predicted
+        assert block.factor.determinant() == (-1) ** r * n
 
     @settings(max_examples=40, deadline=None)
     @given(

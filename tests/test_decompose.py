@@ -481,7 +481,7 @@ class _Tripwire(dict):
 class TestVerifyIndependence:
     """`verify_trace` replays without the run's per-configuration memo."""
 
-    MEMOS = ("_factor_memo", "_corner_memo", "_blowdown_memo")
+    MEMOS = ("_factor_memo", "_blowdown_memo")
 
     def test_replay_neither_reads_nor_grows_the_run_memo(self):
         spec = generate_crepant_pair(helpers.corner(), 8, 5)

@@ -350,6 +350,21 @@ class TestPicardRank:
         assert (rank.value, rank.mode) == (3, "of-model-over-point")
         assert rank.step_delta() == -1
 
+    @pytest.mark.parametrize("rank", [0, 1, 2])
+    def test_a_rank_below_one_plus_the_contracted_set_is_refused(self, rank):
+        # Two contractible curves and an ample class are independent, so the
+        # model's Picard rank is at least 3.
+        config = CurveConfig.build(
+            [(1, 0, -2, 0), (2, 0, -2, 0)], [(1, [1, 2])], picard_rank_of_model=rank
+        )
+        assert not config._violations
+        message = rf"^picard_rank_of_model {rank} is below 1 \+ 2 = 3$"
+        with pytest.raises(InvalidStateError, match=message):
+            relative_picard_rank(SurfaceState(config, {1, 2}))
+        least = CurveConfig(config.curves, config.points, 3)
+        reported = relative_picard_rank(SurfaceState(least, {1, 2}))
+        assert (reported.value, reported.mode) == (1, "of-model-over-point")
+
     def test_deficit_mode(self):
         rank = relative_picard_rank(SurfaceState(helpers.corner_twice(), {4}))
         assert (rank.value, rank.mode) == (1, "deficit-from-master-model")
@@ -477,9 +492,9 @@ class TestIsLogBlowdown:
         run_tests = []
         real = logsurf.moves._local_blowdown
 
-        def counting(config, *args):
+        def counting(config, cid, met):
             run_tests.append(config)
-            return real(config, *args)
+            return real(config, cid, met)
 
         monkeypatch.setattr(logsurf.moves, "_local_blowdown", counting)
         for template in (helpers.corner, helpers.boundary_chain):
@@ -513,10 +528,10 @@ class TestIsLogBlowdown:
                 # configuration some of the local tests each copy ran.
                 memo = config._blowdown_memo
                 assert {reason is None for reason, _, _ in memo.values()} == {True, False}
-                for (cid, adjacent), outcome in memo.items():
+                for (cid, *met), outcome in memo.items():
                     copy = CurveConfig(config.curves, config.points)
-                    blocks = factor_blocks(copy, adjacent)
-                    assert real(copy, cid, adjacent, list(blocks)) == outcome
+                    blocks = [factor_blocks(copy, block.curves)[0] for block in met]
+                    assert real(copy, cid, blocks) == outcome
                 on_run = sum(tested is config for tested in run_tests)
                 assert on_run < len(run_tests) - on_run
                 assert asked > 10

@@ -453,7 +453,7 @@ class TestCycles:
         rows = gram(config, sorted(members)).rows()
         assert (blocks is not None) == oracles.brute_negative_definite(rows)
         if blocks is not None:
-            assert [frozenset(order) for order, _ in blocks] == components
+            assert [frozenset(block.order) for block in blocks] == components
 
     @pytest.mark.parametrize(
         "selves, edges",

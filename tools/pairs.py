@@ -2,10 +2,12 @@
 
     python tools/pairs.py PARENT CHANGE --pairs 10 --seconds 30 --scratch DIR
 
-Extracts `git archive` copies of both revisions under DIR and runs the
-benchmark that the change's BENCHMARK.json declares (its command, plus
-``--workload W --seed S --seconds T``) in each copy, one process at a time.
-Pair k runs both sides on seed 101 + k, and the side that goes first
+Extracts `git archive` copies of both revisions under DIR, each named by its
+side and commit (e.g. ``parent-ffd9945d5a81``), so PARENT and CHANGE may be
+one revision: such an A/A batch measures the spread between its own runs.
+Runs the benchmark that the change's BENCHMARK.json declares (its command,
+plus ``--workload W --seed S --seconds T``) in each copy, one process at a
+time.  Pair k runs both sides on seed 101 + k, and the side that goes first
 alternates from pair to pair.  Per workload and end-to-end metric it prints
 each side's median and quartiles and the number of pairs the change won,
 that is where its value was better in the metric's direction.  The raw
@@ -31,9 +33,10 @@ ROOT = Path(__file__).resolve().parent.parent
 FIRST_SEED = 101  # pair k runs seed FIRST_SEED + k, as BENCH_18.json did
 
 
-def extract(revision: str, scratch: Path) -> tuple[str, Path]:
+def extract(revision: str, scratch: Path, side: str) -> tuple[str, Path]:
     """The full commit id of `revision` and a fresh `git archive` copy of
-    it under `scratch`, named by that id; the copy must not exist yet."""
+    it under `scratch`, named by `side` and that id; the copy must not
+    exist yet."""
     commit = subprocess.run(
         ["git", "-C", str(ROOT), "rev-parse", "--verify", f"{revision}^{{commit}}"],
         check=True, capture_output=True, text=True,
@@ -42,7 +45,7 @@ def extract(revision: str, scratch: Path) -> tuple[str, Path]:
         ["git", "-C", str(ROOT), "archive", "--format=tar", commit],
         check=True, capture_output=True,
     ).stdout
-    target = scratch / commit[:12]
+    target = scratch / f"{side}-{commit[:12]}"
     target.mkdir(parents=True)
     with tarfile.open(fileobj=io.BytesIO(archive)) as tar:
         tar.extractall(target, filter="data")
@@ -120,8 +123,8 @@ def main(argv: list[str] | None = None) -> int:
     if scratch == ROOT or ROOT in scratch.parents:
         parser.error("--scratch must lie outside the checkout")
 
-    parent_commit, parent_copy = extract(args.parent, scratch)
-    change_commit, change_copy = extract(args.change, scratch)
+    parent_commit, parent_copy = extract(args.parent, scratch, "parent")
+    change_commit, change_copy = extract(args.change, scratch, "change")
     declared = json.loads((change_copy / "BENCHMARK.json").read_text(encoding="utf-8"))
     workloads = [w["name"] for w in declared["workloads"]]
     sides = {"parent": parent_copy, "change": change_copy}
