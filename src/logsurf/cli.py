@@ -304,7 +304,7 @@ def load_scenario(path: str) -> tuple[CurveConfig, frozenset[int], Base]:
 # trace documents
 
 def _fractions_to_json(values: dict[int, Fraction]) -> dict[str, str]:
-    return {str(cid): str(value) for cid, value in sorted(values.items())}
+    return {str(cid): str(value) for cid, value in values.items()}
 
 
 def _move_kind(value: Any, path: _Path) -> MoveKind:

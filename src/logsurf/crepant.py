@@ -148,7 +148,8 @@ class CrepantData:
 
     @cached_property
     def discrepancies(self) -> Mapping[int, Fraction]:
-        """The discrepancies by contracted curve, in id order; read-only.
+        """The discrepancies by contracted curve, in the contracted set's
+        order; read-only.
 
         Each curve's residual is negated once per mapping, built from its
         negated numerator and its denominator: a state reached by a move
@@ -159,8 +160,8 @@ class CrepantData:
         for cid in self.contracted.difference(negated):
             value = residual[cid]
             negated[cid] = Fraction(-value.numerator, value.denominator)
-        order = sorted(self.contracted)
-        return MappingProxyType(dict(zip(order, map(negated.__getitem__, order))))
+        contracted = self.contracted
+        return MappingProxyType(dict(zip(contracted, map(negated.__getitem__, contracted))))
 
     @property
     def scaled(self) -> tuple[int, Mapping[int, int]]:

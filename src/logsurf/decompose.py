@@ -16,7 +16,6 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 from fractions import Fraction
-from types import MappingProxyType
 from typing import Iterable, Mapping
 
 from .crepant import (
@@ -235,36 +234,32 @@ def minimize(state: SurfaceState) -> DecompositionTrace:
 
 def _matches(recorded: Mapping[int, Fraction], data: CrepantData) -> bool:
     """Whether a recorded discrepancy map equals the discrepancies of the
-    replayed solution `data`, with the verdict of `recorded !=
-    data.discrepancies`, without building that map or calling
+    replayed solution `data`, without building that map or calling
     `Fraction.__eq__`.
 
     A replayed discrepancy is −N/Δ over the solution's common denominator
-    and integer numerators (`CrepantData.scaled`); a recorded `Fraction` or
-    `int` a/b, b > 0, equals it exactly when a·Δ = −N·b.  A recorded map
-    other than a dict or a read-only view of one, or one holding any other
-    value, is compared by `!=` as before.  A comparison that raises counts
-    as a mismatch, so the check never raises.
+    and integer numerators (`CrepantData.scaled`); a recorded value a/b,
+    b > 0, equals it exactly when a·Δ = −N·b.  Every key must be an `int`
+    and every value exactly a `Fraction` or an `int`: any other key or
+    value (a float, a bool, a subclass) is a mismatch, and so is a
+    comparison that raises, so the check never raises.
     """
     try:
-        if type(recorded) is dict or type(recorded) is MappingProxyType:
-            contracted = data.contracted
-            if len(recorded) != len(contracted):
-                return False
-            delta, numerators = data.scaled
-            for cid, value in recorded.items():
-                kind = type(value)
-                if kind is Fraction:
-                    a, b = value.numerator, value.denominator
-                elif kind is int:
-                    a, b = value, 1
-                else:
-                    break
-                if cid not in contracted or a * delta != -numerators[cid] * b:
-                    return False
+        contracted = data.contracted
+        if len(recorded) != len(contracted):
+            return False
+        delta, numerators = data.scaled
+        for cid, value in recorded.items():
+            kind = type(value)
+            if kind is Fraction:
+                a, b = value.numerator, value.denominator
+            elif kind is int:
+                a, b = value, 1
             else:
-                return True
-        return not recorded != data.discrepancies
+                return False
+            if type(cid) is not int or cid not in contracted or a * delta != -numerators[cid] * b:
+                return False
+        return True
     except Exception:
         return False
 
@@ -293,7 +288,9 @@ def verify_trace(
     copy of `config`, so it neither reads nor fills the memo of the run that
     produced the trace.  Recorded discrepancies are compared on integers
     (`_matches`), one call per distinct record: a step's "before" that is
-    the previous step's "after" object is not compared again.
+    the previous step's "after" object is not compared again.  A record
+    with a key other than an `int`, or a value other than exactly a
+    `Fraction` or an `int`, does not match.
     """
     config = CurveConfig(config.curves, config.points, config.picard_rank_of_model)
     start_set = frozenset(start)

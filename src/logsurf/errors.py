@@ -17,10 +17,6 @@ class BadCoefficientError(LogSurfaceError):
     """A boundary coefficient falls outside the closed interval [0, 1]."""
 
 
-class SingularMatrixError(LogSurfaceError):
-    """The linear system has a singular coefficient matrix."""
-
-
 class InvalidStateError(LogSurfaceError):
     """A surface state violates its structural invariants."""
 

@@ -101,6 +101,8 @@ class MoveRecord:
 
     A run records its states' read-only discrepancy mappings themselves,
     shared with the states' crepant data; a parsed trace holds dicts.
+    `verify_trace` accepts a discrepancy mapping of any type, but only with
+    `int` keys and values that are exactly `Fraction` or `int`.
     """
 
     kind: MoveKind

@@ -8,11 +8,13 @@ most).  Elimination runs fraction-free on integers (Bareiss, *Math. Comp.*
 22, 1968); `Fraction` objects are built only for solutions.
 
 A matrix found negative definite keeps its elimination as a
-`DefiniteFactor`: later solves read the factor in O(n²), the factor's own
+`DefiniteFactor`: solves read the factor in O(n²), the factor's own
 `determinant` is its last pivot, `DefiniteFactor.border` extends it by one row and
 column in O(n²) instead of eliminating the larger matrix again, and
 `DefiniteFactor.join` puts two factors side by side as the factor of their
-block-diagonal sum.
+block-diagonal sum.  `solve_symmetric` solves through such a factor only,
+so a solve needs negative-definite input; elimination with row swaps
+(`_bareiss`) serves `determinant` alone.
 
 A matrix whose off-diagonal pattern is a forest, as the Gram matrix of
 every tree of curves is, needs no elimination.  Taken in post-order, each
@@ -34,8 +36,6 @@ import itertools
 import math
 from fractions import Fraction
 from typing import Callable, Hashable, Iterable, Iterator, Sequence, TypeVar
-
-from .errors import SingularMatrixError
 
 Node = TypeVar("Node", bound=Hashable)
 
@@ -431,19 +431,17 @@ def _forest_determinant(a: Sequence[Sequence[int]]) -> int | None:
 
 
 def _bareiss(a: list[list[int]]) -> int:
-    """Fraction-free elimination with row swaps of the n integer rows `a`
-    over their first n columns, in place; the sign of the row permutation,
-    or 0 when those columns are singular.
+    """The determinant of the n×n integer rows `a`, by fraction-free
+    elimination with row swaps, in place.
 
     Step k clears column k below the pivot row k: every entry x right of
     column k in a lower row becomes (p·x − l·y) / prev, with p the pivot,
     l the row's entry in column k, y the pivot row's entry above x and prev
     the previous pivot (1 at the start); Sylvester's identity makes each
     division exact (Bareiss, *Math. Comp.* 22, 1968).  A zero pivot is
-    swapped for the first lower row with a non-zero entry in its column.
-    Rows may carry further columns, such as a right-hand side, which are
-    eliminated with them.  Afterwards the last pivot a[n−1][n−1] is sign·det
-    of the n columns, and entries in cleared columns are never read again.
+    swapped for the first lower row with a non-zero entry in its column;
+    when there is none the determinant is 0.  The last pivot is the
+    determinant times the sign of the row permutation.
     """
     n = len(a)
     sign = 1
@@ -457,56 +455,42 @@ def _bareiss(a: list[list[int]]) -> int:
             sign = -sign
         row_k = a[k]
         pivot = row_k[k]
-        width = len(row_k)
         for i in range(k + 1, n):
             row_i = a[i]
             lead = row_i[k]
-            for j in range(k + 1, width):
+            for j in range(k + 1, n):
                 row_i[j] = (pivot * row_i[j] - lead * row_k[j]) // prev
         prev = pivot
-    return sign
+    return sign * prev
 
 
 def solve_symmetric(
     matrix: SymMatrix | DefiniteFactor, rhs: Sequence[Fraction | int]
 ) -> tuple[Fraction, ...]:
-    """Solve A·x = b exactly, for a matrix or the `DefiniteFactor` of one.
+    """Solve A·x = b exactly for a negative-definite A, given as its
+    `DefiniteFactor` or as a matrix, which is factored by
+    `is_negative_definite` unless it already has been.
 
     b is scaled to the integer column c = e·b, e > 0 its least common
-    denominator.  A factor, or a matrix that `is_negative_definite` has
-    factored, then solves A·x = c/e from the stored elimination in O(n²),
-    or O(n) for a `TreeFactor` (`DefiniteFactor.solve_scaled`).  Any other
-    matrix is eliminated with row swaps (`_bareiss`) on the augmented rows
-    [A | c], leaving D = ±det A as its last pivot; integer back-substitution
-    then gives z = D·A⁻¹c, which Cramer's rule makes integral, and
-    x = z / (e·D) is the only step that builds `Fraction` objects.  The
-    returned vector satisfies A·x − b = 0 identically.  Raises
-    SingularMatrixError when A has determinant zero.
+    denominator, and the factor solves A·x = c/e from its stored
+    elimination in O(n²), or O(n) for a `TreeFactor`
+    (`DefiniteFactor.solve_scaled`).  The returned vector satisfies
+    A·x − b = 0 identically.  Raises ``ValueError`` for a matrix that is not
+    negative definite, singular or not, and for a right-hand side of the
+    wrong length.
     """
-    n = matrix.n
-    if len(rhs) != n:
-        raise ValueError(f"rhs has length {len(rhs)}, matrix has {n} rows")
     b = [exact(v) for v in rhs]
     e = 1
     for v in b:
         e = math.lcm(e, v.denominator)
     c = [v.numerator * (e // v.denominator) for v in b]
-    factor = matrix if isinstance(matrix, DefiniteFactor) else matrix._factor
-    if factor is not None:
-        return factor.solve_scaled(c, e)
-    a = [[*row, v] for row, v in zip(matrix.rows(), c)]
-    if not _bareiss(a):
-        raise SingularMatrixError("matrix is singular")
-    det = a[-1][n - 1] if n else 1
-    z = [0] * n
-    for i in range(n - 1, -1, -1):
-        row_i = a[i]
-        acc = det * row_i[n]
-        for j in range(i + 1, n):
-            acc -= row_i[j] * z[j]
-        z[i] = acc // row_i[i]
-    scale = e * det
-    return tuple([Fraction(zi, scale) for zi in z])
+    if isinstance(matrix, DefiniteFactor):
+        factor = matrix
+    elif matrix._factor is not None or is_negative_definite(matrix):
+        factor = matrix._factor
+    else:
+        raise ValueError("matrix is not negative definite")
+    return factor.solve_scaled(c, e)
 
 
 def is_negative_definite(matrix: SymMatrix) -> bool:
@@ -536,6 +520,5 @@ def determinant(matrix: SymMatrix) -> int:
     rows = matrix.rows()
     det = _forest_determinant(rows)
     if det is None:
-        a = [list(row) for row in rows]
-        det = _bareiss(a) * a[-1][-1]
+        det = _bareiss([list(row) for row in rows])
     return det

@@ -378,7 +378,9 @@ CONTAINERS = (dict, MappingProxyType, OrderedDict, _Recorded)
 
 class TestRecordComparison:
     """`verify_trace` compares a recorded map with the replayed solution on
-    integers (`_matches`), with the verdict of `!=` on the replayed map."""
+    integers (`_matches`): a map with `int` keys and values exactly
+    `Fraction` or `int` gets the verdict of `!=` on the replayed map, any
+    other a mismatch."""
 
     def _tamper_after(self, spec, trace, index, record):
         step = dataclasses.replace(trace.steps[index], discrepancies_after=record)
@@ -430,6 +432,26 @@ class TestRecordComparison:
         ints = dataclasses.replace(trace, steps=tuple(steps))
         assert verify_trace(spec.config, spec.source_contracted, ints)
 
+    @pytest.mark.parametrize("tamper", ["float key", "float value", "bool value"])
+    def test_an_inexact_record_is_rejected(self, tamper):
+        # Each record is equal to the true one under `==`.
+        spec, trace = _tower_run()
+        index = len(trace.steps) - 1
+        expected = trace.steps[index].discrepancies_after
+        record = dict(expected)
+        cid = min(c for c, value in record.items() if value == 0)
+        if tamper == "float key":
+            record[float(cid)] = record.pop(cid)
+        else:
+            record[cid] = 0.0 if tamper == "float value" else False
+        assert record == expected
+        step = dataclasses.replace(trace.steps[index], discrepancies_after=record)
+        bad = dataclasses.replace(trace, steps=trace.steps[:index] + (step,))
+        result = verify_trace(spec.config, spec.source_contracted, bad)
+        assert (result.ok, result.failure, result.step_index) == (
+            False, "recorded posterior discrepancies do not match", index
+        )
+
     def test_a_comparison_that_raises_is_a_mismatch(self):
         spec, trace = _tower_run()
         record = dict(trace.steps[1].discrepancies_after)
@@ -460,8 +482,12 @@ class TestRecordComparison:
             extra = min(c.id for c in spec.config.curves if c.id not in expected)
             record[extra] = -spec.config.curve(extra).boundary_coeff
         record = data.draw(st.sampled_from(CONTAINERS), label="container")(record)
+        exact = all(
+            type(cid) is int and type(value) in (Fraction, int)
+            for cid, value in record.items()
+        )
         assert logsurf.decompose._matches(record, replayed) is (
-            not record != replayed.discrepancies
+            exact and not record != replayed.discrepancies
         )
 
 

@@ -10,7 +10,6 @@ from hypothesis import example, given, settings, strategies as st
 import helpers
 import oracles
 from logsurf import (
-    SingularMatrixError,
     SymMatrix,
     determinant,
     generate_crepant_pair,
@@ -18,7 +17,7 @@ from logsurf import (
     is_negative_definite,
     solve_symmetric,
 )
-from logsurf.ratlin import forest_post_order, tree_factor
+from logsurf.ratlin import _bareiss, forest_post_order, tree_factor
 
 
 @st.composite
@@ -33,6 +32,23 @@ def symmetric_rows(draw, min_n=1, max_n=5, low=-5, high=5):
     return rows
 
 
+def _negated_gram(b: list[list[int]]) -> list[list[int]]:
+    """−(BᵀB) − I for a square integer B: negative definite."""
+    n = len(b)
+    return [
+        [-sum(b[k][i] * b[k][j] for k in range(n)) - (i == j) for j in range(n)]
+        for i in range(n)
+    ]
+
+
+@st.composite
+def definite_rows(draw, max_n=6):
+    """−(BᵀB) − I for a random integer B."""
+    n = draw(st.integers(min_value=1, max_value=max_n))
+    b = [[draw(st.integers(min_value=-3, max_value=3)) for _ in range(n)] for _ in range(n)]
+    return _negated_gram(b)
+
+
 class TestSolve:
     def test_two_by_two(self):
         m = SymMatrix([[-2, 1], [1, -1]])
@@ -45,31 +61,44 @@ class TestSolve:
         m = SymMatrix([[-2, 1], [1, -2]])
         assert solve_symmetric(m, (0, 0)) == (Fraction(0), Fraction(0))
 
-    def test_singular_raises(self):
-        with pytest.raises(SingularMatrixError):
-            solve_symmetric(SymMatrix([[1, 1], [1, 1]]), (1, 0))
-        with pytest.raises(SingularMatrixError):
-            solve_symmetric(SymMatrix([[0]]), (1,))
+    @pytest.mark.parametrize(
+        "rows",
+        [
+            [[1, 1], [1, 1]],  # singular
+            [[0]],  # singular
+            [[0, 1], [1, 0]],  # indefinite
+            [[2]],  # positive definite
+            [[-1, 0, 0], [0, -1, 0], [0, 0, 1]],  # indefinite, its leading block definite
+        ],
+    )
+    def test_not_negative_definite_raises(self, rows):
+        m = SymMatrix(rows)
+        with pytest.raises(ValueError, match="not negative definite"):
+            solve_symmetric(m, [1] * m.n)
+        assert m.factor is None
 
     def test_rhs_length_mismatch(self):
         with pytest.raises(ValueError):
             solve_symmetric(SymMatrix([[-1]]), (1, 2))
 
-    @given(symmetric_rows(max_n=4), st.data())
+    @given(st.one_of(symmetric_rows(max_n=4), definite_rows(max_n=4)), st.data())
     def test_substitution_and_oracle_agreement(self, rows, data):
+        # A matrix no solve has factored yet: the solve factors it.
         m = SymMatrix(rows)
         n = m.n
-        if oracles.laplace_det(rows) == 0:
-            with pytest.raises(SingularMatrixError):
-                solve_symmetric(m, [0] * n)
-            return
         rhs = data.draw(
             st.lists(st.integers(-9, 9), min_size=n, max_size=n), label="rhs"
         )
+        if not oracles.brute_negative_definite(rows):
+            with pytest.raises(ValueError):
+                solve_symmetric(m, rhs)
+            return
         x = solve_symmetric(m, rhs)
+        assert m.factor is not None
         for i in range(n):
             assert sum(rows[i][j] * x[j] for j in range(n)) == rhs[i]
         assert x == oracles.solve_linear(rows, rhs)
+        assert solve_symmetric(m.factor, rhs) == x
 
 
 def _fraction(rng: random.Random) -> Fraction:
@@ -84,43 +113,32 @@ def _symmetric_ints(rng: random.Random, n: int) -> list[list[int]]:
     return rows
 
 
+def _definite_ints(rng: random.Random, n: int) -> list[list[int]]:
+    """−(BᵀB) − I for a seeded integer B."""
+    return _negated_gram([[rng.randint(-3, 3) for _ in range(n)] for _ in range(n)])
+
+
 class TestIntegerSolveDifferential:
     """The fraction-free integer solve against the oracle's Fraction elimination,
     on integer matrices with rational right-hand sides."""
 
     def test_random_fraction_systems(self):
-        swapped = 0
+        # Every other system is negative definite; the others rarely are.
+        solved = 0
         for seed in range(300):
             rng = random.Random(seed)
             n = rng.randint(1, 7)
-            rows = _symmetric_ints(rng, n)
-            if seed % 3 == 0:
-                rows[0][0] = 0  # the first pivot needs a row swap
+            rows = _definite_ints(rng, n) if seed % 2 else _symmetric_ints(rng, n)
             rhs = [_fraction(rng) for _ in range(n)]
-            if oracles.laplace_det(rows) == 0:
-                with pytest.raises(SingularMatrixError):
+            if not oracles.brute_negative_definite(rows):
+                with pytest.raises(ValueError, match="not negative definite"):
                     solve_symmetric(SymMatrix(rows), rhs)
                 continue
             x = solve_symmetric(SymMatrix(rows), rhs)
             assert x == oracles.solve_linear(rows, rhs), seed
             assert all(type(v) is Fraction for v in x)
-            swapped += rows[0][0] == 0
-        assert swapped >= 50
-
-    @pytest.mark.parametrize(
-        "rows, rhs",
-        [
-            ([[0, 1], [1, 0]], (Fraction(1, 2), Fraction(-1, 3))),
-            # the second pivot vanishes after the first step: swap mid-elimination
-            ([[1, 1, 0], [1, 1, 1], [0, 1, 1]], (Fraction(2, 3), 1, Fraction(-5, 4))),
-            ([[1, 1, 0], [1, 1, 6], [0, 6, 0]], (1, Fraction(1, 7), 0)),
-        ],
-    )
-    def test_pinned_row_swaps(self, rows, rhs):
-        x = solve_symmetric(SymMatrix(rows), rhs)
-        assert x == oracles.solve_linear(rows, rhs)
-        for row, b in zip(rows, rhs):
-            assert sum(a * v for a, v in zip(row, x)) == b
+            solved += 1
+        assert solved >= 150
 
     def test_singular_fraction_matrices_raise(self):
         for seed in range(60):
@@ -137,7 +155,7 @@ class TestIntegerSolveDifferential:
             ]
             assert oracles.laplace_det(rows) == 0
             assert determinant(SymMatrix(rows)) == 0
-            with pytest.raises(SingularMatrixError):
+            with pytest.raises(ValueError, match="not negative definite"):
                 solve_symmetric(SymMatrix(rows), [_fraction(rng) for _ in range(n)])
 
     @pytest.mark.parametrize("seed", range(6))
@@ -195,17 +213,6 @@ class TestNegativeDefinite:
         assert is_negative_definite(SymMatrix(rows)) == is_negative_definite(
             SymMatrix(permuted)
         )
-
-
-@st.composite
-def definite_rows(draw, max_n=6):
-    """−(BᵀB) − I for a random integer B: negative definite."""
-    n = draw(st.integers(min_value=1, max_value=max_n))
-    b = [[draw(st.integers(min_value=-3, max_value=3)) for _ in range(n)] for _ in range(n)]
-    return [
-        [-sum(b[k][i] * b[k][j] for k in range(n)) - (i == j) for j in range(n)]
-        for i in range(n)
-    ]
 
 
 def _leading(rows, k):
@@ -334,6 +341,37 @@ class TestDeterminant:
         det = determinant(SymMatrix(rows))
         assert det == oracles.laplace_det(rows)
         assert type(det) is int
+
+    @pytest.mark.parametrize(
+        "rows",
+        [
+            [[0, 1], [1, 0]],
+            # the second pivot vanishes after the first step: swap mid-elimination
+            [[1, 1, 0], [1, 1, 1], [0, 1, 1]],
+            [[1, 1, 0], [1, 1, 6], [0, 6, 0]],
+            # the same two swaps where a cycle keeps the forest recurrence out
+            [[0, 1, 1], [1, 0, 1], [1, 1, 0]],
+            [[1, 1, 1], [1, 1, 2], [1, 2, 1]],
+        ],
+    )
+    def test_pinned_row_swaps(self, rows):
+        expected = oracles.laplace_det(rows)
+        assert _bareiss([list(row) for row in rows]) == expected
+        assert determinant(SymMatrix(rows)) == expected
+
+    def test_random_row_swaps(self):
+        swapped = 0
+        for seed in range(300):
+            rng = random.Random(seed)
+            n = rng.randint(1, 7)
+            rows = _symmetric_ints(rng, n)
+            if seed % 3 == 0:
+                rows[0][0] = 0  # the first pivot needs a row swap
+            expected = oracles.laplace_det(rows)
+            assert _bareiss([list(row) for row in rows]) == expected, seed
+            assert determinant(SymMatrix(rows)) == expected, seed
+            swapped += rows[0][0] == 0
+        assert swapped >= 50
 
 
 class TestSymMatrix:

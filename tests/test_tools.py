@@ -1,10 +1,11 @@
-"""The measuring tools: `tools/depth.py` run end to end, and the copies and
-statistics of `tools/pairs.py` on synthetic inputs.  Neither git nor the
-network is used."""
+"""The measuring tools: `tools/depth.py` run end to end, the copies and
+statistics of `tools/pairs.py` on synthetic inputs, and the line trace of
+`tools/traffic.py` on one command.  Neither git nor the network is used."""
 
 from __future__ import annotations
 
 import importlib.util
+import inspect
 import io
 import json
 import subprocess
@@ -25,6 +26,7 @@ def _load(name: str):
 
 
 pairs = _load("pairs")
+traffic = _load("traffic")
 
 
 @pytest.mark.parametrize("template", ["corner", "boundary_chain"])
@@ -114,3 +116,21 @@ class TestPairs:
         for _, path in copies:
             assert json.loads((path / "BENCHMARK.json").read_text()) == {"workloads": []}
         assert len(calls) == 4
+
+
+def test_traffic_of_one_command():
+    tower = str(TOOLS.parent / "scenarios" / "tower.json")
+    unrun = traffic.unrun([lambda: traffic.cli.main(["validate", tower])])
+    # A valid scenario skips exactly the loop that reports problems.
+    source, first = inspect.getsourcelines(traffic.cli._cmd_validate)
+    assert unrun["cli._cmd_validate"] == [
+        first + i for i, text in enumerate(source) if "violation" in text or "return 2" in text
+    ]
+    # Every statement of a function never called is listed, from the first
+    # after its docstring.
+    source, first = inspect.getsourcelines(traffic.cli._cmd_classify)
+    assert unrun["cli._cmd_classify"] == [first + 1, first + 2]
+    source, first = inspect.getsourcelines(traffic.cli._load_state)
+    (opening,) = [i for i, text in enumerate(source) if "= load_scenario(" in text]
+    assert unrun["cli._load_state"][0] == first + opening
+    assert "ratlin.solve_symmetric" in unrun and "cli.load_scenario" not in unrun
