@@ -26,11 +26,7 @@ from functools import cached_property
 from types import MappingProxyType
 from typing import Iterable, Mapping
 
-from .errors import (
-    InvalidStateError,
-    NotNestedError,
-    UnknownIdError,
-)
+from .errors import InvalidStateError, NotNestedError
 from .surface import (
     Block,
     CurveConfig,
@@ -38,6 +34,7 @@ from .surface import (
     corner_failure,
     factor_blocks,
     grow_block,
+    require_curve,
     require_valid,
     smooth_point_blowdown,
 )
@@ -47,10 +44,7 @@ _ZERO = Fraction(0)
 
 @dataclass(frozen=True)
 class PointBase:
-    """The whole configuration sits over a single point."""
-
-    def contains(self, contracted: frozenset[int]) -> bool:
-        return True
+    """The whole configuration sits over a single point: no curve survives on it."""
 
 
 @dataclass(frozen=True)
@@ -58,16 +52,14 @@ class TargetBase:
     """The state maps onto the model obtained by contracting `contracted_on_target`.
 
     A state with contracted set S maps to this base by contracting the rest,
-    so S must stay inside the target set.
+    so S must stay inside the target set; a curve outside it survives on the
+    target model (`survives_on_target`).
     """
 
     contracted_on_target: frozenset[int]
 
     def __init__(self, contracted_on_target: Iterable[int]):
         object.__setattr__(self, "contracted_on_target", frozenset(contracted_on_target))
-
-    def contains(self, contracted: frozenset[int]) -> bool:
-        return contracted <= self.contracted_on_target
 
 
 Base = PointBase | TargetBase
@@ -140,11 +132,6 @@ class CrepantData:
     def __post_init__(self) -> None:
         if self.facts is None:
             object.__setattr__(self, "facts", SolutionFacts(self.residual))
-
-    def discrepancy(self, cid: int) -> Fraction:
-        if cid not in self.contracted:
-            raise UnknownIdError(f"curve {cid} is not contracted; it has no discrepancy")
-        return self.discrepancies[cid]
 
     @cached_property
     def discrepancies(self) -> Mapping[int, Fraction]:
@@ -293,21 +280,21 @@ class SurfaceState:
     @cached_property
     def _checked(self) -> dict[int, Block]:
         """Validate the configuration, the ids and contractibility of the
-        contracted set, its nesting in the base and the ids and
-        contractibility of the target set, in that order, and return the
-        state's block index: each contracted curve mapped to the block of
-        its component, built from the set's memoised blocks.  An unknown id
-        is reported by the set's factor lookup (`surface.factor_blocks`),
-        which names the least.
+        contracted set and, over a target base, the set's nesting in the
+        target set and the target set's ids and contractibility, in that
+        order, and return the state's block index: each contracted curve
+        mapped to the block of its component, built from the set's memoised
+        blocks.  An id that is not exactly an `int`, or the least that names
+        no curve, is reported by the set's factor lookup (`factor_blocks`).
 
         A state made by `successor` is checked, and its index stored, when
         it is made.
         """
         require_valid(self.config)
         blocks = _require_contractible(self.config, self.contracted)
-        if not self.base.contains(self.contracted):
-            raise _not_nested(self.contracted, self.base)
         if isinstance(self.base, TargetBase):
+            if not self.contracted <= self.base.contracted_on_target:
+                raise _not_nested(self.contracted, self.base)
             _require_contractible(self.config, self.base.contracted_on_target)
         return {cid: block for block in blocks for cid in block.order}
 
@@ -328,7 +315,8 @@ class SurfaceState:
         """The checked state that also contracts `cid`, over the same base.
 
         This state is checked first; then only what `cid` changes is: its
-        id, its nesting in the base and its component, whose block
+        id (`surface.require_curve`), that it does not survive on the
+        target model (`survives_on_target`) and its component, whose block
         `grow_block` makes from the blocks `cid` meets.  The new index is
         this one plus that block.
 
@@ -342,9 +330,9 @@ class SurfaceState:
         """
         self._checked
         config = self.config
-        config.curve(cid)
+        require_curve(config, cid)
         new = SurfaceState(config, self.contracted | {cid}, self.base)
-        if not self.base.contains(frozenset((cid,))):
+        if survives_on_target(self, cid):
             raise _not_nested(new.contracted, self.base)
         block = grow_block(config, self._blocks_meeting(cid), cid)
         if block is None:
@@ -382,10 +370,10 @@ class SurfaceState:
     def classification(self) -> Classification:
         """Classify the contraction by its residual coefficients.
 
-        A residual above 1 (a discrepancy below −1) on a contracted curve
-        rules out log canonical.  With residuals at most 1, each component
-        carrying a residual-1 curve must contract stepwise to a smooth point
-        that is a normal-crossing corner of the boundary
+        A residual above 1 (a discrepancy below −1), which only a contracted
+        curve can have, rules out log canonical.  With residuals at most 1,
+        each component carrying a residual-1 curve must contract stepwise to
+        a smooth point that is a normal-crossing corner of the boundary
         (`surface.corner_failure`) — failing that leaves the state merely
         log canonical.  KLT further requires every residual and every
         surviving coefficient strictly below 1.  Every test is a set test on
@@ -404,7 +392,7 @@ class SurfaceState:
         kept on its component's block (`surface.Block.corner`).
         """
         data = self.crepant
-        if not data.above_one.isdisjoint(self.contracted):
+        if data.above_one:
             return Classification.NOT_LC
         ones = data.ones
         if not ones:
@@ -424,6 +412,11 @@ class SurfaceState:
 
 def classify(state: SurfaceState) -> Classification:
     return state.classification
+
+
+def survives_on_target(state: SurfaceState, cid: int) -> bool:
+    """Whether curve `cid` is outside a target base's set, so no move may contract it."""
+    return isinstance(state.base, TargetBase) and cid not in state.base.contracted_on_target
 
 
 @dataclass(frozen=True)
@@ -460,7 +453,6 @@ def lc_centers(state: SurfaceState) -> tuple[LcCenter, ...]:
     residual-1 curves are read from the solution's shared table
     (`SolutionFacts`), found once per mapping.
     """
-    state._checked
     ones = state.crepant.ones
     out: list[LcCenter] = [
         DivisorialCenter(cid) for cid in sorted(ones - state.contracted)
@@ -499,10 +491,10 @@ def image_self_intersection(
 
 
 def require_uncontracted(state: SurfaceState, cid: int) -> None:
-    """Check the state, then raise unless `cid` is one of its curves that
-    is not contracted."""
+    """Check the state, then raise unless `cid` names one of its curves
+    (`surface.require_curve`) that is not contracted."""
     state._checked
-    state.config.curve(cid)
+    require_curve(state.config, cid)
     if cid in state.contracted:
         raise InvalidStateError(f"curve {cid} is already contracted")
 
@@ -540,9 +532,8 @@ def log_degree(state: SurfaceState, cid: int) -> Fraction:
     N (`SolutionFacts`), and divided by Δ once.  It depends only on the
     solution, so each curve's degree is computed once per residual mapping
     and kept in its shared table.  A degree's denominator is positive, so
-    callers test its sign on its numerator.
+    callers test its sign on its numerator.  `state.crepant` checks the state.
     """
-    state._checked
     data = state.crepant
     degrees = data.facts.degrees
     degree = degrees.get(cid)

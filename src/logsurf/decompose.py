@@ -232,6 +232,11 @@ def minimize(state: SurfaceState) -> DecompositionTrace:
     )
 
 
+# The types a recorded rational may have.  A float, a bool or a subclass may
+# compare equal to a value it does not stand for exactly.
+_EXACT = {Fraction, int}
+
+
 def _matches(recorded: Mapping[int, Fraction], data: CrepantData) -> bool:
     """Whether a recorded discrepancy map equals the discrepancies of the
     replayed solution `data`, without building that map or calling
@@ -250,14 +255,9 @@ def _matches(recorded: Mapping[int, Fraction], data: CrepantData) -> bool:
             return False
         delta, numerators = data.scaled
         for cid, value in recorded.items():
-            kind = type(value)
-            if kind is Fraction:
-                a, b = value.numerator, value.denominator
-            elif kind is int:
-                a, b = value, 1
-            else:
+            if type(value) not in _EXACT or type(cid) is not int or cid not in contracted:
                 return False
-            if type(cid) is not int or cid not in contracted or a * delta != -numerators[cid] * b:
+            if value.numerator * delta != -numerators[cid] * value.denominator:
                 return False
         return True
     except Exception:
@@ -288,9 +288,11 @@ def verify_trace(
     copy of `config`, so it neither reads nor fills the memo of the run that
     produced the trace.  Recorded discrepancies are compared on integers
     (`_matches`), one call per distinct record: a step's "before" that is
-    the previous step's "after" object is not compared again.  A record
-    with a key other than an `int`, or a value other than exactly a
-    `Fraction` or an `int`, does not match.
+    the previous step's "after" object is not compared again.  Every
+    recorded id (a step's curve, a map's keys, a contraction order) must be
+    exactly an `int`, and every recorded rational (a discrepancy, ε's
+    supremum and chosen value) exactly a `Fraction` or an `int`: a float or
+    bool that compares equal to the value replayed does not match.
     """
     config = CurveConfig(config.curves, config.points, config.picard_rank_of_model)
     start_set = frozenset(start)
@@ -332,15 +334,23 @@ def verify_trace(
                 return VerifyResult(
                     False, "recorded prior discrepancies do not match", index
                 )
+            if type(step.curve) is not int:
+                return VerifyResult(False, f"curve {step.curve!r} is not an int", index)
             flop = step.kind is MoveKind.FLOP
             check = (is_log_flopping if flop else is_log_blowdown)(state, step.curve)
             if not check:
                 return VerifyResult(False, check.failure, index)
-            if flop and step.epsilon != epsilon_bound(check):
+            epsilon, order = step.epsilon, step.order
+            if flop and (
+                epsilon != epsilon_bound(check)
+                or {type(epsilon.supremum), type(epsilon.chosen)} - _EXACT
+            ):
                 return VerifyResult(
                     False, "recorded perturbation bound does not match", index
                 )
-            if not flop and (step.order is None or tuple(step.order) != check.order):
+            if not flop and (
+                order is None or tuple(order) != check.order or {*map(type, order)} != {int}
+            ):
                 return VerifyResult(
                     False, "recorded contraction order does not match", index
                 )

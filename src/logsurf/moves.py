@@ -7,10 +7,11 @@ coefficient-1 rational curve whose image is a (−1)-curve joining two boundary
 branches through a smooth point, undoing a corner blow-up.
 
 The flop predicate reports the first requirement that fails, cheapest
-first: the curve must be exceptional over the base, of log degree 0 and of
-coefficient below 1 (a coefficient-1 curve is itself a non-klt centre,
-`IsDivisorialCenter`); only then are the multiplicities λ solved for the
-image self-intersection.
+first: the curve must be exceptional over the base (both predicates and
+`SurfaceState.successor` test this by `crepant.survives_on_target`), of log
+degree 0 and of coefficient below 1 (a coefficient-1 curve is itself a
+non-klt centre, `IsDivisorialCenter`); only then are the multiplicities λ
+solved for the image self-intersection.
 
 Both predicates read only the curve's neighbourhood: they find the
 contracted components a curve meets through its crossings and the state's
@@ -57,6 +58,7 @@ from .crepant import (
     image_self_intersection,
     log_degree,
     require_uncontracted,
+    survives_on_target,
 )
 from .errors import (
     InvalidStateError,
@@ -102,7 +104,8 @@ class MoveRecord:
     A run records its states' read-only discrepancy mappings themselves,
     shared with the states' crepant data; a parsed trace holds dicts.
     `verify_trace` accepts a discrepancy mapping of any type, but only with
-    `int` keys and values that are exactly `Fraction` or `int`.
+    `int` keys and values that are exactly `Fraction` or `int`, and only a
+    curve and order of exact `int`s and an ε of exact `Fraction`s or `int`s.
     """
 
     kind: MoveKind
@@ -168,10 +171,6 @@ def _require_log_terminal(state: SurfaceState) -> None:
         )
 
 
-def _survives_on_target(state: SurfaceState, cid: int) -> bool:
-    return isinstance(state.base, TargetBase) and cid not in state.base.contracted_on_target
-
-
 def is_log_flopping(state: SurfaceState, cid: int) -> FlopCheck:
     """Test whether contracting `cid` is a flop-type divisorial contraction.
 
@@ -194,7 +193,7 @@ def is_log_flopping(state: SurfaceState, cid: int) -> FlopCheck:
     require_uncontracted(state, cid)
     _require_log_terminal(state)
     fail = partial(FlopCheck, state, cid, False, multiplicities=None)
-    if _survives_on_target(state, cid):
+    if survives_on_target(state, cid):
         return fail("NotExceptionalOverBase", f"curve {cid} survives on the target model")
     degree = log_degree(state, cid)
     if degree.numerator != 0:
@@ -396,7 +395,7 @@ def is_log_blowdown(state: SurfaceState, cid: int) -> BlowdownCheck:
     """
     require_uncontracted(state, cid)
     fail = partial(BlowdownCheck, state, cid, False)
-    if _survives_on_target(state, cid):
+    if survives_on_target(state, cid):
         return fail("NotExceptionalOverBase", f"curve {cid} survives on the target model")
     config = state.config
     curve = config.curve(cid)

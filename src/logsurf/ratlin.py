@@ -123,10 +123,6 @@ class DefiniteFactor:
     def __init__(self, rows: tuple[tuple[int, ...], ...]):
         self.rows = rows
 
-    @property
-    def n(self) -> int:
-        return len(self.rows)
-
     def determinant(self) -> int:
         """det A: the last pivot (1 for the empty matrix)."""
         return self.rows[-1][-1] if self.rows else 1
@@ -334,10 +330,6 @@ class TreeFactor(DefiniteFactor):
                 rows.append(tuple(row))
             self._dense = tuple(rows)
         return self._dense
-
-    @property
-    def n(self) -> int:
-        return len(self.pivots)
 
     def determinant(self) -> int:
         """det A: the last pivot, the product of the roots' D."""

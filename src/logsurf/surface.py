@@ -270,16 +270,18 @@ class CurveConfig:
         except KeyError:
             raise UnknownIdError(f"no curve with id {cid}") from None
 
-    def point(self, pid: int) -> CrossingPoint:
-        try:
-            return self._point_map[pid]
-        except KeyError:
-            raise UnknownIdError(f"no point with id {pid}") from None
-
     def neighbours(self, cid: int) -> dict[int, int]:
         """Curves sharing a point with `cid`, mapped to the crossing count."""
         self.curve(cid)
         return dict(self._adjacency[cid])
+
+
+def require_curve(config: CurveConfig, cid: int) -> None:
+    """Raise ``UnknownIdError`` unless `cid` is exactly an `int` naming a
+    curve: a float or bool equals and hashes like an integer id."""
+    if type(cid) is not int:
+        raise UnknownIdError(f"curve id {cid!r} is not an int")
+    config.curve(cid)
 
 
 def validate_config(config: CurveConfig) -> tuple[Violation, ...]:
@@ -474,12 +476,15 @@ def factor_blocks(config: CurveConfig, ids: frozenset[int]) -> tuple[Block, ...]
     `_factor_memo`.  It is searched once per component (`_components`),
     which yields the component in post-order, with its children when it is
     a tree.  Each component's block is then taken from the memo or factored
-    cold, once (`_cold_block`).  The empty set has no blocks.  A state
-    reached by a move finds its one new block from its parent's instead
-    (`grow_block`).
+    cold, once (`_cold_block`).  The empty set has no blocks.  An id that
+    is not exactly an `int` is refused before the memo is read
+    (`require_curve`).  A state reached by a move finds its one new block
+    from its parent's instead (`grow_block`).
     """
     if not ids:
         return ()
+    if {*map(type, ids)} != {int}:
+        require_curve(config, next(cid for cid in ids if type(cid) is not int))
     memo = config._factor_memo
     try:
         return memo[ids]

@@ -2,6 +2,7 @@
 
 import collections
 from fractions import Fraction
+from functools import partial
 import random
 
 import pytest
@@ -61,7 +62,7 @@ def star(branches: int) -> CurveConfig:
 class TestCrepantPullback:
     def test_single_du_val_curve(self):
         data = crepant_pullback(helpers.du_val_a1(), {1})
-        assert data.discrepancy(1) == 0
+        assert data.discrepancies[1] == 0
         assert data.residual[1] == 0
 
     def test_worked_tower(self):
@@ -98,9 +99,8 @@ class TestCrepantPullback:
 
     def test_discrepancy_defined_only_on_contracted(self):
         data = crepant_pullback(helpers.corner_twice(), {4})
-        assert data.discrepancy(4) == 0
-        with pytest.raises(UnknownIdError):
-            data.discrepancy(3)
+        assert data.discrepancies.keys() == {4}
+        assert data.discrepancies[4] == 0
 
     def test_requires_negative_definite_set(self):
         with pytest.raises(InvalidStateError):
@@ -177,6 +177,25 @@ class TestSurfaceState:
     def test_rejects_unknown_contracted_id(self):
         with pytest.raises(UnknownIdError):
             SurfaceState(helpers.chain(), {9})._checked
+
+    # A float or bool equals and hashes like an integer id, so each would
+    # silently stand for a curve: 4.0 for curve 4, True for curve 1.
+    @pytest.mark.parametrize(
+        "contracted, target, bad",
+        [({3.0, 4.0}, {3, 4}, r"[34]\.0"), ({True}, None, "True"), ({3}, {3, 4.0}, r"4\.0")],
+    )
+    def test_rejects_an_inexact_id(self, contracted, target, bad):
+        base = None if target is None else TargetBase(target)
+        state = SurfaceState(helpers.corner_twice(), contracted, base)
+        with pytest.raises(UnknownIdError, match=f"^curve id {bad} is not an int$"):
+            state.classification
+
+    @pytest.mark.parametrize("cid", [4.0, True])
+    def test_successor_and_require_uncontracted_reject_an_inexact_id(self, cid):
+        state = SurfaceState(helpers.corner_twice(), {3})
+        for check in (state.successor, partial(logsurf.crepant.require_uncontracted, state)):
+            with pytest.raises(UnknownIdError, match=f"^curve id {cid!r} is not an int$"):
+                check(cid)
 
 
 class TestClassify:

@@ -34,6 +34,7 @@ from logsurf import (
     SurfaceState,
     TargetBase,
     TheoremViolationError,
+    UnknownIdError,
     at_point,
     blow_up,
     classify,
@@ -105,6 +106,12 @@ class TestDecomposeMorphism:
     def test_non_nested_input_rejected(self):
         with pytest.raises(NotNestedError):
             decompose_morphism(MorphismSpec(helpers.corner_twice(), {3}, {4}))
+
+    def test_float_target_ids_rejected(self):
+        # They would give a trace with float curves, which its own replay
+        # and the trace reader refuse.
+        with pytest.raises(UnknownIdError, match=r"^curve id [34]\.0 is not an int$"):
+            decompose_morphism(MorphismSpec(helpers.corner_twice(), set(), {3.0, 4.0}))
 
     def test_log_canonical_endpoint_rejected(self):
         with pytest.raises(NotLogTerminalError):
@@ -451,6 +458,35 @@ class TestRecordComparison:
         assert (result.ok, result.failure, result.step_index) == (
             False, "recorded posterior discrepancies do not match", index
         )
+
+    # Each edit is equal to the recorded value under `==`.
+    INEXACT = {
+        "epsilon supremum": ("flop", "epsilon", lambda e: dataclasses.replace(e, supremum=1.0)),
+        "epsilon chosen": ("flop", "epsilon", lambda e: dataclasses.replace(e, chosen=0.5)),
+        "order": ("blowdown", "order", lambda order: tuple(map(float, order))),
+        "blow-down curve": ("blowdown", "curve", float),
+        "flop curve": ("flop", "curve", float),
+    }
+
+    @pytest.mark.parametrize("tamper", list(INEXACT))
+    def test_an_inexact_certificate_is_rejected(self, tamper):
+        spec = generate_crepant_pair(helpers.corner(), 6, 5)
+        trace = decompose_morphism(spec)
+        kind, name, inexact = self.INEXACT[tamper]
+        index = [step.kind.value for step in trace.steps].index(kind)
+        step = trace.steps[index]
+        value = inexact(getattr(step, name))
+        assert value == getattr(step, name)
+        steps = list(trace.steps)
+        steps[index] = dataclasses.replace(step, **{name: value})
+        bad = dataclasses.replace(trace, steps=tuple(steps))
+        result = verify_trace(spec.config, spec.source_contracted, bad)
+        failure = {
+            "epsilon": "recorded perturbation bound does not match",
+            "order": "recorded contraction order does not match",
+            "curve": f"curve {value!r} is not an int",
+        }[name]
+        assert (result.ok, result.failure, result.step_index) == (False, failure, index)
 
     def test_a_comparison_that_raises_is_a_mismatch(self):
         spec, trace = _tower_run()

@@ -22,6 +22,7 @@ from logsurf import (
     NotFloppingError,
     NotLogTerminalError,
     NotNefError,
+    NotNestedError,
     NodeCenter,
     PointBase,
     SurfaceState,
@@ -47,6 +48,7 @@ from logsurf import (
     minimize,
     relative_picard_rank,
 )
+from logsurf.crepant import survives_on_target
 from logsurf.moves import lowest_blowdown, lowest_flop
 from logsurf.surface import factor_blocks
 
@@ -185,6 +187,28 @@ def _flop_verdicts_agree(state):
         assert bool(check) is (check.reason is None)
         reasons.append(check.reason)
     return reasons
+
+
+class TestNotExceptional:
+    @pytest.mark.parametrize("target", [True, False])
+    def test_a_successor_and_both_predicates_refuse_the_same_curves(self, target):
+        # One test, `survives_on_target`, decides all three.
+        spec = generate_crepant_pair(helpers.corner(), 8, 5)
+        base = TargetBase(spec.target_contracted) if target else PointBase()
+        state = SurfaceState(spec.config, set(), base)
+        outside = set(state.uncontracted) - spec.target_contracted
+        assert outside
+        for cid in state.uncontracted:
+            survives = survives_on_target(state, cid)
+            assert survives is (target and cid in outside)
+            try:
+                state.successor(cid)
+                refused = False
+            except NotNestedError:
+                refused = True
+            assert refused is survives
+            for predicate in (is_log_flopping, is_log_blowdown):
+                assert (predicate(state, cid).reason == "NotExceptionalOverBase") is survives
 
 
 class TestFlopCentres:

@@ -234,8 +234,6 @@ class TestValidation:
         config = helpers.chain()
         with pytest.raises(UnknownIdError):
             config.curve(9)
-        with pytest.raises(UnknownIdError):
-            config.point(9)
 
 
 class TestPairingAndDegree:
