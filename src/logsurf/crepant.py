@@ -34,7 +34,6 @@ from .surface import (
     corner_failure,
     factor_blocks,
     grow_block,
-    require_curve,
     require_valid,
     smooth_point_blowdown,
 )
@@ -315,10 +314,10 @@ class SurfaceState:
         """The checked state that also contracts `cid`, over the same base.
 
         This state is checked first; then only what `cid` changes is: its
-        id (`surface.require_curve`), that it does not survive on the
-        target model (`survives_on_target`) and its component, whose block
-        `grow_block` makes from the blocks `cid` meets.  The new index is
-        this one plus that block.
+        id, exactly an `int` naming a curve (`CurveConfig.curve`), that it
+        does not survive on the target model (`survives_on_target`) and its
+        component, whose block `grow_block` makes from the blocks `cid`
+        meets.  The new index is this one plus that block.
 
         Each row of the new system but `cid`'s is a row of this one, with
         `cid`'s term moved across at e = d, and `cid`'s row says that this
@@ -330,7 +329,7 @@ class SurfaceState:
         """
         self._checked
         config = self.config
-        require_curve(config, cid)
+        config.curve(cid)
         new = SurfaceState(config, self.contracted | {cid}, self.base)
         if survives_on_target(self, cid):
             raise _not_nested(new.contracted, self.base)
@@ -491,10 +490,10 @@ def image_self_intersection(
 
 
 def require_uncontracted(state: SurfaceState, cid: int) -> None:
-    """Check the state, then raise unless `cid` names one of its curves
-    (`surface.require_curve`) that is not contracted."""
+    """Check the state, then raise unless `cid` is exactly an `int` naming
+    one of its curves (`CurveConfig.curve`) that is not contracted."""
     state._checked
-    require_curve(state.config, cid)
+    state.config.curve(cid)
     if cid in state.contracted:
         raise InvalidStateError(f"curve {cid} is already contracted")
 
@@ -531,12 +530,14 @@ def log_degree(state: SurfaceState, cid: int) -> Fraction:
     Σ_k N_k·(C_k·C) over the mapping's common denominator Δ and numerators
     N (`SolutionFacts`), and divided by Δ once.  It depends only on the
     solution, so each curve's degree is computed once per residual mapping
-    and kept in its shared table.  A degree's denominator is positive, so
+    and kept in its shared table, keyed by `int`.  Only an exact `int` reads
+    that table: any other id takes the computing path, where
+    `CurveConfig.curve` refuses it.  A degree's denominator is positive, so
     callers test its sign on its numerator.  `state.crepant` checks the state.
     """
     data = state.crepant
     degrees = data.facts.degrees
-    degree = degrees.get(cid)
+    degree = degrees.get(cid) if type(cid) is int else None
     if degree is None:
         delta, numerators = data.scaled
         config = state.config

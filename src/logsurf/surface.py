@@ -265,23 +265,15 @@ class CurveConfig:
         return tuple(out)
 
     def curve(self, cid: int) -> Curve:
+        """The curve named `cid`, else ``UnknownIdError``: the library's one
+        lookup of a curve by id.  The id must be exactly an `int`, since a
+        float or bool equals and hashes like the integer id it would find."""
+        if type(cid) is not int:
+            raise UnknownIdError(f"curve id {cid!r} is not an int")
         try:
             return self._curve_map[cid]
         except KeyError:
             raise UnknownIdError(f"no curve with id {cid}") from None
-
-    def neighbours(self, cid: int) -> dict[int, int]:
-        """Curves sharing a point with `cid`, mapped to the crossing count."""
-        self.curve(cid)
-        return dict(self._adjacency[cid])
-
-
-def require_curve(config: CurveConfig, cid: int) -> None:
-    """Raise ``UnknownIdError`` unless `cid` is exactly an `int` naming a
-    curve: a float or bool equals and hashes like an integer id."""
-    if type(cid) is not int:
-        raise UnknownIdError(f"curve id {cid!r} is not an int")
-    config.curve(cid)
 
 
 def validate_config(config: CurveConfig) -> tuple[Violation, ...]:
@@ -342,7 +334,8 @@ def blow_up(
     """Blow up the model at a marked point, a fresh point on a curve, or a
     generic point.
 
-    Checks the coefficient, the configuration and the target, then applies
+    Checks the coefficient, the configuration and the target, whose ref
+    must be exactly an `int` naming a point or curve, then applies
     `blow_up_tables` to the configuration's curves and points, with the new
     curve's id from `next_curve_id` and the new points' ids from one above
     the largest point id.  The Picard rank, when recorded, goes up by 1.
@@ -351,12 +344,13 @@ def blow_up(
     if not (0 <= coeff <= 1):
         raise BadCoefficientError(f"coefficient {coeff} outside [0, 1]")
     require_valid(config)
-    if target.kind == "point":
-        if target.ref not in config._point_map:
-            raise UnknownTargetError(f"no point with id {target.ref}")
-    elif target.kind == "free":
-        if target.ref not in config._curve_map:
-            raise UnknownTargetError(f"no curve with id {target.ref}")
+    tables = {"point": config._point_map, "free": config._curve_map}
+    if target.kind in tables:
+        noun = "point" if target.kind == "point" else "curve"
+        if type(target.ref) is not int:
+            raise UnknownTargetError(f"{noun} id {target.ref!r} is not an int")
+        if target.ref not in tables[target.kind]:
+            raise UnknownTargetError(f"no {noun} with id {target.ref}")
     elif target.kind != "generic":
         raise UnknownTargetError(f"unknown target kind {target.kind!r}")
     curves = dict(config._curve_map)
@@ -477,14 +471,15 @@ def factor_blocks(config: CurveConfig, ids: frozenset[int]) -> tuple[Block, ...]
     which yields the component in post-order, with its children when it is
     a tree.  Each component's block is then taken from the memo or factored
     cold, once (`_cold_block`).  The empty set has no blocks.  An id that
-    is not exactly an `int` is refused before the memo is read
-    (`require_curve`).  A state reached by a move finds its one new block
-    from its parent's instead (`grow_block`).
+    is not exactly an `int` is refused by `CurveConfig.curve` before the
+    memo is read, since it would find the entry of the integers it equals.
+    A state reached by a move finds its one new block from its parent's
+    instead (`grow_block`).
     """
     if not ids:
         return ()
     if {*map(type, ids)} != {int}:
-        require_curve(config, next(cid for cid in ids if type(cid) is not int))
+        config.curve(next(cid for cid in ids if type(cid) is not int))
     memo = config._factor_memo
     try:
         return memo[ids]

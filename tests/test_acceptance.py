@@ -44,8 +44,8 @@ def _meets(config, cid: int, center) -> bool:
         return center.curve == cid
     if isinstance(center, NodeCenter):
         return cid in center.curves
-    near = config.neighbours(cid)
-    return any(near.get(j) for j in center.component)
+    counts = oracles.crossing_counts(config)
+    return any(oracles.raw_pairing(config, counts, cid, j) for j in center.component)
 
 
 def _report(

@@ -368,6 +368,16 @@ class TestLogDegree:
     def test_elliptic_degree_positive(self):
         assert log_degree(SurfaceState(helpers.elliptic(), set()), 1) == 1
 
+    def test_rejects_an_inexact_id_cold_and_cached(self):
+        # The degree table is keyed by int, and 4.0 hashes like 4: once
+        # curve 4's degree is kept, a lookup by 4.0 would find it.
+        state = SurfaceState(helpers.corner_twice(), {3})
+        with pytest.raises(UnknownIdError, match=r"^curve id 4\.0 is not an int$"):
+            log_degree(state, 4.0)
+        assert log_degree(state, 4) == 0
+        with pytest.raises(UnknownIdError, match=r"^curve id 4\.0 is not an int$"):
+            log_degree(state, 4.0)
+
 
 class TestIsLogCrepant:
     def test_tower_contractions_are_crepant(self):

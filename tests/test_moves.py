@@ -146,11 +146,12 @@ def scanned_flop_verdict(state, cid):
     image_self = pushforward_self_intersection(state, cid)
     if image_self >= 0:
         return "ImageNotNegative", f"image self-intersection is {image_self} ≥ 0"
+    counts = oracles.crossing_counts(config)
     for center in lc_centers(state):
         if isinstance(center, NodeCenter) and cid in center.curves:
             return "MeetsNodeCenter", f"curve {cid} passes through corner point {center.point}"
         if isinstance(center, ComponentImage) and any(
-            config.neighbours(cid).get(j) for j in center.component
+            oracles.raw_pairing(config, counts, cid, j) for j in center.component
         ):
             return (
                 "MeetsComponentImage",

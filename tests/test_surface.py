@@ -235,6 +235,24 @@ class TestValidation:
         with pytest.raises(UnknownIdError):
             config.curve(9)
 
+    # A float or bool equals and hashes like an integer id, so a lookup that
+    # took it would read curve 3 for 3.0 and curve 1 for True.
+    @pytest.mark.parametrize(
+        "lookup, bad",
+        [
+            (lambda config: config.curve(True), "True"),
+            (lambda config: pairing(config, 3.0, True), r"3\.0"),
+            (lambda config: canonical_degree(config, 4.0), r"4\.0"),
+            (lambda config: gram(config, [3.0, 4.0]), r"3\.0"),
+            (lambda config: connected_components(config, {3.0, True}), r"(3\.0|True)"),
+            (lambda config: LocalBlowdownModel.from_config(config, [3.0]), r"3\.0"),
+        ],
+        ids=["curve", "pairing", "canonical_degree", "gram", "connected_components", "model"],
+    )
+    def test_every_lookup_refuses_an_inexact_id(self, lookup, bad):
+        with pytest.raises(UnknownIdError, match=f"^curve id {bad} is not an int$"):
+            lookup(helpers.corner_twice())
+
 
 class TestPairingAndDegree:
     def test_self_pairing_is_self_intersection(self):
@@ -333,6 +351,14 @@ class TestBlowUp:
         with pytest.raises(UnknownTargetError, match="unknown target kind 'nowhere'"):
             blow_up(helpers.corner(), BlowUpTarget("nowhere"), 0)
 
+    def test_rejects_an_inexact_target_ref(self):
+        # 4.0 would become the id of curve 4 in the blown-up configuration,
+        # and True would blow up point 1.
+        with pytest.raises(UnknownTargetError, match=r"^curve id 4\.0 is not an int$"):
+            blow_up(helpers.corner_twice(), free_point_on(4.0), 0)
+        with pytest.raises(UnknownTargetError, match="^point id True is not an int$"):
+            blow_up(helpers.corner(), at_point(True), 1)
+
     def test_rejects_an_invalid_configuration(self):
         # Two curves with id 1: tables keyed by id would merge them.
         config = CurveConfig((Curve(1, 0, -1, Fraction(1)), Curve(1, 0, -2, Fraction(0))), ())
@@ -397,10 +423,7 @@ class TestComponentsAndGram:
                 for o in config.curves
                 if o.id != c.id and (n := oracles.raw_pairing(config, counts, c.id, o.id))
             }
-            assert config.neighbours(c.id) == expected
-        # Callers get a copy: changing it leaves the configuration alone.
-        config.neighbours(1).clear()
-        assert config.neighbours(1)
+            assert config._adjacency[c.id] == expected
 
     def test_gram_matches_pairings(self):
         config = helpers.corner_twice()
