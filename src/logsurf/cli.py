@@ -691,10 +691,7 @@ def main(argv: list[str] | None = None) -> int:
     except (TheoremViolationError, StuckInPhase2Error) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3
-    except LogSurfaceError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except (OSError, ValueError, KeyError, TypeError, json.JSONDecodeError) as exc:
+    except (LogSurfaceError, OSError, ValueError, KeyError, TypeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -359,13 +359,6 @@ class SurfaceState:
         return tuple(c.id for c in self.config.curves if c.id not in self.contracted)
 
     @cached_property
-    def components(self) -> tuple[frozenset[int], ...]:
-        """The connected components of the contracted set, by least id: the
-        curve sets of the distinct blocks of its block index."""
-        blocks = dict.fromkeys(self._checked.values())
-        return tuple(sorted([block.curves for block in blocks], key=min))
-
-    @cached_property
     def classification(self) -> Classification:
         """Classify the contraction by its residual coefficients.
 
@@ -448,9 +441,10 @@ def lc_centers(state: SurfaceState) -> tuple[LcCenter, ...]:
 
     Surviving coefficient-1 curves give divisorial centres; points whose two
     branches both have residual 1 give node centres; contracted components
-    containing a residual-1 curve are collapsed to their image points.  The
-    residual-1 curves are read from the solution's shared table
-    (`SolutionFacts`), found once per mapping.
+    containing a residual-1 curve are collapsed to their image points, by
+    least id.  A component is the curve set of one of the distinct blocks of
+    the state's block index.  The residual-1 curves are read from the
+    solution's shared table (`SolutionFacts`), found once per mapping.
     """
     ones = state.crepant.ones
     out: list[LcCenter] = [
@@ -459,10 +453,9 @@ def lc_centers(state: SurfaceState) -> tuple[LcCenter, ...]:
     for p in state.config.points:
         if len(p.incident) == 2 and p.incident <= ones:
             out.append(NodeCenter(p.id, p.incident))
-    for component in state.components:
-        if not component.isdisjoint(ones):
-            out.append(ComponentImage(component))
-    return tuple(out)
+    blocks = dict.fromkeys(state._checked.values())
+    images = [ComponentImage(b.curves) for b in blocks if not b.curves.isdisjoint(ones)]
+    return (*out, *sorted(images, key=lambda image: min(image.component)))
 
 
 def pushforward_self_intersection(state: SurfaceState, cid: int) -> Fraction:

@@ -266,12 +266,15 @@ def _matches(recorded: Mapping[int, Fraction], data: CrepantData) -> bool:
 
 @dataclass(frozen=True)
 class VerifyResult:
-    ok: bool
+    """A replay's verdict: true exactly when it records no `failure`.  A
+    failure names what did not replay and, when a step is at fault, the
+    index of that step."""
+
     failure: str | None = None
     step_index: int | None = None
 
     def __bool__(self) -> bool:
-        return self.ok
+        return self.failure is None
 
 
 def verify_trace(
@@ -297,18 +300,12 @@ def verify_trace(
     config = CurveConfig(config.curves, config.points, config.picard_rank_of_model)
     start_set = frozenset(start)
     if start_set != trace.start:
-        return VerifyResult(
-            False,
-            f"trace starts at {sorted(trace.start)}, not {sorted(start_set)}",
-        )
+        return VerifyResult(f"trace starts at {sorted(trace.start)}, not {sorted(start_set)}")
     if not 0 <= trace.flop_minimal_index <= len(trace.steps):
-        return VerifyResult(
-            False, f"split index {trace.flop_minimal_index} is out of range"
-        )
+        return VerifyResult(f"split index {trace.flop_minimal_index} is out of range")
     base = trace.base
     if isinstance(base, TargetBase) and base.contracted_on_target != trace.end:
         return VerifyResult(
-            False,
             f"trace ends at {sorted(trace.end)}, not at its target "
             f"{sorted(base.contracted_on_target)}",
         )
@@ -325,61 +322,48 @@ def verify_trace(
             )
             if step.kind is not expected_kind:
                 return VerifyResult(
-                    False,
                     f"step kind {step.kind.value} on the wrong side of the split",
                     index,
                 )
             before = step.discrepancies_before
             if before is not matched and not _matches(before, state.crepant):
-                return VerifyResult(
-                    False, "recorded prior discrepancies do not match", index
-                )
+                return VerifyResult("recorded prior discrepancies do not match", index)
             if type(step.curve) is not int:
-                return VerifyResult(False, f"curve {step.curve!r} is not an int", index)
+                return VerifyResult(f"curve {step.curve!r} is not an int", index)
             flop = step.kind is MoveKind.FLOP
             check = (is_log_flopping if flop else is_log_blowdown)(state, step.curve)
             if not check:
-                return VerifyResult(False, check.failure, index)
+                return VerifyResult(check.failure, index)
             epsilon, order = step.epsilon, step.order
             if flop and (
                 epsilon != epsilon_bound(check)
                 or {type(epsilon.supremum), type(epsilon.chosen)} - _EXACT
             ):
-                return VerifyResult(
-                    False, "recorded perturbation bound does not match", index
-                )
+                return VerifyResult("recorded perturbation bound does not match", index)
             if not flop and (
                 order is None or tuple(order) != check.order or {*map(type, order)} != {int}
             ):
-                return VerifyResult(
-                    False, "recorded contraction order does not match", index
-                )
+                return VerifyResult("recorded contraction order does not match", index)
             state = state.successor(step.curve)
             matched = step.discrepancies_after
             if not _matches(matched, state.crepant):
-                return VerifyResult(
-                    False, "recorded posterior discrepancies do not match", index
-                )
+                return VerifyResult("recorded posterior discrepancies do not match", index)
             if index + 1 == trace.flop_minimal_index:
                 split = state
         if not is_flop_minimal(split):
             return VerifyResult(
-                False,
                 "the state at the split still admits a flop-type contraction",
                 trace.flop_minimal_index,
             )
         if isinstance(base, PointBase) and _next_move(state):
-            return VerifyResult(
-                False, "the final state still admits a move", len(trace.steps)
-            )
+            return VerifyResult("the final state still admits a move", len(trace.steps))
     except (LogSurfaceError, ValueError) as exc:
-        return VerifyResult(False, f"replay error: {exc}")
+        return VerifyResult(f"replay error: {exc}")
     if state.contracted != trace.end:
         return VerifyResult(
-            False,
             f"replay ends at {sorted(state.contracted)}, trace claims {sorted(trace.end)}",
         )
-    return VerifyResult(True)
+    return VerifyResult()
 
 
 def generate_crepant_pair(

@@ -31,14 +31,16 @@ perturbation bound is taken over the residuals' common denominator and
 numerators (`crepant.SolutionFacts`) and minimised by integer
 cross-multiplication.  Only the values a caller receives are `Fraction`s.
 
-A predicate returns a check: the state and curve it was made for and, on
-success, the evidence found — a flop's multiplicities λ, a blow-down's local
-contraction order.  The check is the move's certificate: `epsilon_bound`,
+A predicate returns a check: the state and curve it was made for, the
+reason the move was refused (None when it passed) and, on success, the
+evidence found — a flop's multiplicities λ, a blow-down's local contraction
+order.  A check, like every verdict in the library, is true exactly when it
+records no failure.  The check is the move's certificate: `epsilon_bound`,
 `contract_flop` and `contract_blowdown` take it instead of re-running the
-predicate, and raise the move's error when it failed.  Both contractions
-return fresh states and assert their own postconditions: a failed assertion
-is a bug in the library, never a property of valid input, and raises
-``TheoremViolationError``.
+predicate, and raise the move's error when it records a reason.  Both
+contractions return fresh states and assert their own postconditions: a
+failed assertion is a bug in the library, never a property of valid input,
+and raises ``TheoremViolationError``.
 """
 
 from __future__ import annotations
@@ -118,35 +120,36 @@ class MoveRecord:
 
 @dataclass(frozen=True)
 class _Check:
-    """A predicate's verdict on contracting `curve` from `state`."""
+    """A predicate's verdict on contracting `curve` from `state`: true
+    exactly when `reason`, the name of the failed requirement, is None.
+    `detail` words a failure for the move's error."""
 
     error: ClassVar[type[LogSurfaceError]]
     noun: ClassVar[str]
 
     state: SurfaceState = field(repr=False)
     curve: int
-    ok: bool
     reason: str | None
     detail: str | None
 
     def __bool__(self) -> bool:
-        return self.ok
+        return self.reason is None
 
     @property
     def failure(self) -> str:
         return f"curve {self.curve} is not {self.noun}: {self.detail or self.reason}"
 
     def require(self) -> None:
-        """Raise the move's error unless the check passed."""
-        if not self.ok:
+        """Raise the move's error if the check records a reason."""
+        if self.reason is not None:
             raise self.error(self.failure)
 
 
 @dataclass(frozen=True)
 class FlopCheck(_Check):
-    """Verdict plus, on success, the multiplicities λ_j of the contracted
-    curves in the pullback of the curve's image, which `epsilon_bound`
-    reads."""
+    """A flop verdict plus, on success, the multiplicities λ_j of the
+    contracted curves in the pullback of the curve's image, which
+    `epsilon_bound` reads; None on failure."""
 
     error = NotFloppingError
     noun = "of flop type"
@@ -155,9 +158,10 @@ class FlopCheck(_Check):
 
 @dataclass(frozen=True)
 class BlowdownCheck(_Check):
-    """Verdict plus the stepwise local contraction order: on success the
-    adjacent contracted curves' order then the curve, on failure as far as
-    the simulation got.  A trace records it as the move's certificate."""
+    """A blow-down verdict plus the stepwise local contraction order: on
+    success the adjacent contracted curves' order then the curve, on failure
+    as far as the simulation got.  A trace records it as the move's
+    certificate."""
 
     error = NotABlowdownError
     noun = "a log blow-down"
@@ -192,7 +196,7 @@ def is_log_flopping(state: SurfaceState, cid: int) -> FlopCheck:
     """
     require_uncontracted(state, cid)
     _require_log_terminal(state)
-    fail = partial(FlopCheck, state, cid, False, multiplicities=None)
+    fail = partial(FlopCheck, state, cid, multiplicities=None)
     if survives_on_target(state, cid):
         return fail("NotExceptionalOverBase", f"curve {cid} survives on the target model")
     degree = log_degree(state, cid)
@@ -204,7 +208,7 @@ def is_log_flopping(state: SurfaceState, cid: int) -> FlopCheck:
     image_self = image_self_intersection(state.config, cid, lam)
     if image_self.numerator >= 0:
         return fail("ImageNotNegative", f"image self-intersection is {image_self} ≥ 0")
-    return FlopCheck(state, cid, True, None, None, lam)
+    return FlopCheck(state, cid, None, None, lam)
 
 
 def epsilon_bound(check: FlopCheck) -> EpsilonChoice:
@@ -273,18 +277,19 @@ def relative_picard_rank(state: SurfaceState) -> PicardRank:
 
 @dataclass(frozen=True)
 class NefReport:
-    """Nef verdict over the curves visible to the base.
+    """Nef verdict over the curves visible to the base: true exactly when
+    `failing`, each tested curve of negative log degree with that degree, is
+    empty.
 
     `complete` is False for a point base, where only marked curves can be
     tested and unmarked curves of the underlying surface stay out of reach.
     """
 
-    ok: bool
     complete: bool
     failing: tuple[tuple[int, Fraction], ...] = ()
 
     def __bool__(self) -> bool:
-        return self.ok
+        return not self.failing
 
 
 def _in_scope(state: SurfaceState) -> list[int]:
@@ -308,7 +313,7 @@ def is_nef_on_marked(state: SurfaceState) -> NefReport:
         for cid in _in_scope(state)
         if (degree := log_degree(state, cid)).numerator < 0
     )
-    return NefReport(not failing, isinstance(state.base, TargetBase), failing)
+    return NefReport(isinstance(state.base, TargetBase), failing)
 
 
 def lowest_flop(state: SurfaceState) -> FlopCheck | None:
@@ -394,7 +399,7 @@ def is_log_blowdown(state: SurfaceState, cid: int) -> BlowdownCheck:
     index, not by testing every block.
     """
     require_uncontracted(state, cid)
-    fail = partial(BlowdownCheck, state, cid, False)
+    fail = partial(BlowdownCheck, state, cid)
     if survives_on_target(state, cid):
         return fail("NotExceptionalOverBase", f"curve {cid} survives on the target model")
     config = state.config
@@ -410,7 +415,7 @@ def is_log_blowdown(state: SurfaceState, cid: int) -> BlowdownCheck:
     if outcome is None:
         outcome = memo[key] = _local_blowdown(config, cid, met)
     reason, detail, order = outcome
-    return BlowdownCheck(state, cid, reason is None, reason, detail, order)
+    return BlowdownCheck(state, cid, reason, detail, order)
 
 
 def _local_blowdown(

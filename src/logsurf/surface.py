@@ -268,12 +268,16 @@ class CurveConfig:
         """The curve named `cid`, else ``UnknownIdError``: the library's one
         lookup of a curve by id.  The id must be exactly an `int`, since a
         float or bool equals and hashes like the integer id it would find."""
-        if type(cid) is not int:
-            raise UnknownIdError(f"curve id {cid!r} is not an int")
+        _require_int(cid)
         try:
             return self._curve_map[cid]
         except KeyError:
             raise UnknownIdError(f"no curve with id {cid}") from None
+
+
+def _require_int(cid: object) -> None:
+    if type(cid) is not int:
+        raise UnknownIdError(f"curve id {cid!r} is not an int")
 
 
 def validate_config(config: CurveConfig) -> tuple[Violation, ...]:
@@ -628,6 +632,7 @@ class LocalBlowdownModel:
 
     def contract(self, cid: int) -> None:
         """Contract `cid`: A·B += (A·e)(B·e) for surviving pairs, A² += (A·e)²."""
+        _require_int(cid)
         links = self._links
         if cid not in links:
             raise UnknownIdError(f"curve {cid} not present in local model")
@@ -672,16 +677,18 @@ NON_SNC_CONTRACTION = "NonSNCContraction"
 
 @dataclass
 class BlowdownSim:
-    """Outcome of simulating the stepwise contraction of a curve set."""
+    """Outcome of simulating the stepwise contraction of a curve set: true
+    exactly when `reason` is None, that is when the whole set contracted.
+    `order` is the contraction order as far as it got, and `final` the
+    model it left."""
 
-    ok: bool
     reason: str | None
     detail: str | None
     order: tuple[int, ...]
     final: LocalBlowdownModel = field(repr=False)
 
     def __bool__(self) -> bool:
-        return self.ok
+        return self.reason is None
 
 
 def run_contraction(model: LocalBlowdownModel, pool: Iterable[int]) -> BlowdownSim:
@@ -691,9 +698,14 @@ def run_contraction(model: LocalBlowdownModel, pool: Iterable[int]) -> BlowdownS
 
     Contracting a curve changes only its partners, so only they are
     re-tested: `eligible` is a heap holding every eligible pool curve, plus
-    stale entries dropped when they surface.
+    stale entries dropped when they surface.  Every id in `pool` must be
+    exactly an `int` (``UnknownIdError``); the pool is checked once, before
+    any contraction.  A sweep that empties the pool passes; one stuck on a
+    non-empty pool fails with `NO_MINUS_ONE` or `NON_SNC_CONTRACTION`.
     """
     pool = set(pool)
+    for cid in pool:
+        _require_int(cid)
     eligible = [c for c in pool if model.is_eligible(c)]
     heapq.heapify(eligible)
     order: list[int] = []
@@ -702,14 +714,12 @@ def run_contraction(model: LocalBlowdownModel, pool: Iterable[int]) -> BlowdownS
             candidates = sorted(c for c in pool if model.is_candidate(c))
             if not candidates:
                 return BlowdownSim(
-                    False,
                     NO_MINUS_ONE,
                     f"no contractible (-1)-curve among {sorted(pool)}",
                     tuple(order),
                     model,
                 )
             return BlowdownSim(
-                False,
                 NON_SNC_CONTRACTION,
                 f"every (-1)-curve in {candidates} meets a partner twice or has valence > 2",
                 tuple(order),
@@ -725,7 +735,7 @@ def run_contraction(model: LocalBlowdownModel, pool: Iterable[int]) -> BlowdownS
         for a in partners:
             if a in pool and model.is_eligible(a):
                 heapq.heappush(eligible, a)
-    return BlowdownSim(True, None, None, tuple(order), model)
+    return BlowdownSim(None, None, tuple(order), model)
 
 
 def smooth_point_blowdown(config: CurveConfig, gamma: Iterable[int]) -> BlowdownSim:
@@ -743,7 +753,7 @@ def smooth_point_blowdown(config: CurveConfig, gamma: Iterable[int]) -> Blowdown
     if blocks is None:
         raise ValueError("gram matrix of gamma must be negative definite")
     result = run_contraction(LocalBlowdownModel.from_config(config, gamma_set), gamma_set)
-    if result.ok:
+    if result:
         require_unimodular(gamma_set, blocks)
     return result
 

@@ -843,12 +843,12 @@ class TestTraceMutationSweep:
         return code, capsys.readouterr().err
 
     def _verdicts(self, config, doc, tmp_path, capsys):
-        """`verify_trace`'s (ok, failure, step index) on the read document,
+        """`verify_trace`'s (verdict, failure, step index) on the read document,
         and `logsurf verify`'s exit code and error output."""
         _, trace = cli.trace_from_json(json.loads(json.dumps(doc)))
         result = verify_trace(config, trace.start, trace)
         code, err = self._verify_command(config, doc, tmp_path, capsys)
-        return (result.ok, result.failure, result.step_index), code, err
+        return (bool(result), result.failure, result.step_index), code, err
 
     @pytest.mark.parametrize(
         "mutation", ["epsilon.chosen", "epsilon.supremum", "order", "split + 1", "split - 1"]

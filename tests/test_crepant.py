@@ -537,10 +537,12 @@ class TestFactorMemo:
                 continue
             blocks = sorted((frozenset(block.order) for block in entry), key=min)
             assert blocks == sorted(oracles.raw_components(config, ids), key=min)
-            # A state's components are its set's blocks, by least id.
-            assert SurfaceState(config, ids).components == tuple(
-                oracles.raw_components(config, ids)
-            )
+            # A state's block index maps each curve to its component's block.
+            index = SurfaceState(config, ids)._checked
+            assert index.keys() == ids
+            assert all(cid in block.curves for cid, block in index.items())
+            components = sorted({block.curves for block in index.values()}, key=min)
+            assert components == oracles.raw_components(config, ids)
             for block in entry:
                 # One factor per component, shared by every set containing it.
                 assert memo[frozenset(block.order)][0] is block
@@ -1095,7 +1097,7 @@ class TestIntegerMoveAlgebra:
                 config, c.id, lam
             ) == oracles.raw_image_self_intersection(config, expected, c.id)
             # The bound's arithmetic, whether or not the curve's flop passes.
-            bound = epsilon_bound(FlopCheck(state, c.id, True, None, None, lam))
+            bound = epsilon_bound(FlopCheck(state, c.id, None, None, lam))
             assert (bound.supremum, bound.chosen) == oracles.raw_epsilon_bound(
                 config, residual, expected, c.id
             )
@@ -1165,7 +1167,6 @@ class TestBlockIndex:
                 assert same.contracted == parent.contracted
                 assert same._checked.keys() == index.keys()
                 assert all(same._checked[j] is index[j] for j in index)
-                assert same.components == parent.components
                 assert same.crepant.discrepancies == parent.crepant.discrepancies
                 assert same.classification is parent.classification
 
@@ -1389,7 +1390,7 @@ class TestDeterminantPretest:
         unimodular = skipped = 0
         for state in self.connected_subsets(rng, 200):
             config = state.config
-            (component,) = state.components
+            (component,) = {block.curves for block in state._checked.values()}
             assert component == state.contracted
             state.classification
             (block,) = factor_blocks(config, component)

@@ -79,7 +79,7 @@ class TestDecomposeMorphism:
 
         def withheld(state, cid):
             check = real(state, cid)
-            return dataclasses.replace(check, ok=False, reason="Withheld") if check else check
+            return dataclasses.replace(check, reason="Withheld") if check else check
 
         # The scan and the diagnostics both see the withheld check.
         monkeypatch.setattr(logsurf.decompose, "is_log_blowdown", withheld)
@@ -294,7 +294,7 @@ class TestVerifyTrace:
                 ))
             steps[index] = dataclasses.replace(steps[index], curve=curve)
             result = verify_trace(config, good.start, dataclasses.replace(good, steps=tuple(steps)))
-            assert (result.ok, result.failure, result.step_index) == (False, failure, step_index)
+            assert (bool(result), result.failure, result.step_index) == (False, failure, step_index)
 
     def test_accepts_minimization_trace(self):
         trace = minimize(SurfaceState(helpers.du_val_a1(), set()))
@@ -367,6 +367,31 @@ class _Recorded(dict):
     pass
 
 
+class _Broken(collections.abc.Mapping):
+    """A recorded map one of whose methods, `broken`, raises."""
+
+    def __init__(self, data, broken):
+        self._data, self._broken = dict(data), broken
+
+    def _call(self, name):
+        if name == self._broken:
+            raise RuntimeError(f"{name} is broken")
+
+    def __getitem__(self, key):
+        return self._data[key]
+
+    def __iter__(self):
+        return iter(self._data)
+
+    def __len__(self):
+        self._call("__len__")
+        return len(self._data)
+
+    def items(self):
+        self._call("items")
+        return self._data.items()
+
+
 # Ways a caller may write a recorded discrepancy, equal or not.
 VARIANTS = {
     "same": lambda v: v,
@@ -412,7 +437,7 @@ class TestRecordComparison:
                 extra = min(c.id for c in spec.config.curves if c.id not in record)
                 record[extra] = -spec.config.curve(extra).boundary_coeff
         result = self._tamper_after(spec, trace, index, record)
-        assert (result.ok, result.failure, result.step_index) == (
+        assert (bool(result), result.failure, result.step_index) == (
             False, "recorded posterior discrepancies do not match", index
         )
 
@@ -455,7 +480,7 @@ class TestRecordComparison:
         step = dataclasses.replace(trace.steps[index], discrepancies_after=record)
         bad = dataclasses.replace(trace, steps=trace.steps[:index] + (step,))
         result = verify_trace(spec.config, spec.source_contracted, bad)
-        assert (result.ok, result.failure, result.step_index) == (
+        assert (bool(result), result.failure, result.step_index) == (
             False, "recorded posterior discrepancies do not match", index
         )
 
@@ -486,7 +511,7 @@ class TestRecordComparison:
             "order": "recorded contraction order does not match",
             "curve": f"curve {value!r} is not an int",
         }[name]
-        assert (result.ok, result.failure, result.step_index) == (False, failure, index)
+        assert (bool(result), result.failure, result.step_index) == (False, failure, index)
 
     def test_a_comparison_that_raises_is_a_mismatch(self):
         spec, trace = _tower_run()
@@ -497,8 +522,21 @@ class TestRecordComparison:
         step = dataclasses.replace(trace.steps[1], discrepancies_after=record)
         bad = dataclasses.replace(trace, steps=(trace.steps[0], step) + trace.steps[2:])
         result = verify_trace(spec.config, spec.source_contracted, bad)
-        assert (result.ok, result.failure, result.step_index) == (
+        assert (bool(result), result.failure, result.step_index) == (
             False, "recorded posterior discrepancies do not match", 1
+        )
+
+    @pytest.mark.parametrize("broken", ["__len__", "items"])
+    @pytest.mark.parametrize("field", ["discrepancies_before", "discrepancies_after"])
+    def test_a_record_that_raises_is_a_mismatch(self, field, broken):
+        spec, trace = _tower_run()
+        record = _Broken(getattr(trace.steps[1], field), broken)
+        step = dataclasses.replace(trace.steps[1], **{field: record})
+        bad = dataclasses.replace(trace, steps=(trace.steps[0], step) + trace.steps[2:])
+        result = verify_trace(spec.config, spec.source_contracted, bad)
+        which = "prior" if field == "discrepancies_before" else "posterior"
+        assert (bool(result), result.failure, result.step_index) == (
+            False, f"recorded {which} discrepancies do not match", 1
         )
 
     @settings(max_examples=150, deadline=None)

@@ -97,7 +97,7 @@ def test_every_kth_state_decides_as_a_cold_state(kind, made, tmp_path, capsys):
     which = "posterior" if field == "discrepancies_after" else "prior"
     failure = f"recorded {which} discrepancies do not match"
     result = verify_trace(config, trace.start, cli.trace_from_json(doc)[1])
-    assert (result.ok, result.failure, result.step_index) == (False, failure, index)
+    assert (bool(result), result.failure, result.step_index) == (False, failure, index)
     scenario = helpers.write_scenario(tmp_path / "scenario.json", config)
     trace_path = tmp_path / "trace.json"
     trace_path.write_text(dump(doc), encoding="utf-8")

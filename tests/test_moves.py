@@ -303,6 +303,61 @@ class TestEpsilonBound:
         assert log_degree(new_state, cid) == eps.chosen * image_square
         assert log_degree(new_state, cid) < 0
 
+    @staticmethod
+    def _headroom_binds(check):
+        """Compare the bound of a passed check with min((1 − e_j)/λ_j, 1 − d)
+        over the oracle's whole-set solves; True when a contracted curve's
+        headroom, not the coefficient cap, is the least."""
+        state, cid = check.state, check.curve
+        config, contracted = state.config, state.contracted
+        eps = epsilon_bound(check)
+        residual = oracles.raw_residuals(config, contracted)
+        lam = oracles.raw_multiplicities(config, contracted, cid)
+        assert (eps.supremum, eps.chosen) == oracles.raw_epsilon_bound(config, residual, lam, cid)
+        return eps.supremum < 1 - config.curve(cid).boundary_coeff
+
+    def test_a_contracted_curve_headroom_binds(self):
+        # Tower coefficients are 0 or 1, so there the cap always binds.
+        config = CurveConfig.build(
+            [
+                (1, 0, -1, Fraction(1, 2)),
+                (2, 0, -4, Fraction(3, 4)),
+                (3, 0, -2, Fraction(3, 4)),
+                (4, 0, -2, Fraction(1, 4)),
+                (5, 0, -1, Fraction(3, 4)),
+            ],
+            [(1, [2, 1]), (2, [3, 1]), (3, [4, 1]), (4, [5, 2])],
+        )
+        check = is_log_flopping(SurfaceState(config, {1, 2, 5}), 4)
+        assert check
+        eps = epsilon_bound(check)
+        # (1 − e_1)/λ_1 = (1/2)/(3/2), below the cap 1 − 1/4.
+        assert (eps.supremum, eps.chosen) == (Fraction(1, 3), Fraction(1, 6))
+        assert self._headroom_binds(check)
+
+    def test_seeded_trees_against_the_oracle(self):
+        rng = random.Random(7)
+        coeffs = [Fraction(k, 4) for k in range(4)]
+        passed = binding = 0
+        for _ in range(3000):
+            n = rng.randint(3, 6)
+            config = CurveConfig.build(
+                [(i, 0, rng.randint(-4, -1), rng.choice(coeffs)) for i in range(1, n + 1)],
+                [(i - 1, [i, rng.randint(1, i - 1)]) for i in range(2, n + 1)],
+            )
+            state = SurfaceState(config, rng.sample(range(1, n + 1), rng.randint(1, n - 1)))
+            try:
+                if state.classification < Classification.LOG_TERMINAL:
+                    continue
+            except LogSurfaceError:
+                continue
+            for cid in state.uncontracted:
+                check = is_log_flopping(state, cid)
+                if check:
+                    passed += 1
+                    binding += self._headroom_binds(check)
+        assert passed > 200 and binding >= 5, (passed, binding)
+
 
 class TestContractFlop:
     def test_tower_top(self):
@@ -342,7 +397,7 @@ class TestContractFlop:
     ):
         state = SurfaceState(config, contracted)
         assert log_degree(state, cid) == degree
-        forged = FlopCheck(state, cid, True, None, None, {})
+        forged = FlopCheck(state, cid, None, None, {})
         with pytest.raises(TheoremViolationError, match="not log crepant"):
             contract_flop(forged)
 
@@ -544,8 +599,8 @@ class TestIsLogBlowdown:
                         fresh = is_log_blowdown(
                             SurfaceState(copy, state.contracted, state.base), cid
                         )
-                        assert (check.ok, check.reason, check.detail, check.order) == (
-                            fresh.ok, fresh.reason, fresh.detail, fresh.order
+                        assert (bool(check), check.reason, check.detail, check.order) == (
+                            bool(fresh), fresh.reason, fresh.detail, fresh.order
                         )
                         asked += 1
                 # The memo holds passes and failures, each equal to the
@@ -616,7 +671,7 @@ def bare_chain(bs) -> CurveConfig:
 def _verdict(check):
     if check is None:
         return None
-    return check.curve, check.ok, check.reason, check.detail, check.multiplicities
+    return check.curve, bool(check), check.reason, check.detail, check.multiplicities
 
 
 class TestLowestFlop:
@@ -687,7 +742,7 @@ class TestLowestFlop:
 def _blowdown_verdict(check):
     if check is None:
         return None
-    return check.curve, check.ok, check.reason, check.detail, check.order
+    return check.curve, bool(check), check.reason, check.detail, check.order
 
 
 class TestLowestBlowdown:
@@ -750,7 +805,7 @@ class TestGoldenChecks:
                             for cid in state.uncontracted:
                                 flop = _outcome(is_log_flopping, state, cid)
                                 if isinstance(flop, FlopCheck):
-                                    lines.append((flop.ok, flop.reason, flop.detail))
+                                    lines.append((bool(flop), flop.reason, flop.detail))
                                     if flop:
                                         eps = epsilon_bound(flop)
                                         lines.append(
@@ -762,7 +817,7 @@ class TestGoldenChecks:
                                 else:
                                     lines.append(flop)
                                 down = _outcome(is_log_blowdown, state, cid)
-                                lines.append((down.ok, down.reason, down.detail, down.order))
+                                lines.append((bool(down), down.reason, down.detail, down.order))
                             digest.update(repr(lines).encode())
         assert digest.hexdigest() == (
             "64fcadf2583f68320a8bcc5b66e5016d10515b54901e637066447fda235d2168"

@@ -246,8 +246,16 @@ class TestValidation:
             (lambda config: gram(config, [3.0, 4.0]), r"3\.0"),
             (lambda config: connected_components(config, {3.0, True}), r"(3\.0|True)"),
             (lambda config: LocalBlowdownModel.from_config(config, [3.0]), r"3\.0"),
+            (lambda config: LocalBlowdownModel.from_config(config, [4]).contract(4.0), r"4\.0"),
+            (
+                lambda config: run_contraction(LocalBlowdownModel.from_config(config, [3, 4]), [4.0]),
+                r"4\.0",
+            ),
         ],
-        ids=["curve", "pairing", "canonical_degree", "gram", "connected_components", "model"],
+        ids=[
+            "curve", "pairing", "canonical_degree", "gram", "connected_components", "model",
+            "model_contract", "run_contraction",
+        ],
     )
     def test_every_lookup_refuses_an_inexact_id(self, lookup, bad):
         with pytest.raises(UnknownIdError, match=f"^curve id {bad} is not an int$"):
@@ -570,6 +578,13 @@ class TestSmoothPointBlowdown:
             if smooth_point_blowdown(config, gamma):
                 assert abs(determinant(gram(config, sorted(gamma)))) == 1
 
+    def test_a_simulation_checks_its_pool_before_contracting(self):
+        model = LocalBlowdownModel.from_config(helpers.corner_twice(), [3, 4])
+        selves = {cid: model.self_intersection(cid) for cid in model.present}
+        with pytest.raises(UnknownIdError, match=r"^curve id 3\.0 is not an int$"):
+            run_contraction(model, [4, 3.0])
+        assert {cid: model.self_intersection(cid) for cid in model.present} == selves
+
     def test_contracting_an_absent_curve_raises(self):
         model = LocalBlowdownModel.from_config(helpers.corner_twice(), [4])
         with pytest.raises(UnknownIdError, match="curve 1 not present in local model"):
@@ -710,7 +725,7 @@ class TestSimulatorAgainstDenseOracle:
                     sim = smooth_point_blowdown(config, comp)
                     oracle = oracles.DenseContraction(config, comp)
                     assert sim.order == oracle.lowest_id_order(comp)
-                    assert sim.ok == (not oracle.core)
+                    assert bool(sim) == (not oracle.core)
                     self.assert_same_model(sim.final, oracle)
                     compared += 1
         assert compared >= 2 * len(self.SEEDS)
@@ -747,12 +762,12 @@ class TestSimulatorAgainstDenseOracle:
                     c for c in left if oracle.genus[c] == 0 and oracle.selves[c] == -1
                 ]
                 if not left:
-                    assert (sim.ok, sim.reason, sim.detail) == (True, None, None)
+                    assert (bool(sim), sim.reason, sim.detail) == (True, None, None)
                 elif not minus_ones:
-                    assert (sim.ok, sim.reason) == (False, NO_MINUS_ONE)
+                    assert (bool(sim), sim.reason) == (False, NO_MINUS_ONE)
                     assert sim.detail == f"no contractible (-1)-curve among {left}"
                 else:
-                    assert (sim.ok, sim.reason) == (False, NON_SNC_CONTRACTION)
+                    assert (bool(sim), sim.reason) == (False, NON_SNC_CONTRACTION)
                     assert sim.detail.startswith(f"every (-1)-curve in {minus_ones} ")
                 outcomes.add(sim.reason)
         assert outcomes == {None, NO_MINUS_ONE, NON_SNC_CONTRACTION}
