@@ -268,16 +268,12 @@ class CurveConfig:
         """The curve named `cid`, else ``UnknownIdError``: the library's one
         lookup of a curve by id.  The id must be exactly an `int`, since a
         float or bool equals and hashes like the integer id it would find."""
-        _require_int(cid)
+        if type(cid) is not int:
+            raise UnknownIdError(f"curve id {cid!r} is not an int")
         try:
             return self._curve_map[cid]
         except KeyError:
             raise UnknownIdError(f"no curve with id {cid}") from None
-
-
-def _require_int(cid: object) -> None:
-    if type(cid) is not int:
-        raise UnknownIdError(f"curve id {cid!r} is not an int")
 
 
 def validate_config(config: CurveConfig) -> tuple[Violation, ...]:
@@ -632,7 +628,8 @@ class LocalBlowdownModel:
 
     def contract(self, cid: int) -> None:
         """Contract `cid`: A·B += (A·e)(B·e) for surviving pairs, A² += (A·e)²."""
-        _require_int(cid)
+        if type(cid) is not int:
+            raise UnknownIdError(f"curve id {cid!r} is not an int")
         links = self._links
         if cid not in links:
             raise UnknownIdError(f"curve {cid} not present in local model")
@@ -705,7 +702,8 @@ def run_contraction(model: LocalBlowdownModel, pool: Iterable[int]) -> BlowdownS
     """
     pool = set(pool)
     for cid in pool:
-        _require_int(cid)
+        if type(cid) is not int:
+            raise UnknownIdError(f"curve id {cid!r} is not an int")
     eligible = [c for c in pool if model.is_eligible(c)]
     heapq.heapify(eligible)
     order: list[int] = []

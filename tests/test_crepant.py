@@ -33,6 +33,7 @@ from logsurf import (
     TargetBase,
     UnknownIdError,
     classify,
+    contract_blowdown,
     correction_multiplicities,
     crepant_pullback,
     decompose_morphism,
@@ -40,6 +41,7 @@ from logsurf import (
     epsilon_bound,
     generate_crepant_pair,
     gram,
+    is_log_blowdown,
     is_log_crepant,
     is_negative_definite,
     lc_centers,
@@ -296,6 +298,19 @@ class TestLcCenters:
         centers = lc_centers(state)
         assert [c.curve for c in centers if isinstance(c, DivisorialCenter)] == [1, 2]
         assert ComponentImage(frozenset({3, 4})) in centers
+
+    def test_component_images_are_ordered_by_least_id(self):
+        # Two corners blown up, at curves 3 and 6; the run's block index
+        # lists 6 first, since 6 was contracted first.
+        config = CurveConfig.build(
+            [(cid, 0, -1, 1) for cid in range(1, 7)],
+            [(1, [1, 3]), (2, [2, 3]), (3, [4, 6]), (4, [5, 6])],
+        )
+        state = contract_blowdown(is_log_blowdown(SurfaceState(config, {6}), 3))
+        assert list(state._checked) == [6, 3]
+        images = (ComponentImage(frozenset({3})), ComponentImage(frozenset({6})))
+        assert lc_centers(state)[-2:] == images
+        assert lc_centers(state) == lc_centers(SurfaceState(config, {3, 6}))
 
     def test_klt_component_casts_no_image(self):
         state = SurfaceState(helpers.corner_twice(), {4}, TargetBase({3, 4}))
