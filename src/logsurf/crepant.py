@@ -19,7 +19,6 @@ returned.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
 from enum import IntEnum
 from fractions import Fraction
 from functools import cached_property
@@ -30,6 +29,7 @@ from .errors import InvalidStateError, NotNestedError
 from .surface import (
     Block,
     CurveConfig,
+    _Record,
     canonical_degree,
     corner_failure,
     factor_blocks,
@@ -41,13 +41,13 @@ from .surface import (
 _ZERO = Fraction(0)
 
 
-@dataclass(frozen=True)
-class PointBase:
+class PointBase(_Record):
     """The whole configuration sits over a single point: no curve survives on it."""
 
+    __slots__ = ()
 
-@dataclass(frozen=True)
-class TargetBase:
+
+class TargetBase(_Record):
     """The state maps onto the model obtained by contracting `contracted_on_target`.
 
     A state with contracted set S maps to this base by contracting the rest,
@@ -55,7 +55,7 @@ class TargetBase:
     target model (`survives_on_target`).
     """
 
-    contracted_on_target: frozenset[int]
+    __slots__ = ("contracted_on_target",)
 
     def __init__(self, contracted_on_target: Iterable[int]):
         object.__setattr__(self, "contracted_on_target", frozenset(contracted_on_target))
@@ -110,8 +110,7 @@ class SolutionFacts:
         }
 
 
-@dataclass(frozen=True)
-class CrepantData:
+class CrepantData(_Record):
     """Solved residual coefficients.
 
     `residual` covers every curve: the solved value on contracted curves, the
@@ -122,15 +121,20 @@ class CrepantData:
     with it, or made from the mapping when none is passed: log degrees,
     negated residuals and the residual-1 and residual-above-1 curves are
     each found once per mapping, not once per state.  Discrepancies are the negated residuals on the contracted set.
+    `facts`, held in the instance dict, takes no part in `==`, `hash` or `repr`.
     """
 
-    residual: Mapping[int, Fraction]
-    contracted: frozenset[int]
-    facts: SolutionFacts = field(default=None, repr=False, compare=False)
+    __slots__ = ("residual", "contracted", "__dict__", "__weakref__")
 
-    def __post_init__(self) -> None:
-        if self.facts is None:
-            object.__setattr__(self, "facts", SolutionFacts(self.residual))
+    def __init__(
+        self,
+        residual: Mapping[int, Fraction],
+        contracted: frozenset[int],
+        facts: SolutionFacts | None = None,
+    ):
+        object.__setattr__(self, "residual", residual)
+        object.__setattr__(self, "contracted", contracted)
+        object.__setattr__(self, "facts", SolutionFacts(residual) if facts is None else facts)
 
     @cached_property
     def discrepancies(self) -> Mapping[int, Fraction]:
@@ -252,8 +256,7 @@ class Classification(IntEnum):
     KLT = 3
 
 
-@dataclass(frozen=True, eq=False)
-class SurfaceState:
+class SurfaceState(_Record):
     """A configuration plus the set of curves currently contracted and the base.
 
     This is the working object of every driver: immutable, with validation,
@@ -262,9 +265,9 @@ class SurfaceState:
     inherits its parent's solution instead of solving.
     """
 
-    config: CurveConfig
-    contracted: frozenset[int]
-    base: Base
+    __slots__ = ("config", "contracted", "base", "__dict__")
+    __eq__ = object.__eq__
+    __hash__ = object.__hash__
 
     def __init__(
         self,
@@ -411,26 +414,32 @@ def survives_on_target(state: SurfaceState, cid: int) -> bool:
     return isinstance(state.base, TargetBase) and cid not in state.base.contracted_on_target
 
 
-@dataclass(frozen=True)
-class DivisorialCenter:
+class DivisorialCenter(_Record):
     """A surviving curve of coefficient 1: non-klt along the whole curve."""
 
-    curve: int
+    __slots__ = ("curve",)
+
+    def __init__(self, curve: int):
+        object.__setattr__(self, "curve", curve)
 
 
-@dataclass(frozen=True)
-class NodeCenter:
+class NodeCenter(_Record):
     """A crossing point whose two branches both carry residual 1."""
 
-    point: int
-    curves: frozenset[int]
+    __slots__ = ("point", "curves")
+
+    def __init__(self, point: int, curves: frozenset[int]):
+        object.__setattr__(self, "point", point)
+        object.__setattr__(self, "curves", curves)
 
 
-@dataclass(frozen=True)
-class ComponentImage:
+class ComponentImage(_Record):
     """The image point of a contracted component containing a residual-1 curve."""
 
-    component: frozenset[int]
+    __slots__ = ("component",)
+
+    def __init__(self, component: frozenset[int]):
+        object.__setattr__(self, "component", component)
 
 
 LcCenter = DivisorialCenter | NodeCenter | ComponentImage

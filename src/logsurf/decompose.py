@@ -14,7 +14,6 @@ factorization backwards: iterated crepant blow-ups, each the rewrite
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Mapping
 
@@ -58,6 +57,7 @@ from .surface import (
     BlowUpTarget,
     CrossingPoint,
     CurveConfig,
+    _Record,
     at_point,
     blow_up_tables,
     free_point_on,
@@ -65,13 +65,10 @@ from .surface import (
 )
 
 
-@dataclass(frozen=True)
-class MorphismSpec:
+class MorphismSpec(_Record):
     """A log crepant contraction, given by nested contracted sets S1 ⊆ S2."""
 
-    config: CurveConfig
-    source_contracted: frozenset[int]
-    target_contracted: frozenset[int]
+    __slots__ = ("config", "source_contracted", "target_contracted")
 
     def __init__(
         self,
@@ -84,8 +81,7 @@ class MorphismSpec:
         object.__setattr__(self, "target_contracted", frozenset(target_contracted))
 
 
-@dataclass(frozen=True)
-class DecompositionTrace:
+class DecompositionTrace(_Record):
     """An ordered move list splitting into a flop phase and a blow-down phase.
 
     Steps before `flop_minimal_index` are flop-type contractions; the state
@@ -95,11 +91,21 @@ class DecompositionTrace:
     over a point base and ends where no move applies.
     """
 
-    steps: tuple[MoveRecord, ...]
-    flop_minimal_index: int
-    start: frozenset[int]
-    end: frozenset[int]
-    base: Base
+    __slots__ = ("steps", "flop_minimal_index", "start", "end", "base")
+
+    def __init__(
+        self,
+        steps: tuple[MoveRecord, ...],
+        flop_minimal_index: int,
+        start: frozenset[int],
+        end: frozenset[int],
+        base: Base,
+    ):
+        object.__setattr__(self, "steps", steps)
+        object.__setattr__(self, "flop_minimal_index", flop_minimal_index)
+        object.__setattr__(self, "start", start)
+        object.__setattr__(self, "end", end)
+        object.__setattr__(self, "base", base)
 
 
 def _apply(check: FlopCheck | BlowdownCheck) -> tuple[SurfaceState, MoveRecord]:
@@ -264,14 +270,16 @@ def _matches(recorded: Mapping[int, Fraction], data: CrepantData) -> bool:
         return False
 
 
-@dataclass(frozen=True)
-class VerifyResult:
+class VerifyResult(_Record):
     """A replay's verdict: true exactly when it records no `failure`.  A
     failure names what did not replay and, when a step is at fault, the
     index of that step."""
 
-    failure: str | None = None
-    step_index: int | None = None
+    __slots__ = ("failure", "step_index")
+
+    def __init__(self, failure: str | None = None, step_index: int | None = None):
+        object.__setattr__(self, "failure", failure)
+        object.__setattr__(self, "step_index", step_index)
 
     def __bool__(self) -> bool:
         return self.failure is None

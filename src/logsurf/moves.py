@@ -45,7 +45,6 @@ and raises ``TheoremViolationError``.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from enum import Enum
 from fractions import Fraction
 from functools import partial
@@ -75,14 +74,14 @@ from .surface import (
     Block,
     CurveConfig,
     LocalBlowdownModel,
+    _Record,
     corner_failure,
     require_unimodular,
     run_contraction,
 )
 
 
-@dataclass(frozen=True)
-class EpsilonChoice:
+class EpsilonChoice(_Record):
     """A witness interval for the perturbation argument.
 
     ``supremum`` is the least upper bound of admissible perturbations of the
@@ -90,8 +89,11 @@ class EpsilonChoice:
     reproducible representative used by certificates, half the supremum.
     """
 
-    supremum: Fraction
-    chosen: Fraction
+    __slots__ = ("supremum", "chosen")
+
+    def __init__(self, supremum: Fraction, chosen: Fraction):
+        object.__setattr__(self, "supremum", supremum)
+        object.__setattr__(self, "chosen", chosen)
 
 
 class MoveKind(Enum):
@@ -99,8 +101,7 @@ class MoveKind(Enum):
     BLOWDOWN = "blowdown"
 
 
-@dataclass(frozen=True)
-class MoveRecord:
+class MoveRecord(_Record):
     """One applied move plus the certificate needed to re-verify it.
 
     A run records its states' read-only discrepancy mappings themselves,
@@ -110,16 +111,28 @@ class MoveRecord:
     curve and order of exact `int`s and an ε of exact `Fraction`s or `int`s.
     """
 
-    kind: MoveKind
-    curve: int
-    discrepancies_before: Mapping[int, Fraction]
-    discrepancies_after: Mapping[int, Fraction]
-    epsilon: EpsilonChoice | None = None
-    order: tuple[int, ...] | None = None
+    __slots__ = (
+        "kind", "curve", "discrepancies_before", "discrepancies_after", "epsilon", "order"
+    )
+
+    def __init__(
+        self,
+        kind: MoveKind,
+        curve: int,
+        discrepancies_before: Mapping[int, Fraction],
+        discrepancies_after: Mapping[int, Fraction],
+        epsilon: EpsilonChoice | None = None,
+        order: tuple[int, ...] | None = None,
+    ):
+        object.__setattr__(self, "kind", kind)
+        object.__setattr__(self, "curve", curve)
+        object.__setattr__(self, "discrepancies_before", discrepancies_before)
+        object.__setattr__(self, "discrepancies_after", discrepancies_after)
+        object.__setattr__(self, "epsilon", epsilon)
+        object.__setattr__(self, "order", order)
 
 
-@dataclass(frozen=True)
-class _Check:
+class _Check(_Record):
     """A predicate's verdict on contracting `curve` from `state`: true
     exactly when `reason`, the name of the failed requirement, is None.
     `detail` words a failure for the move's error."""
@@ -127,10 +140,14 @@ class _Check:
     error: ClassVar[type[LogSurfaceError]]
     noun: ClassVar[str]
 
-    state: SurfaceState = field(repr=False)
-    curve: int
-    reason: str | None
-    detail: str | None
+    __slots__ = ("state", "curve", "reason", "detail")
+    _hidden = ("state",)
+
+    def __init__(self, state: SurfaceState, curve: int, reason: str | None, detail: str | None):
+        object.__setattr__(self, "state", state)
+        object.__setattr__(self, "curve", curve)
+        object.__setattr__(self, "reason", reason)
+        object.__setattr__(self, "detail", detail)
 
     def __bool__(self) -> bool:
         return self.reason is None
@@ -145,7 +162,6 @@ class _Check:
             raise self.error(self.failure)
 
 
-@dataclass(frozen=True)
 class FlopCheck(_Check):
     """A flop verdict plus, on success, the multiplicities λ_j of the
     contracted curves in the pullback of the curve's image, which
@@ -153,10 +169,21 @@ class FlopCheck(_Check):
 
     error = NotFloppingError
     noun = "of flop type"
-    multiplicities: dict[int, Fraction] | None = field(repr=False)
+    __slots__ = ("multiplicities",)
+    _hidden = ("state", "multiplicities")
+
+    def __init__(
+        self,
+        state: SurfaceState,
+        curve: int,
+        reason: str | None,
+        detail: str | None,
+        multiplicities: dict[int, Fraction] | None,
+    ):
+        _Check.__init__(self, state, curve, reason, detail)
+        object.__setattr__(self, "multiplicities", multiplicities)
 
 
-@dataclass(frozen=True)
 class BlowdownCheck(_Check):
     """A blow-down verdict plus the stepwise local contraction order: on
     success the adjacent contracted curves' order then the curve, on failure
@@ -165,7 +192,18 @@ class BlowdownCheck(_Check):
 
     error = NotABlowdownError
     noun = "a log blow-down"
-    order: tuple[int, ...] = ()
+    __slots__ = ("order",)
+
+    def __init__(
+        self,
+        state: SurfaceState,
+        curve: int,
+        reason: str | None,
+        detail: str | None,
+        order: tuple[int, ...] = (),
+    ):
+        _Check.__init__(self, state, curve, reason, detail)
+        object.__setattr__(self, "order", order)
 
 
 def _require_log_terminal(state: SurfaceState) -> None:
@@ -240,8 +278,7 @@ def epsilon_bound(check: FlopCheck) -> EpsilonChoice:
     return EpsilonChoice(Fraction(p, q), Fraction(p, 2 * q))
 
 
-@dataclass(frozen=True)
-class PicardRank:
+class PicardRank(_Record):
     """A rank with its frame of reference.
 
     mode "relative-to-target": curves still to contract to reach the target.
@@ -250,8 +287,11 @@ class PicardRank:
     the master model's Picard number is unknown.
     """
 
-    value: int
-    mode: str
+    __slots__ = ("value", "mode")
+
+    def __init__(self, value: int, mode: str):
+        object.__setattr__(self, "value", value)
+        object.__setattr__(self, "mode", mode)
 
     def step_delta(self) -> int:
         """Expected change per single contraction in this mode."""
@@ -275,8 +315,7 @@ def relative_picard_rank(state: SurfaceState) -> PicardRank:
     return PicardRank(len(state.contracted), "deficit-from-master-model")
 
 
-@dataclass(frozen=True)
-class NefReport:
+class NefReport(_Record):
     """Nef verdict over the curves visible to the base: true exactly when
     `failing`, each tested curve of negative log degree with that degree, is
     empty.
@@ -285,8 +324,11 @@ class NefReport:
     tested and unmarked curves of the underlying surface stay out of reach.
     """
 
-    complete: bool
-    failing: tuple[tuple[int, Fraction], ...] = ()
+    __slots__ = ("complete", "failing")
+
+    def __init__(self, complete: bool, failing: tuple[tuple[int, Fraction], ...] = ()):
+        object.__setattr__(self, "complete", complete)
+        object.__setattr__(self, "failing", failing)
 
     def __bool__(self) -> bool:
         return not self.failing

@@ -12,7 +12,6 @@ from __future__ import annotations
 import heapq
 import itertools
 import math
-from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property
 from typing import Iterable, Iterator, KeysView, Sequence
@@ -50,24 +49,65 @@ class Block:
         self.corner: bool | None = None
 
 
-@dataclass(frozen=True)
-class Curve:
-    id: int
-    genus: int
-    self_intersection: int
-    boundary_coeff: Fraction
+class _Record:
+    """Base of the library's records.  Their fields are the names in their
+    classes' `__slots__` bar `__dict__` and `__weakref__`, in the order their
+    own `__init__` sets them.  A record is frozen, equals a record of its type
+    with equal fields, hashes by its fields and hides `_hidden` from `repr`."""
+
+    __slots__ = ()
+    _fields: tuple[str, ...] = ()
+    _hidden: tuple[str, ...] = ()
+
+    def __init_subclass__(cls) -> None:
+        cls._fields += tuple(n for n in cls.__dict__.get("__slots__", ()) if n[:2] != "__")
+
+    def _values(self) -> tuple:
+        return tuple([getattr(self, name) for name in self._fields])
+
+    def __eq__(self, other: object) -> bool:
+        return self._values() == other._values() if type(other) is type(self) else NotImplemented
+
+    def __hash__(self) -> int:
+        return hash(self._values())
+
+    def __repr__(self) -> str:
+        shown = (f"{n}={getattr(self, n)!r}" for n in self._fields if n not in self._hidden)
+        return f"{type(self).__qualname__}({', '.join(shown)})"
+
+    def __setattr__(self, name: str, *value: object) -> None:
+        raise AttributeError(f"{type(self).__name__} is frozen: cannot set or delete {name!r}")
+
+    __delattr__ = __setattr__
+
+    def __reduce__(self) -> tuple:
+        return type(self), self._values()
 
 
-@dataclass(frozen=True)
-class CrossingPoint:
-    id: int
-    incident: frozenset[int]
+class Curve(_Record):
+    __slots__ = ("id", "genus", "self_intersection", "boundary_coeff")
+
+    def __init__(self, id: int, genus: int, self_intersection: int, boundary_coeff: Fraction):
+        object.__setattr__(self, "id", id)
+        object.__setattr__(self, "genus", genus)
+        object.__setattr__(self, "self_intersection", self_intersection)
+        object.__setattr__(self, "boundary_coeff", boundary_coeff)
 
 
-@dataclass(frozen=True)
-class Violation:
-    kind: str
-    detail: str
+class CrossingPoint(_Record):
+    __slots__ = ("id", "incident")
+
+    def __init__(self, id: int, incident: frozenset[int]):
+        object.__setattr__(self, "id", id)
+        object.__setattr__(self, "incident", incident)
+
+
+class Violation(_Record):
+    __slots__ = ("kind", "detail")
+
+    def __init__(self, kind: str, detail: str):
+        object.__setattr__(self, "kind", kind)
+        object.__setattr__(self, "detail", detail)
 
     def __str__(self) -> str:
         return f"{self.kind}: {self.detail}"
@@ -79,8 +119,7 @@ def _fraction(value: Fraction | int) -> Fraction:
     return value if type(value) is Fraction else Fraction(exact(value))
 
 
-@dataclass(frozen=True)
-class CurveConfig:
+class CurveConfig(_Record):
     """The master model: an immutable curve configuration.
 
     ``picard_rank_of_model`` optionally records the Picard number of the
@@ -92,9 +131,17 @@ class CurveConfig:
     pullback belongs to its state (`crepant.SurfaceState`).
     """
 
-    curves: tuple[Curve, ...]
-    points: tuple[CrossingPoint, ...]
-    picard_rank_of_model: int | None = None
+    __slots__ = ("curves", "points", "picard_rank_of_model", "__dict__")
+
+    def __init__(
+        self,
+        curves: tuple[Curve, ...],
+        points: tuple[CrossingPoint, ...],
+        picard_rank_of_model: int | None = None,
+    ):
+        object.__setattr__(self, "curves", curves)
+        object.__setattr__(self, "points", points)
+        object.__setattr__(self, "picard_rank_of_model", picard_rank_of_model)
 
     @classmethod
     def build(
@@ -306,10 +353,12 @@ def canonical_degree(config: CurveConfig, i: int) -> int:
     return 2 * c.genus - 2 - c.self_intersection
 
 
-@dataclass(frozen=True)
-class BlowUpTarget:
-    kind: str  # "point" | "free" | "generic"
-    ref: int | None = None
+class BlowUpTarget(_Record):
+    __slots__ = ("kind", "ref")
+
+    def __init__(self, kind: str, ref: int | None = None):
+        object.__setattr__(self, "kind", kind)  # "point" | "free" | "generic"
+        object.__setattr__(self, "ref", ref)
 
 
 def at_point(point_id: int) -> BlowUpTarget:
@@ -672,17 +721,26 @@ NO_MINUS_ONE = "NoMinusOne"
 NON_SNC_CONTRACTION = "NonSNCContraction"
 
 
-@dataclass
-class BlowdownSim:
+class BlowdownSim(_Record):
     """Outcome of simulating the stepwise contraction of a curve set: true
     exactly when `reason` is None, that is when the whole set contracted.
     `order` is the contraction order as far as it got, and `final` the
-    model it left."""
+    model it left.  Unlike the other records it is mutable and unhashable."""
 
-    reason: str | None
-    detail: str | None
-    order: tuple[int, ...]
-    final: LocalBlowdownModel = field(repr=False)
+    __slots__ = ("reason", "detail", "order", "final")
+    _hidden = ("final",)
+    __setattr__ = object.__setattr__
+    __delattr__ = object.__delattr__
+    __hash__ = None
+
+    def __init__(
+        self,
+        reason: str | None,
+        detail: str | None,
+        order: tuple[int, ...],
+        final: LocalBlowdownModel,
+    ):
+        self.reason, self.detail, self.order, self.final = reason, detail, order, final
 
     def __bool__(self) -> bool:
         return self.reason is None
@@ -696,14 +754,17 @@ def run_contraction(model: LocalBlowdownModel, pool: Iterable[int]) -> BlowdownS
     Contracting a curve changes only its partners, so only they are
     re-tested: `eligible` is a heap holding every eligible pool curve, plus
     stale entries dropped when they surface.  Every id in `pool` must be
-    exactly an `int` (``UnknownIdError``); the pool is checked once, before
-    any contraction.  A sweep that empties the pool passes; one stuck on a
-    non-empty pool fails with `NO_MINUS_ONE` or `NON_SNC_CONTRACTION`.
+    exactly an `int` naming a model curve (``UnknownIdError``), checked
+    once, before any contraction.  A sweep that empties the pool passes; one
+    stuck on a non-empty pool fails with `NO_MINUS_ONE` or `NON_SNC_CONTRACTION`.
     """
     pool = set(pool)
+    present = model.present
     for cid in pool:
         if type(cid) is not int:
             raise UnknownIdError(f"curve id {cid!r} is not an int")
+        if cid not in present:
+            raise UnknownIdError(f"curve {cid} not present in local model")
     eligible = [c for c in pool if model.is_eligible(c)]
     heapq.heapify(eligible)
     order: list[int] = []

@@ -9,6 +9,7 @@ rewrite rules.
 
 from __future__ import annotations
 
+import inspect
 import json
 from fractions import Fraction
 
@@ -72,6 +73,13 @@ def corner_twice() -> CurveConfig:
 def fresh(config: CurveConfig) -> CurveConfig:
     """An equal configuration with nothing cached on it."""
     return CurveConfig(config.curves, config.points, config.picard_rank_of_model)
+
+
+def replace(record, **changes):
+    """A copy of `record` with `changes`, rebuilt through its class's own
+    `__init__` from the fields that constructor takes."""
+    names = inspect.signature(type(record)).parameters
+    return type(record)(**({name: getattr(record, name) for name in names} | changes))
 
 
 def write_scenario(path, config, contracted=(), base=None) -> str:

@@ -1,7 +1,6 @@
 """Command-line behaviour: documents, exit codes, determinism, DOT output."""
 
 import contextlib
-import dataclasses
 from fractions import Fraction
 import importlib
 import io
@@ -438,7 +437,7 @@ class TestDecomposeAndVerify:
     def test_verify_rejects_a_trace_cut_short(self, tmp_path, capsys):
         spec = generate_crepant_pair(helpers.corner(), 8, 0)
         trace = decompose_morphism(spec)
-        cut = dataclasses.replace(trace, steps=trace.steps[:-1])
+        cut = helpers.replace(trace, steps=trace.steps[:-1])
         message = (
             "replay ends at [3, 4, 6, 7, 8, 9, 10], trace claims [3, 4, 5, 6, 7, 8, 9, 10]"
         )
@@ -973,7 +972,7 @@ class TestMinimizeCommand:
         out, err = capsys.readouterr()
         assert "picard_rank_of_model 1 is below 1 + 1 = 2" in err
         assert not trace_path.exists()
-        ample = dataclasses.replace(chain, picard_rank_of_model=4)
+        ample = helpers.replace(chain, picard_rank_of_model=4)
         path = write_scenario(tmp_path / "chain4.json", ample)
         assert cli.main(["minimize", path]) == 0
         assert "final contracted: 1,2,3" in capsys.readouterr().out

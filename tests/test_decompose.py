@@ -2,7 +2,6 @@
 
 import collections
 from collections import OrderedDict
-import dataclasses
 import functools
 import gc
 import hashlib
@@ -79,7 +78,7 @@ class TestDecomposeMorphism:
 
         def withheld(state, cid):
             check = real(state, cid)
-            return dataclasses.replace(check, reason="Withheld") if check else check
+            return helpers.replace(check, reason="Withheld") if check else check
 
         # The scan and the diagnostics both see the withheld check.
         monkeypatch.setattr(logsurf.decompose, "is_log_blowdown", withheld)
@@ -167,34 +166,34 @@ class TestVerifyTrace:
 
     def test_rejects_out_of_range_split(self, tower_trace):
         config, trace = tower_trace
-        bad = dataclasses.replace(trace, flop_minimal_index=7)
+        bad = helpers.replace(trace, flop_minimal_index=7)
         assert not verify_trace(config, set(), bad)
 
     def test_rejects_tampered_epsilon(self, tower_trace):
         config, trace = tower_trace
-        step = dataclasses.replace(
+        step = helpers.replace(
             trace.steps[0],
-            epsilon=dataclasses.replace(trace.steps[0].epsilon, chosen=Fraction(1, 3)),
+            epsilon=helpers.replace(trace.steps[0].epsilon, chosen=Fraction(1, 3)),
         )
-        bad = dataclasses.replace(trace, steps=(step, trace.steps[1]))
+        bad = helpers.replace(trace, steps=(step, trace.steps[1]))
         result = verify_trace(config, set(), bad)
         assert not result
         assert "perturbation" in result.failure
 
     def test_rejects_tampered_order(self, tower_trace):
         config, trace = tower_trace
-        step = dataclasses.replace(trace.steps[1], order=(3, 4))
-        bad = dataclasses.replace(trace, steps=(trace.steps[0], step))
+        step = helpers.replace(trace.steps[1], order=(3, 4))
+        bad = helpers.replace(trace, steps=(trace.steps[0], step))
         result = verify_trace(config, set(), bad)
         assert not result
         assert "order" in result.failure
 
     def test_rejects_tampered_discrepancies(self, tower_trace):
         config, trace = tower_trace
-        step = dataclasses.replace(
+        step = helpers.replace(
             trace.steps[0], discrepancies_before={4: Fraction(-1)}
         )
-        bad = dataclasses.replace(trace, steps=(step, trace.steps[1]))
+        bad = helpers.replace(trace, steps=(step, trace.steps[1]))
         result = verify_trace(config, set(), bad)
         assert not result
         assert "prior" in result.failure
@@ -219,10 +218,10 @@ class TestVerifyTrace:
             for step in trace.steps:
                 before = after if shared else dict(after)
                 after = dict(step.discrepancies_after)
-                steps.append(dataclasses.replace(
+                steps.append(helpers.replace(
                     step, discrepancies_before=before, discrepancies_after=after
                 ))
-            return dataclasses.replace(trace, steps=tuple(steps))
+            return helpers.replace(trace, steps=tuple(steps))
 
         n = len(trace.steps)
         for shared, comparisons in ((True, n + 1), (False, 2 * n)):
@@ -239,20 +238,20 @@ class TestVerifyTrace:
 
     def test_rejects_wrong_end_claim(self, tower_trace):
         config, trace = tower_trace
-        bad = dataclasses.replace(trace, end=frozenset({3}))
+        bad = helpers.replace(trace, end=frozenset({3}))
         result = verify_trace(config, set(), bad)
         assert not result
 
     def test_rejects_premature_split(self, tower_trace):
         config, trace = tower_trace
-        bad = dataclasses.replace(trace, flop_minimal_index=0)
+        bad = helpers.replace(trace, flop_minimal_index=0)
         result = verify_trace(config, set(), bad)
         assert not result
         assert result.step_index == 0
 
     def test_never_raises_on_garbage(self):
         config = helpers.corner_twice()
-        step = dataclasses.replace(
+        step = helpers.replace(
             decompose_morphism(tower_spec()).steps[0], curve=9
         )
         bad = DecompositionTrace(
@@ -273,7 +272,7 @@ class TestVerifyTrace:
         )
         minimal = minimize(SurfaceState(double, set()))
         assert [step.curve for step in minimal.steps] == [1]
-        singular = dataclasses.replace(minimal, end=frozenset({1, 2}), flop_minimal_index=2)
+        singular = helpers.replace(minimal, end=frozenset({1, 2}), flop_minimal_index=2)
         cases = [
             (spec.config, trace, 1, 99, "replay error: no curve with id 99", None),
             (
@@ -289,11 +288,11 @@ class TestVerifyTrace:
             steps = list(good.steps)
             if index == len(steps):
                 last = steps[-1]
-                steps.append(dataclasses.replace(
+                steps.append(helpers.replace(
                     last, discrepancies_before=last.discrepancies_after
                 ))
-            steps[index] = dataclasses.replace(steps[index], curve=curve)
-            result = verify_trace(config, good.start, dataclasses.replace(good, steps=tuple(steps)))
+            steps[index] = helpers.replace(steps[index], curve=curve)
+            result = verify_trace(config, good.start, helpers.replace(good, steps=tuple(steps)))
             assert (bool(result), result.failure, result.step_index) == (False, failure, step_index)
 
     def test_accepts_minimization_trace(self):
@@ -304,7 +303,7 @@ class TestVerifyTrace:
         config = chain_config((2, 2, 2))
         trace = minimize(SurfaceState(config, set()))
         assert len(trace.steps) == 3
-        cut = dataclasses.replace(
+        cut = helpers.replace(
             trace, steps=trace.steps[:1], flop_minimal_index=1, end=frozenset({1})
         )
         result = verify_trace(config, set(), cut)
@@ -323,14 +322,14 @@ class TestVerifyTrace:
             (MoveKind.BLOWDOWN, 2),
         ]
         assert verify_trace(config, set(), trace)
-        cut = dataclasses.replace(trace, steps=trace.steps[:1], end=frozenset({1}))
+        cut = helpers.replace(trace, steps=trace.steps[:1], end=frozenset({1}))
         result = verify_trace(config, set(), cut)
         assert not result
         assert "still admits a move" in result.failure
 
     def test_rejects_target_base_other_than_the_end(self, tower_trace):
         config, trace = tower_trace
-        bad = dataclasses.replace(trace, base=TargetBase({1, 3, 4}))
+        bad = helpers.replace(trace, base=TargetBase({1, 3, 4}))
         result = verify_trace(config, set(), bad)
         assert not result
         assert "target" in result.failure
@@ -415,10 +414,10 @@ class TestRecordComparison:
     other a mismatch."""
 
     def _tamper_after(self, spec, trace, index, record):
-        step = dataclasses.replace(trace.steps[index], discrepancies_after=record)
+        step = helpers.replace(trace.steps[index], discrepancies_after=record)
         steps = trace.steps[:index] + (step,) + trace.steps[index + 1:]
         assert record != trace.steps[index].discrepancies_after
-        return verify_trace(spec.config, spec.source_contracted, dataclasses.replace(trace, steps=steps))
+        return verify_trace(spec.config, spec.source_contracted, helpers.replace(trace, steps=steps))
 
     @pytest.mark.parametrize("tamper", ["denominator", "extra key", "missing key", "swapped key"])
     def test_a_tampered_record_is_rejected(self, tamper):
@@ -457,11 +456,11 @@ class TestRecordComparison:
                         record[cid] = value
                 assert record == mapping
                 records.append(record)
-            steps.append(dataclasses.replace(
+            steps.append(helpers.replace(
                 step, discrepancies_before=records[0], discrepancies_after=records[1]
             ))
         assert converted > 2 * len(steps) and 0 in steps[-1].discrepancies_after.values()
-        ints = dataclasses.replace(trace, steps=tuple(steps))
+        ints = helpers.replace(trace, steps=tuple(steps))
         assert verify_trace(spec.config, spec.source_contracted, ints)
 
     @pytest.mark.parametrize("tamper", ["float key", "float value", "bool value"])
@@ -477,8 +476,8 @@ class TestRecordComparison:
         else:
             record[cid] = 0.0 if tamper == "float value" else False
         assert record == expected
-        step = dataclasses.replace(trace.steps[index], discrepancies_after=record)
-        bad = dataclasses.replace(trace, steps=trace.steps[:index] + (step,))
+        step = helpers.replace(trace.steps[index], discrepancies_after=record)
+        bad = helpers.replace(trace, steps=trace.steps[:index] + (step,))
         result = verify_trace(spec.config, spec.source_contracted, bad)
         assert (bool(result), result.failure, result.step_index) == (
             False, "recorded posterior discrepancies do not match", index
@@ -486,8 +485,8 @@ class TestRecordComparison:
 
     # Each edit is equal to the recorded value under `==`.
     INEXACT = {
-        "epsilon supremum": ("flop", "epsilon", lambda e: dataclasses.replace(e, supremum=1.0)),
-        "epsilon chosen": ("flop", "epsilon", lambda e: dataclasses.replace(e, chosen=0.5)),
+        "epsilon supremum": ("flop", "epsilon", lambda e: helpers.replace(e, supremum=1.0)),
+        "epsilon chosen": ("flop", "epsilon", lambda e: helpers.replace(e, chosen=0.5)),
         "order": ("blowdown", "order", lambda order: tuple(map(float, order))),
         "blow-down curve": ("blowdown", "curve", float),
         "flop curve": ("flop", "curve", float),
@@ -503,8 +502,8 @@ class TestRecordComparison:
         value = inexact(getattr(step, name))
         assert value == getattr(step, name)
         steps = list(trace.steps)
-        steps[index] = dataclasses.replace(step, **{name: value})
-        bad = dataclasses.replace(trace, steps=tuple(steps))
+        steps[index] = helpers.replace(step, **{name: value})
+        bad = helpers.replace(trace, steps=tuple(steps))
         result = verify_trace(spec.config, spec.source_contracted, bad)
         failure = {
             "epsilon": "recorded perturbation bound does not match",
@@ -519,8 +518,8 @@ class TestRecordComparison:
         record[min(record)] = _Raising()
         with pytest.raises(TypeError):
             record != trace.steps[1].discrepancies_after
-        step = dataclasses.replace(trace.steps[1], discrepancies_after=record)
-        bad = dataclasses.replace(trace, steps=(trace.steps[0], step) + trace.steps[2:])
+        step = helpers.replace(trace.steps[1], discrepancies_after=record)
+        bad = helpers.replace(trace, steps=(trace.steps[0], step) + trace.steps[2:])
         result = verify_trace(spec.config, spec.source_contracted, bad)
         assert (bool(result), result.failure, result.step_index) == (
             False, "recorded posterior discrepancies do not match", 1
@@ -531,8 +530,8 @@ class TestRecordComparison:
     def test_a_record_that_raises_is_a_mismatch(self, field, broken):
         spec, trace = _tower_run()
         record = _Broken(getattr(trace.steps[1], field), broken)
-        step = dataclasses.replace(trace.steps[1], **{field: record})
-        bad = dataclasses.replace(trace, steps=(trace.steps[0], step) + trace.steps[2:])
+        step = helpers.replace(trace.steps[1], **{field: record})
+        bad = helpers.replace(trace, steps=(trace.steps[0], step) + trace.steps[2:])
         result = verify_trace(spec.config, spec.source_contracted, bad)
         which = "prior" if field == "discrepancies_before" else "posterior"
         assert (bool(result), result.failure, result.step_index) == (
@@ -596,9 +595,9 @@ class TestVerifyIndependence:
         step = trace.steps[0]
         after = dict(step.discrepancies_after)
         after[step.curve] += Fraction(1, 7)
-        tampered = dataclasses.replace(
+        tampered = helpers.replace(
             trace,
-            steps=(dataclasses.replace(step, discrepancies_after=after),) + trace.steps[1:],
+            steps=(helpers.replace(step, discrepancies_after=after),) + trace.steps[1:],
         )
         result = verify_trace(config, spec.source_contracted, tampered)
         assert not result
@@ -791,7 +790,7 @@ def relabelled(config: CurveConfig, rng) -> tuple[CurveConfig, dict[int, int]]:
     n, m = len(config.curves), len(config.points)
     sigma = dict(zip((c.id for c in config.curves), rng.sample(range(1, 5 * n + 1), n)))
     point_ids = rng.sample(range(1, 5 * m + 2), m)
-    curves = [dataclasses.replace(c, id=sigma[c.id]) for c in config.curves]
+    curves = [helpers.replace(c, id=sigma[c.id]) for c in config.curves]
     points = [
         CrossingPoint(pid, frozenset(sigma[cid] for cid in p.incident))
         for pid, p in zip(point_ids, config.points)

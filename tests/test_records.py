@@ -1,8 +1,11 @@
 """The library's record types: their `repr`, value equality and hashing,
-immutability, and copying, pinned on fixed instances of each."""
+immutability, and copying, pinned on fixed instances of each; and an
+import that generates no methods for them."""
 
 import copy
 import pickle
+import subprocess
+import sys
 from fractions import Fraction
 from types import MappingProxyType
 
@@ -274,3 +277,11 @@ def test_copies_and_pickles_are_equal(name):
     record = VALUE_RECORDS[name][0]
     for twin in (copy.copy(record), copy.deepcopy(record), pickle.loads(pickle.dumps(record))):
         assert twin == record and type(twin) is type(record)
+
+
+def test_importing_the_cli_loads_neither_dataclasses_nor_inspect():
+    # Both cost most of the package's import time when records were generated.
+    code = "import sys, logsurf.cli; print(sorted({'dataclasses', 'inspect'} & set(sys.modules)))"
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "[]\n"

@@ -585,6 +585,15 @@ class TestSmoothPointBlowdown:
             run_contraction(model, [4, 3.0])
         assert {cid: model.self_intersection(cid) for cid in model.present} == selves
 
+    def test_a_simulation_refuses_an_absent_curve_before_contracting(self):
+        # Curve 1 lies outside the model of curve 4; no curve has id 9.
+        model = LocalBlowdownModel.from_config(helpers.corner_twice(), [4])
+        selves = {cid: model.self_intersection(cid) for cid in model.present}
+        for pool, absent in (([9], 9), ([4, 1], 1)):
+            with pytest.raises(UnknownIdError, match=rf"^curve {absent} not present in local model$"):
+                run_contraction(model, pool)
+        assert {cid: model.self_intersection(cid) for cid in model.present} == selves
+
     def test_contracting_an_absent_curve_raises(self):
         model = LocalBlowdownModel.from_config(helpers.corner_twice(), [4])
         with pytest.raises(UnknownIdError, match="curve 1 not present in local model"):
