@@ -590,7 +590,8 @@ class TestSmoothPointBlowdown:
         model = LocalBlowdownModel.from_config(helpers.corner_twice(), [4])
         selves = {cid: model.self_intersection(cid) for cid in model.present}
         for pool, absent in (([9], 9), ([4, 1], 1)):
-            with pytest.raises(UnknownIdError, match=rf"^curve {absent} not present in local model$"):
+            message = rf"^curve {absent} not present in local model$"
+            with pytest.raises(UnknownIdError, match=message):
                 run_contraction(model, pool)
         assert {cid: model.self_intersection(cid) for cid in model.present} == selves
 
