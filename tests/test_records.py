@@ -191,7 +191,7 @@ VALUE_RECORDS = {
     ),
 }
 
-FROZEN = [name for name in VALUE_RECORDS] + ["SurfaceState"]
+FROZEN = [*VALUE_RECORDS, "SurfaceState"]
 
 
 def _record(name):
