@@ -225,7 +225,7 @@ def crepant_pullback(config: CurveConfig, contracted: Iterable[int]) -> CrepantD
     for block in blocks:
         rhs = []
         for i in block.order:
-            acc = e * canonical_degree(config, i)
+            acc = e * curves[i].canonical_degree
             for k, count in adjacency[i].items():
                 if k not in key:
                     d = curves[k].boundary_coeff

@@ -21,13 +21,14 @@ every tree of curves is, needs no elimination.  Taken in post-order, each
 vertex after its descendants, it eliminates with zero fill-in (Parter,
 *SIAM Review* 3, 1961), and every minor the elimination stores is a product
 of subtree determinants (Neumann, *Trans. AMS* 268, 1981), which follow
-from the leaves up by a division-free recurrence.  `tree_factor` keeps that
-recurrence as a `TreeFactor`, which stays sparse: a solve is one pass up
-the tree and one down, and the determinant is its last pivot, all with O(n)
-big-integer work; the dense rows of a `DefiniteFactor` are written only for
-a caller that reads them, such as `border`.  The function `determinant`
-takes a bare matrix: it uses the same recurrence for every
-forest-patterned matrix instead of O(n³) elimination.
+from the leaves up by a division-free recurrence.  One search with no
+callbacks, `forest_post_order`, finds that order, and `tree_factor` keeps
+the recurrence as a `TreeFactor`, which stays sparse: a solve is one pass
+up the tree and one down, and the determinant is its last pivot, all with
+O(n) big-integer work; the dense rows of a `DefiniteFactor` are written
+only for a caller that reads them, such as `border`.  The function
+`determinant` takes a bare matrix: it uses the same search and recurrence
+for every forest-patterned matrix instead of O(n³) elimination.
 """
 
 from __future__ import annotations
@@ -35,7 +36,7 @@ from __future__ import annotations
 import itertools
 import math
 from fractions import Fraction
-from typing import Callable, Hashable, Iterable, Iterator, Sequence, TypeVar
+from typing import Container, Hashable, Iterable, Mapping, Sequence, TypeVar
 
 Node = TypeVar("Node", bound=Hashable)
 
@@ -213,20 +214,22 @@ class DefiniteFactor:
 
 def forest_post_order(
     roots: Iterable[Node],
-    neighbours: Callable[[Node], Iterable[Node]],
-    weight: Callable[[Node, Node], int],
+    adjacency: Mapping[Node, Mapping[Node, int]],
+    within: Container[Node],
 ) -> tuple[list[Node], list[list[tuple[int, int]]] | None]:
-    """The vertices reachable from `roots`, each once, and their children:
-    in post-order, each vertex after all its descendants, with each
-    vertex's children when they form a forest, else with None.
+    """The vertices reachable from `roots` within `within`, each once, and
+    their children: in post-order, each vertex after all its descendants,
+    with each vertex's children when they form a forest, else with None.
 
-    `neighbours` must be symmetric.  The search starts a tree at each root
-    not yet reached; the reverse of its pre-order is a post-order.  A
-    neighbour reached a second time, other than the parent, closes a cycle;
-    the search still reaches every vertex, so the order is the vertex set
-    of the roots' components either way.  Entry k of the children lists
-    (j, weight(child, vertex)) for each child at position j < k: the form
-    `tree_factor` takes.
+    `adjacency` maps each vertex to its neighbours and their edge weights,
+    and must be symmetric; a neighbour not in `within` is skipped, and the
+    rest are taken in the mapping's order.  The search starts a tree at
+    each root not yet reached; the reverse of its pre-order is a post-order.
+    A neighbour reached a second time, other than the parent, closes a
+    cycle; the search still reaches every vertex, so the order is the vertex
+    set of the roots' components either way.  Entry k of the children lists
+    (j, w) for each child at position j < k joined to it by weight w: the
+    form `tree_factor` takes.
     """
     parent: dict[Node, Node | None] = {}
     order: list[Node] = []
@@ -240,8 +243,8 @@ def forest_post_order(
             v = stack.pop()
             order.append(v)
             up = parent[v]
-            for u in neighbours(v):
-                if u == up:
+            for u in adjacency[v]:
+                if u == up or u not in within:
                     continue
                 if u in parent:
                     forest = False
@@ -256,16 +259,16 @@ def forest_post_order(
     for k, v in enumerate(order):
         up = parent[v]
         if up is not None:
-            children[position[up]].append((k, weight(v, up)))
+            children[position[up]].append((k, adjacency[v][up]))
     return order, children
 
 
 def _subtree_determinants(
     diagonal: Sequence[int], children: Sequence[Sequence[tuple[int, int]]]
-) -> Iterator[tuple[int, int]]:
-    """Yield (D_k, P_k) for each vertex k of a forest-patterned matrix in
-    post-order: D_k the determinant of the subtree rooted at k, P_k the
-    product of its children's.
+) -> tuple[list[int], list[int]]:
+    """(dets, below) of a forest-patterned matrix in post-order: for each
+    vertex k, `dets[k]` = D_k, the determinant of the subtree rooted at k,
+    and `below[k]` = P_k, the product of its children's.
 
     `diagonal[k]` is the entry a_k and `children[k]` lists (j, w), j < k,
     for each child j of k joined by the off-diagonal entry w.  Expanding
@@ -284,7 +287,7 @@ def _subtree_determinants(
             p *= d
         dets.append(a * p - s)
         below.append(p)
-        yield dets[-1], p
+    return dets, below
 
 
 class TreeFactor(DefiniteFactor):
@@ -380,43 +383,41 @@ def tree_factor(
     """The `TreeFactor` of a forest-patterned integer matrix in post-order,
     or None when the matrix is not negative definite.
 
-    The arguments are those of `_subtree_determinants`.  The leading block
-    of rows 0..k is a union of whole subtrees, so pivot k is the product of
-    the determinants D_r of its roots r: pivot k−1 with k's children's D
-    replaced by D_k.  The first pivot of the wrong sign (or zero) settles a
-    no; before it every pivot, and with it every current root's D, is
-    non-zero, so the division by the children's product is exact.
+    The arguments are those of `_subtree_determinants`, whose lists the
+    factor keeps.  The leading block of rows 0..k is a union of whole
+    subtrees, so pivot k is the product of the determinants D_r of its
+    roots r: pivot k−1 with k's children's D replaced by D_k.  The first
+    pivot of the wrong sign (or zero) settles a no; before it every pivot,
+    and with it every current root's D, is non-zero, so the division by the
+    children's product is exact.
     """
-    dets: list[int] = []
-    below: list[int] = []
+    dets, below = _subtree_determinants(diagonal, children)
     pivots: list[int] = []
     pivot = 1
-    for k, (det, p) in enumerate(_subtree_determinants(diagonal, children)):
-        pivot = pivot // p * det
+    for k, det in enumerate(dets):
+        pivot = pivot // below[k] * det
         if pivot == 0 or (pivot < 0) != (k % 2 == 0):
             return None
-        dets.append(det)
-        below.append(p)
         pivots.append(pivot)
     return TreeFactor(children, dets, below, pivots)
 
 
 def _forest_determinant(a: Sequence[Sequence[int]]) -> int | None:
     """det of integer rows whose off-diagonal pattern is a forest: the
-    product of its trees' determinants; None for any other pattern.  The
-    rows are only read, and each is scanned for its non-zero entries at C
-    level."""
+    product of its trees' determinants, the D of the vertices that are no
+    vertex's child; None for any other pattern.  The rows are only read,
+    and each is scanned for its non-zero entries at C level."""
     columns = range(len(a))
-    order, children = forest_post_order(
-        columns,
-        lambda i: [j for j in itertools.compress(columns, a[i]) if j != i],
-        lambda i, j: a[i][j],
-    )
+    adjacency = {
+        i: {j: a[i][j] for j in itertools.compress(columns, a[i]) if j != i} for i in columns
+    }
+    order, children = forest_post_order(columns, adjacency, columns)
     if children is None:
         return None
+    dets, _ = _subtree_determinants([a[v][v] for v in order], children)
     below = {j for kids in children for j, _ in kids}
     det = 1
-    for k, (d, _) in enumerate(_subtree_determinants([a[v][v] for v in order], children)):
+    for k, d in enumerate(dets):
         if k not in below:
             det *= d
     return det

@@ -93,6 +93,11 @@ class Curve(_Record):
         object.__setattr__(self, "self_intersection", self_intersection)
         object.__setattr__(self, "boundary_coeff", boundary_coeff)
 
+    @property
+    def canonical_degree(self) -> int:
+        """Degree of the canonical class on the curve, via adjunction: 2g − 2 − C²."""
+        return 2 * self.genus - 2 - self.self_intersection
+
 
 class CrossingPoint(_Record):
     __slots__ = ("id", "incident")
@@ -177,7 +182,7 @@ class CurveConfig(_Record):
     def _coeff_denominator(self) -> int:
         """The least common denominator of the boundary coefficients: times
         it, every coefficient is an integer."""
-        return math.lcm(*(c.boundary_coeff.denominator for c in self.curves))
+        return math.lcm(*[c.boundary_coeff.denominator for c in self.curves])
 
     @cached_property
     def _point_map(self) -> dict[int, CrossingPoint]:
@@ -348,9 +353,8 @@ def pairing(config: CurveConfig, i: int, j: int) -> int:
 
 
 def canonical_degree(config: CurveConfig, i: int) -> int:
-    """Degree of the canonical class on the curve, via adjunction: 2g − 2 − C²."""
-    c = config.curve(i)
-    return 2 * c.genus - 2 - c.self_intersection
+    """Degree of the canonical class on curve `i` (`Curve.canonical_degree`)."""
+    return config.curve(i).canonical_degree
 
 
 class BlowUpTarget(_Record):
@@ -464,20 +468,18 @@ def connected_components(
 def _components(
     config: CurveConfig, ids: frozenset[int]
 ) -> Iterator[tuple[list[int], list[list[tuple[int, int]]] | None]]:
-    """Each connected component of `ids` from one search, by least id: the
-    search of `ratlin.forest_post_order` from the least id not yet reached,
-    kept within the set, yields the component's curves in post-order and,
-    unless it has a cycle, their children, a double contact being an edge
-    of weight 2."""
+    """Each connected component of `ids` from one search, by least id:
+    `ratlin.forest_post_order` from the least id not yet reached, over the
+    configuration's crossing table (`CurveConfig._adjacency`) kept within
+    the set, yields the component's curves in post-order and, unless it has
+    a cycle, their children, a double contact being an edge of weight 2.
+    Neighbours are taken in the table's order, so both are fixed by the
+    configuration."""
     adjacency = config._adjacency
     reached: set[int] = set()
     for seed in sorted(ids):
         if seed not in reached:
-            order, children = forest_post_order(
-                (seed,),
-                lambda v: [u for u in adjacency[v] if u in ids],
-                lambda v, u: adjacency[v][u],
-            )
+            order, children = forest_post_order((seed,), adjacency, ids)
             reached.update(order)
             yield order, children
 
@@ -562,17 +564,19 @@ def _cold_block(
 
     `order` and `children` are the component's post-order and children
     from `_components`; `children` is None when the component has a
-    cycle.  A tree is factored by `ratlin.tree_factor` into a
-    `ratlin.TreeFactor` that stays sparse until a caller reads its dense
-    rows.  Dense elimination of the rows in id order decides the rest: a
-    set with a cycle through three or more curves, and a tree the subtree
-    recurrence rejects, so that every cold "not negative definite" comes
-    from the same `is_negative_definite` test as before the recurrence.  A
-    rejection is the error path, so the repeated test adds nothing to a
-    contractible component's cost.
+    cycle.  A tree is factored by `ratlin.tree_factor`, its diagonal read
+    from `CurveConfig._curve_map`, whose ids `factor_blocks` has checked,
+    into a `ratlin.TreeFactor` that stays sparse until a caller reads its
+    dense rows.  Dense elimination of the rows in id order decides the
+    rest: a set with a cycle through three or more curves, and a tree the
+    subtree recurrence rejects, so that every cold "not negative definite"
+    comes from the same `is_negative_definite` test as before the
+    recurrence.  A rejection is the error path, so the repeated test adds
+    nothing to a contractible component's cost.
     """
     if children is not None:
-        factor = tree_factor([config.curve(cid).self_intersection for cid in order], children)
+        curves = config._curve_map
+        factor = tree_factor([curves[cid].self_intersection for cid in order], children)
         if factor is not None:
             return (Block(tuple(order), factor, component),)
     ids = tuple(sorted(component))

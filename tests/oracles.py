@@ -96,6 +96,44 @@ def solve_linear(rows, rhs):
     return tuple(a[i][n] / a[i][i] for i in range(n))
 
 
+def callback_post_order(roots, neighbours, weight):
+    """The forest search as it was written with callbacks: `neighbours(v)`
+    lists v's neighbours in the order to take them and `weight(child,
+    parent)` gives an edge's weight.  Returns the reverse pre-order of a
+    stack search marking each vertex when pushed, and each vertex's
+    children as (position, weight), or None for the children when a
+    neighbour other than the parent is reached twice.  The reference the
+    callback-free `ratlin.forest_post_order` must agree with."""
+    parent = {}
+    order = []
+    forest = True
+    for root in roots:
+        if root in parent:
+            continue
+        parent[root] = None
+        stack = [root]
+        while stack:
+            v = stack.pop()
+            order.append(v)
+            for u in neighbours(v):
+                if u == parent[v]:
+                    continue
+                if u in parent:
+                    forest = False
+                    continue
+                parent[u] = v
+                stack.append(u)
+    order.reverse()
+    if not forest:
+        return order, None
+    position = {v: k for k, v in enumerate(order)}
+    children = [[] for _ in order]
+    for k, v in enumerate(order):
+        if parent[v] is not None:
+            children[position[parent[v]]].append((k, weight(v, parent[v])))
+    return order, children
+
+
 # ---------------------------------------------------------------------------
 # intersection data recounted from the raw lists
 

@@ -423,11 +423,10 @@ def forest_rows(draw, max_n=8, diagonal=(-4, -3, -2, -2, -1, 0, 0, 1, 2)):
 
 def _post_order(rows):
     """(order, children) of a forest-patterned matrix, through the kernel's own search."""
-    return forest_post_order(
-        range(len(rows)),
-        lambda i: [j for j, x in enumerate(rows[i]) if x and j != i],
-        lambda i, j: rows[i][j],
-    )
+    adjacency = {
+        i: {j: x for j, x in enumerate(row) if x and j != i} for i, row in enumerate(rows)
+    }
+    return forest_post_order(range(len(rows)), adjacency, adjacency)
 
 
 def _permuted(rows, order):
@@ -513,6 +512,71 @@ class TestTreeFactor:
         order, children = _post_order(triangle)
         assert sorted(order) == [0, 1, 2] and children is None
         assert determinant(SymMatrix(triangle)) == oracles.laplace_det(triangle)
+
+
+@st.composite
+def contact_graphs(draw, max_n=12):
+    """(adjacency, within, roots): a symmetric mapping of each vertex of a
+    random graph on at most `max_n` shuffled vertices to its neighbours and
+    contact counts, built edge by edge in a drawn order as the crossing
+    table is; a subset to search within, often all of it; and roots drawn
+    from that subset.  The graph is a random forest or a graph with at
+    least as many edges as vertices, and each edge is a single or a double
+    contact."""
+    n = draw(st.integers(min_value=1, max_value=max_n))
+    vertices = draw(st.permutations(range(n)), label="vertices")
+    if draw(st.booleans(), label="forest"):
+        edges = []
+        for k in range(1, n):
+            up = draw(st.one_of(st.none(), st.integers(min_value=0, max_value=k - 1)))
+            if up is not None:
+                edges.append((vertices[k], vertices[up]))
+    else:
+        pairs = list(itertools.combinations(range(n), 2))
+        edges = []
+        if pairs:
+            # As many edges as vertices: a cycle whenever n > 2.
+            many = st.lists(st.sampled_from(pairs), min_size=min(n, len(pairs)), unique=True)
+            edges = draw(many, label="edges")
+    adjacency = {v: {} for v in vertices}
+    for a, b in draw(st.permutations(edges), label="edge order"):
+        adjacency[a][b] = adjacency[b][a] = draw(st.sampled_from((1, 2)))
+    within = draw(
+        st.one_of(st.just(frozenset(vertices)), st.frozensets(st.sampled_from(vertices))),
+        label="within",
+    )
+    roots = []
+    if within:
+        roots = draw(st.lists(st.sampled_from(sorted(within)), min_size=1), label="roots")
+    return adjacency, within, roots
+
+
+class TestForestSearch:
+    """The callback-free search against the callback search it replaced,
+    and `tree_factor` on what it finds against dense elimination."""
+
+    @settings(max_examples=400)
+    @given(contact_graphs(), st.data())
+    def test_order_children_and_pivots_are_the_dense_ones(self, graph, data):
+        adjacency, within, roots = graph
+        order, children = forest_post_order(roots, adjacency, within)
+        assert (order, children) == oracles.callback_post_order(
+            roots,
+            lambda v: [u for u in adjacency[v] if u in within],
+            lambda v, u: adjacency[v][u],
+        )
+        if children is None:
+            return
+        diagonal = {
+            v: data.draw(st.sampled_from((-4, -3, -2, -2, -1, 0, 1)), label=f"a_{v}")
+            for v in order
+        }
+        rows = [[diagonal[v] if u == v else adjacency[v].get(u, 0) for u in order] for v in order]
+        factor = tree_factor([diagonal[v] for v in order], children)
+        dense = SymMatrix(rows)
+        assert (factor is not None) == is_negative_definite(dense)
+        if factor is not None:
+            assert factor.pivots == [row[k] for k, row in enumerate(dense.factor.rows)]
 
 
 class TestForestDeterminant:
