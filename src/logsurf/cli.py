@@ -8,14 +8,12 @@ failure, 3 broken internal guarantee or stuck decomposition.
 
 from __future__ import annotations
 
-import argparse
-import hashlib
 import json
 import re
 import sys
 from fractions import Fraction
 from pathlib import Path
-from typing import Any, Callable, Iterable
+from typing import TYPE_CHECKING, Any, Callable, Iterable
 
 from .crepant import (
     Base,
@@ -48,6 +46,9 @@ from .surface import (
     require_valid,
     validate_config,
 )
+
+if TYPE_CHECKING:
+    import argparse
 
 CLASS_NAMES = {
     Classification.NOT_LC: "NotLC",
@@ -286,6 +287,7 @@ def config_to_json(
 
 def config_digest(config: CurveConfig) -> str:
     """SHA-256 of the canonical rows and the model's Picard rank, as compact JSON."""
+    import hashlib
     curves, points = _canonical(config)
     canonical = {
         "curves": curves,
@@ -623,6 +625,7 @@ def _cmd_dot(args: argparse.Namespace) -> int:
 # parser wiring
 
 def build_parser() -> argparse.ArgumentParser:
+    import argparse
     parser = argparse.ArgumentParser(
         prog="logsurf",
         description="Exact combinatorial toolkit for contracting curve "

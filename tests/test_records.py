@@ -285,3 +285,15 @@ def test_importing_the_cli_loads_neither_dataclasses_nor_inspect():
     proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout == "[]\n"
+
+
+def test_importing_the_cli_loads_neither_hashlib_nor_argparse():
+    # Only the digest and the command line use them; they load on first use.
+    code = (
+        "import sys, logsurf.cli as cli; print(sorted({'hashlib', 'argparse'} & set(sys.modules)));"
+        " cli.config_digest(cli.CurveConfig.build([(1, 0, -1, 0)], [])); cli.build_parser();"
+        " print(sorted({'hashlib', 'argparse'} & set(sys.modules)))"
+    )
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "[]\n['argparse', 'hashlib']\n"
