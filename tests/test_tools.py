@@ -1,6 +1,7 @@
 """The measuring tools: `tools/depth.py` run end to end, the copies and
 statistics of `tools/pairs.py` on synthetic inputs, and the line trace of
-`tools/traffic.py` on one command.  Neither git nor the network is used."""
+`tools/traffic.py` on one command and end to end.  Neither git nor the
+network is used."""
 
 from __future__ import annotations
 
@@ -119,18 +120,32 @@ class TestPairs:
 
 
 def test_traffic_of_one_command():
+    from logsurf import cli
+
     tower = str(TOOLS.parent / "scenarios" / "tower.json")
-    unrun = traffic.unrun([lambda: traffic.cli.main(["validate", tower])])
+    unrun = traffic.unrun([lambda: cli.main(["validate", tower])])
     # A valid scenario skips exactly the loop that reports problems.
-    source, first = inspect.getsourcelines(traffic.cli._cmd_validate)
+    source, first = inspect.getsourcelines(cli._cmd_validate)
     assert unrun["cli._cmd_validate"] == [
         first + i for i, text in enumerate(source) if "violation" in text or "return 2" in text
     ]
     # Every statement of a function never called is listed, from the first
     # after its docstring.
-    source, first = inspect.getsourcelines(traffic.cli._cmd_classify)
+    source, first = inspect.getsourcelines(cli._cmd_classify)
     assert unrun["cli._cmd_classify"] == [first + 1, first + 2]
-    source, first = inspect.getsourcelines(traffic.cli._load_state)
+    source, first = inspect.getsourcelines(cli._load_state)
     (opening,) = [i for i, text in enumerate(source) if "= load_scenario(" in text]
     assert unrun["cli._load_state"][0] == first + opening
     assert "ratlin.solve_symmetric" in unrun and "cli.load_scenario" not in unrun
+
+
+def test_traffic_counts_import_time_code():
+    # Every record class runs `_Record.__init_subclass__` when its module is
+    # imported, and nothing calls it later.
+    proc = subprocess.run(
+        [sys.executable, str(TOOLS / "traffic.py")], capture_output=True, text=True, timeout=300
+    )
+    assert proc.returncode == 0, proc.stderr
+    names = [line.split(":")[0] for line in proc.stdout.splitlines()]
+    assert "ratlin.solve_symmetric" in names
+    assert "surface._Record.__init_subclass__" not in names

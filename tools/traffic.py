@@ -3,7 +3,8 @@ command line runs.
 
     python tools/traffic.py
 
-Line-traces, with `sys.settrace`, the set-up and one round of each workload
+Line-traces, with `sys.settrace`, the import of `logsurf` (so the code that
+runs at import time counts), the set-up and one round of each workload
 in `perfbench/workloads.py` at seed 101, then every `logsurf` subcommand on
 each file in `scenarios/` (`decompose` on those that name a target base).
 Prints one line per function of `src/logsurf` that has statements none of
@@ -33,8 +34,6 @@ ROOT = Path(__file__).resolve().parent.parent
 PACKAGE = ROOT / "src" / "logsurf"
 SEED = 101
 sys.path.insert(0, str(ROOT / "src"))
-
-from logsurf import cli  # noqa: E402
 
 
 def functions(path: Path) -> dict[str, list[tuple[int, int]]]:
@@ -142,6 +141,8 @@ def command_runs(out: Path) -> list[Callable[[], object]]:
             ]
 
     def quiet(argv: list[str]) -> None:
+        from logsurf import cli
+
         with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
             cli.main(argv)
 
@@ -150,7 +151,9 @@ def command_runs(out: Path) -> list[Callable[[], object]]:
 
 def main() -> int:
     with tempfile.TemporaryDirectory() as tmp:
-        report = unrun(workload_runs() + command_runs(Path(tmp)))
+        # The runs are made under the trace too: making them imports
+        # `logsurf`, so the code that runs at import time counts.
+        report = unrun([lambda: [run() for run in workload_runs() + command_runs(Path(tmp))]])
     for name, lines in report.items():
         print(f"{name}: {' '.join(map(str, lines))}")
     return 0
