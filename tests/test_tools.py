@@ -16,6 +16,8 @@ from pathlib import Path
 
 import pytest
 
+from logsurf import cli
+
 TOOLS = Path(__file__).resolve().parent.parent / "tools"
 
 
@@ -120,8 +122,6 @@ class TestPairs:
 
 
 def test_traffic_of_one_command():
-    from logsurf import cli
-
     tower = str(TOOLS.parent / "scenarios" / "tower.json")
     unrun = traffic.unrun([lambda: cli.main(["validate", tower])])
     # A valid scenario skips exactly the loop that reports problems.
