@@ -137,9 +137,17 @@ def parse_target(text: str) -> BlowUpTarget:
 #
 # A field's path is passed as a tuple of its parts, ("steps", 1, "order",
 # 0), and spelled "steps[1].order[0]" only for an error: a valid document
-# builds no path string.
+# builds no path string.  The document readers fetch each field once and
+# test its type inline; only a field that fails the test is handed to its
+# typed reader below, which raises the field's one error message (or, for
+# a subclass the inline test does not admit, returns the value as the
+# reader always has).
 
 _Path = tuple[str | int, ...]
+
+_MISSING = object()
+_INT = {int}
+_DICT = {dict}
 
 
 def _path(parts: _Path) -> str:
@@ -181,6 +189,12 @@ def _distinct_ints(value: Any, path: _Path) -> list[int]:
     return ids
 
 
+def _distinct_ids(value: Any) -> bool:
+    """Whether `value` is a list of distinct exact `int`s, tested at C
+    level: one that `_distinct_ints` would return as it is."""
+    return type(value) is list and {*map(type, value)} <= _INT and len({*value}) == len(value)
+
+
 def _interned_fraction(value: Any, parsed: dict[str, Fraction], path: _Path) -> Fraction:
     """`parse_fraction` of the field at `path`, parsing each distinct string
     of a document once.
@@ -206,6 +220,13 @@ def _object(value: Any, path: _Path) -> dict:
     return value
 
 
+def _str(value: Any, path: _Path) -> str:
+    """A JSON string; a number, list or null is rejected, not coerced."""
+    if type(value) is not str:
+        raise ValueError(f"{_path(path)} must be a string, got {value!r}")
+    return value
+
+
 def _objects(value: Any, path: _Path) -> list[dict]:
     """A list of JSON objects; the caller numbers them for their paths."""
     if not isinstance(value, list):
@@ -224,24 +245,44 @@ def config_from_json(data: Any) -> tuple[CurveConfig, frozenset[int], Base]:
     if not isinstance(data, dict):
         raise ValueError("scenario document must be a JSON object")
     parsed: dict[str, Fraction] = {}
-    curves = [
-        (
-            _required(entry, _int, ("curves", i, "id")),
-            _int(entry.get("genus", 0), ("curves", i, "genus")),
-            _required(entry, _int, ("curves", i, "self_intersection")),
-            _interned_fraction(entry.get("coeff", 0), parsed, ("curves", i, "coeff")),
-        )
-        for i, entry in enumerate(_objects(data.get("curves", []), ("curves",)))
-    ]
+    entries = data.get("curves", [])
+    if type(entries) is not list or not {*map(type, entries)} <= _DICT:
+        entries = _objects(entries, ("curves",))
+    curves = []
+    for i, entry in enumerate(entries):
+        cid = entry.get("id", _MISSING)
+        if type(cid) is not int:
+            cid = _required(entry, _int, ("curves", i, "id"))
+        genus = entry.get("genus", 0)
+        if type(genus) is not int:
+            genus = _int(genus, ("curves", i, "genus"))
+        self_intersection = entry.get("self_intersection", _MISSING)
+        if type(self_intersection) is not int:
+            self_intersection = _required(entry, _int, ("curves", i, "self_intersection"))
+        raw = entry.get("coeff", 0)
+        coeff = parsed.get(raw) if type(raw) is str else None
+        if coeff is None:
+            coeff = _interned_fraction(raw, parsed, ("curves", i, "coeff"))
+        curves.append((cid, genus, self_intersection, coeff))
+    entries = data.get("points", [])
+    if type(entries) is not list or not {*map(type, entries)} <= _DICT:
+        entries = _objects(entries, ("points",))
     points = []
-    for i, entry in enumerate(_objects(data.get("points", []), ("points",))):
-        incident = _required(entry, _distinct_ints, ("points", i, "incident"))
-        points.append((_required(entry, _int, ("points", i, "id")), incident))
+    for i, entry in enumerate(entries):
+        incident = entry.get("incident", _MISSING)
+        if not _distinct_ids(incident):
+            incident = _required(entry, _distinct_ints, ("points", i, "incident"))
+        pid = entry.get("id", _MISSING)
+        if type(pid) is not int:
+            pid = _required(entry, _int, ("points", i, "id"))
+        points.append((pid, incident))
     rank = data.get("picard_rank_of_model")
-    config = CurveConfig.build(
-        curves, points, None if rank is None else _int(rank, ("picard_rank_of_model",))
-    )
-    contracted = frozenset(_distinct_ints(data.get("contracted", []), ("contracted",)))
+    if rank is not None and type(rank) is not int:
+        rank = _int(rank, ("picard_rank_of_model",))
+    config = CurveConfig.build(curves, points, rank)
+    contracted = data.get("contracted", [])
+    if not _distinct_ids(contracted):
+        contracted = _distinct_ints(contracted, ("contracted",))
     raw_base = data.get("base", "point")
     if raw_base == "point":
         base: Base = PointBase()
@@ -249,7 +290,7 @@ def config_from_json(data: Any) -> tuple[CurveConfig, frozenset[int], Base]:
         base = TargetBase(_distinct_ints(raw_base["target"], ("base", "target")))
     else:
         raise ValueError(f"expected base 'point' or {{'target': IDS}}, got {raw_base!r}")
-    return config, contracted, base
+    return config, frozenset(contracted), base
 
 
 def _canonical(config: CurveConfig) -> tuple[list[list], list[list]]:
@@ -307,6 +348,9 @@ def load_scenario(path: str) -> tuple[CurveConfig, frozenset[int], Base]:
 
 def _fractions_to_json(values: dict[int, Fraction]) -> dict[str, str]:
     return {str(cid): str(value) for cid, value in values.items()}
+
+
+_KINDS = {kind.value: kind for kind in MoveKind}
 
 
 def _move_kind(value: Any, path: _Path) -> MoveKind:
@@ -401,6 +445,7 @@ def trace_from_json(data: Any) -> tuple[str, DecompositionTrace]:
     Each distinct fraction string is parsed once per document, in a table
     local to this call, so equal values read from equal strings are one
     `Fraction` object; an error still names the first bad field's path.
+    A "scenario_digest" must be a string; a missing one reads as "".
 
     Maps whose every value is a string are reused, as a trace written by
     `trace_to_json` allows: a string equals only the same string, so a bool
@@ -422,25 +467,52 @@ def trace_from_json(data: Any) -> tuple[str, DecompositionTrace]:
     def fraction(value: Any, path: _Path) -> Fraction:
         return _interned_fraction(value, parsed, path)
 
-    for i, entry in enumerate(_objects(data.get("steps", []), ("steps",))):
-        kind = _required(entry, _move_kind, ("steps", i, "kind"))
+    entries = data.get("steps", [])
+    if type(entries) is not list or not {*map(type, entries)} <= _DICT:
+        entries = _objects(entries, ("steps",))
+    for i, entry in enumerate(entries):
+        raw = entry.get("kind", _MISSING)
+        kind = _KINDS.get(raw) if type(raw) is str else None
+        if kind is None:
+            kind = _required(entry, _move_kind, ("steps", i, "kind"))
         epsilon = None
         order = None
         if kind is MoveKind.FLOP:
-            eps = _required(entry, _object, ("steps", i, "epsilon"))
-            epsilon = EpsilonChoice(
-                _required(eps, fraction, ("steps", i, "epsilon", "supremum")),
-                _required(eps, fraction, ("steps", i, "epsilon", "chosen")),
-            )
+            eps = entry.get("epsilon", _MISSING)
+            if type(eps) is not dict:
+                eps = _required(entry, _object, ("steps", i, "epsilon"))
+            raw = eps.get("supremum", _MISSING)
+            supremum = parsed.get(raw) if type(raw) is str else None
+            if supremum is None:
+                supremum = _required(eps, fraction, ("steps", i, "epsilon", "supremum"))
+            raw = eps.get("chosen", _MISSING)
+            chosen = parsed.get(raw) if type(raw) is str else None
+            if chosen is None:
+                chosen = _required(eps, fraction, ("steps", i, "epsilon", "chosen"))
+            epsilon = EpsilonChoice(supremum, chosen)
         else:
-            order = tuple(_required(entry, _ints, ("steps", i, "order")))
-        curve = _required(entry, _int, ("steps", i, "curve"))
+            order = entry.get("order", _MISSING)
+            if type(order) is not list or not {*map(type, order)} <= _INT:
+                order = _required(entry, _ints, ("steps", i, "order"))
+            order = tuple(order)
+        curve = entry.get("curve", _MISSING)
+        if type(curve) is not int:
+            curve = _required(entry, _int, ("steps", i, "curve"))
         path = ("steps", i, "discrepancies_before")
-        before, prior = _fractions_from_json(_required(entry, _object, path), parsed, prior, path)
+        raw = entry.get("discrepancies_before", _MISSING)
+        if type(raw) is not dict:
+            raw = _required(entry, _object, path)
+        before, prior = _fractions_from_json(raw, parsed, prior, path)
         path = ("steps", i, "discrepancies_after")
-        after, prior = _fractions_from_json(_required(entry, _object, path), parsed, prior, path)
+        raw = entry.get("discrepancies_after", _MISSING)
+        if type(raw) is not dict:
+            raw = _required(entry, _object, path)
+        after, prior = _fractions_from_json(raw, parsed, prior, path)
         steps.append(MoveRecord(kind, curve, before, after, epsilon=epsilon, order=order))
-    end = frozenset(_required(data, _distinct_ints, ("end",)))
+    end = data.get("end", _MISSING)
+    if not _distinct_ids(end):
+        end = _required(data, _distinct_ints, ("end",))
+    end = frozenset(end)
     raw_base = data.get("base")
     if raw_base is None:
         base: Base = TargetBase(end)
@@ -448,14 +520,17 @@ def trace_from_json(data: Any) -> tuple[str, DecompositionTrace]:
         base = PointBase()
     else:
         raise ValueError(f"base: expected 'point' or no key, got {raw_base!r}")
-    trace = DecompositionTrace(
-        tuple(steps),
-        _required(data, _int, ("flop_minimal_index",)),
-        frozenset(_required(data, _distinct_ints, ("start",))),
-        end,
-        base,
-    )
-    return str(data.get("scenario_digest", "")), trace
+    index = data.get("flop_minimal_index", _MISSING)
+    if type(index) is not int:
+        index = _required(data, _int, ("flop_minimal_index",))
+    start = data.get("start", _MISSING)
+    if not _distinct_ids(start):
+        start = _required(data, _distinct_ints, ("start",))
+    trace = DecompositionTrace(tuple(steps), index, frozenset(start), end, base)
+    digest = data.get("scenario_digest", "")
+    if type(digest) is not str:
+        digest = _str(digest, ("scenario_digest",))
+    return digest, trace
 
 
 def _dump_json(doc: dict, path: str) -> None:

@@ -21,7 +21,6 @@ from __future__ import annotations
 import math
 from enum import IntEnum
 from fractions import Fraction
-from functools import cached_property
 from types import MappingProxyType
 from typing import Iterable, Mapping
 
@@ -34,6 +33,7 @@ from .surface import (
     corner_failure,
     factor_blocks,
     grow_block,
+    lazy_fact,
     require_valid,
     smooth_point_blowdown,
 )
@@ -136,7 +136,7 @@ class CrepantData(_Record):
         object.__setattr__(self, "contracted", contracted)
         object.__setattr__(self, "facts", SolutionFacts(residual) if facts is None else facts)
 
-    @cached_property
+    @lazy_fact
     def discrepancies(self) -> Mapping[int, Fraction]:
         """The discrepancies by contracted curve, in the contracted set's
         order; read-only.
@@ -279,7 +279,7 @@ class SurfaceState(_Record):
         object.__setattr__(self, "contracted", frozenset(contracted))
         object.__setattr__(self, "base", base if base is not None else PointBase())
 
-    @cached_property
+    @lazy_fact
     def _checked(self) -> dict[int, Block]:
         """Validate the configuration, the ids and contractibility of the
         contracted set and, over a target base, the set's nesting in the
@@ -349,19 +349,19 @@ class SurfaceState(_Record):
             )
         return new
 
-    @cached_property
+    @lazy_fact
     def crepant(self) -> CrepantData:
         """The crepant data of the contracted set: inherited when a move
         made the state (`successor`), else solved cold (`crepant_pullback`)."""
         self._checked
         return crepant_pullback(self.config, self.contracted)
 
-    @cached_property
+    @lazy_fact
     def uncontracted(self) -> tuple[int, ...]:
         self._checked
         return tuple(c.id for c in self.config.curves if c.id not in self.contracted)
 
-    @cached_property
+    @lazy_fact
     def classification(self) -> Classification:
         """Classify the contraction by its residual coefficients.
 

@@ -39,6 +39,7 @@ from .errors import (
 )
 from .moves import (
     BlowdownCheck,
+    EpsilonChoice,
     FlopCheck,
     MoveKind,
     MoveRecord,
@@ -49,6 +50,7 @@ from .moves import (
     contract_blowdown,
     contract_flop,
     is_nef_on_marked,
+    _epsilon_pair,
     _require_log_terminal,
     lowest_blowdown,
     lowest_flop,
@@ -238,12 +240,19 @@ def minimize(state: SurfaceState) -> DecompositionTrace:
     )
 
 
-# The types a recorded rational may have.  A float, a bool or a subclass may
-# compare equal to a value it does not stand for exactly.
+# The types a recorded rational, and a recorded id, may have.  A float, a
+# bool or a subclass may compare equal to a value it does not stand for
+# exactly.
 _EXACT = {Fraction, int}
+_INT = {int}
 
 
-def _matches(recorded: Mapping[int, Fraction], data: CrepantData) -> bool:
+def _matches(
+    recorded: Mapping[int, Fraction],
+    data: CrepantData,
+    matched: Mapping[int, Fraction] | None = None,
+    prior: CrepantData | None = None,
+) -> bool:
     """Whether a recorded discrepancy map equals the discrepancies of the
     replayed solution `data`, without building that map or calling
     `Fraction.__eq__`.
@@ -254,12 +263,38 @@ def _matches(recorded: Mapping[int, Fraction], data: CrepantData) -> bool:
     and every value exactly a `Fraction` or an `int`: any other key or
     value (a float, a bool, a subclass) is a mismatch, and so is a
     comparison that raises, so the check never raises.
+
+    `matched` and `prior`, when given, are a record already found equal to
+    the discrepancies of `prior`, the solution of the state that `data`'s
+    state was made from by one move.  When `data` inherited `prior`'s
+    mapping (`data.residual is prior.residual`, `SurfaceState.successor`),
+    every curve of `prior`'s set keeps its discrepancy.  So a record one
+    key longer than `matched`, whose keys are all exactly `int`s and whose
+    values are all exactly `Fraction`s or `int`s (two C-level tests on sets
+    of types) and which holds every entry of `matched` (a C-level
+    `items() >=`), is compared on its one new entry, the curve the move
+    added: O(1) Python work per record.  Any other record is compared in
+    full.
     """
     try:
         contracted = data.contracted
         if len(recorded) != len(contracted):
             return False
         delta, numerators = data.scaled
+        if (
+            prior is not None
+            and data.residual is prior.residual
+            and len(recorded) == len(matched) + 1
+            and {*map(type, recorded)} <= _INT
+            and {*map(type, recorded.values())} <= _EXACT
+            and recorded.items() >= matched.items()
+        ):
+            added = contracted - prior.contracted
+            if len(added) == 1:
+                (cid,) = added
+                value = recorded.get(cid)
+                if value is not None:
+                    return value.numerator * delta == -numerators[cid] * value.denominator
         for cid, value in recorded.items():
             if type(value) not in _EXACT or type(cid) is not int or cid not in contracted:
                 return False
@@ -299,11 +334,17 @@ def verify_trace(
     copy of `config`, so it neither reads nor fills the memo of the run that
     produced the trace.  Recorded discrepancies are compared on integers
     (`_matches`), one call per distinct record: a step's "before" that is
-    the previous step's "after" object is not compared again.  Every
-    recorded id (a step's curve, a map's keys, a contraction order) must be
-    exactly an `int`, and every recorded rational (a discrepancy, ε's
-    supremum and chosen value) exactly a `Fraction` or an `int`: a float or
-    bool that compares equal to the value replayed does not match.
+    the previous step's "after" object is not compared again.  A step's
+    "after" is passed with its "before" and the solution that matched, so
+    when the move inherited that solution and the record extends the
+    "before" by one entry, only that entry is compared.  A flop's ε must be
+    an `EpsilonChoice`, compared on integers with the bound's pair p/q
+    (`moves._epsilon_pair`): supremum p/q and chosen value p/(2q), with no
+    `Fraction` built.  Every recorded id (a step's curve, a map's keys, a
+    contraction order) must be exactly an `int`, and every recorded
+    rational (a discrepancy, ε's supremum and chosen value) exactly a
+    `Fraction` or an `int`: a float or bool that compares equal to the
+    value replayed does not match.
     """
     config = CurveConfig(config.curves, config.points, config.picard_rank_of_model)
     start_set = frozenset(start)
@@ -343,18 +384,24 @@ def verify_trace(
             if not check:
                 return VerifyResult(check.failure, index)
             epsilon, order = step.epsilon, step.order
-            if flop and (
-                epsilon != epsilon_bound(check)
-                or {type(epsilon.supremum), type(epsilon.chosen)} - _EXACT
-            ):
-                return VerifyResult("recorded perturbation bound does not match", index)
-            if not flop and (
-                order is None or tuple(order) != check.order or {*map(type, order)} != {int}
-            ):
+            if flop:
+                p, q = _epsilon_pair(check)
+                supremum = chosen = None
+                if type(epsilon) is EpsilonChoice:
+                    supremum, chosen = epsilon.supremum, epsilon.chosen
+                if (
+                    type(supremum) not in _EXACT
+                    or type(chosen) not in _EXACT
+                    or supremum.numerator * q != p * supremum.denominator
+                    or 2 * chosen.numerator * q != p * chosen.denominator
+                ):
+                    return VerifyResult("recorded perturbation bound does not match", index)
+            elif order is None or tuple(order) != check.order or {*map(type, order)} != _INT:
                 return VerifyResult("recorded contraction order does not match", index)
+            prior = state.crepant
             state = state.successor(step.curve)
             matched = step.discrepancies_after
-            if not _matches(matched, state.crepant):
+            if not _matches(matched, state.crepant, before, prior):
                 return VerifyResult("recorded posterior discrepancies do not match", index)
             if index + 1 == trace.flop_minimal_index:
                 split = state

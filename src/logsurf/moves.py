@@ -108,7 +108,8 @@ class MoveRecord(_Record):
     shared with the states' crepant data; a parsed trace holds dicts.
     `verify_trace` accepts a discrepancy mapping of any type, but only with
     `int` keys and values that are exactly `Fraction` or `int`, and only a
-    curve and order of exact `int`s and an ε of exact `Fraction`s or `int`s.
+    curve and order of exact `int`s and an ε that is an `EpsilonChoice` of
+    exact `Fraction`s or `int`s.
     """
 
     __slots__ = (
@@ -249,19 +250,10 @@ def is_log_flopping(state: SurfaceState, cid: int) -> FlopCheck:
     return FlopCheck(state, cid, None, None, lam)
 
 
-def epsilon_bound(check: FlopCheck) -> EpsilonChoice:
-    """The admissible perturbation interval certified by a passed flop check.
-
-    Raising the curve's coefficient by any ε below the supremum keeps every
-    residual at most 1 (hence the pair log terminal): the binding constraints
-    are the coefficient cap 1 − d and, for each contracted curve picked up by
-    the image pullback with multiplicity λ > 0, the headroom (1 − e)/λ.  With
-    the solution's common denominator Δ and numerator N = Δ·e
-    (`crepant.SolutionFacts`) and λ = a/b, that is (Δ − N)·b / (Δ·a), both
-    integers.  λ > 0 is read off a; the least bound is kept as an integer
-    pair p/q with q > 0 and replaced when (Δ − N)·b·q < p·Δ·a.  The two
-    values returned are the only `Fraction`s built.
-    """
+def _epsilon_pair(check: FlopCheck) -> tuple[int, int]:
+    """The supremum of `epsilon_bound` as an integer pair (p, q), q > 0:
+    the bound's one spelling, which `decompose.verify_trace` compares a
+    recorded ε with by cross-multiplication."""
     check.require()
     state = check.state
     coeff = state.config.curve(check.curve).boundary_coeff
@@ -275,6 +267,25 @@ def epsilon_bound(check: FlopCheck) -> EpsilonChoice:
             den = delta * a
             if num * q < p * den:
                 p, q = num, den
+    return p, q
+
+
+def epsilon_bound(check: FlopCheck) -> EpsilonChoice:
+    """The admissible perturbation interval certified by a passed flop check.
+
+    Raising the curve's coefficient by any ε below the supremum keeps every
+    residual at most 1 (hence the pair log terminal): the binding constraints
+    are the coefficient cap 1 − d and, for each contracted curve picked up by
+    the image pullback with multiplicity λ > 0, the headroom (1 − e)/λ.  With
+    the solution's common denominator Δ and numerator N = Δ·e
+    (`crepant.SolutionFacts`) and λ = a/b, that is (Δ − N)·b / (Δ·a), both
+    integers.  λ > 0 is read off a; the least bound is kept as an integer
+    pair p/q with q > 0 and replaced when (Δ − N)·b·q < p·Δ·a
+    (`_epsilon_pair`).  The supremum p/q and the chosen value p/(2q) are the
+    only `Fraction`s built; a replay compares a recorded ε with (p, q) on
+    integers and builds none.
+    """
+    p, q = _epsilon_pair(check)
     return EpsilonChoice(Fraction(p, q), Fraction(p, 2 * q))
 
 

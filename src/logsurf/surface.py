@@ -33,6 +33,30 @@ from .ratlin import (
 )
 
 
+_NOT_FOUND = object()
+
+
+class lazy_fact(cached_property):
+    """A fact computed on first read and kept in the instance dict, where
+    every later read finds it without calling the descriptor: a
+    `functools.cached_property` whose `__get__` takes no lock.  Python
+    3.11's takes one lock, shared by every instance of the class, on each
+    first read; Python 3.12 dropped it, and this is 3.12's `__get__`.  A
+    value stored in the dict before the first read (as
+    `crepant.SurfaceState.successor` stores a state's index and solution)
+    is the fact.  It stays a `cached_property`, which perfbench's tracer
+    tests for before it wraps a fact."""
+
+    def __get__(self, instance, owner=None):
+        if instance is None:
+            return self
+        cache = instance.__dict__
+        value = cache.get(self.attrname, _NOT_FOUND)
+        if value is _NOT_FOUND:
+            value = cache[self.attrname] = self.func(instance)
+        return value
+
+
 class Block:
     """A connected component and what depends only on it: its curves in row
     `order`, the `ratlin.DefiniteFactor` of their Gram matrix in that order,
@@ -174,21 +198,21 @@ class CurveConfig(_Record):
             picard_rank_of_model,
         )
 
-    @cached_property
+    @lazy_fact
     def _curve_map(self) -> dict[int, Curve]:
         return {c.id: c for c in self.curves}
 
-    @cached_property
+    @lazy_fact
     def _coeff_denominator(self) -> int:
         """The least common denominator of the boundary coefficients: times
         it, every coefficient is an integer."""
         return math.lcm(*[c.boundary_coeff.denominator for c in self.curves])
 
-    @cached_property
+    @lazy_fact
     def _point_map(self) -> dict[int, CrossingPoint]:
         return {p.id: p for p in self.points}
 
-    @cached_property
+    @lazy_fact
     def _adjacency(self) -> dict[int, dict[int, int]]:
         """Each curve's neighbours mapped to their crossing counts.
 
@@ -203,7 +227,7 @@ class CurveConfig(_Record):
                 row[b] = adjacency.setdefault(b, {})[a] = row.get(b, 0) + 1
         return adjacency
 
-    @cached_property
+    @lazy_fact
     def _factor_memo(self) -> dict[frozenset[int], tuple[Block, ...] | None]:
         """Curve sets mapped to the factors of their Gram matrix, or None.
 
@@ -220,7 +244,7 @@ class CurveConfig(_Record):
         """
         return {}
 
-    @cached_property
+    @lazy_fact
     def _blowdown_memo(
         self,
     ) -> dict[tuple[int | Block, ...], tuple[str | None, str | None, tuple[int, ...]]]:
@@ -237,7 +261,7 @@ class CurveConfig(_Record):
         """
         return {}
 
-    @cached_property
+    @lazy_fact
     def _violations(self) -> tuple[Violation, ...]:
         out: list[Violation] = []
         seen_curves: set[int] = set()
@@ -615,6 +639,10 @@ def grow_block(config: CurveConfig, met: Sequence[Block], cid: int) -> Block | N
     return None if entry is None else entry[0]
 
 
+# The crossing counts an eligible curve may have with its partners.
+_ONCE = {1}
+
+
 class LocalBlowdownModel:
     """Mutable scratch model of a curve set plus the curves meeting it.
 
@@ -672,20 +700,27 @@ class LocalBlowdownModel:
         return self._selves[cid] == -1 and self._curves[cid].genus == 0
 
     def is_eligible(self, cid: int) -> bool:
-        """Candidate whose contraction keeps the image normal crossing: at most
-        two partners, each met exactly once."""
-        if not self.is_candidate(cid):
+        """Candidate (`is_candidate`) whose contraction keeps the image normal
+        crossing: at most two partners, each met exactly once."""
+        if self._selves[cid] != -1 or self._curves[cid].genus != 0:
             return False
         near = self._links[cid]
-        return len(near) <= 2 and all(count == 1 for count in near.values())
+        return len(near) <= 2 and {*near.values()} <= _ONCE
 
     def contract(self, cid: int) -> None:
-        """Contract `cid`: A·B += (A·e)(B·e) for surviving pairs, A² += (A·e)²."""
+        """Contract `cid`, which must be exactly an `int` naming a present
+        curve (``UnknownIdError``)."""
         if type(cid) is not int:
             raise UnknownIdError(f"curve id {cid!r} is not an int")
-        links = self._links
-        if cid not in links:
+        if cid not in self._links:
             raise UnknownIdError(f"curve {cid} not present in local model")
+        self._remove(cid)
+
+    def _remove(self, cid: int) -> dict[int, int]:
+        """Contract the present curve `cid`: A·B += (A·e)(B·e) for surviving
+        pairs, A² += (A·e)².  Returns its partners mapped to their crossing
+        counts before the contraction."""
+        links = self._links
         near = links.pop(cid)
         for a, b in itertools.combinations(near, 2):
             row = links[a]
@@ -694,6 +729,7 @@ class LocalBlowdownModel:
             del links[a][cid]
             self._selves[a] += count * count
         del self._selves[cid]
+        return near
 
 
 def corner_failure(final: LocalBlowdownModel) -> tuple[str, str] | None:
@@ -769,7 +805,8 @@ def run_contraction(model: LocalBlowdownModel, pool: Iterable[int]) -> BlowdownS
             raise UnknownIdError(f"curve id {cid!r} is not an int")
         if cid not in present:
             raise UnknownIdError(f"curve {cid} not present in local model")
-    eligible = [c for c in pool if model.is_eligible(c)]
+    is_eligible = model.is_eligible
+    eligible = [c for c in pool if is_eligible(c)]
     heapq.heapify(eligible)
     order: list[int] = []
     while pool:
@@ -789,14 +826,12 @@ def run_contraction(model: LocalBlowdownModel, pool: Iterable[int]) -> BlowdownS
                 model,
             )
         pick = heapq.heappop(eligible)
-        if pick not in pool or not model.is_eligible(pick):
+        if pick not in pool or not is_eligible(pick):
             continue
-        partners = model.partners(pick)
-        model.contract(pick)
-        pool.discard(pick)
+        pool.remove(pick)
         order.append(pick)
-        for a in partners:
-            if a in pool and model.is_eligible(a):
+        for a in model._remove(pick):
+            if a in pool and is_eligible(a):
                 heapq.heappush(eligible, a)
     return BlowdownSim(None, None, tuple(order), model)
 

@@ -12,10 +12,16 @@ from __future__ import annotations
 import copy
 import itertools
 import random
+import re
 from fractions import Fraction
 
 from logsurf import (
     CurveConfig,
+    DecompositionTrace,
+    EpsilonChoice,
+    MoveKind,
+    MoveRecord,
+    PointBase,
     SurfaceState,
     TargetBase,
     Violation,
@@ -26,6 +32,7 @@ from logsurf import (
     is_log_flopping,
     next_curve_id,
 )
+from logsurf.cli import parse_fraction
 
 
 # ---------------------------------------------------------------------------
@@ -630,3 +637,169 @@ def rescan_violations(curves, points) -> tuple[Violation, ...]:
                     Violation("DanglingId", f"point {p.id} references missing curve {cid}")
                 )
     return tuple(out)
+
+
+# ---------------------------------------------------------------------------
+# the document readers as they were written, one typed-reader call per field
+
+_FIELD_ID = re.compile(r"0|-?[1-9][0-9]*")
+
+
+def _field_path(parts) -> str:
+    text = parts[0]
+    for part in parts[1:]:
+        text += f"[{part}]" if type(part) is int else f".{part}"
+    return text
+
+
+def _field_required(doc: dict, read, path):
+    key = path[-1]
+    if key not in doc:
+        raise ValueError(f"{_field_path(path)} is missing")
+    return read(doc[key], path)
+
+
+def _field_int(value, path) -> int:
+    if type(value) is not int:
+        raise ValueError(f"{_field_path(path)} must be an integer, got {value!r}")
+    return value
+
+
+def _field_ints(value, path) -> list[int]:
+    if not isinstance(value, list):
+        raise ValueError(f"{_field_path(path)} must be a list of integers, got {value!r}")
+    return [_field_int(item, (*path, i)) for i, item in enumerate(value)]
+
+
+def _field_distinct_ints(value, path) -> list[int]:
+    ids = _field_ints(value, path)
+    if len(set(ids)) != len(ids):
+        raise ValueError(f"{_field_path(path)} repeats a curve: {ids}")
+    return ids
+
+
+def _field_fraction(value, parsed: dict, path) -> Fraction:
+    fraction = parsed.get(value) if type(value) is str else None
+    if fraction is None:
+        try:
+            fraction = parse_fraction(value)
+        except ValueError as exc:
+            raise ValueError(f"{_field_path(path)}: {exc}") from None
+        if type(value) is str:
+            parsed[value] = fraction
+    return fraction
+
+
+def _field_object(value, path) -> dict:
+    if not isinstance(value, dict):
+        raise ValueError(f"{_field_path(path)} must be a JSON object, got {value!r}")
+    return value
+
+
+def _field_objects(value, path) -> list[dict]:
+    if not isinstance(value, list):
+        raise ValueError(f"{_field_path(path)} must be a list, got {value!r}")
+    for i, item in enumerate(value):
+        if not isinstance(item, dict):
+            raise ValueError(f"{_field_path((*path, i))} must be a JSON object, got {item!r}")
+    return value
+
+
+def _field_kind(value, path) -> MoveKind:
+    try:
+        return MoveKind(value)
+    except ValueError as exc:
+        raise ValueError(f"{_field_path(path)}: {exc}") from None
+
+
+def _field_fractions(data: dict, parsed: dict, path) -> dict[int, Fraction]:
+    out = {}
+    for key, value in data.items():
+        cid = int(key) if _FIELD_ID.fullmatch(key) else None
+        if cid is None:
+            raise ValueError(f"{_field_path(path)} has a key {key!r} that is not a curve id")
+        out[cid] = _field_fraction(value, parsed, (*path, key))
+    return out
+
+
+def field_config_from_json(data):
+    """A scenario document as (config, default contracted, default base),
+    read field by field, each through its typed reader; the reference the
+    readers of `logsurf.cli` must agree with, error messages included."""
+    if not isinstance(data, dict):
+        raise ValueError("scenario document must be a JSON object")
+    parsed: dict = {}
+    curves = [
+        (
+            _field_required(entry, _field_int, ("curves", i, "id")),
+            _field_int(entry.get("genus", 0), ("curves", i, "genus")),
+            _field_required(entry, _field_int, ("curves", i, "self_intersection")),
+            _field_fraction(entry.get("coeff", 0), parsed, ("curves", i, "coeff")),
+        )
+        for i, entry in enumerate(_field_objects(data.get("curves", []), ("curves",)))
+    ]
+    points = []
+    for i, entry in enumerate(_field_objects(data.get("points", []), ("points",))):
+        incident = _field_required(entry, _field_distinct_ints, ("points", i, "incident"))
+        points.append((_field_required(entry, _field_int, ("points", i, "id")), incident))
+    rank = data.get("picard_rank_of_model")
+    config = CurveConfig.build(
+        curves, points, None if rank is None else _field_int(rank, ("picard_rank_of_model",))
+    )
+    contracted = frozenset(_field_distinct_ints(data.get("contracted", []), ("contracted",)))
+    raw_base = data.get("base", "point")
+    if raw_base == "point":
+        base = PointBase()
+    elif isinstance(raw_base, dict) and "target" in raw_base:
+        base = TargetBase(_field_distinct_ints(raw_base["target"], ("base", "target")))
+    else:
+        raise ValueError(f"expected base 'point' or {{'target': IDS}}, got {raw_base!r}")
+    return config, contracted, base
+
+
+def field_trace_from_json(data):
+    """A trace document as (scenario digest, trace), read field by field
+    and every discrepancy map in full, with the digest coerced by `str`;
+    otherwise the reference of `field_config_from_json`."""
+    if not isinstance(data, dict):
+        raise ValueError("trace document must be a JSON object")
+    parsed: dict = {}
+    steps = []
+
+    def fraction(value, path):
+        return _field_fraction(value, parsed, path)
+
+    for i, entry in enumerate(_field_objects(data.get("steps", []), ("steps",))):
+        kind = _field_required(entry, _field_kind, ("steps", i, "kind"))
+        epsilon = None
+        order = None
+        if kind is MoveKind.FLOP:
+            eps = _field_required(entry, _field_object, ("steps", i, "epsilon"))
+            epsilon = EpsilonChoice(
+                _field_required(eps, fraction, ("steps", i, "epsilon", "supremum")),
+                _field_required(eps, fraction, ("steps", i, "epsilon", "chosen")),
+            )
+        else:
+            order = tuple(_field_required(entry, _field_ints, ("steps", i, "order")))
+        curve = _field_required(entry, _field_int, ("steps", i, "curve"))
+        maps = []
+        for name in ("discrepancies_before", "discrepancies_after"):
+            path = ("steps", i, name)
+            maps.append(_field_fractions(_field_required(entry, _field_object, path), parsed, path))
+        steps.append(MoveRecord(kind, curve, *maps, epsilon=epsilon, order=order))
+    end = frozenset(_field_required(data, _field_distinct_ints, ("end",)))
+    raw_base = data.get("base")
+    if raw_base is None:
+        base = TargetBase(end)
+    elif raw_base == "point":
+        base = PointBase()
+    else:
+        raise ValueError(f"base: expected 'point' or no key, got {raw_base!r}")
+    trace = DecompositionTrace(
+        tuple(steps),
+        _field_required(data, _field_int, ("flop_minimal_index",)),
+        frozenset(_field_required(data, _field_distinct_ints, ("start",))),
+        end,
+        base,
+    )
+    return str(data.get("scenario_digest", "")), trace

@@ -16,6 +16,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import helpers
+import oracles
 from helpers import write_scenario
 from logsurf import (
     CurveConfig,
@@ -24,10 +25,12 @@ from logsurf import (
     MoveKind,
     MoveRecord,
     StuckInPhase2Error,
+    SurfaceState,
     TargetBase,
     TheoremViolationError,
     decompose_morphism,
     generate_crepant_pair,
+    minimize,
     verify_trace,
 )
 import logsurf.cli as cli
@@ -238,6 +241,7 @@ class TestStrictDocuments:
             (("start",), [3, 3], "start repeats a curve"),
             (("steps", 0, "kind"), "teleport", "steps[0].kind: 'teleport' is not a valid MoveKind"),
             (("steps", 0, "epsilon"), "half", "steps[0].epsilon must be a JSON object, got 'half'"),
+            (("scenario_digest",), 5, "scenario_digest must be a string, got 5"),
         ],
     )
     def test_trace_field_rejected(self, tower, tmp_path, capsys, path, value, named):
@@ -257,6 +261,66 @@ class TestStrictDocuments:
         trace_path.write_text("[]", encoding="utf-8")
         assert cli.main(["verify", tower, "--trace", str(trace_path)]) == 2
         assert "trace document must be a JSON object" in capsys.readouterr().err
+
+
+def _field_paths(doc, prefix=()):
+    """The path of every field of `doc`, object members and list items, at
+    every depth."""
+    children = doc.items() if isinstance(doc, dict) else enumerate(doc) if isinstance(doc, list) else ()
+    for key, value in children:
+        yield (*prefix, key)
+        yield from _field_paths(value, (*prefix, key))
+
+
+def _outcome(read, doc):
+    """`read(doc)`, or the type and message of what it raised."""
+    try:
+        return "value", read(doc)
+    except Exception as exc:
+        return "error", (type(exc), str(exc))
+
+
+_REPLACEMENTS = (DELETE, None, True, 1.5, "x", [], {})
+
+
+class TestReaderReference:
+    """The document readers agree with the field-by-field reference
+    (`oracles.field_config_from_json`, `oracles.field_trace_from_json`) on
+    every document made from a valid one by replacing one field: the same
+    result, or the same exception with the same message.  The one
+    difference is a non-string digest, which the reference coerces."""
+
+    def _documents(self):
+        config = helpers.corner_twice()
+        yield cli.config_from_json, oracles.field_config_from_json, cli.config_to_json(
+            CurveConfig(config.curves, config.points, 4), {4}, TargetBase({3, 4})
+        )
+        yield cli.config_from_json, oracles.field_config_from_json, cli.config_to_json(config)
+        spec = generate_crepant_pair(helpers.corner(), 6, 5)
+        trace = decompose_morphism(spec)
+        assert {step.kind for step in trace.steps} == set(MoveKind)
+        yield cli.trace_from_json, oracles.field_trace_from_json, cli.trace_to_json(spec.config, trace)
+        yield cli.trace_from_json, oracles.field_trace_from_json, cli.trace_to_json(
+            config, decompose_morphism(MorphismSpec(config, {4}, {3, 4}))
+        )
+        state = SurfaceState(helpers.du_val_a1(), set())
+        yield cli.trace_from_json, oracles.field_trace_from_json, cli.trace_to_json(
+            state.config, minimize(state)
+        )
+
+    def test_one_field_replaced(self):
+        cases = 0
+        for read, reference, doc in self._documents():
+            assert _outcome(read, doc) == _outcome(reference, doc)
+            for path in _field_paths(doc):
+                for value in _REPLACEMENTS:
+                    bad = _mutated(doc, path, value)
+                    got, expected = _outcome(read, bad), _outcome(reference, bad)
+                    if path == ("scenario_digest",) and value not in (DELETE, "x"):
+                        expected = "error", (ValueError, f"scenario_digest must be a string, got {value!r}")
+                    assert got == expected, (path, value)
+                    cases += 1
+        assert cases > 500
 
 
 _LEAF = (

@@ -2,7 +2,7 @@
 
 import collections
 from fractions import Fraction
-from functools import partial
+from functools import cached_property, partial
 import random
 
 import pytest
@@ -20,6 +20,7 @@ from logsurf.surface import corner_failure, factor_blocks, smooth_point_blowdown
 from logsurf import (
     Classification,
     ComponentImage,
+    CrepantData,
     Curve,
     CurveConfig,
     DivisorialCenter,
@@ -1505,3 +1506,66 @@ class TestChainClosedForm:
         order = list(range(1, 51))
         rng.shuffle(order)
         self._check(bs, *(ends or (None, None)), order)
+
+
+# The lazy facts of each class, computed on first read.
+LAZY_FACTS = {
+    CurveConfig: [
+        "_adjacency", "_blowdown_memo", "_coeff_denominator", "_curve_map",
+        "_factor_memo", "_point_map", "_violations",
+    ],
+    CrepantData: ["discrepancies"],
+    SurfaceState: ["_checked", "classification", "crepant", "uncontracted"],
+}
+
+
+class _RaisingLock:
+    """A lock that raises when taken."""
+
+    def __enter__(self):
+        raise AssertionError("a lazy fact took a lock")
+
+    def __exit__(self, *exc_info):
+        return False
+
+
+class TestLazyFacts:
+    """Every lazy fact is a `functools.cached_property`, which perfbench's
+    tracer tests for before it wraps one, read without the class-wide lock
+    that Python 3.11's takes on a first read, and a value stored in the
+    instance dict before that read is the fact."""
+
+    def test_every_lazy_fact_is_a_cached_property(self):
+        for cls, names in LAZY_FACTS.items():
+            found = sorted(
+                name for name, value in vars(cls).items() if isinstance(value, cached_property)
+            )
+            assert found == names, cls.__name__
+
+    def test_a_first_read_takes_no_lock(self, monkeypatch):
+        for cls, names in LAZY_FACTS.items():
+            for name in names:
+                monkeypatch.setattr(vars(cls)[name], "lock", _RaisingLock(), raising=False)
+        config = helpers.corner_twice()
+        for name in LAZY_FACTS[CurveConfig]:
+            getattr(config, name)
+        state = SurfaceState(config, {3, 4}, TargetBase({3, 4}))
+        assert state.classification is Classification.LOG_TERMINAL
+        assert dict(state.crepant.discrepancies) == {3: -1, 4: 0}
+        assert state.uncontracted == (1, 2)
+        for instance in (config, state.crepant, state):
+            assert set(LAZY_FACTS[type(instance)]) <= vars(instance).keys()
+
+    def test_a_stored_value_is_the_fact(self):
+        state = SurfaceState(helpers.corner_twice(), set(), TargetBase({3, 4}))
+        first = decompose_morphism(MorphismSpec(state.config, set(), {3, 4})).steps[0]
+        new = state.successor(first.curve)
+        for name in ("_checked", "crepant"):
+            stored = vars(new)[name]
+            assert getattr(new, name) is stored
+            assert vars(SurfaceState)[name].__get__(new, SurfaceState) is stored
+        fresh_state = SurfaceState(helpers.corner_twice(), {4})
+        marker = object()
+        vars(fresh_state)["uncontracted"] = marker
+        assert vars(SurfaceState)["uncontracted"].__get__(fresh_state, SurfaceState) is marker
+        assert fresh_state.uncontracted is marker

@@ -18,6 +18,7 @@ import helpers
 import oracles
 from logsurf import (
     DecompositionTrace,
+    EpsilonChoice,
     InvalidStateError,
     MorphismSpec,
     MoveKind,
@@ -207,9 +208,9 @@ class TestVerifyTrace:
         compared = []
         real = logsurf.decompose._matches
 
-        def counting(recorded, data):
+        def counting(recorded, data, *previous):
             compared.append(recorded)
-            return real(recorded, data)
+            return real(recorded, data, *previous)
 
         monkeypatch.setattr(logsurf.decompose, "_matches", counting)
 
@@ -562,6 +563,142 @@ class TestRecordComparison:
         assert logsurf.decompose._matches(record, replayed) is (
             exact and not record != replayed.discrepancies
         )
+
+
+def _half_corner() -> CurveConfig:
+    """A corner whose second curve has coefficient 1/2, with ids −1 and 0, so
+    that blowing up its crossing makes curve 1, of discrepancy −1/2."""
+    return CurveConfig.build([(-1, 0, 0, 1), (0, 0, 0, Fraction(1, 2))], [(1, [-1, 0])])
+
+
+@functools.cache
+def _half_run():
+    """A decomposed depth-5 tower over `_half_corner`: (spec, trace)."""
+    spec = generate_crepant_pair(_half_corner(), 5, 1)
+    return spec, decompose_morphism(spec)
+
+
+class _CountingNumerators(dict):
+    """A solution's numerator table that counts the lookups made in it."""
+
+    reads = 0
+
+    def __getitem__(self, cid):
+        self.reads += 1
+        return dict.__getitem__(self, cid)
+
+
+class _OtherEpsilon(EpsilonChoice):
+    __slots__ = ()
+
+
+class TestOneEntryCheck:
+    """`_matches` given the record last matched and the solution it matched
+    (`verify_trace` passes both) compares a record that extends it by one
+    entry on that entry alone, but only after the state inherited that
+    solution and every key and value is of an exact type; an ε is compared
+    on the integer pair of its bound, and must be an `EpsilonChoice`."""
+
+    def _replay(self, spec, trace, index):
+        """(prior, data): the replayed solutions before and after step `index`."""
+        config = CurveConfig(spec.config.curves, spec.config.points)
+        state = SurfaceState(config, spec.source_contracted, trace.base)
+        for step in trace.steps[:index]:
+            state = state.successor(step.curve)
+        return state.crepant, state.successor(trace.steps[index].curve).crepant
+
+    def test_an_extending_record_reads_one_numerator(self):
+        spec, trace = _half_run()
+        for index, step in enumerate(trace.steps):
+            prior, data = self._replay(spec, trace, index)
+            assert data.residual is prior.residual
+            delta, numerators = data.scaled
+            counting = data.facts.numerators = _CountingNumerators(numerators)
+            matched, recorded = dict(step.discrepancies_before), dict(step.discrepancies_after)
+            assert logsurf.decompose._matches(recorded, data, matched, prior)
+            assert counting.reads == 1
+            assert logsurf.decompose._matches(recorded, data)
+            assert counting.reads == 1 + len(recorded)
+
+    @pytest.mark.parametrize("inexact", ["float value", "bool key", "subclass value"])
+    def test_an_inexact_shared_entry_is_refused(self, inexact):
+        # Step 1 records {1: -1/2} before and {1: -1/2, 2: 0} after; each
+        # edit of the shared entry is equal to it under `==`.
+        spec, trace = _half_run()
+        index = 1
+        step = trace.steps[index]
+        assert dict(step.discrepancies_before) == {1: Fraction(-1, 2)}
+        record = dict(step.discrepancies_after)
+        assert record.keys() == {1, 2}
+        if inexact == "float value":
+            record[1] = -0.5
+        elif inexact == "bool key":
+            record = {True: record[1], 2: record[2]}
+        else:
+            record[1] = _SubFraction(-1, 2)
+        assert record == step.discrepancies_after
+        steps = list(trace.steps)
+        steps[index] = helpers.replace(step, discrepancies_after=record)
+        result = verify_trace(
+            spec.config, spec.source_contracted, helpers.replace(trace, steps=tuple(steps))
+        )
+        assert (bool(result), result.failure, result.step_index) == (
+            False, "recorded posterior discrepancies do not match", index
+        )
+        prior, data = self._replay(spec, trace, index)
+        assert not logsurf.decompose._matches(record, data, step.discrepancies_before, prior)
+
+    def test_an_extending_record_after_a_cold_solution_is_refused(self):
+        # Contracting curve -1 after {1, 2} is not crepant: its log degree
+        # is -3/2, so the new state solves its set cold, and curve 2's
+        # discrepancy moves from 0 to 1/2.  A record that keeps every prior
+        # entry and adds curve -1's true discrepancy is wrong.
+        spec, trace = _half_run()
+        config = CurveConfig(spec.config.curves, spec.config.points)
+        state = SurfaceState(config, {1, 2}, PointBase())
+        assert logsurf.crepant.log_degree(state, -1) == Fraction(-3, 2)
+        prior = state.crepant
+        data = state.successor(-1).crepant
+        assert data.residual is not prior.residual
+        matched = dict(prior.discrepancies)
+        record = {**matched, -1: data.discrepancies[-1]}
+        assert record != data.discrepancies
+        assert not logsurf.decompose._matches(record, data, matched, prior)
+
+    def _flop_with(self, epsilon):
+        """The verdict on the corner tower's first flop recording `epsilon(ε)`."""
+        spec, trace = _tower_run()
+        index = [step.kind for step in trace.steps].index(MoveKind.FLOP)
+        step = trace.steps[index]
+        steps = list(trace.steps)
+        steps[index] = helpers.replace(step, epsilon=epsilon(step.epsilon))
+        result = verify_trace(
+            spec.config, spec.source_contracted, helpers.replace(trace, steps=tuple(steps))
+        )
+        return result, index
+
+    @pytest.mark.parametrize("tamper", [
+        "another record type", "a tuple", "chosen is the supremum",
+        "chosen is a quarter", "supremum doubled",
+    ])
+    def test_a_wrong_epsilon_is_refused(self, tamper):
+        edit = {
+            "another record type": lambda e: _OtherEpsilon(e.supremum, e.chosen),
+            "a tuple": lambda e: (e.supremum, e.chosen),
+            "chosen is the supremum": lambda e: EpsilonChoice(e.supremum, e.supremum),
+            "chosen is a quarter": lambda e: EpsilonChoice(e.supremum, e.supremum / 4),
+            "supremum doubled": lambda e: EpsilonChoice(2 * e.supremum, e.chosen),
+        }[tamper]
+        result, index = self._flop_with(edit)
+        assert (bool(result), result.failure, result.step_index) == (
+            False, "recorded perturbation bound does not match", index
+        )
+
+    def test_an_int_epsilon_equal_to_an_integral_bound_passes(self):
+        _, trace = _tower_run()
+        assert next(step.epsilon for step in trace.steps if step.epsilon).supremum == 1
+        result, _ = self._flop_with(lambda e: EpsilonChoice(int(e.supremum), e.chosen))
+        assert result
 
 
 class MemoTouched(Exception):

@@ -45,6 +45,7 @@ def test_depth_prints_one_verified_line(template):
         20, template, 20, True
     )
     assert doc["decompose_s"] >= 0 and doc["verify_s"] >= 0 and doc["peak_rss_mb"] > 0
+    assert doc["decompose_norm_s"] >= 0 and doc["verify_norm_s"] >= 0
 
 
 def _run(value: float, **status) -> dict:

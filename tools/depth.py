@@ -5,12 +5,15 @@
 Generates one crepant pair of depth DEPTH from the template, with generator
 seed DEPTH, decomposes it, and replays the trace with `verify_trace` on a
 fresh copy of the configuration.  Prints one JSON line: the number of
-steps, the CPU seconds of decompose and of verify, and the peak resident
-set size of this process in MB, which covers generation too.  Run each
-measurement in its own process, since the peak never falls.  The exit
-code is 1 when the trace does not verify.
+steps, the CPU seconds of decompose and of verify, the same seconds
+normalised to a fixed machine speed by perfbench's calibration kernel
+(`perfbench/clock.py`'s `normalise`, run right after each phase), and the
+peak resident set size of this process in MB, which covers generation too.
+Run each measurement in its own process, since the peak never falls.  The
+exit code is 1 when the trace does not verify.
 
-Reads `src/` of the checkout this script lives in.  Standard library only.
+Reads `src/` and `perfbench/clock.py` of the checkout this script lives in.
+Standard library only.
 """
 
 from __future__ import annotations
@@ -24,7 +27,9 @@ from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
 sys.path.insert(0, str(ROOT / "src"))
+sys.path.insert(0, str(ROOT / "perfbench"))
 
+from clock import normalise  # noqa: E402
 from logsurf import CurveConfig, decompose_morphism, generate_crepant_pair, verify_trace  # noqa: E402
 
 # Two rational curves crossing once, both of coefficient 1: of
@@ -45,17 +50,22 @@ def main(argv: list[str] | None = None) -> int:
     spec = generate_crepant_pair(template, args.depth, args.depth)
     started = time.process_time()
     trace = decompose_morphism(spec)
-    decomposed = time.process_time()
+    decompose_s = time.process_time() - started
+    decompose_norm_s = normalise(decompose_s)
+    started = time.process_time()
     config = spec.config
     copy = CurveConfig(config.curves, config.points, config.picard_rank_of_model)
     result = verify_trace(copy, trace.start, trace)
-    verified = time.process_time()
+    verify_s = time.process_time() - started
+    verify_norm_s = normalise(verify_s)
     print(json.dumps({
         "depth": args.depth,
         "template": args.template,
         "steps": len(trace.steps),
-        "decompose_s": round(decomposed - started, 3),
-        "verify_s": round(verified - decomposed, 3),
+        "decompose_s": round(decompose_s, 3),
+        "verify_s": round(verify_s, 3),
+        "decompose_norm_s": round(decompose_norm_s, 3),
+        "verify_norm_s": round(verify_norm_s, 3),
         "peak_rss_mb": round(resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024, 1),
         "verified": bool(result),
     }))
