@@ -362,7 +362,9 @@ def verify_trace(
         state = split = SurfaceState(config, start_set, base)
         # The record last found equal to `state`'s discrepancies: a trace
         # usually holds one object as a step's "after" and the next "before".
-        matched = None
+        # None has matched before the first step, so its "before" is compared
+        # whatever it holds.
+        matched = object()
         for index, step in enumerate(trace.steps):
             expected_kind = (
                 MoveKind.FLOP

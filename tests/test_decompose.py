@@ -199,6 +199,15 @@ class TestVerifyTrace:
         assert not result
         assert "prior" in result.failure
 
+    def test_rejects_a_missing_first_record(self, tower_trace):
+        config, trace = tower_trace
+        step = helpers.replace(trace.steps[0], discrepancies_before=None)
+        bad = helpers.replace(trace, steps=(step, trace.steps[1]))
+        result = verify_trace(config, set(), bad)
+        assert (result.failure, result.step_index) == (
+            "recorded prior discrepancies do not match", 0
+        )
+
     def test_a_shared_record_is_compared_once(self, monkeypatch):
         # A step's "before" that is the previous step's "after" object was
         # just compared with the same state; an equal copy is compared, and
