@@ -7,8 +7,9 @@ seed DEPTH, decomposes it, and replays the trace with `verify_trace` on a
 fresh copy of the configuration.  Prints one JSON line: the number of
 steps, the CPU seconds of decompose and of verify, the same seconds
 normalised to a fixed machine speed by perfbench's calibration kernel
-(`perfbench/clock.py`'s `normalise`, run right after each phase), and the
-peak resident set size of this process in MB, which covers generation too.
+(`perfbench/clock.py`'s `Meter`, which samples the kernel throughout each
+phase and leaves its own time out of the phase's), and the peak resident
+set size of this process in MB, which covers generation too.
 Run each measurement in its own process, since the peak never falls.  The
 exit code is 1 when the trace does not verify.
 
@@ -22,14 +23,13 @@ import argparse
 import json
 import resource
 import sys
-import time
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
 sys.path.insert(0, str(ROOT / "src"))
 sys.path.insert(0, str(ROOT / "perfbench"))
 
-from clock import normalise  # noqa: E402
+from clock import Meter  # noqa: E402
 from logsurf import CurveConfig, decompose_morphism, generate_crepant_pair, verify_trace  # noqa: E402
 
 # Two rational curves crossing once, both of coefficient 1: of
@@ -48,16 +48,15 @@ def main(argv: list[str] | None = None) -> int:
         [(1, 0, self_intersection, 1), (2, 0, self_intersection, 1)], [(1, [1, 2])]
     )
     spec = generate_crepant_pair(template, args.depth, args.depth)
-    started = time.process_time()
-    trace = decompose_morphism(spec)
-    decompose_s = time.process_time() - started
-    decompose_norm_s = normalise(decompose_s)
-    started = time.process_time()
     config = spec.config
     copy = CurveConfig(config.curves, config.points, config.picard_rank_of_model)
-    result = verify_trace(copy, trace.start, trace)
-    verify_s = time.process_time() - started
-    verify_norm_s = normalise(verify_s)
+    seconds = [0.0, 0.0]
+    with Meter() as meter:
+        trace = meter.time(seconds, 0, decompose_morphism, spec)
+        result = meter.time(seconds, 1, verify_trace, copy, trace.start, trace)
+    decompose_s, verify_s = seconds
+    meter.settle()
+    decompose_norm_s, verify_norm_s = seconds
     print(json.dumps({
         "depth": args.depth,
         "template": args.template,
