@@ -13,7 +13,7 @@ import re
 import sys
 from fractions import Fraction
 from pathlib import Path
-from typing import TYPE_CHECKING, Any, Callable, Iterable
+from typing import TYPE_CHECKING, Any, Iterable, NoReturn
 
 from .crepant import (
     Base,
@@ -133,21 +133,24 @@ def parse_target(text: str) -> BlowUpTarget:
 
 
 # ---------------------------------------------------------------------------
-# typed reading of documents: every error names the path of the bad field
+# reading documents: every error names the path of the bad field
 #
 # A field's path is passed as a tuple of its parts, ("steps", 1, "order",
 # 0), and spelled "steps[1].order[0]" only for an error: a valid document
-# builds no path string.  The document readers fetch each field once and
-# test its type inline; only a field that fails the test is handed to its
-# typed reader below, which raises the field's one error message (or, for
-# a subclass the inline test does not admit, returns the value as the
-# reader always has).
+# builds no path string.  The document readers fetch each field once, with
+# `dict.get` and the sentinel `_MISSING` for a required field, and test its
+# exact type inline, so they accept exactly the types `json.loads` returns:
+# a `dict` or `list` subclass fails the test like any other wrong type.  A
+# field that fails its test is handed to a raise-only builder below, which
+# raises the field's one error message.
 
 _Path = tuple[str | int, ...]
 
 _MISSING = object()
 _INT = {int}
 _DICT = {dict}
+# The name of a list that failed its test, and of its items, by item type.
+_LISTS = {int: ("a list of integers", "an integer"), dict: ("a list", "a JSON object")}
 
 
 def _path(parts: _Path) -> str:
@@ -158,83 +161,51 @@ def _path(parts: _Path) -> str:
     return text
 
 
-def _required(doc: dict, read: Callable[[Any, _Path], Any], path: _Path) -> Any:
-    """`read(value, path)` of the field of `doc` named by the last part of
-    `path`, which must be there: a typed reader such as `_int`."""
-    key = path[-1]
-    if key not in doc:
+def _bad(value: Any, path: _Path, expected: str) -> NoReturn:
+    """Raise the error of the field at `path`, which is missing or is not
+    `expected`; a bool, float or string is never coerced to an integer."""
+    if value is _MISSING:
         raise ValueError(f"{_path(path)} is missing")
-    return read(doc[key], path)
+    raise ValueError(f"{_path(path)} must be {expected}, got {value!r}")
 
 
-def _int(value: Any, path: _Path) -> int:
-    """A JSON integer; a bool, float or string is rejected, not coerced."""
-    if type(value) is not int:
-        raise ValueError(f"{_path(path)} must be an integer, got {value!r}")
-    return value
-
-
-def _ints(value: Any, path: _Path) -> list[int]:
-    if not isinstance(value, list):
-        raise ValueError(f"{_path(path)} must be a list of integers, got {value!r}")
-    return [_int(item, (*path, i)) for i, item in enumerate(value)]
-
-
-def _distinct_ints(value: Any, path: _Path) -> list[int]:
-    """`_ints` of a list of ids, none repeated: collapsing a repeat would
-    change what the document says."""
-    ids = _ints(value, path)
-    if len(set(ids)) != len(ids):
-        raise ValueError(f"{_path(path)} repeats a curve: {ids}")
-    return ids
+def _bad_list(value: Any, path: _Path, item_type: type) -> NoReturn:
+    """Raise the error of a list of `item_type` items that failed its inline
+    test: missing, not a list, its first item of another type, or else, for
+    a list of ids, a repeated id, since collapsing a repeat would change
+    what the document says."""
+    name, item_name = _LISTS[item_type]
+    if type(value) is not list:
+        _bad(value, path, name)
+    for i, item in enumerate(value):
+        if type(item) is not item_type:
+            _bad(item, (*path, i), item_name)
+    raise ValueError(f"{_path(path)} repeats a curve: {value}")
 
 
 def _distinct_ids(value: Any) -> bool:
-    """Whether `value` is a list of distinct exact `int`s, tested at C
-    level: one that `_distinct_ints` would return as it is."""
+    """Whether `value` is a list of distinct exact `int`s, tested at C level."""
     return type(value) is list and {*map(type, value)} <= _INT and len({*value}) == len(value)
 
 
-def _interned_fraction(value: Any, parsed: dict[str, Fraction], path: _Path) -> Fraction:
-    """`parse_fraction` of the field at `path`, parsing each distinct string
-    of a document once.
+def _fraction(value: Any, parsed: dict[str, Fraction], path: _Path) -> Fraction:
+    """`parse_fraction` of the field at `path`, a value that `parsed` does not
+    hold yet; a string is entered in it.
 
-    `parsed` maps the strings read so far to their values.  Only strings are
-    keys: a JSON true or 1.0 equals 1 and hashes like it, so a table keyed
-    on values would accept it as a cached "1".
+    `parsed` maps the strings of a document read so far to their values, so
+    that each distinct string is parsed once.  Only strings are keys: a JSON
+    true or 1.0 equals 1 and hashes like it, so a table keyed on values
+    would accept it as a cached "1".
     """
-    fraction = parsed.get(value) if type(value) is str else None
-    if fraction is None:
-        try:
-            fraction = parse_fraction(value)
-        except ValueError as exc:
-            raise ValueError(f"{_path(path)}: {exc}") from None
-        if type(value) is str:
-            parsed[value] = fraction
+    if value is _MISSING:
+        raise ValueError(f"{_path(path)} is missing")
+    try:
+        fraction = parse_fraction(value)
+    except ValueError as exc:
+        raise ValueError(f"{_path(path)}: {exc}") from None
+    if type(value) is str:
+        parsed[value] = fraction
     return fraction
-
-
-def _object(value: Any, path: _Path) -> dict:
-    if not isinstance(value, dict):
-        raise ValueError(f"{_path(path)} must be a JSON object, got {value!r}")
-    return value
-
-
-def _str(value: Any, path: _Path) -> str:
-    """A JSON string; a number, list or null is rejected, not coerced."""
-    if type(value) is not str:
-        raise ValueError(f"{_path(path)} must be a string, got {value!r}")
-    return value
-
-
-def _objects(value: Any, path: _Path) -> list[dict]:
-    """A list of JSON objects; the caller numbers them for their paths."""
-    if not isinstance(value, list):
-        raise ValueError(f"{_path(path)} must be a list, got {value!r}")
-    for i, item in enumerate(value):
-        if not isinstance(item, dict):
-            raise ValueError(f"{_path((*path, i))} must be a JSON object, got {item!r}")
-    return value
 
 
 # ---------------------------------------------------------------------------
@@ -242,52 +213,55 @@ def _objects(value: Any, path: _Path) -> list[dict]:
 
 def config_from_json(data: Any) -> tuple[CurveConfig, frozenset[int], Base]:
     """Parse a scenario document into (config, default contracted, default base)."""
-    if not isinstance(data, dict):
+    if type(data) is not dict:
         raise ValueError("scenario document must be a JSON object")
     parsed: dict[str, Fraction] = {}
     entries = data.get("curves", [])
     if type(entries) is not list or not {*map(type, entries)} <= _DICT:
-        entries = _objects(entries, ("curves",))
+        _bad_list(entries, ("curves",), dict)
     curves = []
     for i, entry in enumerate(entries):
         cid = entry.get("id", _MISSING)
         if type(cid) is not int:
-            cid = _required(entry, _int, ("curves", i, "id"))
+            _bad(cid, ("curves", i, "id"), "an integer")
         genus = entry.get("genus", 0)
         if type(genus) is not int:
-            genus = _int(genus, ("curves", i, "genus"))
+            _bad(genus, ("curves", i, "genus"), "an integer")
         self_intersection = entry.get("self_intersection", _MISSING)
         if type(self_intersection) is not int:
-            self_intersection = _required(entry, _int, ("curves", i, "self_intersection"))
+            _bad(self_intersection, ("curves", i, "self_intersection"), "an integer")
         raw = entry.get("coeff", 0)
         coeff = parsed.get(raw) if type(raw) is str else None
         if coeff is None:
-            coeff = _interned_fraction(raw, parsed, ("curves", i, "coeff"))
+            coeff = _fraction(raw, parsed, ("curves", i, "coeff"))
         curves.append((cid, genus, self_intersection, coeff))
     entries = data.get("points", [])
     if type(entries) is not list or not {*map(type, entries)} <= _DICT:
-        entries = _objects(entries, ("points",))
+        _bad_list(entries, ("points",), dict)
     points = []
     for i, entry in enumerate(entries):
         incident = entry.get("incident", _MISSING)
         if not _distinct_ids(incident):
-            incident = _required(entry, _distinct_ints, ("points", i, "incident"))
+            _bad_list(incident, ("points", i, "incident"), int)
         pid = entry.get("id", _MISSING)
         if type(pid) is not int:
-            pid = _required(entry, _int, ("points", i, "id"))
+            _bad(pid, ("points", i, "id"), "an integer")
         points.append((pid, incident))
     rank = data.get("picard_rank_of_model")
     if rank is not None and type(rank) is not int:
-        rank = _int(rank, ("picard_rank_of_model",))
+        _bad(rank, ("picard_rank_of_model",), "an integer")
     config = CurveConfig.build(curves, points, rank)
     contracted = data.get("contracted", [])
     if not _distinct_ids(contracted):
-        contracted = _distinct_ints(contracted, ("contracted",))
+        _bad_list(contracted, ("contracted",), int)
     raw_base = data.get("base", "point")
     if raw_base == "point":
         base: Base = PointBase()
-    elif isinstance(raw_base, dict) and "target" in raw_base:
-        base = TargetBase(_distinct_ints(raw_base["target"], ("base", "target")))
+    elif type(raw_base) is dict and "target" in raw_base:
+        target = raw_base["target"]
+        if not _distinct_ids(target):
+            _bad_list(target, ("base", "target"), int)
+        base = TargetBase(target)
     else:
         raise ValueError(f"expected base 'point' or {{'target': IDS}}, got {raw_base!r}")
     return config, frozenset(contracted), base
@@ -339,8 +313,30 @@ def config_digest(config: CurveConfig) -> str:
     return hashlib.sha256(text.encode("utf-8")).hexdigest()
 
 
+def _unique_keys(pairs: list[tuple[str, Any]]) -> dict:
+    """The JSON object of `pairs`, none of whose keys may repeat: `json.loads`
+    alone keeps a repeated key's last value, so `{"id": 1, "id": 2}` would
+    read as curve 2."""
+    doc = dict(pairs)
+    if len(doc) != len(pairs):
+        keys = [key for key, _ in pairs]
+        repeated = next(key for i, key in enumerate(keys) if key in keys[:i])
+        raise ValueError(f"key {repeated!r} is repeated in one JSON object")
+    return doc
+
+
+def _load_json(path: str) -> Any:
+    """The JSON document in the file at `path`, whose objects repeat no key;
+    a document nested too deeply to decode is a ValueError naming the file."""
+    text = Path(path).read_text(encoding="utf-8")
+    try:
+        return json.loads(text, object_pairs_hook=_unique_keys)
+    except RecursionError:
+        raise ValueError(f"{path} is nested too deeply to read as JSON") from None
+
+
 def load_scenario(path: str) -> tuple[CurveConfig, frozenset[int], Base]:
-    return config_from_json(json.loads(Path(path).read_text(encoding="utf-8")))
+    return config_from_json(_load_json(path))
 
 
 # ---------------------------------------------------------------------------
@@ -353,11 +349,11 @@ def _fractions_to_json(values: dict[int, Fraction]) -> dict[str, str]:
 _KINDS = {kind.value: kind for kind in MoveKind}
 
 
-def _move_kind(value: Any, path: _Path) -> MoveKind:
-    try:
-        return MoveKind(value)
-    except ValueError as exc:
-        raise ValueError(f"{_path(path)}: {exc}") from None
+def _bad_kind(value: Any, path: _Path) -> NoReturn:
+    """Raise the error of a step's "kind" that names no move."""
+    if value is _MISSING:
+        raise ValueError(f"{_path(path)} is missing")
+    raise ValueError(f"{_path(path)}: {value!r} is not a valid MoveKind")
 
 
 def _fractions_from_json(
@@ -392,9 +388,11 @@ def _fractions_from_json(
         cid = _read_id(key)
         if cid is None:
             raise ValueError(f"{_path(path)} has a key {key!r} that is not a curve id")
-        if type(value) is not str:
-            strings = False
-        out[cid] = _interned_fraction(value, parsed, (*path, key))
+        fraction = parsed.get(value) if type(value) is str else None
+        if fraction is None:
+            fraction = _fraction(value, parsed, (*path, key))
+            strings = strings and type(value) is str
+        out[cid] = fraction
     return out, (data, out) if strings else None
 
 
@@ -457,61 +455,57 @@ def trace_from_json(data: Any) -> tuple[str, DecompositionTrace]:
     of its parse plus that entry, so a step reads one entry.  Any other map
     is read in full.
     """
-    if not isinstance(data, dict):
+    if type(data) is not dict:
         raise ValueError("trace document must be a JSON object")
     parsed: dict[str, Fraction] = {}
     steps = []
     # The last map read, with its parse, when its every value is a string.
     prior: tuple[dict, dict[int, Fraction]] | None = None
-
-    def fraction(value: Any, path: _Path) -> Fraction:
-        return _interned_fraction(value, parsed, path)
-
     entries = data.get("steps", [])
     if type(entries) is not list or not {*map(type, entries)} <= _DICT:
-        entries = _objects(entries, ("steps",))
+        _bad_list(entries, ("steps",), dict)
     for i, entry in enumerate(entries):
         raw = entry.get("kind", _MISSING)
         kind = _KINDS.get(raw) if type(raw) is str else None
         if kind is None:
-            kind = _required(entry, _move_kind, ("steps", i, "kind"))
+            _bad_kind(raw, ("steps", i, "kind"))
         epsilon = None
         order = None
         if kind is MoveKind.FLOP:
             eps = entry.get("epsilon", _MISSING)
             if type(eps) is not dict:
-                eps = _required(entry, _object, ("steps", i, "epsilon"))
+                _bad(eps, ("steps", i, "epsilon"), "a JSON object")
             raw = eps.get("supremum", _MISSING)
             supremum = parsed.get(raw) if type(raw) is str else None
             if supremum is None:
-                supremum = _required(eps, fraction, ("steps", i, "epsilon", "supremum"))
+                supremum = _fraction(raw, parsed, ("steps", i, "epsilon", "supremum"))
             raw = eps.get("chosen", _MISSING)
             chosen = parsed.get(raw) if type(raw) is str else None
             if chosen is None:
-                chosen = _required(eps, fraction, ("steps", i, "epsilon", "chosen"))
+                chosen = _fraction(raw, parsed, ("steps", i, "epsilon", "chosen"))
             epsilon = EpsilonChoice(supremum, chosen)
         else:
             order = entry.get("order", _MISSING)
             if type(order) is not list or not {*map(type, order)} <= _INT:
-                order = _required(entry, _ints, ("steps", i, "order"))
+                _bad_list(order, ("steps", i, "order"), int)
             order = tuple(order)
         curve = entry.get("curve", _MISSING)
         if type(curve) is not int:
-            curve = _required(entry, _int, ("steps", i, "curve"))
+            _bad(curve, ("steps", i, "curve"), "an integer")
         path = ("steps", i, "discrepancies_before")
         raw = entry.get("discrepancies_before", _MISSING)
         if type(raw) is not dict:
-            raw = _required(entry, _object, path)
+            _bad(raw, path, "a JSON object")
         before, prior = _fractions_from_json(raw, parsed, prior, path)
         path = ("steps", i, "discrepancies_after")
         raw = entry.get("discrepancies_after", _MISSING)
         if type(raw) is not dict:
-            raw = _required(entry, _object, path)
+            _bad(raw, path, "a JSON object")
         after, prior = _fractions_from_json(raw, parsed, prior, path)
         steps.append(MoveRecord(kind, curve, before, after, epsilon=epsilon, order=order))
     end = data.get("end", _MISSING)
     if not _distinct_ids(end):
-        end = _required(data, _distinct_ints, ("end",))
+        _bad_list(end, ("end",), int)
     end = frozenset(end)
     raw_base = data.get("base")
     if raw_base is None:
@@ -522,14 +516,14 @@ def trace_from_json(data: Any) -> tuple[str, DecompositionTrace]:
         raise ValueError(f"base: expected 'point' or no key, got {raw_base!r}")
     index = data.get("flop_minimal_index", _MISSING)
     if type(index) is not int:
-        index = _required(data, _int, ("flop_minimal_index",))
+        _bad(index, ("flop_minimal_index",), "an integer")
     start = data.get("start", _MISSING)
     if not _distinct_ids(start):
-        start = _required(data, _distinct_ints, ("start",))
+        _bad_list(start, ("start",), int)
     trace = DecompositionTrace(tuple(steps), index, frozenset(start), end, base)
     digest = data.get("scenario_digest", "")
     if type(digest) is not str:
-        digest = _str(digest, ("scenario_digest",))
+        _bad(digest, ("scenario_digest",), "a string")
     return digest, trace
 
 
@@ -665,9 +659,7 @@ def _cmd_blowup(args: argparse.Namespace) -> int:
 def _cmd_verify(args: argparse.Namespace) -> int:
     config, _, _ = load_scenario(args.file)
     require_valid(config)
-    digest, trace = trace_from_json(
-        json.loads(Path(args.trace).read_text(encoding="utf-8"))
-    )
+    digest, trace = trace_from_json(_load_json(args.trace))
     actual = config_digest(config)
     if digest != actual:
         print(

@@ -1,5 +1,6 @@
 """Command-line behaviour: documents, exit codes, determinism, DOT output."""
 
+from collections import OrderedDict
 import contextlib
 from fractions import Fraction
 import importlib
@@ -261,6 +262,109 @@ class TestStrictDocuments:
         trace_path.write_text("[]", encoding="utf-8")
         assert cli.main(["verify", tower, "--trace", str(trace_path)]) == 2
         assert "trace document must be a JSON object" in capsys.readouterr().err
+
+
+class _Ids(list):
+    """A list subclass, which only a Python caller can pass a reader."""
+
+
+def _wrapped(doc, path, wrap):
+    """A deep copy of `doc` with the field at `path` (the document itself
+    for `()`) replaced by `wrap` of a copy of it."""
+    doc = json.loads(json.dumps(doc))
+    if not path:
+        return wrap(doc)
+    *parents, last = path
+    target = doc
+    for key in parents:
+        target = target[key]
+    target[last] = wrap(target[last])
+    return doc
+
+
+def _scenario_doc():
+    config = helpers.corner_twice()
+    return cli.config_to_json(config, {4}, TargetBase({3, 4}))
+
+
+def _trace_doc():
+    config = helpers.corner_twice()
+    return cli.trace_to_json(config, decompose_morphism(MorphismSpec(config, set(), {3, 4})))
+
+
+class TestExactDocuments:
+    """A document reads as exactly what its text says: a key repeated in one
+    object and a document nested too deeply to decode are rejected with
+    exit code 2, and the readers take only the types `json.loads` returns."""
+
+    def test_a_repeated_key_in_a_curve_is_rejected(self, tmp_path, capsys):
+        scenario = tmp_path / "twice.json"
+        scenario.write_text(
+            '{"curves": [{"id": 1, "id": 2, "self_intersection": -1}]}', encoding="utf-8"
+        )
+        assert cli.main(["validate", str(scenario)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "key 'id' is repeated" in captured.err
+
+    def test_a_repeated_key_in_a_step_is_rejected(self, tower, tmp_path, capsys):
+        trace_path = tmp_path / "trace.json"
+        argv = ["decompose", tower, "--from", "", "--to", "3,4", "--trace", str(trace_path)]
+        assert cli.main(argv) == 0
+        text = trace_path.read_text(encoding="utf-8")
+        # A stray first "curve" that the last one, which replays, would hide.
+        text, count = re.subn(r'"curve": (\d+)', r'"curve": 99, "curve": \1', text, count=1)
+        assert count == 1
+        trace_path.write_text(text, encoding="utf-8")
+        capsys.readouterr()
+        assert cli.main(["verify", tower, "--trace", str(trace_path)]) == 2
+        assert "key 'curve' is repeated" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("which", ["scenario", "trace"])
+    def test_an_over_deep_document_is_rejected(self, tower, tmp_path, capsys, which):
+        deep = tmp_path / "deep.json"
+        deep.write_text("[" * 100000, encoding="utf-8")
+        argv = ["validate", str(deep)] if which == "scenario" else ["verify", tower, "--trace", str(deep)]
+        assert cli.main(argv) == 2
+        err = capsys.readouterr().err
+        assert f"{deep} is nested too deeply to read as JSON" in err
+        assert "Traceback" not in err
+
+    @pytest.mark.parametrize(
+        "read, make, path, wrap, message",
+        [
+            (cli.config_from_json, _scenario_doc, (), OrderedDict,
+             "scenario document must be a JSON object"),
+            (cli.config_from_json, _scenario_doc, ("curves", 1), OrderedDict,
+             "curves[1] must be a JSON object, got OrderedDict("),
+            (cli.config_from_json, _scenario_doc, ("curves",), _Ids, "curves must be a list, got ["),
+            (cli.config_from_json, _scenario_doc, ("points", 0, "incident"), _Ids,
+             "points[0].incident must be a list of integers, got ["),
+            (cli.config_from_json, _scenario_doc, ("contracted",), _Ids,
+             "contracted must be a list of integers, got [4]"),
+            (cli.config_from_json, _scenario_doc, ("base", "target"), _Ids,
+             "base.target must be a list of integers, got [3, 4]"),
+            (cli.config_from_json, _scenario_doc, ("base",), OrderedDict,
+             "expected base 'point' or {'target': IDS}, got OrderedDict("),
+            (cli.trace_from_json, _trace_doc, (), OrderedDict, "trace document must be a JSON object"),
+            (cli.trace_from_json, _trace_doc, ("steps", 0), OrderedDict,
+             "steps[0] must be a JSON object, got OrderedDict("),
+            (cli.trace_from_json, _trace_doc, ("steps", 0, "epsilon"), OrderedDict,
+             "steps[0].epsilon must be a JSON object, got OrderedDict("),
+            (cli.trace_from_json, _trace_doc, ("steps", 1, "discrepancies_after"), OrderedDict,
+             "steps[1].discrepancies_after must be a JSON object, got OrderedDict("),
+            (cli.trace_from_json, _trace_doc, ("steps", 1, "order"), _Ids,
+             "steps[1].order must be a list of integers, got ["),
+            (cli.trace_from_json, _trace_doc, ("end",), _Ids, "end must be a list of integers, got [3, 4]"),
+            (cli.trace_from_json, _trace_doc, ("start",), _Ids, "start must be a list of integers, got []"),
+        ],
+    )
+    def test_a_subclass_is_refused_with_its_path(self, read, make, path, wrap, message):
+        doc = make()
+        read(doc)
+        with pytest.raises(ValueError) as info:
+            read(_wrapped(doc, path, wrap))
+        assert str(info.value).startswith(message)
 
 
 def _field_paths(doc, prefix=()):

@@ -55,7 +55,10 @@ def _run(value: float, **status) -> dict:
     return result
 
 
-METRICS = [{"name": "t", "better": "lower"}, {"name": "r", "better": "higher"}]
+METRICS = [
+    {"name": "t", "better": "lower", "bound": 0.2},
+    {"name": "r", "better": "higher", "bound": 0.2},
+]
 
 
 class TestPairs:
@@ -82,19 +85,34 @@ class TestPairs:
             {"parent": {"error": "exit code 1: boom"}, "change": _run(0.1)},
         ]
         assert pairs.summary(batch, METRICS) == [
-            "  t: parent 2 [1.5, 2.5]  change 2 [1.25, 2.25]  shift +0.0%  won 2/3",
-            "  r: parent 2 [1.5, 2.5]  change 2 [1.25, 2.25]  shift +0.0%  won 1/3",
+            "  t: parent 2 [1.5, 2.5]  change 2 [1.25, 2.25]  shift +0.0%  won 2/3  unresolved",
+            "  r: parent 2 [1.5, 2.5]  change 2 [1.25, 2.25]  shift +0.0%  won 1/3  unresolved",
         ]
 
     def test_summary_shift_and_no_complete_pair(self):
         batch = [{"parent": _run(2.0), "change": _run(1.5)}]
         assert pairs.summary(batch, METRICS[:1]) == [
-            "  t: parent 2 [2, 2]  change 1.5 [1.5, 1.5]  shift -25.0%  won 1/1"
+            "  t: parent 2 [2, 2]  change 1.5 [1.5, 1.5]  shift -25.0%  won 1/1  within bound"
         ]
         failed = [{"parent": _run(2.0), "change": {"error": "exit code 2: no"}}]
         assert pairs.summary(failed, METRICS) == [
             "  t: no complete pair", "  r: no complete pair"
         ]
+
+    def test_summary_verdict_against_the_bound(self):
+        def verdicts(parent, change):
+            batch = [{"parent": _run(p), "change": _run(c)} for p, c in zip(parent, change)]
+            return [line.rsplit("  ", 1)[1] for line in pairs.summary(batch, METRICS)]
+
+        # 30% slower than a steady parent: worse for `t`; a higher `r` is better.
+        assert verdicts([1.0] * 4, [1.3] * 4) == ["worse", "within bound"]
+        # Exactly the bound is not more than it.
+        assert verdicts([1.0] * 4, [1.2] * 4) == ["within bound", "within bound"]
+        # A parent spread of 0.5 of its median, wider than the bound 0.2.
+        assert verdicts([1.0, 2.0, 3.0], [2.0, 2.1, 1.9]) == ["unresolved", "unresolved"]
+        # ...unless every run of the change reads better than every parent run.
+        assert verdicts([1.0, 2.0, 3.0], [0.5, 0.6, 0.7]) == ["within bound", "worse"]
+        assert verdicts([1.0, 2.0, 3.0], [3.5, 3.6, 3.7]) == ["worse", "within bound"]
 
     def test_an_a_a_batch_gets_two_copies(self, tmp_path, monkeypatch):
         # Both sides of one revision: each copy is named by its side.

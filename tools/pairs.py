@@ -9,8 +9,18 @@ Runs the benchmark that the change's BENCHMARK.json declares (its command,
 plus ``--workload W --seed S --seconds T``) in each copy, one process at a
 time.  Pair k runs both sides on seed 101 + k, and the side that goes first
 alternates from pair to pair.  Per workload and end-to-end metric it prints
-each side's median and quartiles and the number of pairs the change won,
-that is where its value was better in the metric's direction.  The raw
+each side's median and quartiles, the number of pairs the change won, that
+is where its value was better in the metric's direction, and a verdict
+against the metric's ``bound`` in the change's BENCHMARK.json:
+
+- ``worse``: the change's median is worse than the parent's by more than
+  the bound, as a share of the parent's median;
+- ``unresolved``: otherwise, the parent's own spread, (Q3 - Q1) / median,
+  exceeds the bound, and not every run of the change reads better than
+  every run of the parent;
+- ``within bound``: otherwise.
+
+The raw
 results go to DIR/pairs.json.  A run that fails, reports ``correct: false``
 or counts failed operations is reported, and the exit code is then 1.
 
@@ -86,7 +96,8 @@ def spread(values: list[float]) -> tuple[float, float, float]:
 
 
 def summary(pairs: list[dict], metrics: list[dict]) -> list[str]:
-    """One line per metric: each side's quartiles and the change's wins."""
+    """One line per metric: each side's quartiles, the change's wins and
+    its verdict against the metric's bound."""
     lines = []
     for metric in metrics:
         name, lower = metric["name"], metric["better"] == "lower"
@@ -102,10 +113,21 @@ def summary(pairs: list[dict], metrics: list[dict]) -> list[str]:
         wins = sum((c < p) if lower else (c > p) for p, c in both)
         p1, p2, p3 = spread(parent)
         c1, c2, c3 = spread(change)
+        shift = (c2 - p2) / p2 if p2 else 0.0
+        bound = metric["bound"]
+        every_run_better = (
+            max(change) < min(parent) if lower else min(change) > max(parent)
+        )
+        if (shift if lower else -shift) > bound:
+            verdict = "worse"
+        elif p3 - p1 > bound * p2 and not every_run_better:
+            verdict = "unresolved"
+        else:
+            verdict = "within bound"
         lines.append(
             f"  {name}: parent {p2:.6g} [{p1:.6g}, {p3:.6g}]  "
             f"change {c2:.6g} [{c1:.6g}, {c3:.6g}]  "
-            f"shift {100 * (c2 - p2) / p2 if p2 else 0:+.1f}%  won {wins}/{len(both)}"
+            f"shift {100 * shift:+.1f}%  won {wins}/{len(both)}  {verdict}"
         )
     return lines
 
