@@ -162,8 +162,8 @@ def _path(parts: _Path) -> str:
 
 
 def _bad(value: Any, path: _Path, expected: str) -> NoReturn:
-    """Raise the error of the field at `path`, which is missing or is not
-    `expected`; a bool, float or string is never coerced to an integer."""
+    """Raise the error of the field at `path`, missing or not `expected`: a
+    bool, float or string in place of an integer is refused, not coerced."""
     if value is _MISSING:
         raise ValueError(f"{_path(path)} is missing")
     raise ValueError(f"{_path(path)} must be {expected}, got {value!r}")

@@ -269,17 +269,12 @@ class _Ids(list):
 
 
 def _wrapped(doc, path, wrap):
-    """A deep copy of `doc` with the field at `path` (the document itself
-    for `()`) replaced by `wrap` of a copy of it."""
-    doc = json.loads(json.dumps(doc))
-    if not path:
-        return wrap(doc)
-    *parents, last = path
-    target = doc
-    for key in parents:
-        target = target[key]
-    target[last] = wrap(target[last])
-    return doc
+    """`doc` with the field at `path` (the document itself for `()`)
+    replaced by `wrap` of it."""
+    value = doc
+    for key in path:
+        value = value[key]
+    return _mutated(doc, path, wrap(value)) if path else wrap(value)
 
 
 def _scenario_doc():

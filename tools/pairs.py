@@ -20,9 +20,9 @@ against the metric's ``bound`` in the change's BENCHMARK.json:
   every run of the parent;
 - ``within bound``: otherwise.
 
-The raw
-results go to DIR/pairs.json.  A run that fails, reports ``correct: false``
-or counts failed operations is reported, and the exit code is then 1.
+The raw results go to DIR/pairs.json.  A run that fails, reports
+``correct: false`` or counts failed operations is reported, and the exit
+code is then 1.
 
 Only DIR is written to; the checkout this script lives in is only read.
 Standard library only.
